@@ -33,10 +33,10 @@ from bergrange.core import (
 from bergrange.numrange import (
     DiscSpec,
     EllipseSpec,
+    _image_samples,
     boundary_points,
     ellipse_from_2x2,
     numerical_range_hull,
-    sample_image_hull,
     support_function,
     support_of,
 )
@@ -158,15 +158,13 @@ def _run_t3_harmonic(p):
     T = build_toeplitz(sym, alpha, N)
     theta = _grid(K)
     h_sweep = support_function(T, theta)
-    closure = sample_image_hull(sym, radii=[1.0], n_angles=2048)
-    h_closure = closure.support(theta)
+    h_closure = support_of(_image_samples(sym, [1.0], 2048), theta)
     exclusion = float(np.min(h_closure - h_sweep))
     hausdorff = _support_gap(h_closure, h_sweep)
     # interior probes: the image of a slightly shrunk circle must already be
     # swallowed by the swept range (support inequalities on the grid)
     probes = sym((1.0 - delta) * np.exp(1j * _grid(64)))
-    probe_re = np.real(np.exp(-1j * theta)[:, None] * np.asarray(probes)[None, :])
-    probe_margin = float(np.min(h_sweep[:, None] - probe_re))
+    probe_margin = float(np.min(h_sweep - support_of(probes, theta)))
     tol = 0.02
     passed = hausdorff <= tol and exclusion > 0.0 and probe_margin > 0.0
     metrics = {
@@ -187,8 +185,8 @@ def _run_c1_multiplication(p):
     M = build_multiplication(psi, alpha, N)
     theta = _grid(K)
     h_sweep = support_function(M, theta)
-    image = sample_image_hull(series(psi), radii=np.linspace(0.0, 1.0, 33), n_angles=512)
-    hausdorff = _support_gap(h_sweep, image.support(theta))
+    image = _image_samples(series(psi), np.linspace(0.0, 1.0, 33), 512)
+    hausdorff = _support_gap(h_sweep, support_of(image, theta))
     tol = 0.05
     return (
         hausdorff <= tol,
@@ -303,12 +301,9 @@ def _run_th1_rotation(p):
     A = build_weighted_composition(psi, [0.0, lam], alpha, N)
     theta = _grid(K)
     h_sweep = support_function(A, theta)
-    radii = np.linspace(0.0, 1.0, 33)
-    z = radii[:, None] * np.exp(1j * _grid(512))[None, :]
-    vals = series_eval(series(psi), z).ravel()
-    pts = np.concatenate([lam**j * vals for j in range(n)])
-    h_target = support_of(pts, theta)
-    hausdorff = _support_gap(h_sweep, h_target)
+    image = _image_samples(series(psi), np.linspace(0.0, 1.0, 33), 512)
+    union = np.concatenate([lam**j * image for j in range(n)])
+    hausdorff = _support_gap(h_sweep, support_of(union, theta))
     tol = 0.05
     notes = (
         "the union identity needs a weight of the form g(z^n), which keeps "
@@ -368,8 +363,8 @@ def _run_th2_symmetric(p):
         theta = _grid(K)
         h = support_function(A, theta)
         sym_dev = float(np.max(np.abs(h - np.roll(h, -(K // order)))))
-        image = sample_image_hull(series(psi), radii=np.linspace(0.0, 1.0, 33), n_angles=1024)
-        image_haus = _support_gap(h, image.support(theta))
+        image = _image_samples(series(psi), np.linspace(0.0, 1.0, 33), 1024)
+        image_haus = _support_gap(h, support_of(image, theta))
         metrics[f"equivariance_dev_n{order}"] = equiv_dev
         metrics[f"symmetry_dev_n{order}"] = sym_dev
         metrics[f"image_hausdorff_n{order}"] = image_haus
@@ -447,7 +442,7 @@ def _run_pro1_rank_one(p):
     c0 = 0.7 + 0.2j
     A1 = build_weighted_composition([c0], [0.0], alpha, N)
     h1 = support_function(A1, theta)
-    h_seg = np.maximum(np.real(np.exp(-1j * theta) * c0), 0.0)
+    h_seg = support_of(np.array([0j, c0]), theta)
     dev_segment = _support_gap(h1, h_seg)
     # case two: weight vanishing at the target point -> centred disc
     w2 = 0.4
@@ -640,25 +635,14 @@ def _run_th_circle_3x3(p):
     # weighted template with coefficients (c, 1, 1/c), evaluated under both
     # readings; reported because it reproduces the sweep under neither
     c_ratio = w1 / w2
-    template_m2m1 = 0.5 * np.sqrt(
-        w2
-        * (
-            c_ratio * abs(_padded_coeff(psi, i1)) ** 2
-            + abs(_padded_coeff(psi, i2 - i1)) ** 2
-            + (1.0 / c_ratio) * abs(_padded_coeff(psi, i2)) ** 2
-        )
-    )
-    template_m1m2 = 0.5 * np.sqrt(
-        w2
-        * (
-            c_ratio * abs(_padded_coeff(psi, i1)) ** 2
-            + abs(_padded_coeff(psi, i1 - i2)) ** 2
-            + (1.0 / c_ratio) * abs(_padded_coeff(psi, i2)) ** 2
-        )
-    )
+
+    def template(k):
+        inner = c_ratio * abs(_padded_coeff(psi, i1)) ** 2 + abs(_padded_coeff(psi, k)) ** 2
+        return 0.5 * np.sqrt(w2 * (inner + (1.0 / c_ratio) * abs(_padded_coeff(psi, i2)) ** 2))
+
     theta = _grid(K)
     h_b = support_function(B, theta)
-    radial = h_b - np.real(np.exp(-1j * theta) * center)
+    radial = h_b - support_of(np.array([center]), theta)
     radius_dev = float(np.max(np.abs(radial - radius_formula)))
     alt_gap = float(np.min(np.abs(radial - radius_alt)))
     pts = np.array([pt for _, pt, _ in boundary_points(B, K)])
@@ -675,8 +659,8 @@ def _run_th_circle_3x3(p):
     metrics = {
         "radius_formula": float(radius_formula),
         "radius_alt_convention": float(radius_alt),
-        "template_m2m1": float(template_m2m1),
-        "template_m1m2": float(template_m1m2),
+        "template_m2m1": float(template(i2 - i1)),
+        "template_m1m2": float(template(i1 - i2)),
         "radius_dev": radius_dev,
         "center_dev": center_dev,
         "entry_dev": entry_dev,

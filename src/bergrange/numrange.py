@@ -3,8 +3,9 @@
 The numerical range of a matrix A is the set of Rayleigh quotients
 v* A v over unit vectors.  It is convex, and its support function in the
 direction e^{i theta} is the top eigenvalue of the Hermitian part of
-e^{-i theta} A; the top eigenvector hands back a boundary point.  All
-range computations here go through that sweep.
+e^{-i theta} A; the top eigenvector hands back a boundary point.  One
+sweep kernel forms that Hermitian part and solves it at every angle;
+support_function and boundary_points, hence every range here, call it.
 
 Reference shapes (discs, ellipses, polygons, sampled image hulls) share a
 common support-function interface so containment can be decided by
@@ -15,7 +16,6 @@ grid resolution and immune to the sagging of inscribed polygons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +49,27 @@ def _as_matrix(A) -> np.ndarray:
     return M
 
 
+def _eigpair(H: np.ndarray, index: int, vectors: bool = True):
+    """Eigenvalue ``index`` (ascending) of a Hermitian H, with ``vectors`` also its checked eigenvector.
+
+    zheevr bisects for the one eigenvalue with or without the vector, so
+    sweeps with and without vectors return identical supports.
+    """
+    from scipy.linalg.lapack import zheevr, zheevr_lwork  # here so `build` never pays for loading scipy.linalg
+    lwork = int(zheevr_lwork(H.shape[0], lower=1)[0].real)
+    w, z, _, _, info = zheevr(H, compute_v=int(vectors), range="I", lower=1, il=index + 1, iu=index + 1, lwork=lwork)
+    if info != 0:
+        raise NumericError(f"Hermitian eigensolver failed (LAPACK info {info})")
+    if not vectors:
+        return float(w[0]), None
+    lam, v = float(w[0]), z[:, 0]
+    scale = max(1.0, float(np.max(np.abs(H))))
+    residual = float(np.linalg.norm(H @ v - lam * v))
+    if residual > 1e-10 * scale * np.sqrt(H.shape[0]):
+        raise NumericError(f"eigenpair residual too large: {residual:.3e}")
+    return lam, v
+
+
 def hermitian_extreme_eig(H, which: str = "max", hermitian_tol: float = 1e-12):
     """Extreme eigenpair of a Hermitian matrix.
 
@@ -63,14 +84,25 @@ def hermitian_extreme_eig(H, which: str = "max", hermitian_tol: float = 1e-12):
         raise UsageError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     if which not in ("max", "min"):
         raise UsageError(f"which must be 'max' or 'min', got {which!r}")
-    Mh = (M + M.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(Mh)
-    k = -1 if which == "max" else 0
-    lam, v = float(vals[k]), vecs[:, k]
-    residual = float(np.linalg.norm(Mh @ v - lam * v))
-    if residual > 1e-10 * scale * np.sqrt(M.shape[0]):
-        raise NumericError(f"eigenpair residual too large: {residual:.3e}")
-    return lam, v
+    return _eigpair((M + M.conj().T) / 2.0, M.shape[0] - 1 if which == "max" else 0)
+
+
+def _sweep(A, thetas: np.ndarray, vectors: bool):
+    """Supports at ``thetas`` and, with ``vectors``, the boundary points v* A v (else None).
+
+    H(theta) = cos(theta) A_re + sin(theta) A_im is the Hermitian part of e^{-i theta} A.
+    """
+    M = _as_matrix(A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A_re, A_im = (M + M.conj().T) / 2.0, (M - M.conj().T) / 2j
+    if not (np.all(np.isfinite(A_re)) and np.all(np.isfinite(A_im))):
+        raise NumericError("Hermitian parts of the matrix overflow")
+    pairs = [_eigpair(np.cos(th) * A_re + np.sin(th) * A_im, M.shape[0] - 1, vectors) for th in thetas]
+    h = np.array([lam for lam, _ in pairs], dtype=float)
+    points = np.array([v.conj() @ (M @ v) for _, v in pairs], dtype=complex) if vectors else None
+    if not (np.all(np.isfinite(h)) and (points is None or np.all(np.isfinite(points)))):
+        raise NumericError("support sweep produced non-finite values")
+    return h, points
 
 
 def support_function(A, thetas) -> np.ndarray:
@@ -78,15 +110,7 @@ def support_function(A, thetas) -> np.ndarray:
 
     h(theta) = lambda_max( (e^{-i theta} A + e^{i theta} A*) / 2 ).
     """
-    M = _as_matrix(A)
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    out = np.empty(thetas.size)
-    Mh = M.conj().T
-    for j, th in enumerate(thetas):
-        rot = np.exp(-1j * th)
-        H = (rot * M + np.conj(rot) * Mh) / 2.0
-        out[j] = float(np.linalg.eigvalsh(H)[-1])
-    return out
+    return _sweep(A, np.atleast_1d(np.asarray(thetas, dtype=float)), vectors=False)[0]
 
 
 def boundary_points(A, n_angles: int = 360):
@@ -97,19 +121,11 @@ def boundary_points(A, n_angles: int = 360):
     part; these points lie on the boundary of the range and their convex
     hull approximates it from inside.
     """
-    M = _as_matrix(A)
     if not isinstance(n_angles, (int, np.integer)) or n_angles < 3:
         raise UsageError(f"n_angles must be an integer >= 3, got {n_angles!r}")
     thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    Mh = M.conj().T
-    out = []
-    for th in thetas:
-        rot = np.exp(-1j * th)
-        H = (rot * M + np.conj(rot) * Mh) / 2.0
-        lam, v = hermitian_extreme_eig(H, "max")
-        point = complex(v.conj() @ (M @ v))
-        out.append((float(th), point, lam))
-    return out
+    h, points = _sweep(A, thetas, vectors=True)
+    return [(float(th), complex(p), float(s)) for th, p, s in zip(thetas, points, h)]
 
 
 def convex_hull(points) -> np.ndarray:
@@ -179,9 +195,7 @@ class HullPolygon:
         return self.vertices.size
 
     def support(self, thetas) -> np.ndarray:
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        dirs = np.exp(-1j * thetas)
-        return np.max(np.real(dirs[:, None] * self.vertices[None, :]), axis=1)
+        return support_of(self.vertices, thetas)
 
     def _edges(self):
         v = self.vertices
@@ -344,13 +358,11 @@ def support_of(obj, thetas) -> np.ndarray:
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if isinstance(obj, (HullPolygon, DiscSpec, EllipseSpec)):
         return obj.support(thetas)
-    if hasattr(obj, "matrix"):
-        return support_function(obj, thetas)
-    arr = np.asarray(obj)
+    arr = np.asarray(getattr(obj, "matrix", obj))
     if arr.ndim == 1:
+        # max of Re(e^{-i theta} p) one angle at a time: O(points) memory
         pts = arr.astype(complex)
-        dirs = np.exp(-1j * thetas)
-        return np.max(np.real(dirs[:, None] * pts[None, :]), axis=1)
+        return np.array([np.max(d.real * pts.real - d.imag * pts.imag) for d in np.exp(-1j * thetas)])
     if arr.ndim == 2:
         return support_function(arr, thetas)
     raise UsageError(f"cannot compute a support function for {type(obj).__name__}")
@@ -376,6 +388,15 @@ def regular_polygon(n: int, radius: float = 1.0, center: complex = 0j, phase: fl
     return center + radius * np.exp(1j * (phase + 2.0 * np.pi * k / n))
 
 
+def _image_samples(f, radii, n_angles: int) -> np.ndarray:
+    """Values f(r e^{i theta}) on each circle of the given radii, plus f(0)."""
+    if n_angles < 3:
+        raise UsageError("n_angles must be >= 3")
+    theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    z = np.asarray(radii, dtype=float)[:, None] * np.exp(1j * theta)[None, :]
+    return np.append(np.asarray(f(z), dtype=complex), f(np.zeros(1, dtype=complex)))
+
+
 def sample_image_hull(f, radii=None, n_angles: int = 512) -> HullPolygon:
     """Convex hull of sampled values f(r e^{i theta}).
 
@@ -385,11 +406,4 @@ def sample_image_hull(f, radii=None, n_angles: int = 512) -> HullPolygon:
     """
     if radii is None:
         radii = np.linspace(0.0, 1.0 - 1e-3, 25)
-    radii = np.asarray(radii, dtype=float)
-    if n_angles < 3:
-        raise UsageError("n_angles must be >= 3")
-    theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    z = radii[:, None] * np.exp(1j * theta)[None, :]
-    vals = np.asarray(f(z), dtype=complex).ravel()
-    vals = np.concatenate([vals, np.atleast_1d(np.asarray(f(np.zeros(1, dtype=complex)), dtype=complex)).ravel()])
-    return HullPolygon.from_points(vals)
+    return HullPolygon.from_points(_image_samples(f, radii, n_angles))

@@ -43,11 +43,11 @@ __all__ = [
     "block_structure_report",
 ]
 
-# number of boundary samples used to certify that a polynomial maps the
-# disk into itself; by the maximum principle it is enough to look at one
-# circle close to the boundary
+# unit-circle samples per degree when certifying a self-map by sampling;
+# the Bernstein margin 1 / (1 - pi / _SELF_MAP_SAMPLES) is then about 1.2%
 _SELF_MAP_SAMPLES = 256
-_SELF_MAP_RADIUS = 1.0 - 1e-3
+# outermost radius of the kernel-testing grid, kept off the boundary
+_KERNEL_GRID_RADIUS = 1.0 - 1e-3
 
 
 @dataclass(frozen=True)
@@ -174,13 +174,31 @@ def build_toeplitz(symbol, alpha: float, N: int) -> OperatorTruncation:
 
 
 def _certify_self_map(phi: TruncatedSeries):
-    z = _SELF_MAP_RADIUS * np.exp(2j * np.pi * np.arange(_SELF_MAP_SAMPLES) / _SELF_MAP_SAMPLES)
-    vals = series_eval(phi, z)
-    mods = np.abs(vals)
-    k = int(np.argmax(mods))
-    if mods[k] >= 1.0:
+    """Prove that phi maps the open disk into itself, or raise DomainError.
+
+    A nonconstant polynomial does so exactly when max |phi| <= 1 on the
+    unit circle, which sum |phi_k| <= 1 proves outright.  Otherwise phi
+    of degree d is sampled at M = _SELF_MAP_SAMPLES * d points of the
+    circle; Bernstein's inequality max |phi'| <= d max |phi| bounds the
+    true maximum by the sampled one over 1 - pi d / M.  An undecided case
+    is rejected.
+    """
+    c = phi.coeffs
+    d = int(np.flatnonzero(c)[-1]) if np.any(c) else 0
+    if d == 0:
+        if abs(c[0]) >= 1.0:
+            raise DomainError(f"phi is not a self-map of the disk: it is the constant {c[0]:.6f}")
+        return
+    if float(np.sum(np.abs(c))) <= 1.0:
+        return
+    M = _SELF_MAP_SAMPLES * d
+    # the FFT of the coefficients evaluates phi at the M-th roots of unity
+    sampled = float(np.max(np.abs(np.fft.fft(c[: d + 1], M))))
+    bound = sampled / (1.0 - np.pi * d / M)
+    if bound > 1.0:
         raise DomainError(
-            f"phi is not a self-map of the disk: |phi({z[k]:.6f})| = {mods[k]:.6f} >= 1"
+            f"phi is not certified as a self-map of the disk: max |phi| over {M} points of the "
+            f"unit circle is {sampled:.6f}, so the bound is {bound:.6f} > 1"
         )
 
 
@@ -191,8 +209,8 @@ def build_weighted_composition(
 
     Column n holds the coefficients of psi * phi^n in the orthonormal
     basis.  Inputs shorter than the truncation are zero-padded.  When
-    ``check_self_map`` is set, phi is sampled on a circle close to the
-    boundary and rejected if its image leaves the disk.
+    ``check_self_map`` is set, phi is rejected unless it is certified to
+    map the disk into itself.
     """
     N = _check_truncation(N)
     psi_s = _as_series(psi, "psi").pad_to(N - 1)
@@ -316,7 +334,7 @@ def boundedness_functional(
     alpha = float(alpha)
     if radial < 1 or angular < 1:
         raise UsageError("grid sizes must be >= 1")
-    r = np.linspace(0.0, _SELF_MAP_RADIUS, radial)
+    r = np.linspace(0.0, _KERNEL_GRID_RADIUS, radial)
     theta = 2.0 * np.pi * np.arange(angular) / angular
     w = r[:, None] * np.exp(1j * theta)[None, :]
     pw = np.abs(series_eval(psi_s, w))

@@ -52,6 +52,42 @@ class TestExtremeEig:
             hermitian_extreme_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+class TestSweepKernel:
+    @staticmethod
+    def _matrices():
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5, 24):
+            yield rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        # repeated top eigenvalue: the boundary point may be any mix of e_0 and e_2
+        yield np.diag([2.0, 1j, 2.0, -1.0 - 1j]).astype(complex)
+
+    def test_boundary_rows_lie_on_their_support_lines(self):
+        for A in self._matrices():
+            for th, p, s in boundary_points(A, 90):
+                assert abs((np.exp(-1j * th) * p).real - s) <= 1e-12 * max(1.0, abs(s))
+
+    def test_boundary_supports_equal_support_function(self):
+        for A in self._matrices():
+            rows = boundary_points(A, 90)
+            thetas = np.array([th for th, _, _ in rows])
+            assert np.array_equal(np.array([s for _, _, s in rows]), support_function(A, thetas))
+
+    def test_point_cloud_support_matches_its_hull(self):
+        rng = np.random.default_rng(13)
+        cloud = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+        want = HullPolygon.from_points(cloud).support(GRID)
+        assert np.max(np.abs(support_of(cloud, GRID) - want)) <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_hermitian_part_raises(self):
+        # finite entries whose Hermitian part overflows to infinity
+        A = np.full((2, 2), 1e308, dtype=complex)
+        with pytest.raises(NumericError):
+            support_function(A, GRID)
+        with pytest.raises(NumericError):
+            boundary_points(A, 8)
+
+
 class TestSmallMatrices:
     def test_nilpotent_2x2_is_half_disc(self):
         # [[0, 1], [0, 0]] has numerical range the closed disc of radius 1/2

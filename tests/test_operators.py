@@ -131,6 +131,21 @@ class TestWeightedComposition:
             build_weighted_composition([1.0], [0.0, 1.2], 0.0, 8)
         with pytest.raises(DomainError, match="self-map"):
             build_weighted_composition([1.0], [0.5, 1.0], 0.0, 8)
+        # both leave the disk only near the unit circle
+        with pytest.raises(DomainError, match="self-map"):
+            build_weighted_composition([1.0], [0.0, 1.0005], 0.0, 8)
+        with pytest.raises(DomainError, match="self-map"):
+            build_weighted_composition([1.0], [0.0005, 0.0, 0.0, 0.0, 0.0, 0.9996], 0.0, 8)
+        with pytest.raises(DomainError, match="self-map"):
+            build_weighted_composition([1.0], [1.0], 0.0, 8)
+
+    def test_self_map_certified_by_sampling(self):
+        # |1 + z - z^2| peaks at sqrt(5) on the circle while its coefficients
+        # sum to 3, so only the sampled Bernstein bound decides these
+        W = build_weighted_composition([1.0], 0.4 * np.array([1.0, 1.0, -1.0]), 0.0, 8)
+        assert W.truncation == 8
+        with pytest.raises(DomainError, match="self-map"):
+            build_weighted_composition([1.0], 0.45 * np.array([1.0, 1.0, -1.0]), 0.0, 8)
 
     def test_check_can_be_disabled(self):
         W = build_weighted_composition([1.0], [0.0, 1.2], 0.0, 8, check_self_map=False)
