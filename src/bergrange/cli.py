@@ -104,7 +104,6 @@ def parse_config(text: str) -> JobConfig:
     operator = _require(raw, "operator", "config")
     if not isinstance(operator, dict):
         raise UsageError("config field 'operator' must be an object")
-    _validate_operator_spec(operator, "operator")
     angles = 360
     if "angles" in raw:
         angles = _as_int(raw["angles"], "config field 'angles'", 8)
@@ -114,57 +113,49 @@ def parse_config(text: str) -> JobConfig:
     return JobConfig(alpha=alpha, truncation=truncation, operator=operator, angles=angles, seed=seed)
 
 
-def _validate_operator_spec(spec: dict, where: str) -> None:
+def operator_from_spec(spec: dict, alpha: float, truncation: int) -> OperatorTruncation:
+    """Check an operator spec and build it in the same walk."""
+    return _build_spec(spec, alpha, truncation, "operator")
+
+
+def _build_spec(spec, alpha: float, truncation: int, where: str) -> OperatorTruncation:
+    if not isinstance(spec, dict):
+        raise UsageError(f"{where} must be an object")
     _reject_unknown(spec, _OPERATOR_KINDS, where)
     if len(spec) != 1:
         raise UsageError(
             f"{where} must contain exactly one of {sorted(_OPERATOR_KINDS)}, got {sorted(spec)}"
         )
     kind, body = next(iter(spec.items()))
-    if kind == "toeplitz":
-        if not isinstance(body, dict):
-            raise UsageError(f"{where}.toeplitz must be an object")
-        _reject_unknown(body, {"terms"}, f"{where}.toeplitz")
-        terms = _require(body, "terms", f"{where}.toeplitz")
-        if not isinstance(terms, list) or not terms:
-            raise UsageError(f"{where}.toeplitz.terms must be a non-empty list")
-        for i, term in enumerate(terms):
-            if not isinstance(term, list) or len(term) != 4:
-                raise UsageError(
-                    f"{where}.toeplitz.terms[{i}] must be [p, q, re, im], got {term!r}"
-                )
-            p, q = term[0], term[1]
-            _as_int(p, f"{where}.toeplitz.terms[{i}][0]", 0)
-            _as_int(q, f"{where}.toeplitz.terms[{i}][1]", 0)
-            _as_number(term[2], f"{where}.toeplitz.terms[{i}][2]")
-            _as_number(term[3], f"{where}.toeplitz.terms[{i}][3]")
-    elif kind == "weighted_composition":
-        if not isinstance(body, dict):
-            raise UsageError(f"{where}.weighted_composition must be an object")
-        _reject_unknown(body, {"psi", "phi"}, f"{where}.weighted_composition")
-        _as_pairs(_require(body, "psi", f"{where}.weighted_composition"), f"{where}.weighted_composition.psi")
-        _as_pairs(_require(body, "phi", f"{where}.weighted_composition"), f"{where}.weighted_composition.phi")
-    else:
+    where = f"{where}.{kind}"
+    if kind == "sum":
         if not isinstance(body, list) or not body:
-            raise UsageError(f"{where}.sum must be a non-empty list of operator objects")
-        for i, sub in enumerate(body):
-            if not isinstance(sub, dict):
-                raise UsageError(f"{where}.sum[{i}] must be an object")
-            _validate_operator_spec(sub, f"{where}.sum[{i}]")
-
-
-def operator_from_spec(spec: dict, alpha: float, truncation: int) -> OperatorTruncation:
-    kind, body = next(iter(spec.items()))
+            raise UsageError(f"{where} must be a non-empty list of operator objects")
+        return operator_sum(
+            [_build_spec(sub, alpha, truncation, f"{where}[{i}]") for i, sub in enumerate(body)]
+        )
+    if not isinstance(body, dict):
+        raise UsageError(f"{where} must be an object")
     if kind == "toeplitz":
-        terms = [(t[0], t[1], complex(t[2], t[3])) for t in body["terms"]]
-        return build_toeplitz(terms, alpha, truncation)
-    if kind == "weighted_composition":
-        psi = _as_pairs(body["psi"], "psi")
-        phi = _as_pairs(body["phi"], "phi")
-        return build_weighted_composition(psi, phi, alpha, truncation)
-    return operator_sum(
-        [operator_from_spec(sub, alpha, truncation) for sub in body]
-    )
+        _reject_unknown(body, {"terms"}, where)
+        terms = _require(body, "terms", where)
+        if not isinstance(terms, list) or not terms:
+            raise UsageError(f"{where}.terms must be a non-empty list")
+        symbol = []
+        for i, term in enumerate(terms):
+            at = f"{where}.terms[{i}]"
+            if not isinstance(term, list) or len(term) != 4:
+                raise UsageError(f"{at} must be [p, q, re, im], got {term!r}")
+            p = _as_int(term[0], f"{at}[0]", 0)
+            q = _as_int(term[1], f"{at}[1]", 0)
+            re = _as_number(term[2], f"{at}[2]")
+            im = _as_number(term[3], f"{at}[3]")
+            symbol.append((p, q, complex(re, im)))
+        return build_toeplitz(symbol, alpha, truncation)
+    _reject_unknown(body, {"psi", "phi"}, where)
+    psi = _as_pairs(_require(body, "psi", where), f"{where}.psi")
+    phi = _as_pairs(_require(body, "phi", where), f"{where}.phi")
+    return build_weighted_composition(psi, phi, alpha, truncation)
 
 
 def build_operator(config: JobConfig) -> OperatorTruncation:

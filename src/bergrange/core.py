@@ -10,19 +10,22 @@ Conventions used throughout the package:
 * analytic functions are handled as truncated Taylor series, coefficients
   indexed from degree 0.
 
-The ratio r_n is always computed by the multiplicative recurrence
-r_0 = 1, r_n = r_{n-1} (n+alpha+1)/n, never through Gamma evaluations that
-would overflow long before the ratio does.
+The ratio r_n lives in one log-domain table, AlphaWeight.log_norm_ratio,
+the running sum log r_n = sum_{k<=n} log1p((alpha+1)/k) of the recurrence
+r_n = r_{n-1} (n+alpha+1)/n.  Every consumer reads that table: matrix
+entries are formed from differences of its logs, which stay O(1) long
+after r_n itself leaves float64 range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import roots_jacobi, xlogy
 
 __all__ = [
     "DomainError",
@@ -66,22 +69,19 @@ def _check_alpha(alpha: float) -> float:
 def norm_ratio(n: int, alpha: float):
     """Squared norm ratio r_n = Gamma(n+alpha+2) / (n! Gamma(alpha+2)).
 
-    Accumulates the recurrence in extended precision; the value is returned
-    as a plain float when it fits, otherwise as the extended-precision
-    scalar (the ratio stays finite far beyond float64 range, e.g. around
-    1e448 for n = 10^6, alpha = 100).
+    Read from the log table of ``alpha_weight``; the value is returned as a
+    plain float when it fits, otherwise as an extended-precision scalar
+    (the ratio stays finite far beyond float64 range, e.g. around 1e448
+    for n = 10^6, alpha = 100).
     """
     alpha = _check_alpha(alpha)
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
-    if n == 0:
-        return 1.0
-    k = np.arange(1, n + 1, dtype=np.longdouble)
-    acc = np.prod((k + np.longdouble(alpha) + 1.0) / k)
-    out = float(acc)
-    if np.isinf(out):
-        return acc
-    return out
+    log_r = alpha_weight(alpha, int(n)).log_norm_ratio[n]
+    try:
+        return math.exp(log_r)
+    except OverflowError:
+        return np.exp(np.longdouble(log_r))
 
 
 def monomial_norm_sq(n: int, alpha: float) -> float:
@@ -94,8 +94,9 @@ class AlphaWeight:
 
     Attributes
     ----------
-    norm_ratio : ndarray, r_n for n <= max_index
-    monomial_norm_sq : ndarray, w_n = 1/r_n for n <= max_index
+    log_norm_ratio : ndarray, log r_n for n <= max_index; builders read this
+    norm_ratio : ndarray, r_n = exp(log r_n), inf where it exceeds float64
+    monomial_norm_sq : ndarray, w_n = exp(-log r_n), 0 where it underflows
     """
 
     def __init__(self, alpha: float, max_index: int):
@@ -104,15 +105,13 @@ class AlphaWeight:
             raise UsageError(f"max_index must be a nonnegative integer, got {max_index!r}")
         self.alpha = alpha
         self.max_index = int(max_index)
-        r = np.empty(self.max_index + 1)
-        r[0] = 1.0
-        if self.max_index > 0:
-            k = np.arange(1, self.max_index + 1, dtype=float)
-            r[1:] = np.cumprod((k + alpha + 1.0) / k)
-        self.norm_ratio = r
-        self.monomial_norm_sq = 1.0 / r
-        self.norm_ratio.flags.writeable = False
-        self.monomial_norm_sq.flags.writeable = False
+        k = np.arange(1, self.max_index + 1, dtype=float)
+        self.log_norm_ratio = np.concatenate(([0.0], np.cumsum(np.log1p((alpha + 1.0) / k))))
+        with np.errstate(over="ignore"):
+            self.norm_ratio = np.exp(self.log_norm_ratio)
+        self.monomial_norm_sq = np.exp(-self.log_norm_ratio)
+        for table in (self.log_norm_ratio, self.norm_ratio, self.monomial_norm_sq):
+            table.flags.writeable = False
 
     def __repr__(self):
         return f"AlphaWeight(alpha={self.alpha}, max_index={self.max_index})"
@@ -224,7 +223,8 @@ def kernel_coeffs(w: complex, alpha: float, N: int, normalized: bool = False) ->
 
     Entry n is sqrt(r_n) conj(w)^n; with ``normalized`` the whole vector is
     scaled by (1-|w|^2)^(alpha/2+1), whose squared coefficient sum then tends
-    to 1 as N grows.
+    to 1 as N grows.  Moduli are summed as logs before one exp, so an entry
+    stays finite where sqrt(r_n) alone would overflow.
     """
     alpha = _check_alpha(alpha)
     w = complex(w)
@@ -232,10 +232,11 @@ def kernel_coeffs(w: complex, alpha: float, N: int, normalized: bool = False) ->
         raise DomainError(f"base point must satisfy |w| < 1, got |w| = {abs(w)}")
     if not isinstance(N, (int, np.integer)) or N < 0:
         raise UsageError(f"N must be a nonnegative integer, got {N!r}")
-    wt = alpha_weight(alpha, int(N))
-    c = np.sqrt(wt.norm_ratio) * np.conj(w) ** np.arange(N + 1)
+    n = np.arange(N + 1)
+    log_c = 0.5 * alpha_weight(alpha, int(N)).log_norm_ratio + xlogy(n, abs(w))
     if normalized:
-        c = c * (1.0 - abs(w) ** 2) ** (alpha / 2.0 + 1.0)
+        log_c += (alpha / 2.0 + 1.0) * np.log1p(-abs(w) ** 2)
+    c = np.exp(log_c) * np.exp(-1j * np.angle(w) * n)
     return KernelVector(w, alpha, c, bool(normalized))
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from bergrange.core import (
     DomainError,
+    NumericError,
     TruncatedSeries,
     UsageError,
     alpha_weight,
@@ -114,6 +115,8 @@ class OperatorTruncation:
         m = np.asarray(self.matrix, dtype=complex).copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise UsageError(f"matrix must be square and nonempty, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise NumericError(f"{self.kind} matrix has non-finite entries at alpha={self.alpha}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -155,13 +158,11 @@ def build_toeplitz(symbol, alpha: float, N: int) -> OperatorTruncation:
 
     For a single term c z^p conj(z)^q the only nonzero entries sit on the
     diagonal stripe m - n = p - q and equal
-    c sqrt(r_n r_m) w_{n+p}.
+    c sqrt(r_n r_m) w_{n+p}, formed from log r with a nonpositive exponent.
     """
     sym = _as_symbol(symbol)
     N = _check_truncation(N)
-    wt = alpha_weight(float(alpha), N - 1 + sym.max_degree)
-    r = wt.norm_ratio[:N]
-    sqrt_r = np.sqrt(r)
+    log_r = alpha_weight(float(alpha), N - 1 + sym.max_degree).log_norm_ratio
     A = np.zeros((N, N), dtype=complex)
     n_idx = np.arange(N)
     for p, q, c in sym.terms:
@@ -169,7 +170,7 @@ def build_toeplitz(symbol, alpha: float, N: int) -> OperatorTruncation:
         keep = (m_idx >= 0) & (m_idx < N)
         nn = n_idx[keep]
         mm = m_idx[keep]
-        A[mm, nn] += c * sqrt_r[nn] * sqrt_r[mm] * wt.monomial_norm_sq[nn + p]
+        A[mm, nn] += c * np.exp(0.5 * (log_r[nn] + log_r[mm]) - log_r[nn + p])
     return OperatorTruncation(A, alpha, kind="toeplitz", params={"terms": sym.terms})
 
 
@@ -208,23 +209,27 @@ def build_weighted_composition(
     """Truncation of f -> psi * (f o phi) for polynomial psi and phi.
 
     Column n holds the coefficients of psi * phi^n in the orthonormal
-    basis.  Inputs shorter than the truncation are zero-padded.  When
-    ``check_self_map`` is set, phi is rejected unless it is certified to
-    map the disk into itself.
+    basis, the z^m one scaled by sqrt(r_n / r_m); an entry too large for
+    float64 raises NumericError.  Inputs shorter than the truncation are
+    zero-padded.  When ``check_self_map`` is set, phi is rejected unless
+    it is certified to map the disk into itself.
     """
     N = _check_truncation(N)
     psi_s = _as_series(psi, "psi").pad_to(N - 1)
     phi_s = _as_series(phi, "phi").pad_to(N - 1)
     if check_self_map:
         _certify_self_map(phi_s)
-    wt = alpha_weight(float(alpha), N - 1)
-    sqrt_r = np.sqrt(wt.norm_ratio)
+    log_r = alpha_weight(float(alpha), N - 1).log_norm_ratio
     A = np.empty((N, N), dtype=complex)
     cur = psi_s
-    for n in range(N):
-        A[:, n] = cur.coeffs * (sqrt_r[n] / sqrt_r)
-        if n + 1 < N:
-            cur = series_mul(cur, phi_s)
+    # a zero coefficient stays zero even where its scale overflows; any
+    # other overflow leaves inf or nan, which OperatorTruncation rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(N):
+            c = cur.coeffs
+            A[:, n] = np.where(c != 0, c * np.exp(0.5 * (log_r[n] - log_r)), 0)
+            if n + 1 < N:
+                cur = series_mul(cur, phi_s)
     return OperatorTruncation(
         A,
         alpha,
@@ -242,8 +247,7 @@ def build_multiplication(psi, alpha: float, N: int) -> OperatorTruncation:
     """
     N = _check_truncation(N)
     psi_s = _as_series(psi, "psi").pad_to(N - 1)
-    wt = alpha_weight(float(alpha), N - 1)
-    sqrt_r = np.sqrt(wt.norm_ratio)
+    log_r = alpha_weight(float(alpha), N - 1).log_norm_ratio
     A = np.zeros((N, N), dtype=complex)
     for k in range(N):
         c = psi_s.coeffs[k]
@@ -251,7 +255,7 @@ def build_multiplication(psi, alpha: float, N: int) -> OperatorTruncation:
             continue
         m = np.arange(k, N)
         n = m - k
-        A[m, n] = c * sqrt_r[n] / sqrt_r[m]
+        A[m, n] = c * np.exp(0.5 * (log_r[n] - log_r[m]))
     return OperatorTruncation(A, alpha, kind="multiplication", params={"psi": psi_s.coeffs})
 
 

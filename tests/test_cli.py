@@ -157,6 +157,55 @@ def test_unknown_operator_field(tmp_path, capsys):
     assert "extra" in capsys.readouterr().err
 
 
+TERM = {"toeplitz": {"terms": [[1, 0, 0.5, 0.0]]}}
+
+
+@pytest.mark.parametrize(
+    "operator, message",
+    [
+        (
+            {"sum": [TERM, {"toeplitz": {"terms": [[1, 0, 0.5, 0.0], [0, 1, 0.2, "x"]]}}]},
+            "operator.sum[1].toeplitz.terms[1][3] must be a number, got 'x'",
+        ),
+        ({"sum": [TERM, 3]}, "operator.sum[1] must be an object"),
+        (
+            {"sum": [{"weighted_composition": {"psi": [[1.0, 0.0]]}}]},
+            "missing field 'phi' in operator.sum[0].weighted_composition",
+        ),
+        ({"sum": [TERM, {"toeplitz": []}]}, "operator.sum[1].toeplitz must be an object"),
+        (
+            {"toeplitz": {"terms": [[1, True, 0.5, 0.0]]}},
+            "operator.toeplitz.terms[0][1] must be an integer, got True",
+        ),
+        (
+            {"weighted_composition": {"psi": [[1, 0]], "phi": [[0, 0, 0]]}},
+            "operator.weighted_composition.phi[0] must be a [re, im] pair, got [0, 0, 0]",
+        ),
+        ({"sum": []}, "operator.sum must be a non-empty list of operator objects"),
+        (
+            {},
+            "operator must contain exactly one of ['sum', 'toeplitz', 'weighted_composition'], got []",
+        ),
+    ],
+)
+def test_operator_spec_error_text(tmp_path, capsys, operator, message):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({**CONFIG, "operator": operator}))
+    assert cli.main(["build", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_large_alpha_build_round_trips(tmp_path):
+    # at alpha = 400 the norm ratio r_n overflows float64 from n = 682 on
+    config = {"alpha": 400.0, "truncation": 700, "operator": {"toeplitz": {"terms": [[1, 1, 1.0, 0.0]]}}}
+    config_path = tmp_path / "zsq.json"
+    config_path.write_text(json.dumps(config))
+    matrix_path = tmp_path / "zsq.csv"
+    assert cli.main(["build", "--config", str(config_path), "--out", str(matrix_path)]) == 0
+    assert "nan" not in matrix_path.read_text()
+    assert cli.main(["range", "--matrix", str(matrix_path), "--angles", "8", "--out", str(tmp_path / "r.csv")]) == 0
+
+
 def test_small_truncation_rejected(tmp_path, capsys):
     bad = json.loads(json.dumps(CONFIG))
     bad["truncation"] = 1

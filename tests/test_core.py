@@ -91,6 +91,23 @@ class TestAlphaWeight:
         with pytest.raises(ValueError):
             wt.norm_ratio[0] = 2.0
 
+    @pytest.mark.parametrize("alpha", [0.0, 2.5, 400.0])
+    def test_log_table_against_loggamma(self, alpha):
+        # the log-gamma route stays an independent oracle for the one table
+        n = np.arange(0, 5001)
+        want = gammaln(n + alpha + 2.0) - gammaln(n + 1.0) - gammaln(alpha + 2.0)
+        got = AlphaWeight(alpha, 5000).log_norm_ratio
+        assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_ratios_stay_in_the_log_table(self):
+        # r_n leaves float64 range at n = 682 when alpha = 400
+        wt = AlphaWeight(400.0, 5000)
+        assert np.all(np.isfinite(wt.log_norm_ratio))
+        assert np.isinf(wt.norm_ratio[-1]) and wt.monomial_norm_sq[-1] == 0.0
+        with pytest.raises(ValueError):
+            wt.log_norm_ratio[0] = 2.0
+
 
 class TestSeries:
     def test_mul_small(self):
@@ -166,6 +183,20 @@ class TestKernel:
     def test_base_point_outside_disk(self):
         with pytest.raises(DomainError):
             kernel_coeffs(1.0, 0.0, 16)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_alpha_stays_finite(self):
+        # r_n overflows from n = 682 and 0.5^n underflows past n = 1074,
+        # but the entries sqrt(r_n) 0.5^n stay finite
+        c = kernel_coeffs(0.5, 400.0, 5000).coeffs_in_basis
+        assert np.all(np.isfinite(c))
+        n = np.arange(600)
+        want = np.exp(0.5 * (gammaln(n + 402.0) - gammaln(n + 1.0) - gammaln(402.0))) * 0.5**n
+        assert np.allclose(c[:600], want, rtol=1e-10, atol=0.0)
+
+    def test_origin(self):
+        c = kernel_coeffs(0.0, 1.0, 4).coeffs_in_basis
+        assert np.array_equal(c, [1, 0, 0, 0, 0])
 
 
 class TestMoments:

@@ -9,10 +9,19 @@ overlaps (analytic Toeplitz vs multiplication vs composition at phi = z).
 import numpy as np
 import pytest
 
-from bergrange.core import DomainError, UsageError, disk_quadrature, kernel_coeffs, series, series_eval
+from bergrange.core import (
+    DomainError,
+    NumericError,
+    UsageError,
+    disk_quadrature,
+    kernel_coeffs,
+    series,
+    series_eval,
+)
 from bergrange.operators import (
     BiPolySymbol,
     BlockReport,
+    OperatorTruncation,
     block_structure_report,
     boundedness_functional,
     build_multiplication,
@@ -243,6 +252,48 @@ class TestBoundedness:
         got = boundedness_functional([0.0, 1.0], [0.5], 0.0)
         assert got == pytest.approx(want, abs=2e-4)
         assert got <= want + 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLargeAlpha:
+    """At alpha = 400 the ratio r_n overflows float64 from n = 682 on, and at
+    alpha = 2e4 sqrt(r_n) does from n = 268; the entries themselves do not."""
+
+    def test_zsq_diagonal(self):
+        alpha, N = 400.0, 800
+        T = build_toeplitz([(1, 1, 1.0)], alpha, N).matrix
+        n = np.arange(N)
+        assert np.allclose(np.diag(T), (n + 1.0) / (n + alpha + 2.0), rtol=0.0, atol=1e-12)
+        assert np.count_nonzero(T - np.diag(np.diag(T))) == 0
+
+    def test_shift_subdiagonal(self):
+        alpha, N = 400.0, 800
+        M = build_multiplication([0, 1], alpha, N).matrix
+        n = np.arange(N - 1)
+        assert np.allclose(np.diag(M, -1), np.sqrt((n + 1.0) / (n + alpha + 2.0)), rtol=1e-12, atol=0.0)
+
+    def test_zero_coefficients_give_zero_entries(self):
+        # phi(0) = 0, so psi * phi^n has no z^m term for m < n, where
+        # sqrt(r_n / r_m) itself overflows
+        alpha, N = 2e4, 300
+        W = build_weighted_composition([1, 0.5], [0, 0.5], alpha, N).matrix
+        n = np.arange(N)
+        assert np.all(np.isfinite(W))
+        assert np.allclose(np.diag(W), 0.5**n, rtol=1e-12, atol=0.0)
+        sub = 0.5 ** (n[:-1] + 1) * np.sqrt((n[:-1] + 1.0) / (n[:-1] + alpha + 2.0))
+        assert np.allclose(np.diag(W, -1), sub, rtol=1e-12, atol=0.0)
+        assert np.count_nonzero(np.tril(W, -2)) == 0 and np.count_nonzero(np.triu(W, 1)) == 0
+
+    def test_overflow_is_finite_or_numeric_error(self):
+        try:
+            W = build_weighted_composition([1, 0.5], [0.5, 0.3], 2e4, 300).matrix
+        except NumericError:
+            return
+        assert np.all(np.isfinite(W))
+
+    def test_truncation_rejects_non_finite_matrix(self):
+        with pytest.raises(NumericError):
+            OperatorTruncation(np.array([[1.0, np.nan], [0.0, 1.0]]), 0.0)
 
 
 class TestBlocks:
