@@ -172,12 +172,8 @@ def _fmt(x: float) -> str:
 
 def matrix_to_csv(op: OperatorTruncation) -> str:
     lines = [f"# bergrange matrix truncation={op.truncation} alpha={_fmt(op.alpha)}"]
-    for row in op.matrix:
-        cells = []
-        for v in row:
-            cells.append(_fmt(v.real))
-            cells.append(_fmt(v.imag))
-        lines.append(",".join(cells))
+    # a complex row viewed as floats is re, im, re, im, ...
+    lines.extend(",".join(map(repr, row.tolist())) for row in op.matrix.view(float))
     return "\n".join(lines) + "\n"
 
 
@@ -191,16 +187,15 @@ def matrix_from_csv(text: str) -> np.ndarray:
         if len(fields) % 2 != 0:
             raise UsageError(f"matrix line {lineno} has an odd number of fields")
         try:
-            values = [float(f) for f in fields]
+            rows.append(np.fromiter(map(float, fields), float, len(fields)))
         except ValueError as exc:
             raise UsageError(f"matrix line {lineno} is not numeric: {exc}") from exc
-        rows.append([complex(values[2 * k], values[2 * k + 1]) for k in range(len(values) // 2)])
     if not rows:
         raise UsageError("matrix file holds no data rows")
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise UsageError(f"matrix file is not square: {n} rows, widths {sorted({len(r) for r in rows})}")
-    return np.array(rows, dtype=complex)
+    if any(r.size != 2 * n for r in rows):
+        raise UsageError(f"matrix file is not square: {n} rows, widths {sorted({r.size // 2 for r in rows})}")
+    return np.vstack(rows).view(complex)
 
 
 def sweep_rows(matrix, n_angles: int):

@@ -14,7 +14,8 @@ The ratio r_n lives in one log-domain table, AlphaWeight.log_norm_ratio,
 the running sum log r_n = sum_{k<=n} log1p((alpha+1)/k) of the recurrence
 r_n = r_{n-1} (n+alpha+1)/n.  Every consumer reads that table: matrix
 entries are formed from differences of its logs, which stay O(1) long
-after r_n itself leaves float64 range.
+after r_n itself leaves float64 range.  The scalar norm_ratio sums the
+same entry the same way, without building or caching a table.
 """
 
 from __future__ import annotations
@@ -69,15 +70,16 @@ def _check_alpha(alpha: float) -> float:
 def norm_ratio(n: int, alpha: float):
     """Squared norm ratio r_n = Gamma(n+alpha+2) / (n! Gamma(alpha+2)).
 
-    Read from the log table of ``alpha_weight``; the value is returned as a
-    plain float when it fits, otherwise as an extended-precision scalar
-    (the ratio stays finite far beyond float64 range, e.g. around 1e448
-    for n = 10^6, alpha = 100).
+    The log is the entry n of the ``AlphaWeight`` table, summed the same way
+    but neither read from nor stored in the ``alpha_weight`` cache.  The
+    value is returned as a plain float when it fits, otherwise as an
+    extended-precision scalar (the ratio stays finite far beyond float64
+    range, e.g. around 1e448 for n = 10^6, alpha = 100).
     """
     alpha = _check_alpha(alpha)
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise UsageError(f"n must be a nonnegative integer, got {n!r}")
-    log_r = alpha_weight(alpha, int(n)).log_norm_ratio[n]
+    log_r = float(_log_norm_ratios(alpha, int(n))[n])
     try:
         return math.exp(log_r)
     except OverflowError:
@@ -87,6 +89,12 @@ def norm_ratio(n: int, alpha: float):
 def monomial_norm_sq(n: int, alpha: float) -> float:
     """Squared norm of z^n, equal to 1/r_n."""
     return float(1.0 / norm_ratio(n, alpha))
+
+
+def _log_norm_ratios(alpha: float, max_index: int) -> np.ndarray:
+    """log r_n for n = 0..max_index, as the running sum of log1p((alpha+1)/k)."""
+    k = np.arange(1, max_index + 1, dtype=float)
+    return np.concatenate(([0.0], np.cumsum(np.log1p((alpha + 1.0) / k))))
 
 
 class AlphaWeight:
@@ -105,8 +113,7 @@ class AlphaWeight:
             raise UsageError(f"max_index must be a nonnegative integer, got {max_index!r}")
         self.alpha = alpha
         self.max_index = int(max_index)
-        k = np.arange(1, self.max_index + 1, dtype=float)
-        self.log_norm_ratio = np.concatenate(([0.0], np.cumsum(np.log1p((alpha + 1.0) / k))))
+        self.log_norm_ratio = _log_norm_ratios(alpha, self.max_index)
         with np.errstate(over="ignore"):
             self.norm_ratio = np.exp(self.log_norm_ratio)
         self.monomial_norm_sq = np.exp(-self.log_norm_ratio)

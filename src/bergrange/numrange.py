@@ -7,6 +7,18 @@ e^{-i theta} A; the top eigenvector hands back a boundary point.  One
 sweep kernel forms that Hermitian part and solves it at every angle;
 support_function and boundary_points, hence every range here, call it.
 
+The kernel picks its solver once per sweep from the exact zero pattern of
+A, so a matrix read back from CSV is solved exactly as the one built in
+process.  With g the gcd of the offsets |m - n| of the nonzero entries,
+g > 1 makes A a direct sum over the residue classes mod g: the support is
+the largest block support, and the boundary point that of the winning
+block.  A block whose half-bandwidth kd is small against its size (a
+Toeplitz truncation, a weighted composition over a rotation; kd = 0 for a
+diagonal or zero matrix) is solved by the banded LAPACK routine zhbevx,
+any other by the dense zheevr, both for the top index only.  Either gives
+the same eigenvalue with and without the eigenvector, so supports agree
+bit for bit between the two sweeps.
+
 Reference shapes (discs, ellipses, polygons, sampled image hulls) share a
 common support-function interface so containment can be decided by
 comparing supports on an angle grid, which is exact for convex sets up to
@@ -60,14 +72,30 @@ def _eigpair(H: np.ndarray, index: int, vectors: bool = True):
     w, z, _, _, info = zheevr(H, compute_v=int(vectors), range="I", lower=1, il=index + 1, iu=index + 1, lwork=lwork)
     if info != 0:
         raise NumericError(f"Hermitian eigensolver failed (LAPACK info {info})")
-    if not vectors:
-        return float(w[0]), None
-    lam, v = float(w[0]), z[:, 0]
+    return _checked_pair(H, float(w[0]), z[:, 0]) if vectors else (float(w[0]), None)
+
+
+def _checked_pair(H: np.ndarray, lam: float, v: np.ndarray):
+    """(lam, v), once the residual of H v = lam v is small enough to trust."""
     scale = max(1.0, float(np.max(np.abs(H))))
     residual = float(np.linalg.norm(H @ v - lam * v))
     if residual > 1e-10 * scale * np.sqrt(H.shape[0]):
         raise NumericError(f"eigenpair residual too large: {residual:.3e}")
     return lam, v
+
+
+def _band_top(ab: np.ndarray, vectors: bool):
+    """Top eigenpair of the Hermitian band matrix in LAPACK lower band storage ``ab``, vector None without ``vectors``.
+
+    zhbevx reduces the band to tridiagonal form the same way with or without
+    the vector and bisects for the one eigenvalue, so both modes agree.
+    """
+    from scipy.linalg.lapack import zhbevx
+    n = ab.shape[1]
+    w, z, m, _, info = zhbevx(ab, 0.0, 0.0, n, n, compute_v=int(vectors), range=2, lower=1)
+    if info != 0 or m != 1:
+        raise NumericError(f"Hermitian band eigensolver failed (LAPACK info {info}, {m} eigenvalues)")
+    return float(w[0]), (z[:, 0] if vectors else None)
 
 
 def hermitian_extreme_eig(H, which: str = "max", hermitian_tol: float = 1e-12):
@@ -87,19 +115,86 @@ def hermitian_extreme_eig(H, which: str = "max", hermitian_tol: float = 1e-12):
     return _eigpair((M + M.conj().T) / 2.0, M.shape[0] - 1 if which == "max" else 0)
 
 
+# Solver choice, from the top eigenvalue of random Hermitian band matrices
+# (n = 48..400, one BLAS thread, 2-core Xeon, OpenBLAS 0.3.31): zhbevx
+# beats zheevr while _BAND_RATIO * kd <= n and loses from about 10 kd = n.
+# With the eigenvector it wins only up to kd = 1, where the band reduction
+# chases no bulge and its transformation costs O(n^2) rather than O(n^3).
+_BAND_RATIO = 16
+_BAND_VECTOR_KD = 1
+
+
+def _residue_classes(M: np.ndarray):
+    """Index sets over which M is a direct sum, and the half-bandwidth inside them.
+
+    With g the gcd of the offsets |m - n| of the nonzero entries, every
+    entry links two indices of one residue class mod g, and an offset d
+    becomes d / g inside the class.  g < 2 leaves one class; a diagonal or
+    zero matrix has half-bandwidth 0.
+    """
+    rows, cols = np.nonzero(M)
+    offsets = np.flatnonzero(np.bincount(np.abs(rows - cols), minlength=1))
+    n, g = M.shape[0], int(np.gcd.reduce(offsets))
+    top = int(offsets[-1]) if offsets.size else 0
+    if g < 2:
+        return [np.arange(n)], top
+    return [np.arange(r, n, g) for r in range(g)], top // g
+
+
+class _Block:
+    """One residue-class block of a sweep: its parts of A, A_re, A_im and its solver."""
+
+    def __init__(self, M, A_re, A_im, idx, kd):
+        whole = idx.size == M.shape[0]
+        self.M, self.re, self.im = (X if whole else X[np.ix_(idx, idx)] for X in (M, A_re, A_im))
+        self.n, self.kd = idx.size, kd
+        self.band = None
+        if _BAND_RATIO * kd <= self.n:
+            # LAPACK lower band storage: band[d, j] = X[j + d, j]
+            self.band = np.zeros((2, kd + 1, self.n), dtype=complex)
+            for d in range(kd + 1):
+                self.band[:, d, : self.n - d] = [np.diagonal(self.re, -d), np.diagonal(self.im, -d)]
+
+    def hermitian(self, c, s):
+        return c * self.re + s * self.im
+
+    def top(self, c, s, vectors: bool):
+        """Top eigenvalue of this block of H(theta); the eigenvector too if ``vectors`` and the same call gives it."""
+        if self.band is None:
+            return _eigpair(self.hermitian(c, s), self.n - 1, vectors)
+        vectors = vectors and self.kd <= _BAND_VECTOR_KD
+        lam, v = _band_top(c * self.band[0] + s * self.band[1], vectors)
+        return _checked_pair(self.hermitian(c, s), lam, v) if vectors else (lam, None)
+
+
 def _sweep(A, thetas: np.ndarray, vectors: bool):
     """Supports at ``thetas`` and, with ``vectors``, the boundary points v* A v (else None).
 
-    H(theta) = cos(theta) A_re + sin(theta) A_im is the Hermitian part of e^{-i theta} A.
+    H(theta) = cos(theta) A_re + sin(theta) A_im is the Hermitian part of
+    e^{-i theta} A.  It is nonzero only where A or A* is, so the residue
+    classes and half-bandwidth of A fix the solver of every angle: the
+    support is the largest block support and the point that of the winning
+    block, whose eigenvector is taken from the dense solver where banded
+    vectors cost more.  The support comes from the same call in both modes.
     """
     M = _as_matrix(A)
     with np.errstate(over="ignore", invalid="ignore"):
         A_re, A_im = (M + M.conj().T) / 2.0, (M - M.conj().T) / 2j
     if not (np.all(np.isfinite(A_re)) and np.all(np.isfinite(A_im))):
         raise NumericError("Hermitian parts of the matrix overflow")
-    pairs = [_eigpair(np.cos(th) * A_re + np.sin(th) * A_im, M.shape[0] - 1, vectors) for th in thetas]
-    h = np.array([lam for lam, _ in pairs], dtype=float)
-    points = np.array([v.conj() @ (M @ v) for _, v in pairs], dtype=complex) if vectors else None
+    classes, kd = _residue_classes(M)
+    blocks = [_Block(M, A_re, A_im, idx, kd) for idx in classes]
+    h = np.empty(thetas.size)
+    points = np.empty(thetas.size, dtype=complex) if vectors else None
+    for k, th in enumerate(thetas):
+        c, s = np.cos(th), np.sin(th)
+        tops = [block.top(c, s, vectors) for block in blocks]
+        j = int(np.argmax([lam for lam, _ in tops]))  # a NaN wins and fails the check below
+        (h[k], v), win = tops[j], blocks[j]
+        if vectors:
+            if v is None:
+                v = _eigpair(win.hermitian(c, s), win.n - 1)[1]
+            points[k] = v.conj() @ (win.M @ v)
     if not (np.all(np.isfinite(h)) and (points is None or np.all(np.isfinite(points)))):
         raise NumericError("support sweep produced non-finite values")
     return h, points

@@ -26,7 +26,6 @@ from bergrange.core import (
     kernel_coeffs,
     series,
     series_eval,
-    series_mul,
 )
 
 __all__ = [
@@ -221,15 +220,16 @@ def build_weighted_composition(
         _certify_self_map(phi_s)
     log_r = alpha_weight(float(alpha), N - 1).log_norm_ratio
     A = np.empty((N, N), dtype=complex)
-    cur = psi_s
+    # phi cut to its degree makes each step O(N deg phi), not O(N^2)
+    phi_c = phi_s.coeffs[: np.flatnonzero(phi_s.coeffs).max(initial=0) + 1]
+    c = psi_s.coeffs
     # a zero coefficient stays zero even where its scale overflows; any
     # other overflow leaves inf or nan, which OperatorTruncation rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N):
-            c = cur.coeffs
             A[:, n] = np.where(c != 0, c * np.exp(0.5 * (log_r[n] - log_r)), 0)
             if n + 1 < N:
-                cur = series_mul(cur, phi_s)
+                c = np.convolve(c, phi_c)[:N]
     return OperatorTruncation(
         A,
         alpha,

@@ -64,6 +64,21 @@ def test_build_then_range_matches_in_process(tmp_path, config_path):
     assert points_path.read_text() == expected
 
 
+def test_banded_toeplitz_range_from_csv_is_byte_identical(tmp_path):
+    # five diagonals: the sweep takes the banded solver, so both sources must reach it
+    terms = [[1, 0, 0.5, 0.1], [0, 1, 0.25, 0.0], [2, 0, 0.1, 0.0], [0, 2, 0.0, 0.2], [1, 1, 0.3, 0.0]]
+    config = {"alpha": 0.5, "truncation": 80, "angles": 64, "operator": {"toeplitz": {"terms": terms}}}
+    config_path, matrix_path = tmp_path / "toeplitz.json", tmp_path / "matrix.csv"
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["build", "--config", str(config_path), "--out", str(matrix_path)]) == 0
+    outputs = []
+    for source in (["--config", str(config_path)], ["--matrix", str(matrix_path)]):
+        out = tmp_path / f"points{len(outputs)}.csv"
+        assert cli.main(["range", *source, "--angles", "64", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_matrix_csv_round_trip(config_path):
     config = cli.parse_config(config_path.read_text())
     op = cli.build_operator(config)

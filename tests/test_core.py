@@ -6,6 +6,8 @@ the norm ratios, and Beta-integral / quadrature cross-checks for the
 moments.  The two routes for each quantity are kept separate on purpose.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,14 @@ class TestNormRatio:
         want_log10 = (gammaln(1e6 + 102.0) - gammaln(1e6 + 1.0) - gammaln(102.0)) / np.log(10.0)
         got_log10 = float(np.log10(np.longdouble(r)))
         assert got_log10 == pytest.approx(want_log10, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_scalar_equals_table_entry_and_leaves_cache_alone(self, alpha):
+        table = alpha_weight(alpha, 512).log_norm_ratio
+        before = alpha_weight.cache_info().currsize
+        for n in range(513):
+            assert norm_ratio(n, alpha) == math.exp(table[n])
+        assert alpha_weight.cache_info().currsize == before
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):

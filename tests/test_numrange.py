@@ -27,8 +27,9 @@ from bergrange.numrange import (
     shape_containment,
     support_function,
     support_of,
+    _residue_classes,
 )
-from bergrange.operators import build_multiplication
+from bergrange.operators import BiPolySymbol, build_multiplication, build_toeplitz, build_weighted_composition
 
 GRID = 2.0 * np.pi * np.arange(256) / 256
 
@@ -52,25 +53,63 @@ class TestExtremeEig:
             hermitian_extreme_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def _structured_matrices():
+    """(name, matrix) pairs covering each solver of the sweep kernel."""
+    rng = np.random.default_rng(31)
+    lam3 = np.exp(2j * np.pi / 3)
+    # tridiagonal Toeplitz with harmonic symbol z + a conj(z)
+    yield "t3", build_toeplitz(BiPolySymbol(((1, 0, 1.0), (0, 1, 0.5))), 0.0, 64).matrix
+    # weight g(z^3) over the order-3 rotation: three residue-class blocks, each bidiagonal
+    yield "th1", build_weighted_composition([0.5, 0.0, 0.0, 0.5], [0.0, lam3], 0.0, 100).matrix
+    # weights z^n + c z^(n(n+1)): n blocks of half-bandwidth n + 1
+    yield "th2_n2", build_weighted_composition([0, 0, 1, 0, 0, 0, 0.25], [0.0, -1.0], 0.0, 98).matrix
+    psi3 = np.zeros(13, dtype=complex)
+    psi3[3], psi3[12] = 1.0, 0.25
+    yield "th2_n3", build_weighted_composition(psi3, [0.0, lam3], 0.0, 192).matrix
+    # repeated top eigenvalue: the boundary point may be any mix of e_0 and e_2
+    yield "diagonal", np.diag([2.0, 1j, 2.0, -1.0 - 1j]).astype(complex)
+    yield "zero", np.zeros((5, 5), dtype=complex)
+    for n in (1, 2, 5, 24):
+        yield f"dense{n}", rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
 class TestSweepKernel:
-    @staticmethod
-    def _matrices():
-        rng = np.random.default_rng(31)
-        for n in (1, 2, 5, 24):
-            yield rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        # repeated top eigenvalue: the boundary point may be any mix of e_0 and e_2
-        yield np.diag([2.0, 1j, 2.0, -1.0 - 1j]).astype(complex)
+    THETAS = 2.0 * np.pi * np.arange(48) / 48
+
+    def test_dispatch_reads_the_zero_pattern(self):
+        # (number of residue classes, half-bandwidth inside them)
+        want = {"t3": (1, 1), "th1": (3, 1), "th2_n2": (2, 3), "th2_n3": (3, 4), "diagonal": (1, 0), "zero": (1, 0)}
+        for name, A in _structured_matrices():
+            classes, kd = _residue_classes(A)
+            assert (len(classes), kd) == want.get(name, (1, A.shape[0] - 1)), name
+            assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(A.shape[0]))
+
+    def test_supports_match_dense_eigvalsh(self):
+        for name, A in _structured_matrices():
+            got = support_function(A, self.THETAS)
+            rot = np.exp(-1j * self.THETAS)
+            want = np.array([np.linalg.eigvalsh((r * A + np.conj(r) * A.conj().T) / 2.0)[-1] for r in rot])
+            assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want), initial=1.0)), name
 
     def test_boundary_rows_lie_on_their_support_lines(self):
-        for A in self._matrices():
+        for name, A in _structured_matrices():
             for th, p, s in boundary_points(A, 90):
-                assert abs((np.exp(-1j * th) * p).real - s) <= 1e-12 * max(1.0, abs(s))
+                assert abs((np.exp(-1j * th) * p).real - s) <= 1e-12 * max(1.0, abs(s)), name
 
     def test_boundary_supports_equal_support_function(self):
-        for A in self._matrices():
+        for name, A in _structured_matrices():
             rows = boundary_points(A, 90)
             thetas = np.array([th for th, _, _ in rows])
-            assert np.array_equal(np.array([s for _, _, s in rows]), support_function(A, thetas))
+            assert np.array_equal(np.array([s for _, _, s in rows]), support_function(A, thetas)), name
+
+    def test_non_finite_entries_raise(self):
+        for name, A in _structured_matrices():
+            B = A.copy()
+            B[-1, 0] = np.nan if name == "zero" else np.inf
+            with pytest.raises(NumericError):
+                support_function(B, self.THETAS)
+            with pytest.raises(NumericError):
+                boundary_points(B, 8)
 
     def test_point_cloud_support_matches_its_hull(self):
         rng = np.random.default_rng(13)
@@ -80,12 +119,15 @@ class TestSweepKernel:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_hermitian_part_raises(self):
-        # finite entries whose Hermitian part overflows to infinity
-        A = np.full((2, 2), 1e308, dtype=complex)
-        with pytest.raises(NumericError):
-            support_function(A, GRID)
-        with pytest.raises(NumericError):
-            boundary_points(A, 8)
+        # finite entries whose Hermitian part overflows to infinity, on a
+        # dense, a tridiagonal and a diagonal zero pattern
+        tridiagonal = np.diag(np.full(31, 1e308), 1) + np.diag(np.full(31, 1e308), -1)
+        for A in (np.full((2, 2), 1e308), tridiagonal, np.diag(np.full(4, 1e308))):
+            A = A.astype(complex)
+            with pytest.raises(NumericError):
+                support_function(A, GRID)
+            with pytest.raises(NumericError):
+                boundary_points(A, 8)
 
 
 class TestSmallMatrices:
