@@ -91,9 +91,6 @@ def _coeffs(pairs) -> np.ndarray:
 
 
 def _grid(K: int) -> np.ndarray:
-    K = int(K)
-    if K < 8:
-        raise UsageError(f"angle count must be >= 8, got {K}")
     return 2.0 * np.pi * np.arange(K) / K
 
 

@@ -6,7 +6,7 @@ Subcommands:
 * ``range``       sweep the numerical range boundary of a config or matrix file
 * ``check``       run named validation checks, one JSON report per line
 * ``list-checks`` show every check id with its claim and default parameters
-* ``plot``        render swept boundary points as a small static SVG
+* ``plot``        render a points file written by ``range`` as a small static SVG
 
 Job configs are JSON objects with the keys ``alpha``, ``truncation``,
 ``operator`` and optionally ``angles`` and ``seed``.  Unknown fields are
@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,13 +177,17 @@ def matrix_to_csv(op: OperatorTruncation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_from_csv(text: str) -> np.ndarray:
-    rows = []
+def _data_lines(text: str):
+    """Yield (line number, comma-separated fields) of each line that is not blank or a # comment."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
+        if line and not line.startswith("#"):
+            yield lineno, line.split(",")
+
+
+def matrix_from_csv(text: str) -> np.ndarray:
+    rows = []
+    for lineno, fields in _data_lines(text):
         if len(fields) % 2 != 0:
             raise UsageError(f"matrix line {lineno} has an odd number of fields")
         try:
@@ -277,20 +281,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_config(args) -> JobConfig:
-    if not args.config:
-        raise UsageError("--config is required here")
-    cfg = parse_config(Path(args.config).read_text())
-    alpha = cfg.alpha if args.alpha is None else float(args.alpha)
-    truncation = cfg.truncation if args.truncation is None else int(args.truncation)
-    if truncation < 2:
-        raise UsageError(f"--truncation must be >= 2, got {truncation}")
-    return JobConfig(
-        alpha=alpha,
-        truncation=truncation,
-        operator=cfg.operator,
-        angles=cfg.angles,
-        seed=cfg.seed,
-    )
+    """Parse --config and apply --alpha and --truncation with the checks of parse_config."""
+    config = parse_config(Path(args.config).read_text())
+    if args.alpha is not None:
+        config = replace(config, alpha=_as_number(args.alpha, "--alpha"))
+    if args.truncation is not None:
+        config = replace(config, truncation=_as_int(args.truncation, "--truncation", 2))
+    return config
 
 
 def _cmd_build(args) -> int:
@@ -311,10 +308,9 @@ def _cmd_range(args) -> int:
     else:
         matrix = matrix_from_csv(Path(args.matrix).read_text())
         angles = 360
+    # checked here rather than in _load_config so that --matrix sweeps get it too
     if args.angles is not None:
-        if args.angles < 8:
-            raise UsageError(f"--angles must be >= 8, got {args.angles}")
-        angles = args.angles
+        angles = _as_int(args.angles, "--angles", 8)
     rows = sweep_rows(matrix, angles)
     if args.format == "csv":
         text = rows_to_csv(rows)
@@ -354,29 +350,17 @@ def _cmd_list_checks(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    if bool(args.config) == bool(args.points):
-        raise UsageError("pass exactly one of --config or --points")
-    if args.points:
-        points = []
-        for lineno, line in enumerate(Path(args.points).read_text().splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise UsageError(f"points line {lineno} must be theta,re,im,support")
-            try:
-                _, re, im, _ = (float(f) for f in fields)
-            except ValueError as exc:
-                raise UsageError(f"points line {lineno} is not numeric: {exc}") from exc
-            points.append((re, im))
-        if len(points) < 3:
-            raise UsageError("points file holds fewer than three boundary points")
-    else:
-        config = _load_config(args)
-        angles = config.angles if args.angles is None else args.angles
-        rows = sweep_rows(build_operator(config).matrix, angles)
-        points = [(re, im) for _, re, im, _ in rows]
+    points = []
+    for lineno, fields in _data_lines(Path(args.points).read_text()):
+        if len(fields) != 4:
+            raise UsageError(f"points line {lineno} must be theta,re,im,support")
+        try:
+            _, re, im, _ = map(float, fields)
+        except ValueError as exc:
+            raise UsageError(f"points line {lineno} is not numeric: {exc}") from exc
+        points.append((re, im))
+    if len(points) < 3:
+        raise UsageError("points file holds fewer than three boundary points")
     _emit(render_svg(points), args.out)
     return 0
 
@@ -418,9 +402,7 @@ def _parser() -> argparse.ArgumentParser:
     lc.set_defaults(fn=_cmd_list_checks)
 
     pl = sub.add_parser("plot", help="render boundary points as a static SVG")
-    pl.add_argument("--points", help="CSV produced by the range subcommand")
-    pl.add_argument("--config", help="JSON job config to sweep directly")
-    pl.add_argument("--angles", type=int, help="number of sweep directions")
+    pl.add_argument("--points", required=True, help="CSV produced by the range subcommand")
     pl.add_argument("--out", help="output path (stdout when absent)")
     pl.set_defaults(fn=_cmd_plot)
     return p
@@ -430,10 +412,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, DomainError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, DomainError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -348,21 +348,18 @@ def _distance_to_hull(p: complex, hull: HullPolygon) -> float:
     return max(0.0, -hull.signed_distance(p))
 
 
-def hull_hausdorff(a: HullPolygon, b: HullPolygon, n_samples: int = 1024) -> float:
+def hull_hausdorff(a: HullPolygon, b: HullPolygon) -> float:
     """Hausdorff distance between two convex polygons (as filled sets).
 
     The distance-to-a-convex-set function is convex, so each directed
-    distance is attained at a vertex; boundary samples are thrown in as a
-    belt-and-braces measure for nearly degenerate hulls.
+    distance is attained at a vertex.
     """
     if not isinstance(a, HullPolygon):
         a = HullPolygon.from_points(a)
     if not isinstance(b, HullPolygon):
         b = HullPolygon.from_points(b)
-    pa = np.concatenate([a.vertices, a.boundary_samples(n_samples)])
-    pb = np.concatenate([b.vertices, b.boundary_samples(n_samples)])
-    d_ab = max(_distance_to_hull(complex(p), b) for p in pa)
-    d_ba = max(_distance_to_hull(complex(p), a) for p in pb)
+    d_ab = max(_distance_to_hull(complex(p), b) for p in a.vertices)
+    d_ba = max(_distance_to_hull(complex(p), a) for p in b.vertices)
     return max(d_ab, d_ba)
 
 

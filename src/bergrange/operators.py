@@ -124,9 +124,6 @@ class OperatorTruncation:
     def truncation(self) -> int:
         return self.matrix.shape[0]
 
-    def adjoint(self) -> "OperatorTruncation":
-        return OperatorTruncation(self.matrix.conj().T, self.alpha, kind=self.kind, params=dict(self.params))
-
     def __repr__(self):
         return f"OperatorTruncation(kind={self.kind!r}, alpha={self.alpha}, N={self.truncation})"
 
@@ -184,6 +181,9 @@ def _certify_self_map(phi: TruncatedSeries):
     is rejected.
     """
     c = phi.coeffs
+    # NaN fails every comparison below, so it must be rejected up front
+    if not np.all(np.isfinite(c)):
+        raise DomainError("phi is not a self-map of the disk: it has a non-finite coefficient")
     d = int(np.flatnonzero(c)[-1]) if np.any(c) else 0
     if d == 0:
         if abs(c[0]) >= 1.0:

@@ -110,11 +110,24 @@ def test_range_svg(tmp_path, config_path):
 def test_plot_from_points_file(tmp_path, config_path):
     points_path = tmp_path / "points.csv"
     svg_path = tmp_path / "fig.svg"
+    direct_path = tmp_path / "direct.svg"
     assert (
         cli.main(["range", "--config", str(config_path), "--out", str(points_path)]) == 0
     )
     assert cli.main(["plot", "--points", str(points_path), "--out", str(svg_path)]) == 0
     assert svg_path.read_text().startswith("<svg")
+    # plotting the range CSV draws what range --format svg draws
+    argv = ["range", "--config", str(config_path), "--format", "svg", "--out", str(direct_path)]
+    assert cli.main(argv) == 0
+    assert svg_path.read_bytes() == direct_path.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["plot"], ["plot", "--config", "job.json"]])
+def test_plot_takes_only_a_points_file(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--points" in capsys.readouterr().err
 
 
 def test_check_single_pass(capsys):
@@ -228,6 +241,22 @@ def test_small_truncation_rejected(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     assert cli.main(["build", "--config", str(path)]) == 2
     assert "truncation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source, override, message",
+    [
+        ("--config", ["--truncation", "1"], "--truncation must be >= 2, got 1"),
+        ("--matrix", ["--angles", "5"], "--angles must be >= 8, got 5"),
+    ],
+)
+def test_override_error_text(tmp_path, config_path, capsys, source, override, message):
+    path = config_path
+    if source == "--matrix":
+        path = tmp_path / "matrix.csv"
+        assert cli.main(["build", "--config", str(config_path), "--out", str(path)]) == 0
+    assert cli.main(["range", source, str(path), *override]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_range_needs_exactly_one_source(config_path, capsys):

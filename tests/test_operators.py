@@ -135,6 +135,7 @@ class TestWeightedComposition:
         n = np.arange(9)
         assert np.allclose(np.diag(M, -1), np.sqrt((n + 1.0) / (n + 2.0)), atol=1e-14)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_non_self_map(self):
         with pytest.raises(DomainError, match="self-map"):
             build_weighted_composition([1.0], [0.0, 1.2], 0.0, 8)
@@ -147,6 +148,10 @@ class TestWeightedComposition:
             build_weighted_composition([1.0], [0.0005, 0.0, 0.0, 0.0, 0.0, 0.9996], 0.0, 8)
         with pytest.raises(DomainError, match="self-map"):
             build_weighted_composition([1.0], [1.0], 0.0, 8)
+        # NaN compares False with every bound, and inf must not reach the FFT
+        for phi in ([0.0, np.nan], [np.nan], [0.5, 0.1, np.nan], [0.0, np.inf]):
+            with pytest.raises(DomainError, match="self-map"):
+                build_weighted_composition([1.0], phi, 0.0, 8)
 
     def test_self_map_certified_by_sampling(self):
         # |1 + z - z^2| peaks at sqrt(5) on the circle while its coefficients
