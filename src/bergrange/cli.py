@@ -355,10 +355,12 @@ def _cmd_plot(args) -> int:
         if len(fields) != 4:
             raise UsageError(f"points line {lineno} must be theta,re,im,support")
         try:
-            _, re, im, _ = map(float, fields)
+            values = [float(f) for f in fields]
         except ValueError as exc:
             raise UsageError(f"points line {lineno} is not numeric: {exc}") from exc
-        points.append((re, im))
+        if not np.all(np.isfinite(values)):
+            raise UsageError(f"points line {lineno} is not finite: {','.join(fields)}")
+        points.append((values[1], values[2]))
     if len(points) < 3:
         raise UsageError("points file holds fewer than three boundary points")
     _emit(render_svg(points), args.out)

@@ -15,9 +15,20 @@ the largest block support, and the boundary point that of the winning
 block.  A block whose half-bandwidth kd is small against its size (a
 Toeplitz truncation, a weighted composition over a rotation; kd = 0 for a
 diagonal or zero matrix) is solved by the banded LAPACK routine zhbevx,
-any other by the dense zheevr, both for the top index only.  Either gives
-the same eigenvalue with and without the eigenvector, so supports agree
-bit for bit between the two sweeps.
+for the top index only; where it needs a boundary point, the eigenvector
+comes from inverse iteration on the band.  Any other block is dense, and
+its SVD gives its numerical rank r, the count of singular values above
+n eps s_1.  If 2r < n, the block is solved on the k <= 2r dimensional
+space Q spanned by its leading left and right singular vectors: the
+support is max(h_B, 0) for B = Q* A Q, exact up to 2 s_{r+1} (plus the
+weight of the near-dependent directions dropped from Q), the scale of a
+dense eigensolve's own backward error.  A block whose bound could fail
+the residual check where H(theta) nearly vanishes (a large matrix near a
+phase times a Hermitian one) stays dense, as does every block with
+2r >= n: these go to the dense zheevr, for the top index only.  Each
+solver gives the same eigenvalue with and without the eigenvector, so
+supports agree bit for bit between the two sweeps, and every eigenvector
+is checked against the full-size Hermitian part before it gives a point.
 
 Reference shapes (discs, ellipses, polygons, sampled image hulls) share a
 common support-function interface so containment can be decided by
@@ -76,26 +87,62 @@ def _eigpair(H: np.ndarray, index: int, vectors: bool = True):
 
 
 def _checked_pair(H: np.ndarray, lam: float, v: np.ndarray):
-    """(lam, v), once the residual of H v = lam v is small enough to trust."""
+    """(lam, v), once the residual of H v = lam v is small enough to trust.
+
+    The residual is divided by H's largest entry before its norm is taken,
+    so entries near the overflow threshold cannot overflow it.
+    """
     scale = max(1.0, float(np.max(np.abs(H))))
-    residual = float(np.linalg.norm(H @ v - lam * v))
-    if residual > 1e-10 * scale * np.sqrt(H.shape[0]):
-        raise NumericError(f"eigenpair residual too large: {residual:.3e}")
+    residual = float(np.linalg.norm((H @ v - lam * v) / scale))
+    if residual > 1e-10 * np.sqrt(H.shape[0]):
+        raise NumericError(f"eigenpair residual too large: {residual * scale:.3e}")
     return lam, v
 
 
-def _band_top(ab: np.ndarray, vectors: bool):
-    """Top eigenpair of the Hermitian band matrix in LAPACK lower band storage ``ab``, vector None without ``vectors``.
+def _band_top(ab: np.ndarray) -> float:
+    """Top eigenvalue of the Hermitian band matrix in LAPACK lower band storage ``ab``.
 
-    zhbevx reduces the band to tridiagonal form the same way with or without
-    the vector and bisects for the one eigenvalue, so both modes agree.
+    zhbevx reduces the band to tridiagonal form and bisects for the one
+    eigenvalue; a boundary sweep takes the eigenvector from ``_band_vector``,
+    so both sweeps get the same eigenvalue from the same call.
     """
     from scipy.linalg.lapack import zhbevx
     n = ab.shape[1]
-    w, z, m, _, info = zhbevx(ab, 0.0, 0.0, n, n, compute_v=int(vectors), range=2, lower=1)
+    w, _, m, _, info = zhbevx(ab, 0.0, 0.0, n, n, compute_v=0, range=2, lower=1)
     if info != 0 or m != 1:
         raise NumericError(f"Hermitian band eigensolver failed (LAPACK info {info}, {m} eigenvalues)")
-    return float(w[0]), (z[:, 0] if vectors else None)
+    return float(w[0])
+
+
+def _band_vector(ab: np.ndarray, lam: float, start: np.ndarray) -> np.ndarray:
+    """Unit eigenvector for the top eigenvalue ``lam`` of the Hermitian band matrix ``ab`` (lower band storage).
+
+    Two steps of inverse iteration from ``start``, shifted to lam + n eps on
+    the matrix scaled to unit largest entry: one band LU factorization and
+    two solves, O(n kd^2), where the eigenvector from zhbevx costs O(n^2)
+    at kd = 1 and O(n^2 kd) beyond.  The shift lies within n eps of the top
+    of the spectrum, so each step shrinks the other eigencomponents by about
+    n eps over their gap; a top eigenvalue multiple to that scale gives a
+    vector of its eigenspace, which is just as good a support point.  The
+    two steps grow the vector by at most about 1 / eps^2, far from
+    overflow, so it is normalized once.
+    """
+    from scipy.linalg.lapack import zgbtrf, zgbtrs
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    scale = float(np.max(np.abs(ab))) or 1.0
+    # LAPACK general band storage with kd rows for the fill-in: lu[2 kd + i - j, j] = X[i, j]
+    lu = np.zeros((3 * kd + 1, n), dtype=complex)
+    lu[2 * kd :] = ab / scale
+    for d in range(1, kd + 1):
+        lu[2 * kd - d, d:] = lu[2 * kd + d, : n - d].conj()
+    lu[2 * kd] -= lam / scale + n * np.finfo(float).eps
+    lu, piv, info = zgbtrf(lu, kd, kd)
+    if info != 0:
+        raise NumericError(f"band inverse iteration failed (LAPACK info {info})")
+    x = start
+    for _ in range(2):
+        x, _ = zgbtrs(lu, kd, kd, x, piv)
+    return x / np.linalg.norm(x)
 
 
 def hermitian_extreme_eig(H, which: str = "max", hermitian_tol: float = 1e-12):
@@ -118,10 +165,7 @@ def hermitian_extreme_eig(H, which: str = "max", hermitian_tol: float = 1e-12):
 # Solver choice, from the top eigenvalue of random Hermitian band matrices
 # (n = 48..400, one BLAS thread, 2-core Xeon, OpenBLAS 0.3.31): zhbevx
 # beats zheevr while _BAND_RATIO * kd <= n and loses from about 10 kd = n.
-# With the eigenvector it wins only up to kd = 1, where the band reduction
-# chases no bulge and its transformation costs O(n^2) rather than O(n^3).
 _BAND_RATIO = 16
-_BAND_VECTOR_KD = 1
 
 
 def _residue_classes(M: np.ndarray):
@@ -141,29 +185,107 @@ def _residue_classes(M: np.ndarray):
     return [np.arange(r, n, g) for r in range(g)], top // g
 
 
+def _range_basis(M: np.ndarray):
+    """Q, a basis of the numerical column and row spaces of M, or None where M stays dense.
+
+    With the SVD M = U S V* and s_1 >= s_2 >= ..., the numerical rank r
+    counts the singular values above n eps s_1.  Q holds the left singular
+    vectors of [U_r, V_r] whose singular values exceed n eps times the
+    largest, so it spans range(U_r) + range(V_r) but for directions of
+    weight at most delta, the largest singular value left out, and
+    k = dim Q <= 2r < n.
+
+    Let P = Q Q* and B = Q* M Q.  For a unit x = Q y + z with z orthogonal
+    to Q, x* M x - y* B y = x* (M - P M P) x, and
+        M - P M P = (I - P) M + P M (I - P).
+    Write M = U_r S_r V_r* + E with ||E|| = s_{r+1}.  Then
+    ||(I - P) M|| <= ||(I - P) U_r|| s_1 + s_{r+1} <= delta s_1 + s_{r+1} = tau,
+    and likewise ||M (I - P)||, so
+        |x* M x - y* B y| <= 2 tau = 2 s_{r+1} + 2 delta s_1 < 5 n eps ||M||,
+    the scale of the backward error of a dense eigensolve; with no column
+    left out (delta = 0) it is 2 s_{r+1}.  As ||y||^2 + ||z||^2 = 1, y* B y
+    is ||y||^2 times a point of W(B), so x* M x lies within that bound of
+    the convex hull of W(B) and 0.  Both are attained: W(B) by x = Q y, and
+    0 by any unit x orthogonal to Q, which k < n provides.  So the support
+    of M at theta is max(h_B(theta), 0) to within that bound.
+
+    M stays dense, and None is returned, if r = 0, if 2r >= n, or if tau
+    exceeds half of 1e-10 sqrt(n).  The eigenvector Q y of a reduced pair
+    misses H(theta) v = lam v by up to tau, as ||(I - P) H(theta)|| <= tau,
+    and the residual check's tolerance falls to 1e-10 sqrt(n) where
+    H(theta) is small, as for a large M near a phase times a Hermitian
+    matrix.
+    """
+    n = M.shape[0]
+    s = np.linalg.svd(M, compute_uv=False)
+    r = int(np.count_nonzero(s > n * np.finfo(float).eps * s[0]))
+    if r == 0 or 2 * r >= n:  # zero, or no room to reduce: spare the singular vectors and their workspace
+        return None
+    U, _, Vh = np.linalg.svd(M)
+    Z, w, _ = np.linalg.svd(np.hstack([U[:, :r], Vh[:r].conj().T]), full_matrices=False)
+    k = int(np.count_nonzero(w > n * np.finfo(float).eps * w[0]))
+    tau = float(s[r] + (w[k] * s[0] if k < w.size else 0.0))
+    return None if tau > 0.5e-10 * np.sqrt(n) else Z[:, :k]
+
+
+def _unit_orthogonal(Q: np.ndarray) -> np.ndarray:
+    """A unit vector orthogonal to the k < n orthonormal columns of Q.
+
+    The rows of Q carry k units of weight in all, so its lightest row j has
+    at most k / n, and e_j less its projection keeps a norm of at least
+    sqrt(1 - k / n); projecting twice makes it orthogonal to rounding.
+    """
+    z = np.zeros(Q.shape[0], dtype=complex)
+    z[np.argmin(np.linalg.norm(Q, axis=1))] = 1.0
+    for _ in range(2):
+        z -= Q @ (Q.conj().T @ z)
+    return z / np.linalg.norm(z)
+
+
 class _Block:
-    """One residue-class block of a sweep: its parts of A, A_re, A_im and its solver."""
+    """One residue-class block of a sweep: its parts of A, A_re, A_im and its solver.
+
+    A block with a narrow band is solved on the band.  Any other block is
+    solved on the basis Q of ``_range_basis`` where that is smaller than
+    the block, as B(theta) = Q* H(theta) Q, and otherwise dense.
+    """
 
     def __init__(self, M, A_re, A_im, idx, kd):
         whole = idx.size == M.shape[0]
         self.M, self.re, self.im = (X if whole else X[np.ix_(idx, idx)] for X in (M, A_re, A_im))
-        self.n, self.kd = idx.size, kd
-        self.band = None
+        self.n = idx.size
+        self.band = self.basis = None
         if _BAND_RATIO * kd <= self.n:
             # LAPACK lower band storage: band[d, j] = X[j + d, j]
             self.band = np.zeros((2, kd + 1, self.n), dtype=complex)
             for d in range(kd + 1):
                 self.band[:, d, : self.n - d] = [np.diagonal(self.re, -d), np.diagonal(self.im, -d)]
+            self.start = np.random.default_rng(0).standard_normal(self.n).astype(complex)
+        else:
+            self.basis = _range_basis(self.M)
+        if self.basis is not None:
+            B = self.basis.conj().T @ self.M @ self.basis
+            self.reduced = np.stack([(B + B.conj().T) / 2.0, (B - B.conj().T) / 2j])
+            self.null = _unit_orthogonal(self.basis)
 
     def hermitian(self, c, s):
         return c * self.re + s * self.im
 
     def top(self, c, s, vectors: bool):
-        """Top eigenvalue of this block of H(theta); the eigenvector too if ``vectors`` and the same call gives it."""
-        if self.band is None:
+        """Top eigenvalue of this block of H(theta) and, with ``vectors``, its eigenvector checked against H(theta)."""
+        if self.band is not None:
+            ab = c * self.band[0] + s * self.band[1]
+            lam = _band_top(ab)
+            v = _band_vector(ab, lam, self.start) if vectors else None
+        elif self.basis is not None:
+            k = self.basis.shape[1]
+            lam, y = _eigpair(c * self.reduced[0] + s * self.reduced[1], k - 1, vectors)
+            # where h_B < 0 the support is 0, attained off the basis; a NaN
+            # stays NaN and wins the sweep's argmax
+            v = None if y is None else self.basis @ y if lam >= 0.0 else self.null
+            lam = float(np.maximum(lam, 0.0))
+        else:
             return _eigpair(self.hermitian(c, s), self.n - 1, vectors)
-        vectors = vectors and self.kd <= _BAND_VECTOR_KD
-        lam, v = _band_top(c * self.band[0] + s * self.band[1], vectors)
         return _checked_pair(self.hermitian(c, s), lam, v) if vectors else (lam, None)
 
 
@@ -174,8 +296,7 @@ def _sweep(A, thetas: np.ndarray, vectors: bool):
     e^{-i theta} A.  It is nonzero only where A or A* is, so the residue
     classes and half-bandwidth of A fix the solver of every angle: the
     support is the largest block support and the point that of the winning
-    block, whose eigenvector is taken from the dense solver where banded
-    vectors cost more.  The support comes from the same call in both modes.
+    block.  The support comes from the same call in both modes.
     """
     M = _as_matrix(A)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -192,8 +313,6 @@ def _sweep(A, thetas: np.ndarray, vectors: bool):
         j = int(np.argmax([lam for lam, _ in tops]))  # a NaN wins and fails the check below
         (h[k], v), win = tops[j], blocks[j]
         if vectors:
-            if v is None:
-                v = _eigpair(win.hermitian(c, s), win.n - 1)[1]
             points[k] = v.conj() @ (win.M @ v)
     if not (np.all(np.isfinite(h)) and (points is None or np.all(np.isfinite(points)))):
         raise NumericError("support sweep produced non-finite values")

@@ -64,11 +64,10 @@ def test_build_then_range_matches_in_process(tmp_path, config_path):
     assert points_path.read_text() == expected
 
 
-def test_banded_toeplitz_range_from_csv_is_byte_identical(tmp_path):
-    # five diagonals: the sweep takes the banded solver, so both sources must reach it
-    terms = [[1, 0, 0.5, 0.1], [0, 1, 0.25, 0.0], [2, 0, 0.1, 0.0], [0, 2, 0.0, 0.2], [1, 1, 0.3, 0.0]]
-    config = {"alpha": 0.5, "truncation": 80, "angles": 64, "operator": {"toeplitz": {"terms": terms}}}
-    config_path, matrix_path = tmp_path / "toeplitz.json", tmp_path / "matrix.csv"
+def _range_from_config_and_csv(tmp_path, operator):
+    """``range`` output from the config and from its built CSV, as bytes."""
+    config = {"alpha": 0.5, "truncation": 80, "angles": 64, "operator": operator}
+    config_path, matrix_path = tmp_path / "job.json", tmp_path / "matrix.csv"
     config_path.write_text(json.dumps(config))
     assert cli.main(["build", "--config", str(config_path), "--out", str(matrix_path)]) == 0
     outputs = []
@@ -76,7 +75,22 @@ def test_banded_toeplitz_range_from_csv_is_byte_identical(tmp_path):
         out = tmp_path / f"points{len(outputs)}.csv"
         assert cli.main(["range", *source, "--angles", "64", "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_banded_toeplitz_range_from_csv_is_byte_identical(tmp_path):
+    # five diagonals: the sweep takes the banded solver, so both sources must reach it
+    terms = [[1, 0, 0.5, 0.1], [0, 1, 0.25, 0.0], [2, 0, 0.1, 0.0], [0, 2, 0.0, 0.2], [1, 1, 0.3, 0.0]]
+    config_range, csv_range = _range_from_config_and_csv(tmp_path, {"toeplitz": {"terms": terms}})
+    assert config_range == csv_range
+
+
+def test_low_rank_composition_range_from_csv_is_byte_identical(tmp_path):
+    # phi(0) != 0: dense and numerically low rank, so both sources must take the reduced solver
+    phi = [[0.2, 0.1], [0.3, 0.0], [0.0, 0.2]]
+    operator = {"weighted_composition": {"psi": [[1.0, 0.0], [0.5, -0.25]], "phi": phi}}
+    config_range, csv_range = _range_from_config_and_csv(tmp_path, operator)
+    assert config_range == csv_range
 
 
 def test_matrix_csv_round_trip(config_path):
@@ -120,6 +134,15 @@ def test_plot_from_points_file(tmp_path, config_path):
     argv = ["range", "--config", str(config_path), "--format", "svg", "--out", str(direct_path)]
     assert cli.main(argv) == 0
     assert svg_path.read_bytes() == direct_path.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_plot_rejects_non_finite_points(tmp_path, capsys, value):
+    points_path = tmp_path / "points.csv"
+    points_path.write_text(f"# theta,re,im,support\n0,1,0,1\n2,{value},0,1\n4,0,1,1\n")
+    assert cli.main(["plot", "--points", str(points_path), "--out", str(tmp_path / "fig.svg")]) == 2
+    assert capsys.readouterr().err == f"error: points line 3 is not finite: 2,{value},0,1\n"
+    assert not (tmp_path / "fig.svg").exists()
 
 
 @pytest.mark.parametrize("argv", [["plot"], ["plot", "--config", "job.json"]])

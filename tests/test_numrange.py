@@ -27,6 +27,7 @@ from bergrange.numrange import (
     shape_containment,
     support_function,
     support_of,
+    _range_basis,
     _residue_classes,
 )
 from bergrange.operators import BiPolySymbol, build_multiplication, build_toeplitz, build_weighted_composition
@@ -69,8 +70,26 @@ def _structured_matrices():
     # repeated top eigenvalue: the boundary point may be any mix of e_0 and e_2
     yield "diagonal", np.diag([2.0, 1j, 2.0, -1.0 - 1j]).astype(complex)
     yield "zero", np.zeros((5, 5), dtype=complex)
+    # E_13: the residue class {1} is a 1 x 1 zero block too narrow for the band solver
+    yield "e13", np.eye(3, k=2, dtype=complex)
     for n in (1, 2, 5, 24):
         yield f"dense{n}", rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    # constant targets (pro1): rank one, a centred disc and an ellipse
+    yield "pro1_disc", build_weighted_composition([-0.4, 1.0], [0.4], 0.0, 128).matrix
+    yield "pro1_ellipse", build_weighted_composition([1.0, 1.0], [0.3], 0.0, 128).matrix
+    # phi(0) != 0: dense columns psi phi^n, numerically low rank
+    yield "composition", _dense_composition(np.random.default_rng(7), 128)
+    # positive semidefinite rank one: support 0 over half the circle
+    u = rng.standard_normal(48) + 1j * rng.standard_normal(48)
+    yield "psd_rank_one", np.outer(u, u.conj())
+
+
+def _dense_composition(rng, n):
+    """psi C_phi with psi of degree 3 and phi of degree 2, phi(0) != 0 and sum |phi_k| < 1."""
+    psi = 0.5 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    mags = rng.uniform(0.5, 1.0, 3)
+    mags *= rng.uniform(0.6, 0.9) / mags.sum()
+    return build_weighted_composition(psi, mags * np.exp(2j * np.pi * rng.uniform(size=3)), 0.0, n).matrix
 
 
 class TestSweepKernel:
@@ -78,11 +97,64 @@ class TestSweepKernel:
 
     def test_dispatch_reads_the_zero_pattern(self):
         # (number of residue classes, half-bandwidth inside them)
-        want = {"t3": (1, 1), "th1": (3, 1), "th2_n2": (2, 3), "th2_n3": (3, 4), "diagonal": (1, 0), "zero": (1, 0)}
+        want = {"t3": (1, 1), "th1": (3, 1), "th2_n2": (2, 3), "th2_n3": (3, 4), "diagonal": (1, 0), "zero": (1, 0), "e13": (2, 1)}
         for name, A in _structured_matrices():
             classes, kd = _residue_classes(A)
             assert (len(classes), kd) == want.get(name, (1, A.shape[0] - 1)), name
             assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(A.shape[0]))
+
+    def test_low_rank_blocks_are_solved_on_their_range(self):
+        # dimension k of the reduced basis; None keeps the dense solver
+        want = {"pro1_disc": 2, "pro1_ellipse": 2, "composition": 65, "psd_rank_one": 1}
+        want.update(dense2=None, dense5=None, dense24=None)
+        got = {name: _range_basis(A) for name, A in _structured_matrices() if name in want}
+        assert {name: None if Q is None else Q.shape[1] for name, Q in got.items()} == want
+        for Q in (Q for Q in got.values() if Q is not None):
+            assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-13)
+        # theo2: a dense lower-triangular wedge of numerical rank 80 > 128 / 2
+        assert _range_basis(build_weighted_composition([1.0], [0.0, 0.45, 0.45], 0.0, 128).matrix) is None
+
+    def test_low_rank_supports_within_the_truncation_bound(self):
+        rot = np.exp(-1j * self.THETAS)
+        for name, A in _structured_matrices():
+            if name not in ("pro1_disc", "pro1_ellipse", "composition", "psd_rank_one"):
+                continue
+            s = np.linalg.svd(A, compute_uv=False)
+            tail = s[np.count_nonzero(s > A.shape[0] * np.finfo(float).eps * s[0])]
+            want = np.array([np.linalg.eigvalsh((r * A + np.conj(r) * A.conj().T) / 2.0)[-1] for r in rot])
+            assert np.max(np.abs(support_function(A, self.THETAS) - want)) <= 2.0 * tail + 1e-13 * s[0], name
+        # u u* is the segment [0, |u|^2]: support 0 wherever cos(theta) < 0, at the point 0
+        psd = dict(_structured_matrices())["psd_rank_one"]
+        rows = boundary_points(psd, 64)
+        assert all(s == 0.0 and abs(p) <= 1e-13 * np.trace(psd).real for th, p, s in rows if np.cos(th) < -1e-12)
+
+    def test_vanishing_hermitian_part_is_solved_dense(self):
+        # skew-Hermitian of rank 3 and norm 1.5e10: H(0) = 0 exactly, which a
+        # reduced pair, off by about eps ||A||, would miss by more than the
+        # residual tolerance; so the block keeps the dense solver
+        X = np.random.default_rng(11).standard_normal((64, 3)) + 1j * np.random.default_rng(12).standard_normal((64, 3))
+        A = 1e8j * (X @ X.conj().T)
+        assert np.array_equal(A, -A.conj().T) and _range_basis(A) is None
+        rows = boundary_points(A, 64)
+        thetas = np.array([th for th, _, _ in rows])
+        h = support_function(A, thetas)
+        assert h[0] == 0.0 and np.array_equal(np.array([s for _, _, s in rows]), h)
+        want = np.array([np.linalg.eigvalsh((r * A + np.conj(r) * A.conj().T) / 2.0)[-1] for r in np.exp(-1j * thetas)])
+        norm = np.linalg.norm(A, 2)
+        assert np.max(np.abs(h - want)) <= 1e-13 * norm
+        assert all(abs((np.exp(-1j * th) * p).real - s) <= 1e-12 * norm for th, p, s in rows)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_rank_one_sweeps(self):
+        rng = np.random.default_rng(17)
+        u, v = (rng.standard_normal(64) + 1j * rng.standard_normal(64) for _ in range(2))
+        A = 1e300 * np.outer(u / np.linalg.norm(u), (v / np.linalg.norm(v)).conj())
+        assert _range_basis(A) is None  # its truncation error, about eps 1e300, keeps it dense
+        rot = np.exp(-1j * self.THETAS)
+        want = np.array([np.linalg.eigvalsh((r * A + np.conj(r) * A.conj().T) / 2.0)[-1] for r in rot])
+        assert np.max(np.abs(support_function(A, self.THETAS) - want)) <= 1e-13 * 1e300
+        for th, p, s in boundary_points(A, 64):
+            assert abs((np.exp(-1j * th) * p).real - s) <= 1e-12 * 1e300
 
     def test_supports_match_dense_eigvalsh(self):
         for name, A in _structured_matrices():
