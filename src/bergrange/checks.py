@@ -52,7 +52,7 @@ from bergrange.operators import (
     operator_sum,
 )
 
-__all__ = ["CheckReport", "list_checks", "run_check", "run_all"]
+__all__ = ["CheckReport", "accepted_overrides", "list_checks", "run_check", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -1029,15 +1029,17 @@ def run_check(check_id: str, params: dict | None = None) -> CheckReport:
     )
 
 
-def run_all(overrides: dict | None = None) -> list:
-    """Run every registered check in order.
+def accepted_overrides(check_id: str, overrides: dict) -> dict:
+    """The overrides that check ``check_id`` accepts: its own parameters and "seed".
 
-    Overrides apply to each check that accepts the key (so a global
-    --alpha reaches the single-alpha checks and leaves the rest alone).
+    So a global --alpha reaches the single-alpha checks and leaves the
+    rest alone; an unknown id keeps only "seed", and run_check rejects it.
     """
+    defaults = _BY_ID[check_id].defaults if check_id in _BY_ID else {}
+    return {k: v for k, v in overrides.items() if k in defaults or k == "seed"}
+
+
+def run_all(overrides: dict | None = None) -> list:
+    """Run every registered check in order, each with the overrides it accepts."""
     overrides = dict(overrides or {})
-    reports = []
-    for d in _REGISTRY:
-        use = {k: v for k, v in overrides.items() if k in d.defaults or k == "seed"}
-        reports.append(run_check(d.id, use))
-    return reports
+    return [run_check(d.id, accepted_overrides(d.id, overrides)) for d in _REGISTRY]

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bergrange.checks import list_checks, run_all, run_check
+from bergrange.checks import accepted_overrides, list_checks, run_all, run_check
 from bergrange.core import DomainError, NumericError, UsageError
 from bergrange.numrange import boundary_points
 from bergrange.operators import (
@@ -333,9 +333,7 @@ def _cmd_check(args) -> int:
     if args.id == "all":
         reports = run_all(overrides)
     else:
-        accepted = {cid: defaults for cid, _, defaults in list_checks()}.get(args.id, {})
-        use = {k: v for k, v in overrides.items() if k in accepted or k == "seed"}
-        reports = [run_check(args.id, use)]
+        reports = [run_check(args.id, accepted_overrides(args.id, overrides))]
     text = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports)
     _emit(text, args.out)
     return 0 if all(r.passed for r in reports) else 1

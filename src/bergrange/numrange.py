@@ -17,18 +17,18 @@ Toeplitz truncation, a weighted composition over a rotation; kd = 0 for a
 diagonal or zero matrix) is solved by the banded LAPACK routine zhbevx,
 for the top index only; where it needs a boundary point, the eigenvector
 comes from inverse iteration on the band.  Any other block is dense, and
-its SVD gives its numerical rank r, the count of singular values above
-n eps s_1.  If 2r < n, the block is solved on the k <= 2r dimensional
-space Q spanned by its leading left and right singular vectors: the
-support is max(h_B, 0) for B = Q* A Q, exact up to 2 s_{r+1} (plus the
-weight of the near-dependent directions dropped from Q), the scale of a
+one column-pivoted QR of [A, A*] gives its numerical rank k, the count of
+|R_ii| above n eps |R_00|.  If k < n, the block is solved on the k
+dimensional space Q of the leading columns: the support is max(h_B, 0)
+for B = Q* A Q, exact up to 2 tau with tau = ||R_22||_F, the scale of a
 dense eigensolve's own backward error.  A block whose bound could fail
 the residual check where H(theta) nearly vanishes (a large matrix near a
-phase times a Hermitian one) stays dense, as does every block with
-2r >= n: these go to the dense zheevr, for the top index only.  Each
-solver gives the same eigenvalue with and without the eigenvector, so
-supports agree bit for bit between the two sweeps, and every eigenvector
-is checked against the full-size Hermitian part before it gives a point.
+phase times a Hermitian one) stays dense, as does a zero block and every
+block with k = n: these go to the dense zheevr, for the top index only.
+Each solver gives the same eigenvalue with and without the eigenvector,
+so supports agree bit for bit between the two sweeps, and every
+eigenvector is checked against the full-size Hermitian part before it
+gives a point.
 
 Reference shapes (discs, ellipses, polygons, sampled image hulls) share a
 common support-function interface so containment can be decided by
@@ -186,60 +186,32 @@ def _residue_classes(M: np.ndarray):
 
 
 def _range_basis(M: np.ndarray):
-    """Q, a basis of the numerical column and row spaces of M, or None where M stays dense.
+    """(Q, z): an orthonormal basis Q of the numerical range(M) + range(M*) and a unit z orthogonal to it, or None.
 
-    With the SVD M = U S V* and s_1 >= s_2 >= ..., the numerical rank r
-    counts the singular values above n eps s_1.  Q holds the left singular
-    vectors of [U_r, V_r] whose singular values exceed n eps times the
-    largest, so it spans range(U_r) + range(V_r) but for directions of
-    weight at most delta, the largest singular value left out, and
-    k = dim Q <= 2r < n.
+    One column-pivoted QR of X = [M, M*] gives the rank k, the count of
+    |R_ii| above n eps |R_00|; Q is the first k columns of its Q factor and
+    z the next one.  With P = Q Q*, tau = ||R_22||_F = ||(I - P) X||_F
+    bounds ||(I - P) M|| and ||M (I - P)||, and M - P M P = (I - P) M +
+    P M (I - P), so each support of M is within 2 tau of max(h_B, 0) for
+    B = Q* M Q, whose 0 is attained at z.
 
-    Let P = Q Q* and B = Q* M Q.  For a unit x = Q y + z with z orthogonal
-    to Q, x* M x - y* B y = x* (M - P M P) x, and
-        M - P M P = (I - P) M + P M (I - P).
-    Write M = U_r S_r V_r* + E with ||E|| = s_{r+1}.  Then
-    ||(I - P) M|| <= ||(I - P) U_r|| s_1 + s_{r+1} <= delta s_1 + s_{r+1} = tau,
-    and likewise ||M (I - P)||, so
-        |x* M x - y* B y| <= 2 tau = 2 s_{r+1} + 2 delta s_1 < 5 n eps ||M||,
-    the scale of the backward error of a dense eigensolve; with no column
-    left out (delta = 0) it is 2 s_{r+1}.  As ||y||^2 + ||z||^2 = 1, y* B y
-    is ||y||^2 times a point of W(B), so x* M x lies within that bound of
-    the convex hull of W(B) and 0.  Both are attained: W(B) by x = Q y, and
-    0 by any unit x orthogonal to Q, which k < n provides.  So the support
-    of M at theta is max(h_B(theta), 0) to within that bound.
-
-    M stays dense, and None is returned, if r = 0, if 2r >= n, or if tau
-    exceeds half of 1e-10 sqrt(n).  The eigenvector Q y of a reduced pair
-    misses H(theta) v = lam v by up to tau, as ||(I - P) H(theta)|| <= tau,
-    and the residual check's tolerance falls to 1e-10 sqrt(n) where
-    H(theta) is small, as for a large M near a phase times a Hermitian
-    matrix.
+    M stays dense, and None is returned, if k = 0, if k = n, or if tau
+    exceeds half of 1e-10 sqrt(n): a reduced pair misses H(theta) v = lam v
+    by up to tau, and the residual check's tolerance falls to 1e-10 sqrt(n)
+    where H(theta) is small, as for a large M near a phase times a
+    Hermitian matrix.
     """
+    from scipy.linalg import qr  # here so `build` never pays for loading scipy.linalg
     n = M.shape[0]
-    s = np.linalg.svd(M, compute_uv=False)
-    r = int(np.count_nonzero(s > n * np.finfo(float).eps * s[0]))
-    if r == 0 or 2 * r >= n:  # zero, or no room to reduce: spare the singular vectors and their workspace
+    X = np.vstack([M.T, M.conj()]).T  # [M, M*] in Fortran order, which the QR overwrites without a copy
+    Q, R, _ = qr(X, overwrite_a=True, pivoting=True)
+    d = np.abs(np.diag(R))
+    k = int(np.count_nonzero(d > n * np.finfo(float).eps * d[0]))
+    if k == 0 or k == n:
         return None
-    U, _, Vh = np.linalg.svd(M)
-    Z, w, _ = np.linalg.svd(np.hstack([U[:, :r], Vh[:r].conj().T]), full_matrices=False)
-    k = int(np.count_nonzero(w > n * np.finfo(float).eps * w[0]))
-    tau = float(s[r] + (w[k] * s[0] if k < w.size else 0.0))
-    return None if tau > 0.5e-10 * np.sqrt(n) else Z[:, :k]
-
-
-def _unit_orthogonal(Q: np.ndarray) -> np.ndarray:
-    """A unit vector orthogonal to the k < n orthonormal columns of Q.
-
-    The rows of Q carry k units of weight in all, so its lightest row j has
-    at most k / n, and e_j less its projection keeps a norm of at least
-    sqrt(1 - k / n); projecting twice makes it orthogonal to rounding.
-    """
-    z = np.zeros(Q.shape[0], dtype=complex)
-    z[np.argmin(np.linalg.norm(Q, axis=1))] = 1.0
-    for _ in range(2):
-        z -= Q @ (Q.conj().T @ z)
-    return z / np.linalg.norm(z)
+    R[k:] /= d[0]  # rows k.. of R are [0, R_22], scaled in place so that a huge M cannot overflow the norm
+    tau = d[0] * float(np.linalg.norm(R[k:]))
+    return None if tau > 0.5e-10 * np.sqrt(n) else (Q[:, :k], Q[:, k])
 
 
 class _Block:
@@ -262,11 +234,10 @@ class _Block:
                 self.band[:, d, : self.n - d] = [np.diagonal(self.re, -d), np.diagonal(self.im, -d)]
             self.start = np.random.default_rng(0).standard_normal(self.n).astype(complex)
         else:
-            self.basis = _range_basis(self.M)
+            self.basis, self.null = _range_basis(self.M) or (None, None)
         if self.basis is not None:
             B = self.basis.conj().T @ self.M @ self.basis
             self.reduced = np.stack([(B + B.conj().T) / 2.0, (B - B.conj().T) / 2j])
-            self.null = _unit_orthogonal(self.basis)
 
     def hermitian(self, c, s):
         return c * self.re + s * self.im
@@ -319,12 +290,27 @@ def _sweep(A, thetas: np.ndarray, vectors: bool):
     return h, points
 
 
+def _angles(thetas) -> np.ndarray:
+    """Angles as a 1-d float array, each of them finite."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if not np.all(np.isfinite(thetas)):
+        raise UsageError("angles must be finite")
+    return thetas
+
+
 def support_function(A, thetas) -> np.ndarray:
     """Support of the numerical range in the directions e^{i theta}.
 
     h(theta) = lambda_max( (e^{-i theta} A + e^{i theta} A*) / 2 ).
     """
-    return _sweep(A, np.atleast_1d(np.asarray(thetas, dtype=float)), vectors=False)[0]
+    return _sweep(A, _angles(thetas), vectors=False)[0]
+
+
+def _angle_grid(n_angles: int) -> np.ndarray:
+    """The angles 2 pi j / n_angles, j = 0 .. n_angles - 1, for an integer n_angles >= 3."""
+    if not isinstance(n_angles, (int, np.integer)) or n_angles < 3:
+        raise UsageError(f"n_angles must be an integer >= 3, got {n_angles!r}")
+    return 2.0 * np.pi * np.arange(n_angles) / n_angles
 
 
 def boundary_points(A, n_angles: int = 360):
@@ -335,11 +321,19 @@ def boundary_points(A, n_angles: int = 360):
     part; these points lie on the boundary of the range and their convex
     hull approximates it from inside.
     """
-    if not isinstance(n_angles, (int, np.integer)) or n_angles < 3:
-        raise UsageError(f"n_angles must be an integer >= 3, got {n_angles!r}")
-    thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    thetas = _angle_grid(n_angles)
     h, points = _sweep(A, thetas, vectors=True)
     return [(float(th), complex(p), float(s)) for th, p, s in zip(thetas, points, h)]
+
+
+def _point_cloud(points) -> np.ndarray:
+    """A nonempty, finite point cloud as a flat complex array."""
+    pts = np.asarray(points, dtype=complex).ravel()
+    if pts.size == 0:
+        raise UsageError("need at least one point")
+    if not np.all(np.isfinite(pts)):
+        raise NumericError("points contain non-finite values")
+    return pts
 
 
 def convex_hull(points) -> np.ndarray:
@@ -349,11 +343,7 @@ def convex_hull(points) -> np.ndarray:
     one-vertex hull and collinear points a two-vertex hull.  Nearly
     coincident points are merged at 1e-12 relative to the spread.
     """
-    pts = np.asarray(points, dtype=complex).ravel()
-    if pts.size == 0:
-        raise UsageError("need at least one point")
-    if not np.all(np.isfinite(pts)):
-        raise NumericError("points contain non-finite values")
+    pts = _point_cloud(points)
     scale = max(1.0, float(np.max(np.abs(pts))))
     # dedup on a rounded grid
     merged = {}
@@ -438,8 +428,8 @@ class HullPolygon:
 
     def boundary_samples(self, n: int = 1024) -> np.ndarray:
         """Roughly arc-length-uniform samples along the closed boundary."""
-        if n < 1:
-            raise UsageError("n must be >= 1")
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise UsageError(f"n must be an integer >= 1, got {n!r}")
         v = self.vertices
         if v.size == 1:
             return np.repeat(v, n)
@@ -492,12 +482,11 @@ class DiscSpec:
     def __post_init__(self):
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius < 0:
-            raise UsageError("radius must be >= 0")
+        if not (np.isfinite(self.center) and 0.0 <= self.radius < np.inf):
+            raise UsageError(f"disc needs a finite center and a finite radius >= 0, got {self.center!r}, {self.radius!r}")
 
     def support(self, thetas) -> np.ndarray:
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        return np.real(np.exp(-1j * thetas) * self.center) + self.radius
+        return np.real(np.exp(-1j * _angles(thetas)) * self.center) + self.radius
 
 
 @dataclass(frozen=True)
@@ -516,8 +505,8 @@ class EllipseSpec:
         object.__setattr__(self, "focus1", complex(self.focus1))
         object.__setattr__(self, "focus2", complex(self.focus2))
         object.__setattr__(self, "minor_axis", float(self.minor_axis))
-        if self.minor_axis < 0:
-            raise UsageError("minor_axis must be >= 0")
+        if not (np.isfinite(self.focus1) and np.isfinite(self.focus2) and 0.0 <= self.minor_axis < np.inf):
+            raise UsageError("ellipse needs finite foci and a finite minor_axis >= 0")
 
     @property
     def center(self) -> complex:
@@ -528,7 +517,7 @@ class EllipseSpec:
         return float(np.hypot(self.minor_axis, abs(self.focus1 - self.focus2)))
 
     def support(self, thetas) -> np.ndarray:
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+        thetas = _angles(thetas)
         beta = np.angle(self.focus2 - self.focus1) if self.focus2 != self.focus1 else 0.0
         a_s = self.major_axis / 2.0
         b_s = self.minor_axis / 2.0
@@ -537,7 +526,7 @@ class EllipseSpec:
         return np.real(np.exp(-1j * thetas) * self.center) + bulge
 
     def boundary(self, n: int = 256) -> np.ndarray:
-        phi = 2.0 * np.pi * np.arange(n) / n
+        phi = _angle_grid(n)
         beta = np.angle(self.focus2 - self.focus1) if self.focus2 != self.focus1 else 0.0
         a_s = self.major_axis / 2.0
         b_s = self.minor_axis / 2.0
@@ -566,13 +555,13 @@ def support_of(obj, thetas) -> np.ndarray:
     Accepts matrices / truncations (boundary sweep), hull polygons,
     discs, ellipses, or a bare 1-d array of points.
     """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    thetas = _angles(thetas)
     if isinstance(obj, (HullPolygon, DiscSpec, EllipseSpec)):
         return obj.support(thetas)
     arr = np.asarray(getattr(obj, "matrix", obj))
     if arr.ndim == 1:
         # max of Re(e^{-i theta} p) one angle at a time: O(points) memory
-        pts = arr.astype(complex)
+        pts = _point_cloud(arr)
         return np.array([np.max(d.real * pts.real - d.imag * pts.imag) for d in np.exp(-1j * thetas)])
     if arr.ndim == 2:
         return support_function(arr, thetas)
@@ -585,9 +574,7 @@ def shape_containment(inner, outer, n_angles: int = 720) -> float:
     Nonnegative means the inner convex set fits inside the outer one (up
     to grid resolution); the value is the smallest slack found.
     """
-    if n_angles < 3:
-        raise UsageError("n_angles must be >= 3")
-    thetas = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    thetas = _angle_grid(n_angles)
     return float(np.min(support_of(outer, thetas) - support_of(inner, thetas)))
 
 
@@ -601,10 +588,7 @@ def regular_polygon(n: int, radius: float = 1.0, center: complex = 0j, phase: fl
 
 def _image_samples(f, radii, n_angles: int) -> np.ndarray:
     """Values f(r e^{i theta}) on each circle of the given radii, plus f(0)."""
-    if n_angles < 3:
-        raise UsageError("n_angles must be >= 3")
-    theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    z = np.asarray(radii, dtype=float)[:, None] * np.exp(1j * theta)[None, :]
+    z = np.asarray(radii, dtype=float)[:, None] * np.exp(1j * _angle_grid(n_angles))[None, :]
     return np.append(np.asarray(f(z), dtype=complex), f(np.zeros(1, dtype=complex)))
 
 

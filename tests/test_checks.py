@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from bergrange.checks import list_checks, run_all, run_check
+from bergrange.checks import accepted_overrides, list_checks, run_all, run_check
 from bergrange.core import UsageError
 
 EXPECTED_IDS = [
@@ -172,3 +172,14 @@ def test_run_all_applies_overrides_only_where_accepted():
     report = run_check("theo3_zero_interior", {"N": 24})
     assert report.params["N"] == 24
     assert report.passed
+
+
+def test_accepted_overrides_keep_each_checks_own_parameters():
+    overrides = {"alpha": 0.5, "N": 24, "seed": 3}
+    assert accepted_overrides("t1_spectrum", overrides) == overrides
+    assert accepted_overrides("zsq_diagonal", overrides) == {"N": 24, "seed": 3}
+    assert accepted_overrides("mobius_mean_value", overrides) == {"seed": 3}
+    # an unknown id keeps only "seed" and is left for run_check to reject
+    assert accepted_overrides("no_such_check", overrides) == {"seed": 3}
+    with pytest.raises(UsageError, match="unknown check id"):
+        run_check("no_such_check", accepted_overrides("no_such_check", overrides))

@@ -92,6 +92,11 @@ def _dense_composition(rng, n):
     return build_weighted_composition(psi, mags * np.exp(2j * np.pi * rng.uniform(size=3)), 0.0, n).matrix
 
 
+def _theo2(n):
+    """C_phi for phi(z) = 0.45 z + 0.45 z^2: phi(0) = 0, a dense lower-triangular wedge."""
+    return build_weighted_composition([1.0], [0.0, 0.45, 0.45], 0.0, n).matrix
+
+
 class TestSweepKernel:
     THETAS = 2.0 * np.pi * np.arange(48) / 48
 
@@ -105,24 +110,29 @@ class TestSweepKernel:
 
     def test_low_rank_blocks_are_solved_on_their_range(self):
         # dimension k of the reduced basis; None keeps the dense solver
-        want = {"pro1_disc": 2, "pro1_ellipse": 2, "composition": 65, "psd_rank_one": 1}
+        want = {"pro1_disc": 2, "pro1_ellipse": 2, "composition": 57, "psd_rank_one": 1}
         want.update(dense2=None, dense5=None, dense24=None)
         got = {name: _range_basis(A) for name, A in _structured_matrices() if name in want}
-        assert {name: None if Q is None else Q.shape[1] for name, Q in got.items()} == want
-        for Q in (Q for Q in got.values() if Q is not None):
+        # theo2: a dense lower-triangular wedge, reduced once N leaves room
+        got.update((f"theo2_{N}", _range_basis(_theo2(N))) for N in (16, 32, 64, 128))
+        want.update(theo2_16=None, theo2_32=None, theo2_64=None, theo2_128=103)
+        assert {name: None if r is None else r[0].shape[1] for name, r in got.items()} == want
+        for Q, z in (r for r in got.values() if r is not None):
             assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-13)
-        # theo2: a dense lower-triangular wedge of numerical rank 80 > 128 / 2
-        assert _range_basis(build_weighted_composition([1.0], [0.0, 0.45, 0.45], 0.0, 128).matrix) is None
+            assert abs(np.linalg.norm(z) - 1.0) <= 1e-13 and np.linalg.norm(Q.conj().T @ z) <= 1e-13
 
     def test_low_rank_supports_within_the_truncation_bound(self):
         rot = np.exp(-1j * self.THETAS)
-        for name, A in _structured_matrices():
-            if name not in ("pro1_disc", "pro1_ellipse", "composition", "psd_rank_one"):
-                continue
-            s = np.linalg.svd(A, compute_uv=False)
-            tail = s[np.count_nonzero(s > A.shape[0] * np.finfo(float).eps * s[0])]
+        reduced = ("pro1_disc", "pro1_ellipse", "composition", "psd_rank_one")
+        cases = [(name, A) for name, A in _structured_matrices() if name in reduced]
+        for name, A in cases + [("theo2", _theo2(128))]:
+            Q, _ = _range_basis(A)
+            off = np.eye(A.shape[0]) - Q @ Q.conj().T
+            # the larger of ||(I - P) A|| and ||A (I - P)||, each at most ||R_22||_F
+            tau = max(np.linalg.norm(off @ A, 2), np.linalg.norm(A @ off, 2))
             want = np.array([np.linalg.eigvalsh((r * A + np.conj(r) * A.conj().T) / 2.0)[-1] for r in rot])
-            assert np.max(np.abs(support_function(A, self.THETAS) - want)) <= 2.0 * tail + 1e-13 * s[0], name
+            err = np.max(np.abs(support_function(A, self.THETAS) - want))
+            assert err <= 2.0 * tau + 1e-13 * np.linalg.norm(A, 2), name
         # u u* is the segment [0, |u|^2]: support 0 wherever cos(theta) < 0, at the point 0
         psd = dict(_structured_matrices())["psd_rank_one"]
         rows = boundary_points(psd, 64)
@@ -188,6 +198,20 @@ class TestSweepKernel:
         cloud = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
         want = HullPolygon.from_points(cloud).support(GRID)
         assert np.max(np.abs(support_of(cloud, GRID) - want)) <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_angles_raise(self):
+        A = dict(_structured_matrices())["dense5"]
+        shapes = (A, np.array([1j, 2.0]), HullPolygon.from_points([0j, 1.0, 1j]), DiscSpec(0j, 1.0), EllipseSpec(0j, 1.0, 0.5))
+        for bad in ([np.inf], [0.0, np.nan], -np.inf):
+            with pytest.raises(UsageError):
+                support_function(A, bad)
+            for shape in shapes:
+                with pytest.raises(UsageError):
+                    support_of(shape, bad)
+            for shape in shapes[2:]:
+                with pytest.raises(UsageError):
+                    shape.support(bad)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_hermitian_part_raises(self):
@@ -288,11 +312,31 @@ class TestHullGeometry:
         assert np.allclose(support_of(disc, th), [1.0, 0.5])
         assert np.allclose(support_of(np.array([1j, 2j, -1j]), th), [0.0, 2.0])
 
+    def test_point_cloud_must_be_nonempty_and_finite(self):
+        with pytest.raises(UsageError):
+            support_of(np.array([], dtype=complex), GRID)
+        for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+            with pytest.raises(NumericError):
+                support_of(np.array([1j, bad, -1j]), GRID)
+
     def test_shape_containment_margins(self):
         inner = DiscSpec(0j, 0.5)
         outer = DiscSpec(0j, 0.75)
         assert shape_containment(inner, outer) == pytest.approx(0.25, abs=1e-12)
         assert shape_containment(outer, inner) == pytest.approx(-0.25, abs=1e-12)
+
+    def test_shape_containment_needs_an_integer_grid(self):
+        for bad in (3.5, 2, 720.0, "720"):
+            with pytest.raises(UsageError):
+                shape_containment(DiscSpec(0j, 0.5), DiscSpec(0j, 0.75), n_angles=bad)
+
+    def test_shapes_reject_non_finite_fields(self):
+        for fields in ((0j, np.nan), (0j, np.inf), (complex(np.nan, 0.0), 1.0)):
+            with pytest.raises(UsageError):
+                DiscSpec(*fields)
+        for fields in ((0j, 1 + 0j, np.nan), (0j, complex(0.0, np.inf), 1.0), (np.nan, 1 + 0j, 0.0)):
+            with pytest.raises(UsageError):
+                EllipseSpec(*fields)
 
     def test_regular_polygon_bad_order(self):
         with pytest.raises(UsageError):
@@ -304,6 +348,14 @@ class TestEllipseSpec:
         seg = EllipseSpec(0j, 2 + 0j, 0.0)
         th = np.array([0.0, np.pi, np.pi / 2.0])
         assert np.allclose(seg.support(th), [2.0, 0.0, 0.0], atol=1e-12)
+
+    def test_boundary_samplers_need_an_integer_count(self):
+        for bad in (3.5, 2, 0):
+            with pytest.raises(UsageError):
+                EllipseSpec(0j, 1.0, 0.5).boundary(bad)
+        for bad in (2.5, 0):
+            with pytest.raises(UsageError):
+                HullPolygon.from_points([0j, 1.0, 1j]).boundary_samples(bad)
 
     def test_boundary_points_satisfy_focal_condition(self):
         ell = EllipseSpec(-1 + 0j, 1 + 0j, np.sqrt(0.5))
