@@ -4,8 +4,8 @@ The numerical range of a matrix A is the set of Rayleigh quotients
 v* A v over unit vectors.  It is convex, and its support function in the
 direction e^{i theta} is the top eigenvalue of the Hermitian part of
 e^{-i theta} A; the top eigenvector hands back a boundary point.  One
-sweep kernel forms that Hermitian part and solves it at every angle;
-support_function and boundary_points, hence every range here, call it.
+sweep kernel solves that Hermitian part at every angle; support_function
+and boundary_points, hence every range here, call it.
 
 The kernel picks its solver once per sweep from the exact zero pattern of
 A, so a matrix read back from CSV is solved exactly as the one built in
@@ -26,9 +26,19 @@ the residual check where H(theta) nearly vanishes (a large matrix near a
 phase times a Hermitian one) stays dense, as does a zero block and every
 block with k = n: these go to the dense zheevr, for the top index only.
 Each solver gives the same eigenvalue with and without the eigenvector,
-so supports agree bit for bit between the two sweeps, and every
-eigenvector is checked against the full-size Hermitian part before it
-gives a point.
+so supports agree bit for bit between the two sweeps.
+
+Every eigenvector v is checked against the full-size block of H(theta)
+before it gives a point: ||(H v - lam v) / scale|| <= 1e-10 sqrt(n), with
+scale = max(1, max_ij |H_ij(theta)|) and n the block size.  Only a dense
+block forms H(theta), at O(n^2) per angle.  A reduced block takes H v
+from A_re Q and A_im Q, formed once, at O(n k) per angle, and its point
+as y* B y (z* A z where h_B < 0); its scale is the exact maximum over the few entries that can
+hold it at some angle, picked once per block by ``_scale_entries``.  A
+banded block takes H v and the point from band storage at O(n kd) per
+angle, and its scale is the largest band entry, which is the largest
+entry of H(theta) for a Hermitian band.  Only the winning block of an
+angle computes its point.
 
 Reference shapes (discs, ellipses, polygons, sampled image hulls) share a
 common support-function interface so containment can be decided by
@@ -39,6 +49,7 @@ grid resolution and immune to the sagging of inscribed polygons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,29 +83,39 @@ def _as_matrix(A) -> np.ndarray:
     return M
 
 
+@lru_cache(maxsize=64)
+def _zheevr_lwork(n: int) -> int:
+    """zheevr's optimal workspace for an n x n matrix, queried once per size."""
+    from scipy.linalg.lapack import zheevr_lwork  # here so `build` never pays for loading scipy.linalg
+    return int(zheevr_lwork(n, lower=1)[0].real)
+
+
 def _eigpair(H: np.ndarray, index: int, vectors: bool = True):
     """Eigenvalue ``index`` (ascending) of a Hermitian H, with ``vectors`` also its checked eigenvector.
 
     zheevr bisects for the one eigenvalue with or without the vector, so
     sweeps with and without vectors return identical supports.
     """
-    from scipy.linalg.lapack import zheevr, zheevr_lwork  # here so `build` never pays for loading scipy.linalg
-    lwork = int(zheevr_lwork(H.shape[0], lower=1)[0].real)
-    w, z, _, _, info = zheevr(H, compute_v=int(vectors), range="I", lower=1, il=index + 1, iu=index + 1, lwork=lwork)
+    from scipy.linalg.lapack import zheevr
+    w, z, _, _, info = zheevr(H, compute_v=int(vectors), range="I", lower=1, il=index + 1, iu=index + 1, lwork=_zheevr_lwork(H.shape[0]))
     if info != 0:
         raise NumericError(f"Hermitian eigensolver failed (LAPACK info {info})")
-    return _checked_pair(H, float(w[0]), z[:, 0]) if vectors else (float(w[0]), None)
+    if not vectors:
+        return float(w[0]), None
+    v = z[:, 0]
+    return _checked_pair(float(w[0]), v, H @ v, max(1.0, float(np.max(np.abs(H)))))
 
 
-def _checked_pair(H: np.ndarray, lam: float, v: np.ndarray):
+def _checked_pair(lam: float, v: np.ndarray, Hv: np.ndarray, scale: float):
     """(lam, v), once the residual of H v = lam v is small enough to trust.
 
-    The residual is divided by H's largest entry before its norm is taken,
-    so entries near the overflow threshold cannot overflow it.
+    ``Hv`` is H v and ``scale`` is max(1, max_ij |H_ij|).  The residual is
+    divided by the scale before its norm is taken, so entries near the
+    overflow threshold cannot overflow it, and must stay within
+    1e-10 sqrt(n) for H of size n.
     """
-    scale = max(1.0, float(np.max(np.abs(H))))
-    residual = float(np.linalg.norm((H @ v - lam * v) / scale))
-    if residual > 1e-10 * np.sqrt(H.shape[0]):
+    residual = float(np.linalg.norm((Hv - lam * v) / scale))
+    if residual > 1e-10 * np.sqrt(v.size):
         raise NumericError(f"eigenpair residual too large: {residual * scale:.3e}")
     return lam, v
 
@@ -214,19 +235,49 @@ def _range_basis(M: np.ndarray):
     return None if tau > 0.5e-10 * np.sqrt(n) else (Q[:, :k], Q[:, k])
 
 
+def _scale_entries(A_re: np.ndarray, A_im: np.ndarray):
+    """The entries (a, b) of A_re and A_im at which max_ij |c a + s b| can fall, for any angle (c, s) = (cos, sin).
+
+    |c a + s b|^2 = P + Q cos 2 theta + X sin 2 theta with P = (|a|^2 +
+    |b|^2) / 2, Q = (|a|^2 - |b|^2) / 2 and X = Re(a conj(b)), so over the
+    angles |c a + s b| sweeps [lo, hi] with hi^2 = P + W, W = hypot(Q, X),
+    and lo = |Im(a conj(b))| / hi, since P^2 - W^2 = Im(a conj(b))^2.  An
+    entry whose hi lies below the largest lo never holds the maximum.  The
+    entries are divided by the largest of them first, so nothing overflows,
+    and an entry is dropped only if its hi falls short by more than 1e-12,
+    far above the rounding of hi, lo and c a + s b.  A Hermitian block has
+    lo = 0 everywhere and keeps every entry.  The entries go in slices of
+    4096, so that the temporaries stay small next to the block.
+    """
+    a, b = A_re.ravel(), A_im.ravel()
+    largest = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    hi, lo_max = np.empty(a.size), 0.0
+    for i in range(0, a.size, 1 << 12):
+        part = slice(i, i + (1 << 12))
+        an, bn = a[part] / largest, b[part] / largest
+        sa, sb, ab = np.abs(an) ** 2, np.abs(bn) ** 2, an * bn.conj()
+        hi[part] = h = np.sqrt((sa + sb) / 2.0 + np.hypot((sa - sb) / 2.0, ab.real))
+        lo_max = max(lo_max, float(np.max(np.abs(ab.imag) / np.where(h > 0.0, h, 1.0))))
+    keep = hi >= lo_max - 1e-12
+    return a[keep], b[keep]
+
+
 class _Block:
     """One residue-class block of a sweep: its parts of A, A_re, A_im and its solver.
 
     A block with a narrow band is solved on the band.  Any other block is
     solved on the basis Q of ``_range_basis`` where that is smaller than
-    the block, as B(theta) = Q* H(theta) Q, and otherwise dense.
+    the block, as B(theta) = Q* H(theta) Q, and otherwise dense.  Each
+    eigenvector is checked against the block of H(theta); the banded and
+    reduced solvers take H(theta) v and max_ij |H_ij(theta)| from what
+    they store here, so neither forms H(theta).
     """
 
     def __init__(self, M, A_re, A_im, idx, kd):
         whole = idx.size == M.shape[0]
         self.M, self.re, self.im = (X if whole else X[np.ix_(idx, idx)] for X in (M, A_re, A_im))
         self.n = idx.size
-        self.band = self.basis = None
+        self.band = self.basis = basis = None
         if _BAND_RATIO * kd <= self.n:
             # LAPACK lower band storage: band[d, j] = X[j + d, j]
             self.band = np.zeros((2, kd + 1, self.n), dtype=complex)
@@ -234,30 +285,56 @@ class _Block:
                 self.band[:, d, : self.n - d] = [np.diagonal(self.re, -d), np.diagonal(self.im, -d)]
             self.start = np.random.default_rng(0).standard_normal(self.n).astype(complex)
         else:
-            self.basis, self.null = _range_basis(self.M) or (None, None)
-        if self.basis is not None:
-            B = self.basis.conj().T @ self.M @ self.basis
+            basis = _range_basis(self.M)
+        if basis is not None:
+            Q, z = basis
+            B = Q.conj().T @ self.M @ Q
             self.reduced = np.stack([(B + B.conj().T) / 2.0, (B - B.conj().T) / 2j])
-
-    def hermitian(self, c, s):
-        return c * self.re + s * self.im
+            # a vector v = [Q, z] u has H(theta) v = (c G[0] + s G[1]) u and v* A v = u* B_z u
+            self.basis = np.column_stack([Q, z])
+            self.B_z = self.basis.conj().T @ self.M @ self.basis
+            self.G = np.stack([self.re @ self.basis, self.im @ self.basis])
+            self.scale_entries = _scale_entries(self.re, self.im)
 
     def top(self, c, s, vectors: bool):
-        """Top eigenvalue of this block of H(theta) and, with ``vectors``, its eigenvector checked against H(theta)."""
+        """Top eigenvalue of this block of H(theta) and, with ``vectors``, its eigenvector checked against H(theta).
+
+        The eigenvector goes back as its coordinates u in [Q, z] on a
+        reduced block and as itself on any other; ``point`` reads either.
+        """
         if self.band is not None:
             ab = c * self.band[0] + s * self.band[1]
             lam = _band_top(ab)
-            v = _band_vector(ab, lam, self.start) if vectors else None
-        elif self.basis is not None:
-            k = self.basis.shape[1]
-            lam, y = _eigpair(c * self.reduced[0] + s * self.reduced[1], k - 1, vectors)
-            # where h_B < 0 the support is 0, attained off the basis; a NaN
-            # stays NaN and wins the sweep's argmax
-            v = None if y is None else self.basis @ y if lam >= 0.0 else self.null
-            lam = float(np.maximum(lam, 0.0))
+            if not vectors:
+                return lam, None
+            from scipy.linalg.blas import zhbmv
+            v = _band_vector(ab, lam, self.start)
+            # ab is this block of H(theta) in band storage: H v at O(n kd), and max |ab| = max_ij |H_ij(theta)|
+            return _checked_pair(lam, v, zhbmv(ab.shape[0] - 1, 1.0, ab, v, lower=1), max(1.0, float(np.max(np.abs(ab)))))
+        if self.basis is None:
+            return _eigpair(c * self.re + s * self.im, self.n - 1, vectors)
+        k = self.reduced.shape[1]
+        lam, y = _eigpair(c * self.reduced[0] + s * self.reduced[1], k - 1, vectors)
+        support = float(np.maximum(lam, 0.0))  # a NaN stays NaN and wins the sweep's argmax
+        if not vectors:
+            return support, None
+        u = np.zeros(k + 1, dtype=complex)
+        if lam >= 0.0:
+            u[:k] = y
         else:
-            return _eigpair(self.hermitian(c, s), self.n - 1, vectors)
-        return _checked_pair(self.hermitian(c, s), lam, v) if vectors else (lam, None)
+            u[k] = 1.0  # where h_B < 0 the support is 0, attained at z, off the basis
+        a, b = self.scale_entries
+        Hv = c * (self.G[0] @ u) + s * (self.G[1] @ u)
+        _checked_pair(support, self.basis @ u, Hv, max(1.0, float(np.max(np.abs(c * a + s * b)))))
+        return support, u
+
+    def point(self, x) -> complex:
+        """The boundary point v* A v of the eigenvector ``top`` returned as ``x``."""
+        if self.band is not None:
+            from scipy.linalg.blas import zhbmv  # A_re v and A_im v from the band storage, at O(n kd)
+            re_x, im_x = (zhbmv(X.shape[0] - 1, 1.0, X, x, lower=1) for X in self.band)
+            return complex(np.vdot(x, re_x).real, np.vdot(x, im_x).real)
+        return complex(x.conj() @ ((self.M if self.basis is None else self.B_z) @ x))
 
 
 def _sweep(A, thetas: np.ndarray, vectors: bool):
@@ -282,9 +359,9 @@ def _sweep(A, thetas: np.ndarray, vectors: bool):
         c, s = np.cos(th), np.sin(th)
         tops = [block.top(c, s, vectors) for block in blocks]
         j = int(np.argmax([lam for lam, _ in tops]))  # a NaN wins and fails the check below
-        (h[k], v), win = tops[j], blocks[j]
+        (h[k], x), win = tops[j], blocks[j]
         if vectors:
-            points[k] = v.conj() @ (win.M @ v)
+            points[k] = win.point(x)
     if not (np.all(np.isfinite(h)) and (points is None or np.all(np.isfinite(points)))):
         raise NumericError("support sweep produced non-finite values")
     return h, points

@@ -10,7 +10,9 @@ equivariance.
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
+from bergrange import numrange
 from bergrange.core import NumericError, UsageError
 from bergrange.numrange import (
     DiscSpec,
@@ -27,8 +29,10 @@ from bergrange.numrange import (
     shape_containment,
     support_function,
     support_of,
+    _Block,
     _range_basis,
     _residue_classes,
+    _scale_entries,
 )
 from bergrange.operators import BiPolySymbol, build_multiplication, build_toeplitz, build_weighted_composition
 
@@ -90,6 +94,17 @@ def _dense_composition(rng, n):
     mags = rng.uniform(0.5, 1.0, 3)
     mags *= rng.uniform(0.6, 0.9) / mags.sum()
     return build_weighted_composition(psi, mags * np.exp(2j * np.pi * rng.uniform(size=3)), 0.0, n).matrix
+
+
+def _blocks(A):
+    """The residue-class blocks a sweep of A solves, each with its solver."""
+    A_re, A_im = (A + A.conj().T) / 2.0, (A - A.conj().T) / 2j
+    classes, kd = _residue_classes(A)
+    return [_Block(A, A_re, A_im, idx, kd) for idx in classes]
+
+
+def _path(block):
+    return "band" if block.band is not None else "reduced" if block.basis is not None else "dense"
 
 
 def _theo2(n):
@@ -165,6 +180,97 @@ class TestSweepKernel:
         assert np.max(np.abs(support_function(A, self.THETAS) - want)) <= 1e-13 * 1e300
         for th, p, s in boundary_points(A, 64):
             assert abs((np.exp(-1j * th) * p).real - s) <= 1e-12 * 1e300
+
+    def test_block_checks_use_the_exact_scale_and_residual(self, monkeypatch):
+        # every vector check a boundary sweep makes, on the 90-angle grid: the
+        # banded and reduced blocks never form H(theta), yet their scale must be
+        # max(1, max |H_ij(theta)|) bit for bit and their H v that of the full
+        # block of H(theta), so the residual is the one a dense check would see
+        checks = []
+        original = numrange._checked_pair
+        monkeypatch.setattr(numrange, "_checked_pair", lambda *args: checks.append(args) or original(*args))
+        paths = set()
+        cases = list(_structured_matrices()) + [("theo2", _theo2(128))]
+        # at 1e3 times the size the scale is not hidden by its floor of 1
+        for name, A in cases + [(f"{name} x 1e3", 1e3 * A) for name, A in cases]:
+            for block in _blocks(A):
+                paths.add(_path(block))
+                for th in 2.0 * np.pi * np.arange(90) / 90:
+                    c, s = np.cos(th), np.sin(th)
+                    checks.clear()
+                    block.top(c, s, vectors=True)
+                    lam, v, Hv, scale = checks[-1]
+                    H = c * block.re + s * block.im
+                    assert v.size == block.n and scale == max(1.0, float(np.max(np.abs(H)))), name
+                    assert np.linalg.norm(Hv - H @ v) <= 1e-12 * scale, name
+                    full = np.linalg.norm(H @ v - lam * v)
+                    assert abs(np.linalg.norm(Hv - lam * v) - full) <= 1e-12 * scale, name
+        assert paths == {"band", "reduced", "dense"}
+
+    def test_scale_entries_hold_the_largest_entry_at_every_angle(self):
+        # random parts of scale 1e-5 and 1e5 drop entries; where lo = 0
+        # everywhere (Hermitian, skew-Hermitian, a phase times Hermitian)
+        # every entry is kept
+        rng = np.random.default_rng(23)
+        pairs = []
+        for k in range(50):
+            A = 10.0 ** (5 * (-1) ** k) * (rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+            pairs.append(((A + A.conj().T) / 2.0, (A - A.conj().T) / 2j, True))
+        X = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        Y = X + X.conj().T
+        pairs += [(Y, 0.0 * Y, False), (0.0 * Y, Y, False), (np.cos(0.3) * Y, np.sin(0.3) * Y, False)]
+        thetas = 2.0 * np.pi * np.arange(360) / 360
+        for A_re, A_im, drops in pairs:
+            a, b = _scale_entries(A_re, A_im)
+            assert (a.size < A_re.size) == drops
+            for c, s in zip(np.cos(thetas), np.sin(thetas)):
+                assert np.max(np.abs(c * a + s * b)) == np.max(np.abs(c * A_re + s * A_im))
+
+    def test_perturbed_vectors_fail_the_check_on_every_path(self, monkeypatch):
+        # a top eigenvector moved by 1e-6 on each path must fail the check
+        # against the full-size block of H(theta)
+        rng = np.random.default_rng(3)
+
+        def nudge(v):
+            w = v + 1e-6 * (rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size))
+            return w / np.linalg.norm(w)
+
+        band_vector, eigpair, zheevr = numrange._band_vector, numrange._eigpair, scipy.linalg.lapack.zheevr
+
+        def nudged_eigpair(*args):
+            lam, y = eigpair(*args)  # its k x k check passes before y is moved
+            return lam, nudge(y)
+
+        def nudged_zheevr(*args, **kwargs):
+            w, z, *rest = zheevr(*args, **kwargs)
+            z[:, 0] = nudge(z[:, 0])
+            return (w, z, *rest)
+
+        matrices = dict(_structured_matrices())
+        for name, path, module, target, fake in (
+            ("t3", "band", numrange, "_band_vector", lambda *args: nudge(band_vector(*args))),
+            ("composition", "reduced", numrange, "_eigpair", nudged_eigpair),
+            ("dense24", "dense", scipy.linalg.lapack, "zheevr", nudged_zheevr),
+        ):
+            (block,) = _blocks(matrices[name])
+            assert _path(block) == path
+            with monkeypatch.context() as patch:
+                patch.setattr(module, target, fake)
+                with pytest.raises(NumericError, match="residual"):
+                    boundary_points(matrices[name], 8)
+
+    def test_reduced_points_match_the_top_eigenvector(self):
+        # the reduced path takes the point as y* B y; on a clear top eigengap
+        # that is v* A v for the top eigenvector of H(theta)
+        matrices = dict(_structured_matrices())
+        for name in ("composition", "pro1_ellipse"):
+            A = matrices[name]
+            norm = np.linalg.norm(A, 2)
+            for th, p, _ in boundary_points(A, 90):
+                r = np.exp(-1j * th)
+                w, V = np.linalg.eigh((r * A + np.conj(r) * A.conj().T) / 2.0)
+                assert w[-1] - w[-2] >= 1e-2 * norm, name
+                assert abs(p - V[:, -1].conj() @ A @ V[:, -1]) <= 1e-12 * norm, name
 
     def test_supports_match_dense_eigvalsh(self):
         for name, A in _structured_matrices():
