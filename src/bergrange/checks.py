@@ -11,6 +11,14 @@ uniform angle grid: for convex sets the sup-norm gap of the support
 functions equals their Hausdorff distance, and support dominance along
 a grid is exact for nested compressions, so the tests avoid the sag of
 inscribed polygons entirely.
+
+Parameters are read by the validators of ``bergrange.core``, as job
+configs are, so a report records only values its check ran at.  Counts
+are integers (Python or NumPy, never bool), real parameters are numbers,
+coefficient lists such as ``psi`` are lists of [re, im] pairs, and a
+single complex value such as ``lam`` is a pair or a plain number.  Any
+other value raises UsageError naming the parameter, which the command
+line reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -22,6 +30,11 @@ import numpy as np
 
 from bergrange.core import (
     UsageError,
+    _as_complex,
+    _as_int,
+    _as_list,
+    _as_number,
+    _as_pairs,
     alpha_weight,
     disk_quadrature,
     kernel_coeffs,
@@ -33,6 +46,7 @@ from bergrange.core import (
 from bergrange.numrange import (
     DiscSpec,
     EllipseSpec,
+    _angle_grid,
     _image_samples,
     boundary_points,
     ellipse_from_2x2,
@@ -77,27 +91,14 @@ class CheckReport:
         }
 
 
-def _cplx(value) -> complex:
-    """Accept [re, im] pairs or plain numbers."""
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise UsageError(f"complex values are [re, im] pairs, got {value!r}")
-        return complex(float(value[0]), float(value[1]))
-    return complex(value)
+def _each(read, values, where: str, *args) -> list:
+    """Entry i of a non-empty list read as ``read(entry, "where[i]", *args)``."""
+    return [read(v, f"{where}[{i}]", *args) for i, v in enumerate(_as_list(values, where, "values"))]
 
 
-def _coeffs(pairs) -> np.ndarray:
-    return np.array([_cplx(p) for p in pairs], dtype=complex)
-
-
-def _grid(K: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(K) / K
-
-
-def _pos_int(value, name: str, minimum: int = 1) -> int:
-    if not isinstance(value, (int, np.integer)) or value < minimum:
-        raise UsageError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+def _sizes(p) -> tuple:
+    """The weight parameter alpha, truncation N >= 2 and grid size K >= 8 of a sweep check."""
+    return _as_number(p["alpha"], "alpha"), _as_int(p["N"], "N", 2), _as_int(p["K"], "K", 8)
 
 
 def _padded_coeff(coeffs: np.ndarray, k: int) -> complex:
@@ -115,14 +116,14 @@ def _support_gap(h_a: np.ndarray, h_b: np.ndarray) -> float:
 
 
 def _run_t1_spectrum(p):
-    alpha, N = float(p["alpha"]), _pos_int(p["N"], "N", 2)
-    cover = float(p["cover"])
+    alpha, N = _as_number(p["alpha"], "alpha"), _as_int(p["N"], "N", 2)
+    cover = _as_number(p["cover"], "cover")
     T = build_toeplitz([(1, 0, 0.5), (0, 1, 0.5)], alpha, N)
     herm_dev = float(np.max(np.abs(T.matrix - T.matrix.conj().T)))
     vals = np.linalg.eigvalsh(T.matrix)
     lam_min, lam_max = float(vals[0]), float(vals[-1])
     # the symbol Re z sampled over the closed disk; extremes sit on the circle
-    theta = _grid(512)
+    theta = _angle_grid(512)
     radii = np.linspace(0.0, 1.0, 21)
     samples = np.real(radii[:, None] * np.exp(1j * theta)[None, :])
     s_inf, s_sup = float(np.min(samples)), float(np.max(samples))
@@ -149,18 +150,18 @@ def _run_t1_spectrum(p):
 
 
 def _run_t3_harmonic(p):
-    alpha, N, K = float(p["alpha"]), _pos_int(p["N"], "N", 2), _pos_int(p["K"], "K", 8)
-    a, delta = float(p["a"]), float(p["delta"])
+    alpha, N, K = _sizes(p)
+    a, delta = _as_number(p["a"], "a"), _as_number(p["delta"], "delta")
     sym = BiPolySymbol(((1, 0, 1.0), (0, 1, a)))
     T = build_toeplitz(sym, alpha, N)
-    theta = _grid(K)
+    theta = _angle_grid(K)
     h_sweep = support_function(T, theta)
     h_closure = support_of(_image_samples(sym, [1.0], 2048), theta)
     exclusion = float(np.min(h_closure - h_sweep))
     hausdorff = _support_gap(h_closure, h_sweep)
     # interior probes: the image of a slightly shrunk circle must already be
     # swallowed by the swept range (support inequalities on the grid)
-    probes = sym((1.0 - delta) * np.exp(1j * _grid(64)))
+    probes = sym((1.0 - delta) * np.exp(1j * _angle_grid(64)))
     probe_margin = float(np.min(h_sweep - support_of(probes, theta)))
     tol = 0.02
     passed = hausdorff <= tol and exclusion > 0.0 and probe_margin > 0.0
@@ -177,10 +178,10 @@ def _run_t3_harmonic(p):
 
 
 def _run_c1_multiplication(p):
-    alpha, N, K = float(p["alpha"]), _pos_int(p["N"], "N", 2), _pos_int(p["K"], "K", 8)
-    psi = _coeffs(p["psi"])
+    alpha, N, K = _sizes(p)
+    psi = _as_pairs(p["psi"], "psi")
     M = build_multiplication(psi, alpha, N)
-    theta = _grid(K)
+    theta = _angle_grid(K)
     h_sweep = support_function(M, theta)
     image = _image_samples(series(psi), np.linspace(0.0, 1.0, 33), 512)
     hausdorff = _support_gap(h_sweep, support_of(image, theta))
@@ -194,12 +195,11 @@ def _run_c1_multiplication(p):
 
 
 def _run_zsq_diagonal(p):
-    N = _pos_int(p["N"], "N", 2)
+    N = _as_int(p["N"], "N", 2)
     tol = 1e-10
     metrics = {}
     passed = True
-    for alpha in p["alphas"]:
-        alpha = float(alpha)
+    for alpha in _each(_as_number, p["alphas"], "alphas"):
         T = build_toeplitz([(1, 1, 1.0)], alpha, N).matrix
         off = float(np.max(np.abs(T - np.diag(np.diag(T)))))
         n = np.arange(N)
@@ -231,14 +231,16 @@ def _run_zsq_diagonal(p):
 
 
 def _run_l11_bounded(p):
-    n_max = _pos_int(p["n_max"], "n_max", 2)
+    n_max = _as_int(p["n_max"], "n_max", 2)
     tol = 1e-10
     metrics = {}
     passed = True
-    for pair in p["pairs"]:
-        m, c = int(pair[0]), float(pair[1])
-        if m < 1 or c <= 1.0:
-            raise UsageError(f"pairs must satisfy m >= 1 and c > 1, got {pair!r}")
+    for i, pair in enumerate(_as_list(p["pairs"], "pairs", "[m, c] pairs")):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise UsageError(f"pairs[{i}] must be an [m, c] pair, got {pair!r}")
+        m, c = _as_int(pair[0], f"pairs[{i}][0]", 1), _as_number(pair[1], f"pairs[{i}][1]")
+        if c <= 1.0:
+            raise UsageError(f"pairs[{i}][1] must be > 1, got {c}")
         x = 1.0
         xs = [x]
         for n in range(n_max):
@@ -261,14 +263,13 @@ def _run_l11_bounded(p):
 
 
 def _run_block_decomposition(p):
-    alpha, N = float(p["alpha"]), _pos_int(p["N"], "N", 2)
-    g = _coeffs(p["g"])
+    alpha, N = _as_number(p["alpha"], "alpha"), _as_int(p["N"], "N", 2)
+    g = _as_pairs(p["g"], "g")
     tol = 1e-12
     metrics = {}
     passed = True
     worst = 0.0
-    for order in p["orders"]:
-        order = _pos_int(order, "order", 2)
+    for order in _each(_as_int, p["orders"], "orders", 2):
         psi = np.zeros(order * (g.size - 1) + 1, dtype=complex)
         psi[::order] = g
         M = build_multiplication(psi, alpha, N)
@@ -291,12 +292,12 @@ def _run_block_decomposition(p):
 
 
 def _run_th1_rotation(p):
-    alpha, N, K = float(p["alpha"]), _pos_int(p["N"], "N", 2), _pos_int(p["K"], "K", 8)
-    n = _pos_int(p["n"], "n", 2)
-    psi = _coeffs(p["psi"])
+    alpha, N, K = _sizes(p)
+    n = _as_int(p["n"], "n", 2)
+    psi = _as_pairs(p["psi"], "psi")
     lam = np.exp(2j * np.pi / n)
     A = build_weighted_composition(psi, [0.0, lam], alpha, N)
-    theta = _grid(K)
+    theta = _angle_grid(K)
     h_sweep = support_function(A, theta)
     image = _image_samples(series(psi), np.linspace(0.0, 1.0, 33), 512)
     union = np.concatenate([lam**j * image for j in range(n)])
@@ -310,12 +311,11 @@ def _run_th1_rotation(p):
 
 
 def _run_c2_polygon(p):
-    alpha, N, K = float(p["alpha"]), _pos_int(p["N"], "N", 2), _pos_int(p["K"], "K", 8)
+    alpha, N, K = _sizes(p)
     tol = 1e-12
     metrics = {}
     passed = True
-    for order in p["orders"]:
-        order = _pos_int(order, "order", 2)
+    for order in _each(_as_int, p["orders"], "orders", 2):
         if N < order:
             raise UsageError(f"N must be >= the rotation order, got N={N} < {order}")
         lam = np.exp(2j * np.pi / order)
@@ -337,13 +337,12 @@ def _run_c2_polygon(p):
 
 
 def _run_th2_symmetric(p):
-    alpha, N, K = float(p["alpha"]), _pos_int(p["N"], "N", 2), _pos_int(p["K"], "K", 8)
-    c = complex(_cplx(p["c"]))
+    alpha, N, K = _sizes(p)
+    c = _as_complex(p["c"], "c")
     tol = 1e-8
     metrics = {}
     passed = True
-    for order in p["orders"]:
-        order = _pos_int(order, "order", 2)
+    for order in _each(_as_int, p["orders"], "orders", 2):
         if K % order != 0:
             raise UsageError(f"K must be divisible by every order, got K={K}, order={order}")
         # psi = f(z^n) with f(u) = u + c u^(n+1); every exponent of f is
@@ -357,7 +356,7 @@ def _run_th2_symmetric(p):
         u = mu ** np.arange(N)
         conjugated = (u[:, None] * A.matrix) * np.conj(u)[None, :]
         equiv_dev = float(np.max(np.abs(conjugated - lam * A.matrix)))
-        theta = _grid(K)
+        theta = _angle_grid(K)
         h = support_function(A, theta)
         sym_dev = float(np.max(np.abs(h - np.roll(h, -(K // order)))))
         image = _image_samples(series(psi), np.linspace(0.0, 1.0, 33), 1024)
@@ -374,9 +373,9 @@ def _run_th2_symmetric(p):
 
 
 def _run_theo1_kernel_sum(p):
-    alpha, N = float(p["alpha"]), _pos_int(p["N"], "N", 2)
-    w0 = _cplx(p["w0"])
-    ts = [float(t) for t in p["ts"]]
+    alpha, N = _as_number(p["alpha"], "alpha"), _as_int(p["N"], "N", 2)
+    w0 = _as_complex(p["w0"], "w0")
+    ts = _each(_as_number, p["ts"], "ts")
     tol = 1e-8
     # part one: both weights vanish at w0, so the kernel form of the sum
     # vanishes there as well
@@ -432,8 +431,8 @@ def _run_theo1_kernel_sum(p):
 
 
 def _run_pro1_rank_one(p):
-    alpha, N, K = float(p["alpha"]), _pos_int(p["N"], "N", 2), _pos_int(p["K"], "K", 8)
-    theta = _grid(K)
+    alpha, N, K = _sizes(p)
+    theta = _angle_grid(K)
     tol = 1e-8
     # case one: constant weight, target 0 -> segment from 0 to the weight
     c0 = 0.7 + 0.2j
@@ -471,10 +470,10 @@ def _run_pro1_rank_one(p):
 
 
 def _run_theo2_zero_interior(p):
-    alpha, K = float(p["alpha"]), _pos_int(p["K"], "K", 8)
-    margin_req = float(p["margin"])
-    schedule = [_pos_int(N, "schedule entry", 2) for N in p["schedule"]]
-    theta = _grid(K)
+    alpha, K = _as_number(p["alpha"], "alpha"), _as_int(p["K"], "K", 8)
+    margin_req = _as_number(p["margin"], "margin")
+    schedule = _each(_as_int, p["schedule"], "schedule", 2)
+    theta = _angle_grid(K)
     phi = [0.0, 0.45, 0.45]
     margins = []
     for N in schedule:
@@ -493,10 +492,10 @@ def _run_theo2_zero_interior(p):
 
 
 def _run_theo3_zero_interior(p):
-    alpha, N, K = float(p["alpha"]), _pos_int(p["N"], "N", 2), _pos_int(p["K"], "K", 8)
-    margin_req = float(p["margin"])
+    alpha, N, K = _sizes(p)
+    margin_req = _as_number(p["margin"], "margin")
     A = build_weighted_composition([1.0, 1.0], [0.0, -1.0], alpha, N)
-    margin = float(np.min(support_function(A, _grid(K))))
+    margin = float(np.min(support_function(A, _angle_grid(K))))
     return (
         margin >= margin_req,
         {"margin": margin},
@@ -506,8 +505,8 @@ def _run_theo3_zero_interior(p):
 
 
 def _run_remark_counterexample(p):
-    alpha, K = float(p["alpha"]), _pos_int(p["K"], "K", 8)
-    schedule = [_pos_int(N, "schedule entry", 2) for N in p["schedule"]]
+    alpha, K = _as_number(p["alpha"], "alpha"), _as_int(p["K"], "K", 8)
+    schedule = _each(_as_int, p["schedule"], "schedule", 2)
     tol = 0.1
     psi, phi = [1.0, 0.25], [0.0, 0.5]
     metrics = {}
@@ -535,9 +534,9 @@ def _run_remark_counterexample(p):
 
 
 def _run_th_disc_one(p):
-    alpha, N, K = float(p["alpha"]), _pos_int(p["N"], "N", 2), _pos_int(p["K"], "K", 8)
-    m = _pos_int(p["m"], "m", 1)
-    n_lambda = _pos_int(p["n_lambda"], "n_lambda", 4)
+    alpha, N, K = _sizes(p)
+    m = _as_int(p["m"], "m", 1)
+    n_lambda = _as_int(p["n_lambda"], "n_lambda", 4)
     if N <= 3 * m:
         raise UsageError(f"N must exceed 3m to hold the witness action, got N={N}, m={m}")
     psi = np.zeros(m + 1, dtype=complex)
@@ -554,7 +553,7 @@ def _run_th_disc_one(p):
         v[m] = np.sqrt(w_m) * scale
         form = complex(v.conj() @ (A.matrix @ v))
         devs.append(abs(form - radius * lam))
-    theta = _grid(K)
+    theta = _angle_grid(K)
     containment = float(np.min(support_function(A, theta) - radius))
     tol = 1e-10
     passed = max(devs) <= tol and containment >= -1e-9
@@ -571,9 +570,9 @@ def _run_th_disc_one(p):
 
 
 def _run_th_disc_two(p):
-    alpha, N, K = float(p["alpha"]), _pos_int(p["N"], "N", 2), _pos_int(p["K"], "K", 8)
-    m = _pos_int(p["m"], "m", 2)
-    lam = _cplx(p["lam"])
+    alpha, N, K = _sizes(p)
+    m = _as_int(p["m"], "m", 2)
+    lam = _as_complex(p["lam"], "lam")
     if abs(abs(lam) - 1.0) > 1e-12:
         raise UsageError(f"lam must be unimodular, got |lam| = {abs(lam)}")
     if N <= m:
@@ -584,7 +583,7 @@ def _run_th_disc_two(p):
     structure_dev = float(max(abs(B[0, 0]), abs(B[0, 1]), abs(B[1, 1])))
     psi_hat = _padded_coeff(psi, m - 1)
     radius = 0.5 * np.sqrt(norm_ratio(1, alpha) / norm_ratio(m, alpha)) * abs(lam * psi_hat)
-    theta = _grid(K)
+    theta = _angle_grid(K)
     h_b = support_function(B, theta)
     radius_dev = float(np.max(np.abs(h_b - radius)))
     containment = float(np.min(support_function(A, theta) - h_b))
@@ -602,12 +601,12 @@ def _run_th_disc_two(p):
 
 
 def _run_th_circle_3x3(p):
-    alpha, N, K = float(p["alpha"]), _pos_int(p["N"], "N", 2), _pos_int(p["K"], "K", 8)
-    n = _pos_int(p["n"], "n", 2)
-    m1, m2 = _pos_int(p["m1"], "m1", 1), _pos_int(p["m2"], "m2", 2)
+    alpha, N, K = _sizes(p)
+    n = _as_int(p["n"], "n", 2)
+    m1, m2 = _as_int(p["m1"], "m1", 1), _as_int(p["m2"], "m2", 2)
     if m2 <= m1:
         raise UsageError(f"need m2 > m1, got m1={m1}, m2={m2}")
-    psi = _coeffs(p["psi"])
+    psi = _as_pairs(p["psi"], "psi")
     i1, i2 = n * m1, n * m2
     if N <= i2:
         raise UsageError(f"N must exceed n*m2 = {i2}, got {N}")
@@ -637,7 +636,7 @@ def _run_th_circle_3x3(p):
         inner = c_ratio * abs(_padded_coeff(psi, i1)) ** 2 + abs(_padded_coeff(psi, k)) ** 2
         return 0.5 * np.sqrt(w2 * (inner + (1.0 / c_ratio) * abs(_padded_coeff(psi, i2)) ** 2))
 
-    theta = _grid(K)
+    theta = _angle_grid(K)
     h_b = support_function(B, theta)
     radial = h_b - support_of(np.array([center]), theta)
     radius_dev = float(np.max(np.abs(radial - radius_formula)))
@@ -674,12 +673,10 @@ def _run_th_circle_3x3(p):
 
 
 def _run_th_ellipse_rotation(p):
-    alpha, N, K = float(p["alpha"]), _pos_int(p["N"], "N", 2), _pos_int(p["K"], "K", 8)
-    n = _pos_int(p["n"], "n", 2)
-    pp, j = int(p["p"]), _pos_int(p["j"], "j", 1)
-    if pp < 0:
-        raise UsageError(f"p must be >= 0, got {pp}")
-    psi = _coeffs(p["psi"])
+    alpha, N, K = _sizes(p)
+    n = _as_int(p["n"], "n", 2)
+    pp, j = _as_int(p["p"], "p", 0), _as_int(p["j"], "j", 1)
+    psi = _as_pairs(p["psi"], "psi")
     k = n * pp + j
     if N <= k:
         raise UsageError(f"N must exceed n*p + j = {k}, got {N}")
@@ -694,12 +691,10 @@ def _run_th_ellipse_rotation(p):
 
 
 def _run_th_ellipse_irrational(p):
-    alpha, N, K = float(p["alpha"]), _pos_int(p["N"], "N", 2), _pos_int(p["K"], "K", 8)
-    rot = float(p["theta"])
-    n, m = int(p["n"]), _pos_int(p["m"], "m", 1)
-    if n < 0:
-        raise UsageError(f"n must be >= 0, got {n}")
-    psi = _coeffs(p["psi"])
+    alpha, N, K = _sizes(p)
+    rot = _as_number(p["theta"], "theta")
+    n, m = _as_int(p["n"], "n", 0), _as_int(p["m"], "m", 1)
+    psi = _as_pairs(p["psi"], "psi")
     if N <= n + m:
         raise UsageError(f"N must exceed n + m = {n + m}, got {N}")
     mu = np.exp(2j * np.pi * rot)
@@ -721,7 +716,7 @@ def _ellipse_compare(A, B, ell, f1_exp, f2_exp, minor_exp, K):
     )
     minor_dev = abs(ell.minor_axis - minor_exp)
     expected = EllipseSpec(f1_exp, f2_exp, minor_exp)
-    theta = _grid(K)
+    theta = _angle_grid(K)
     h_b = support_function(B, theta)
     h_exp = expected.support(theta)
     support_dev = _support_gap(h_b, h_exp)
@@ -745,9 +740,9 @@ def _ellipse_compare(A, B, ell, f1_exp, f2_exp, minor_exp, K):
 
 
 def _run_mobius_mean_value(p):
-    radial = _pos_int(p["radial"], "radial", 2)
-    angular = _pos_int(p["angular"], "angular", 2)
-    degree = _pos_int(p["degree"], "degree", 1)
+    radial = _as_int(p["radial"], "radial", 2)
+    angular = _as_int(p["angular"], "angular", 2)
+    degree = _as_int(p["degree"], "degree", 1)
     # a fixed harmonic dictionary: analytic plus anti-analytic parts with
     # deterministic coefficients
     a = np.array([1.0 / (k + 1.0) for k in range(degree + 1)], dtype=complex)
@@ -764,8 +759,7 @@ def _run_mobius_mean_value(p):
         return acc + anti * np.conj(z)
 
     errs = []
-    for pair in p["centers"]:
-        w = _cplx(pair)
+    for w in _each(_as_complex, p["centers"], "centers"):
         if abs(w) >= 1.0:
             raise UsageError(f"centers must lie in the open disk, got |w| = {abs(w)}")
 
@@ -787,7 +781,7 @@ def _run_mobius_mean_value(p):
 
 
 def _run_adjoint_kernel(p):
-    alpha, N = float(p["alpha"]), _pos_int(p["N"], "N", 2)
+    alpha, N = _as_number(p["alpha"], "alpha"), _as_int(p["N"], "N", 2)
     pairs = [
         ([1.0, 0.25], [0.0, 0.5]),
         ([0.0, 1.0], [0.0, 0.45, 0.45]),
@@ -1016,6 +1010,8 @@ def run_check(check_id: str, params: dict | None = None) -> CheckReport:
         raise UsageError(
             f"unknown parameters for {check_id}: {unknown}; allowed: {sorted(allowed)}"
         )
+    if "seed" in params:
+        _as_int(params["seed"], "seed", 0)
     merged = {**d.defaults, **params}
     passed, metrics, tolerance, notes = d.fn(merged)
     metrics = {k: float(v) for k, v in metrics.items()}

@@ -11,7 +11,11 @@ Subcommands:
 Job configs are JSON objects with the keys ``alpha``, ``truncation``,
 ``operator`` and optionally ``angles`` and ``seed``.  Unknown fields are
 rejected rather than ignored, so a typo cannot silently fall back to a
-default.  Exit codes: 0 success, 1 check failures, 2 usage or config
+default.  Fields and overrides are read by the validators of
+``bergrange.core``: an integer is a JSON integer, a number an integer or
+a float, a pair a list ``[re, im]`` of two numbers, and ``true``/``false``
+count as none of these.  Every such error is a UsageError naming the
+field.  Exit codes: 0 success, 1 check failures, 2 usage or config
 errors.
 """
 
@@ -26,7 +30,15 @@ from pathlib import Path
 import numpy as np
 
 from bergrange.checks import accepted_overrides, list_checks, run_all, run_check
-from bergrange.core import DomainError, NumericError, UsageError
+from bergrange.core import (
+    DomainError,
+    NumericError,
+    UsageError,
+    _as_int,
+    _as_list,
+    _as_number,
+    _as_pairs,
+)
 from bergrange.numrange import boundary_points
 from bergrange.operators import (
     OperatorTruncation,
@@ -58,35 +70,6 @@ def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise UsageError(f"missing field {key!r} in {where}")
     return obj[key]
-
-
-def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_int(value, where: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"{where} must be an integer, got {value!r}")
-    if value < minimum:
-        raise UsageError(f"{where} must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_pairs(value, where: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise UsageError(f"{where} must be a non-empty list of [re, im] pairs")
-    out = np.zeros(len(value), dtype=complex)
-    for i, pair in enumerate(value):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
-        ):
-            raise UsageError(f"{where}[{i}] must be a [re, im] pair, got {pair!r}")
-        out[i] = complex(pair[0], pair[1])
-    return out
 
 
 def parse_config(text: str) -> JobConfig:
@@ -129,8 +112,7 @@ def _build_spec(spec, alpha: float, truncation: int, where: str) -> OperatorTrun
     kind, body = next(iter(spec.items()))
     where = f"{where}.{kind}"
     if kind == "sum":
-        if not isinstance(body, list) or not body:
-            raise UsageError(f"{where} must be a non-empty list of operator objects")
+        body = _as_list(body, where, "operator objects")
         return operator_sum(
             [_build_spec(sub, alpha, truncation, f"{where}[{i}]") for i, sub in enumerate(body)]
         )
@@ -138,9 +120,7 @@ def _build_spec(spec, alpha: float, truncation: int, where: str) -> OperatorTrun
         raise UsageError(f"{where} must be an object")
     if kind == "toeplitz":
         _reject_unknown(body, {"terms"}, where)
-        terms = _require(body, "terms", where)
-        if not isinstance(terms, list) or not terms:
-            raise UsageError(f"{where}.terms must be a non-empty list")
+        terms = _as_list(_require(body, "terms", where), f"{where}.terms", "[p, q, re, im] terms")
         symbol = []
         for i, term in enumerate(terms):
             at = f"{where}.terms[{i}]"
@@ -325,11 +305,11 @@ def _cmd_range(args) -> int:
 def _cmd_check(args) -> int:
     overrides = {}
     if args.alpha is not None:
-        overrides["alpha"] = float(args.alpha)
+        overrides["alpha"] = args.alpha
     if args.truncation is not None:
-        overrides["N"] = int(args.truncation)
+        overrides["N"] = args.truncation
     if args.seed is not None:
-        overrides["seed"] = int(args.seed)
+        overrides["seed"] = args.seed
     if args.id == "all":
         reports = run_all(overrides)
     else:

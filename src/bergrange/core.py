@@ -60,8 +60,67 @@ class NumericError(ArithmeticError):
     """A computation produced non-finite or untrustworthy values."""
 
 
+# Input validators shared by every module.  An integer is a Python or NumPy
+# integer, a number is also a Python or NumPy float, and bool is neither;
+# ``where`` names the value in the UsageError raised for anything else.
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _as_number(value, where: str) -> float:
+    if not _is_number(value):
+        raise UsageError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_int(value, where: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise UsageError(f"{where} must be an integer, got {value!r}")
+    if value < minimum:
+        raise UsageError(f"{where} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _as_list(value, where: str, items: str) -> list:
+    """A non-empty list or tuple, whose entries the caller checks."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise UsageError(f"{where} must be a non-empty list of {items}")
+    return value
+
+
+def _as_pair(value, where: str) -> complex:
+    """The complex number re + i im from a [re, im] pair."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
+        raise UsageError(f"{where} must be a [re, im] pair, got {value!r}")
+    return complex(float(value[0]), float(value[1]))
+
+
+def _as_pairs(value, where: str) -> np.ndarray:
+    pairs = _as_list(value, where, "[re, im] pairs")
+    return np.array([_as_pair(pair, f"{where}[{i}]") for i, pair in enumerate(pairs)], dtype=complex)
+
+
+def _as_complex(value, where: str) -> complex:
+    """A real number or a [re, im] pair."""
+    if isinstance(value, (list, tuple)):
+        return _as_pair(value, where)
+    return complex(_as_number(value, where))
+
+
+def _as_matrix(A, where: str = "matrix") -> np.ndarray:
+    """A nonempty, finite, square complex array, read from A.matrix where A has one."""
+    M = np.asarray(getattr(A, "matrix", A), dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
+        raise UsageError(f"{where} must be square and nonempty, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise NumericError(f"{where} has non-finite entries")
+    return M
+
+
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
+    alpha = _as_number(alpha, "alpha")
     if not np.isfinite(alpha) or alpha <= -1.0:
         raise DomainError(f"alpha must be a finite real > -1, got {alpha}")
     return alpha
@@ -77,9 +136,8 @@ def norm_ratio(n: int, alpha: float):
     range, e.g. around 1e448 for n = 10^6, alpha = 100).
     """
     alpha = _check_alpha(alpha)
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise UsageError(f"n must be a nonnegative integer, got {n!r}")
-    log_r = float(_log_norm_ratios(alpha, int(n))[n])
+    n = _as_int(n, "n", 0)
+    log_r = float(_log_norm_ratios(alpha, n)[n])
     try:
         return math.exp(log_r)
     except OverflowError:
@@ -108,12 +166,9 @@ class AlphaWeight:
     """
 
     def __init__(self, alpha: float, max_index: int):
-        alpha = _check_alpha(alpha)
-        if not isinstance(max_index, (int, np.integer)) or max_index < 0:
-            raise UsageError(f"max_index must be a nonnegative integer, got {max_index!r}")
-        self.alpha = alpha
-        self.max_index = int(max_index)
-        self.log_norm_ratio = _log_norm_ratios(alpha, self.max_index)
+        self.alpha = _check_alpha(alpha)
+        self.max_index = _as_int(max_index, "max_index", 0)
+        self.log_norm_ratio = _log_norm_ratios(self.alpha, self.max_index)
         with np.errstate(over="ignore"):
             self.norm_ratio = np.exp(self.log_norm_ratio)
         self.monomial_norm_sq = np.exp(-self.log_norm_ratio)
@@ -150,9 +205,7 @@ class TruncatedSeries:
 
     def pad_to(self, truncation: int) -> "TruncatedSeries":
         """Extend with zero coefficients, or drop the tail, to the given degree."""
-        if truncation < 0:
-            raise UsageError("truncation must be >= 0")
-        n = truncation + 1
+        n = _as_int(truncation, "truncation", 0) + 1
         if n <= self.coeffs.size:
             return TruncatedSeries(self.coeffs[:n])
         out = np.zeros(n, dtype=complex)
@@ -183,13 +236,11 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 def series_pow(phi: TruncatedSeries, k: int) -> TruncatedSeries:
     """k-th power at fixed truncation; k = 0 gives the constant series 1."""
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise UsageError(f"exponent must be a nonnegative integer, got {k!r}")
+    k = _as_int(k, "exponent", 0)
     out = np.zeros(phi.truncation + 1, dtype=complex)
     out[0] = 1.0
     result = TruncatedSeries(out)
     base = phi
-    k = int(k)
     while k:
         if k & 1:
             result = series_mul(result, base)
@@ -237,10 +288,9 @@ def kernel_coeffs(w: complex, alpha: float, N: int, normalized: bool = False) ->
     w = complex(w)
     if abs(w) >= 1.0:
         raise DomainError(f"base point must satisfy |w| < 1, got |w| = {abs(w)}")
-    if not isinstance(N, (int, np.integer)) or N < 0:
-        raise UsageError(f"N must be a nonnegative integer, got {N!r}")
+    N = _as_int(N, "N", 0)
     n = np.arange(N + 1)
-    log_c = 0.5 * alpha_weight(alpha, int(N)).log_norm_ratio + xlogy(n, abs(w))
+    log_c = 0.5 * alpha_weight(alpha, N).log_norm_ratio + xlogy(n, abs(w))
     if normalized:
         log_c += (alpha / 2.0 + 1.0) * np.log1p(-abs(w) ** 2)
     c = np.exp(log_c) * np.exp(-1j * np.angle(w) * n)
@@ -249,12 +299,11 @@ def kernel_coeffs(w: complex, alpha: float, N: int, normalized: bool = False) ->
 
 def bipoly_moment(p: int, q: int, alpha: float) -> complex:
     """Weighted moment of z^p conj(z)^q: zero off the diagonal, w_p on it."""
-    if not isinstance(p, (int, np.integer)) or not isinstance(q, (int, np.integer)) or p < 0 or q < 0:
-        raise UsageError(f"exponents must be nonnegative integers, got ({p!r}, {q!r})")
+    p, q = _as_int(p, "p", 0), _as_int(q, "q", 0)
     _check_alpha(alpha)
     if p != q:
         return 0j
-    return complex(monomial_norm_sq(int(p), alpha))
+    return complex(monomial_norm_sq(p, alpha))
 
 
 @lru_cache(maxsize=64)
@@ -279,9 +328,9 @@ def disk_quadrature(
     ``f`` must accept a complex ndarray and evaluate elementwise.
     """
     alpha = _check_alpha(alpha)
-    if radial_nodes < 1 or angular_nodes < 1:
-        raise UsageError("node counts must be >= 1")
-    x, wj = _jacobi_rule(int(radial_nodes), alpha)
+    radial_nodes = _as_int(radial_nodes, "radial_nodes", 1)
+    angular_nodes = _as_int(angular_nodes, "angular_nodes", 1)
+    x, wj = _jacobi_rule(radial_nodes, alpha)
     t = (x + 1.0) / 2.0
     radial_w = (alpha + 1.0) * 2.0 ** (-(alpha + 1.0)) * wj
     theta = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes

@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from bergrange.core import NumericError, UsageError
+from bergrange.core import NumericError, UsageError, _as_int, _as_matrix
 
 __all__ = [
     "hermitian_extreme_eig",
@@ -71,16 +71,6 @@ __all__ = [
     "regular_polygon",
     "sample_image_hull",
 ]
-
-
-def _as_matrix(A) -> np.ndarray:
-    matrix = getattr(A, "matrix", A)
-    M = np.asarray(matrix, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
-        raise UsageError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise NumericError("matrix has non-finite entries")
-    return M
 
 
 @lru_cache(maxsize=64)
@@ -385,8 +375,7 @@ def support_function(A, thetas) -> np.ndarray:
 
 def _angle_grid(n_angles: int) -> np.ndarray:
     """The angles 2 pi j / n_angles, j = 0 .. n_angles - 1, for an integer n_angles >= 3."""
-    if not isinstance(n_angles, (int, np.integer)) or n_angles < 3:
-        raise UsageError(f"n_angles must be an integer >= 3, got {n_angles!r}")
+    n_angles = _as_int(n_angles, "n_angles", 3)
     return 2.0 * np.pi * np.arange(n_angles) / n_angles
 
 
@@ -505,8 +494,7 @@ class HullPolygon:
 
     def boundary_samples(self, n: int = 1024) -> np.ndarray:
         """Roughly arc-length-uniform samples along the closed boundary."""
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise UsageError(f"n must be an integer >= 1, got {n!r}")
+        n = _as_int(n, "n", 1)
         v = self.vertices
         if v.size == 1:
             return np.repeat(v, n)
@@ -657,8 +645,7 @@ def shape_containment(inner, outer, n_angles: int = 720) -> float:
 
 def regular_polygon(n: int, radius: float = 1.0, center: complex = 0j, phase: float = 0.0) -> np.ndarray:
     """Vertices of a regular n-gon, counterclockwise from the phase angle."""
-    if not isinstance(n, (int, np.integer)) or n < 3:
-        raise UsageError(f"polygon order must be an integer >= 3, got {n!r}")
+    n = _as_int(n, "polygon order", 3)
     k = np.arange(n)
     return center + radius * np.exp(1j * (phase + 2.0 * np.pi * k / n))
 

@@ -19,9 +19,11 @@ import numpy as np
 
 from bergrange.core import (
     DomainError,
-    NumericError,
     TruncatedSeries,
     UsageError,
+    _as_int,
+    _as_matrix,
+    _check_alpha,
     alpha_weight,
     kernel_coeffs,
     series,
@@ -67,11 +69,7 @@ class BiPolySymbol:
                 p, q, c = term
             except (TypeError, ValueError):
                 raise UsageError(f"symbol term must be (p, q, coeff), got {term!r}")
-            if not isinstance(p, (int, np.integer)) or not isinstance(q, (int, np.integer)):
-                raise UsageError(f"symbol exponents must be integers, got ({p!r}, {q!r})")
-            if p < 0 or q < 0:
-                raise UsageError(f"symbol exponents must be nonnegative, got ({p}, {q})")
-            key = (int(p), int(q))
+            key = (_as_int(p, "symbol exponent p", 0), _as_int(q, "symbol exponent q", 0))
             merged[key] = merged.get(key, 0j) + complex(c)
         clean = tuple(
             (p, q, c) for (p, q), c in sorted(merged.items()) if c != 0
@@ -111,11 +109,7 @@ class OperatorTruncation:
     params: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex).copy()
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise UsageError(f"matrix must be square and nonempty, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise NumericError(f"{self.kind} matrix has non-finite entries at alpha={self.alpha}")
+        m = _as_matrix(self.matrix, f"{self.kind} matrix at alpha={self.alpha}").copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -143,12 +137,6 @@ def _as_series(f, name: str) -> TruncatedSeries:
         raise UsageError(f"{name} must be a TruncatedSeries or a coefficient sequence")
 
 
-def _check_truncation(N) -> int:
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise UsageError(f"truncation must be a positive integer, got {N!r}")
-    return int(N)
-
-
 def build_toeplitz(symbol, alpha: float, N: int) -> OperatorTruncation:
     """Truncated Toeplitz operator with a bi-polynomial symbol.
 
@@ -157,8 +145,8 @@ def build_toeplitz(symbol, alpha: float, N: int) -> OperatorTruncation:
     c sqrt(r_n r_m) w_{n+p}, formed from log r with a nonpositive exponent.
     """
     sym = _as_symbol(symbol)
-    N = _check_truncation(N)
-    log_r = alpha_weight(float(alpha), N - 1 + sym.max_degree).log_norm_ratio
+    N = _as_int(N, "truncation", 1)
+    log_r = alpha_weight(alpha, N - 1 + sym.max_degree).log_norm_ratio
     A = np.zeros((N, N), dtype=complex)
     n_idx = np.arange(N)
     for p, q, c in sym.terms:
@@ -213,12 +201,12 @@ def build_weighted_composition(
     zero-padded.  When ``check_self_map`` is set, phi is rejected unless
     it is certified to map the disk into itself.
     """
-    N = _check_truncation(N)
+    N = _as_int(N, "truncation", 1)
     psi_s = _as_series(psi, "psi").pad_to(N - 1)
     phi_s = _as_series(phi, "phi").pad_to(N - 1)
     if check_self_map:
         _certify_self_map(phi_s)
-    log_r = alpha_weight(float(alpha), N - 1).log_norm_ratio
+    log_r = alpha_weight(alpha, N - 1).log_norm_ratio
     A = np.empty((N, N), dtype=complex)
     # phi cut to its degree makes each step O(N deg phi), not O(N^2)
     phi_c = phi_s.coeffs[: np.flatnonzero(phi_s.coeffs).max(initial=0) + 1]
@@ -245,9 +233,9 @@ def build_multiplication(psi, alpha: float, N: int) -> OperatorTruncation:
     the Toeplitz builder on analytic symbols and with the weighted
     composition builder at phi(z) = z.
     """
-    N = _check_truncation(N)
+    N = _as_int(N, "truncation", 1)
     psi_s = _as_series(psi, "psi").pad_to(N - 1)
-    log_r = alpha_weight(float(alpha), N - 1).log_norm_ratio
+    log_r = alpha_weight(alpha, N - 1).log_norm_ratio
     A = np.zeros((N, N), dtype=complex)
     for k in range(N):
         c = psi_s.coeffs[k]
@@ -283,11 +271,11 @@ def compress(op, indices) -> np.ndarray:
 
     Returns the dense submatrix A[indices, indices] in the given order.
     """
-    A = op.matrix if isinstance(op, OperatorTruncation) else np.asarray(op, dtype=complex)
-    idx = np.asarray(indices, dtype=int)
-    if idx.ndim != 1 or idx.size == 0:
+    A = _as_matrix(op)
+    if np.ndim(indices) != 1 or len(indices) == 0:
         raise UsageError("indices must be a nonempty 1-d integer sequence")
-    if np.any(idx < 0) or np.any(idx >= A.shape[0]):
+    idx = [_as_int(i, "index", 0) for i in indices]
+    if max(idx) >= A.shape[0]:
         raise UsageError(f"indices out of range for truncation {A.shape[0]}")
     return A[np.ix_(idx, idx)]
 
@@ -304,7 +292,7 @@ def kernel_form_closed(psi, phi, w: complex, alpha: float) -> complex:
     w = complex(w)
     if abs(w) >= 1.0:
         raise DomainError(f"base point must satisfy |w| < 1, got |w| = {abs(w)}")
-    alpha = float(alpha)
+    alpha = _check_alpha(alpha)
     pw = series_eval(psi_s, w)
     fw = series_eval(phi_s, w)
     return pw * (1.0 - abs(w) ** 2) ** (alpha + 2.0) / (1.0 - np.conj(w) * fw) ** (alpha + 2.0)
@@ -335,9 +323,8 @@ def boundedness_functional(
     """
     psi_s = _as_series(psi, "psi")
     phi_s = _as_series(phi, "phi")
-    alpha = float(alpha)
-    if radial < 1 or angular < 1:
-        raise UsageError("grid sizes must be >= 1")
+    alpha = _check_alpha(alpha)
+    radial, angular = _as_int(radial, "radial", 1), _as_int(angular, "angular", 1)
     r = np.linspace(0.0, _KERNEL_GRID_RADIUS, radial)
     theta = 2.0 * np.pi * np.arange(angular) / angular
     w = r[:, None] * np.exp(1j * theta)[None, :]
@@ -365,9 +352,8 @@ def block_structure_report(op, order: int, tol: float = 1e-12) -> BlockReport:
     When they do, permuting the basis by residue turns the matrix into a
     direct sum of ``order`` blocks, which are returned in residue order.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise UsageError(f"order must be a positive integer, got {order!r}")
-    A = op.matrix if isinstance(op, OperatorTruncation) else np.asarray(op, dtype=complex)
+    order = _as_int(order, "order", 1)
+    A = _as_matrix(op)
     N = A.shape[0]
     m, n = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
     off = (m - n) % order != 0
@@ -377,4 +363,4 @@ def block_structure_report(op, order: int, tol: float = 1e-12) -> BlockReport:
         idx = np.arange(res, N, order)
         if idx.size:
             blocks.append(A[np.ix_(idx, idx)])
-    return BlockReport(int(order), off_max, off_max <= tol, tuple(blocks))
+    return BlockReport(order, off_max, off_max <= tol, tuple(blocks))

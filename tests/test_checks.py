@@ -8,6 +8,7 @@ rather than read back from the library.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,25 @@ def test_run_all_applies_overrides_only_where_accepted():
     report = run_check("theo3_zero_interior", {"N": 24})
     assert report.params["N"] == 24
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "check_id, params, name",
+    [
+        ("l11_bounded", {"pairs": [[1.7, 2.5]]}, "pairs[0][0]"),
+        ("th_ellipse_rotation", {"p": 0.5}, "p"),
+        ("th_ellipse_irrational", {"n": 0.9}, "n"),
+        ("th_disc_TH1", {"m": True}, "m"),
+        ("c1_multiplication", {"psi": [["0.5", "0"], ["0.5", "0"]]}, "psi[0]"),
+        ("th_disc_TH2", {"lam": "x"}, "lam"),
+        ("l11_bounded", {"seed": 1.5}, "seed"),
+    ],
+)
+def test_check_rejects_a_parameter_it_would_not_run_at(check_id, params, name):
+    # each of these used to run at a truncated or default value and
+    # record the given one, or to fail with a bare ValueError
+    with pytest.raises(UsageError, match=f"^{re.escape(name)} must be "):
+        run_check(check_id, params)
 
 
 def test_accepted_overrides_keep_each_checks_own_parameters():

@@ -1,0 +1,94 @@
+"""Input validation shared by every module.
+
+An integer is a Python or NumPy integer, a number is also a float, and a
+bool is neither.  Malformed library inputs must raise UsageError at the
+call that receives them, not run at a truncated value or leak a TypeError
+or IndexError from deeper down.
+"""
+
+import numpy as np
+import pytest
+
+from bergrange.core import (
+    TruncatedSeries,
+    UsageError,
+    _as_complex,
+    _as_int,
+    _as_number,
+    _as_pairs,
+    disk_quadrature,
+    norm_ratio,
+)
+from bergrange.operators import (
+    block_structure_report,
+    boundedness_functional,
+    build_toeplitz,
+    compress,
+    kernel_form_closed,
+)
+
+
+def test_validators_accept_numpy_numbers_and_reject_bools():
+    n = _as_int(np.int64(3), "n", 0)
+    assert n == 3 and type(n) is int
+    assert _as_number(np.float32(0.5), "x") == 0.5
+    assert _as_number(np.int64(2), "x") == 2.0
+    assert np.array_equal(_as_pairs([(1, np.float64(2.0)), [0.5, 0]], "psi"), [1 + 2j, 0.5])
+    assert _as_complex(0.25, "c") == 0.25
+    assert _as_complex([0, -1], "c") == -1j
+    for bad in (True, np.bool_(True), 2.0, "2"):
+        with pytest.raises(UsageError, match="^n must be an integer, got "):
+            _as_int(bad, "n", 0)
+    for bad in (False, "0.5", 1j, [0.5]):
+        with pytest.raises(UsageError, match="^x must be a number, got "):
+            _as_number(bad, "x")
+    for bad in ([[1, True]], [["0.5", "0"]], [[1, 2, 3]], [1.0]):
+        with pytest.raises(UsageError, match=r"^psi\[0\] must be a \[re, im\] pair, got "):
+            _as_pairs(bad, "psi")
+    for bad in ([], (), "ab", 1.0):
+        with pytest.raises(UsageError, match=r"^psi must be a non-empty list of \[re, im\] pairs$"):
+            _as_pairs(bad, "psi")
+    for bad in (True, "1", [1.0]):
+        with pytest.raises(UsageError, match="^c must be "):
+            _as_complex(bad, "c")
+
+
+def _one(z):
+    return np.ones_like(z)
+
+
+SYMBOL = [(1, 0, 0.5), (0, 1, 0.5)]
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: disk_quadrature(_one, 0.0, 2.5, 8), "radial_nodes"),
+        (lambda: disk_quadrature(_one, 0.0, True, 8), "radial_nodes"),
+        (lambda: boundedness_functional([1.0], [0.0, 0.5], 0.0, radial=2.5), "radial"),
+        (lambda: boundedness_functional([1.0], [0.0, 0.5], True), "alpha"),
+        (lambda: kernel_form_closed([1.0], [0.0, 0.5], 0.5, True), "alpha"),
+        (lambda: TruncatedSeries(np.ones(4)).pad_to(2.5), "truncation"),
+        (lambda: norm_ratio(True, 0.0), "n"),
+        (lambda: build_toeplitz(SYMBOL, 0.0, True), "truncation"),
+        (lambda: compress(np.ones(3), [0]), "matrix"),
+        (lambda: block_structure_report(np.ones(3), 2), "matrix"),
+        (lambda: compress(np.ones((2, 3)), [0, 1]), "matrix"),
+    ],
+    ids=[
+        "quadrature-float-nodes",
+        "quadrature-bool-nodes",
+        "boundedness-float-grid",
+        "boundedness-bool-alpha",
+        "kernel_form-bool-alpha",
+        "pad_to-float",
+        "norm_ratio-bool",
+        "toeplitz-bool-N",
+        "compress-1d",
+        "block_report-1d",
+        "compress-2x3",
+    ],
+)
+def test_malformed_library_inputs_raise_usage_error(call, name):
+    with pytest.raises(UsageError, match=f"^{name} must be "):
+        call()
