@@ -12,13 +12,19 @@ functions equals their Hausdorff distance, and support dominance along
 a grid is exact for nested compressions, so the tests avoid the sag of
 inscribed polygons entirely.
 
-Parameters are read by the validators of ``bergrange.core``, as job
-configs are, so a report records only values its check ran at.  Counts
-are integers (Python or NumPy, never bool), real parameters are numbers,
-coefficient lists such as ``psi`` are lists of [re, im] pairs, and a
-single complex value such as ``lam`` is a pair or a plain number.  Any
-other value raises UsageError naming the parameter, which the command
-line reports with exit code 2.
+A check is declared once, by the ``_check`` decorator right above its
+body: its id, its claim, and each parameter as ``name=(default, reader)``.
+The registry holds the checks in the order they are declared here.
+``run_check`` merges the overrides with the defaults and reads every
+parameter with its reader before the body runs, so the body receives
+typed keyword arguments and a report records only values its check ran
+at.  The readers are the validators of ``bergrange.core``, as for job
+configs: counts are integers (Python or NumPy, never bool), real
+parameters are numbers, coefficient lists such as ``psi`` are lists of
+[re, im] pairs, and a single complex value such as ``lam`` is a pair or a
+number.  Any other value raises UsageError naming the parameter, which
+the command line reports with exit code 2.  Relations between parameters,
+such as ``m2 > m1``, are checked in the bodies.
 """
 
 from __future__ import annotations
@@ -91,14 +97,54 @@ class CheckReport:
         }
 
 
-def _each(read, values, where: str, *args) -> list:
-    """Entry i of a non-empty list read as ``read(entry, "where[i]", *args)``."""
-    return [read(v, f"{where}[{i}]", *args) for i, v in enumerate(_as_list(values, where, "values"))]
+@dataclass(frozen=True)
+class _CheckDef:
+    claim: str
+    defaults: dict
+    readers: dict
+    fn: Callable
 
 
-def _sizes(p) -> tuple:
-    """The weight parameter alpha, truncation N >= 2 and grid size K >= 8 of a sweep check."""
-    return _as_number(p["alpha"], "alpha"), _as_int(p["N"], "N", 2), _as_int(p["K"], "K", 8)
+# filled at import by ``_check``, in declaration order
+_REGISTRY: dict = {}
+
+
+def _check(check_id: str, claim: str, **params):
+    """Register the decorated body as check ``check_id``.
+
+    Each keyword is a parameter of the body, given as (default, reader);
+    ``run_check`` passes it as ``reader(value, name)``.
+    """
+
+    def register(fn):
+        defaults = {name: default for name, (default, _) in params.items()}
+        readers = {name: read for name, (_, read) in params.items()}
+        _REGISTRY[check_id] = _CheckDef(claim, defaults, readers, fn)
+        return fn
+
+    return register
+
+
+def _int(minimum: int):
+    """Reader of an integer >= minimum."""
+    return lambda value, where: _as_int(value, where, minimum)
+
+
+def _list_of(read, items: str = "values"):
+    """Reader of a non-empty list whose entry i is read as ``read(entry, "where[i]")``."""
+    return lambda values, where: [
+        read(v, f"{where}[{i}]") for i, v in enumerate(_as_list(values, where, items))
+    ]
+
+
+def _as_mc_pair(value, where: str) -> tuple:
+    """An [m, c] pair of l11_bounded: an integer m >= 1 and a number c > 1."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise UsageError(f"{where} must be an [m, c] pair, got {value!r}")
+    m, c = _as_int(value[0], f"{where}[0]", 1), _as_number(value[1], f"{where}[1]")
+    if c <= 1.0:
+        raise UsageError(f"{where}[1] must be > 1, got {c}")
+    return m, c
 
 
 def _padded_coeff(coeffs: np.ndarray, k: int) -> complex:
@@ -115,9 +161,12 @@ def _support_gap(h_a: np.ndarray, h_b: np.ndarray) -> float:
 # individual checks; each returns (passed, metrics, tolerance, notes)
 
 
-def _run_t1_spectrum(p):
-    alpha, N = _as_number(p["alpha"], "alpha"), _as_int(p["N"], "N", 2)
-    cover = _as_number(p["cover"], "cover")
+@_check(
+    "t1_spectrum",
+    "Hermitian truncations of a real harmonic symbol keep their spectrum inside the sampled symbol interval and expand to fill it",
+    alpha=(0.0, _as_number), N=(128, _int(2)), cover=(0.97, _as_number),
+)
+def _run_t1_spectrum(alpha, N, cover):
     T = build_toeplitz([(1, 0, 0.5), (0, 1, 0.5)], alpha, N)
     herm_dev = float(np.max(np.abs(T.matrix - T.matrix.conj().T)))
     vals = np.linalg.eigvalsh(T.matrix)
@@ -149,9 +198,13 @@ def _run_t1_spectrum(p):
     return passed, metrics, tol, notes
 
 
-def _run_t3_harmonic(p):
-    alpha, N, K = _sizes(p)
-    a, delta = _as_number(p["a"], "a"), _as_number(p["delta"], "delta")
+@_check(
+    "t3_harmonic_range",
+    "the swept range of a harmonic-symbol truncation approximates the open image hull from inside",
+    alpha=(0.0, _as_number), N=(200, _int(2)), K=(360, _int(8)), a=(0.5, _as_number),
+    delta=(0.02, _as_number),
+)
+def _run_t3_harmonic(alpha, N, K, a, delta):
     sym = BiPolySymbol(((1, 0, 1.0), (0, 1, a)))
     T = build_toeplitz(sym, alpha, N)
     theta = _angle_grid(K)
@@ -177,9 +230,13 @@ def _run_t3_harmonic(p):
     return passed, metrics, tol, notes
 
 
-def _run_c1_multiplication(p):
-    alpha, N, K = _sizes(p)
-    psi = _as_pairs(p["psi"], "psi")
+@_check(
+    "c1_multiplication",
+    "the range of a multiplication truncation fills the convex hull of the symbol image",
+    alpha=(0.0, _as_number), N=(200, _int(2)), K=(360, _int(8)),
+    psi=([[0.5, 0.0], [0.5, 0.0]], _as_pairs),
+)
+def _run_c1_multiplication(alpha, N, K, psi):
     M = build_multiplication(psi, alpha, N)
     theta = _angle_grid(K)
     h_sweep = support_function(M, theta)
@@ -194,12 +251,16 @@ def _run_c1_multiplication(p):
     )
 
 
-def _run_zsq_diagonal(p):
-    N = _as_int(p["N"], "N", 2)
+@_check(
+    "zsq_diagonal",
+    "the matrix of the symbol |z|^2 is diagonal with entries (n+1)/(n+alpha+2)",
+    alphas=([0.0, 1.0], _list_of(_as_number)), N=(64, _int(2)),
+)
+def _run_zsq_diagonal(alphas, N):
     tol = 1e-10
     metrics = {}
     passed = True
-    for alpha in _each(_as_number, p["alphas"], "alphas"):
+    for alpha in alphas:
         T = build_toeplitz([(1, 1, 1.0)], alpha, N).matrix
         off = float(np.max(np.abs(T - np.diag(np.diag(T)))))
         n = np.arange(N)
@@ -230,17 +291,17 @@ def _run_zsq_diagonal(p):
     return passed, metrics, tol, notes
 
 
-def _run_l11_bounded(p):
-    n_max = _as_int(p["n_max"], "n_max", 2)
+@_check(
+    "l11_bounded",
+    "the ratio sequence n! G(nm+c) / ((nm)! G(n+c)) is monotone and bounded by m^(c-1)",
+    pairs=([[1, 2.5], [2, 1.5], [2, 3.0], [3, 2.0]], _list_of(_as_mc_pair, "[m, c] pairs")),
+    n_max=(64, _int(2)),
+)
+def _run_l11_bounded(pairs, n_max):
     tol = 1e-10
     metrics = {}
     passed = True
-    for i, pair in enumerate(_as_list(p["pairs"], "pairs", "[m, c] pairs")):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise UsageError(f"pairs[{i}] must be an [m, c] pair, got {pair!r}")
-        m, c = _as_int(pair[0], f"pairs[{i}][0]", 1), _as_number(pair[1], f"pairs[{i}][1]")
-        if c <= 1.0:
-            raise UsageError(f"pairs[{i}][1] must be > 1, got {c}")
+    for m, c in pairs:
         x = 1.0
         xs = [x]
         for n in range(n_max):
@@ -262,14 +323,18 @@ def _run_l11_bounded(p):
     return passed, metrics, tol, notes
 
 
-def _run_block_decomposition(p):
-    alpha, N = _as_number(p["alpha"], "alpha"), _as_int(p["N"], "N", 2)
-    g = _as_pairs(p["g"], "g")
+@_check(
+    "block_decomposition",
+    "multiplication by g(z^n) splits into n diagonal blocks over index residues mod n",
+    alpha=(0.5, _as_number), N=(96, _int(2)), orders=([2, 3, 4, 6], _list_of(_int(2))),
+    g=([[1.0, 0.0], [0.5, 0.0]], _as_pairs),
+)
+def _run_block_decomposition(alpha, N, orders, g):
     tol = 1e-12
     metrics = {}
     passed = True
     worst = 0.0
-    for order in _each(_as_int, p["orders"], "orders", 2):
+    for order in orders:
         psi = np.zeros(order * (g.size - 1) + 1, dtype=complex)
         psi[::order] = g
         M = build_multiplication(psi, alpha, N)
@@ -291,10 +356,13 @@ def _run_block_decomposition(p):
     return passed, metrics, tol, notes
 
 
-def _run_th1_rotation(p):
-    alpha, N, K = _sizes(p)
-    n = _as_int(p["n"], "n", 2)
-    psi = _as_pairs(p["psi"], "psi")
+@_check(
+    "th1_rotation_hull",
+    "for a weight of the form g(z^n) over the order-n rotation, the range is the hull of the union of the rotated symbol images",
+    alpha=(0.0, _as_number), n=(3, _int(2)), N=(192, _int(2)), K=(360, _int(8)),
+    psi=([[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]], _as_pairs),
+)
+def _run_th1_rotation(alpha, n, N, K, psi):
     lam = np.exp(2j * np.pi / n)
     A = build_weighted_composition(psi, [0.0, lam], alpha, N)
     theta = _angle_grid(K)
@@ -310,12 +378,17 @@ def _run_th1_rotation(p):
     return hausdorff <= tol, {"hausdorff": hausdorff}, tol, notes
 
 
-def _run_c2_polygon(p):
-    alpha, N, K = _sizes(p)
+@_check(
+    "c2_polygon",
+    "composition with a root-of-unity rotation sweeps a regular eigenvalue polygon, degenerating to a segment at order two",
+    alpha=(0.0, _as_number), orders=([2, 3, 4, 6], _list_of(_int(2))), N=(16, _int(2)),
+    K=(360, _int(8)),
+)
+def _run_c2_polygon(alpha, orders, N, K):
     tol = 1e-12
     metrics = {}
     passed = True
-    for order in _each(_as_int, p["orders"], "orders", 2):
+    for order in orders:
         if N < order:
             raise UsageError(f"N must be >= the rotation order, got N={N} < {order}")
         lam = np.exp(2j * np.pi / order)
@@ -336,13 +409,17 @@ def _run_c2_polygon(p):
     return passed, metrics, tol, notes
 
 
-def _run_th2_symmetric(p):
-    alpha, N, K = _sizes(p)
-    c = _as_complex(p["c"], "c")
+@_check(
+    "th2_symmetric",
+    "for a weight built from powers of z^n the truncation is exactly equivariant under an n-fold rotation and its range matches the symbol image hull",
+    alpha=(0.0, _as_number), orders=([2, 3], _list_of(_int(2))), N=(192, _int(2)), K=(360, _int(8)),
+    c=(0.25, _as_complex),
+)
+def _run_th2_symmetric(alpha, orders, N, K, c):
     tol = 1e-8
     metrics = {}
     passed = True
-    for order in _each(_as_int, p["orders"], "orders", 2):
+    for order in orders:
         if K % order != 0:
             raise UsageError(f"K must be divisible by every order, got K={K}, order={order}")
         # psi = f(z^n) with f(u) = u + c u^(n+1); every exponent of f is
@@ -372,10 +449,13 @@ def _run_th2_symmetric(p):
     return passed, metrics, tol, notes
 
 
-def _run_theo1_kernel_sum(p):
-    alpha, N = _as_number(p["alpha"], "alpha"), _as_int(p["N"], "N", 2)
-    w0 = _as_complex(p["w0"], "w0")
-    ts = _each(_as_number, p["ts"], "ts")
+@_check(
+    "theo1_kernel_sum",
+    "kernel quadratic forms of a two-term sum vanish at a common zero of the weights and decay toward the boundary",
+    alpha=(0.0, _as_number), N=(128, _int(2)), w0=([0.3, 0.0], _as_complex),
+    ts=([0.9, 0.99, 0.999], _list_of(_as_number)),
+)
+def _run_theo1_kernel_sum(alpha, N, w0, ts):
     tol = 1e-8
     # part one: both weights vanish at w0, so the kernel form of the sum
     # vanishes there as well
@@ -430,8 +510,12 @@ def _run_theo1_kernel_sum(p):
     return passed, metrics, tol, notes
 
 
-def _run_pro1_rank_one(p):
-    alpha, N, K = _sizes(p)
+@_check(
+    "pro1_rank_one",
+    "constant-target compositions have rank one with segment, disc, or ellipse ranges as predicted",
+    alpha=(0.0, _as_number), N=(128, _int(2)), K=(360, _int(8)),
+)
+def _run_pro1_rank_one(alpha, N, K):
     theta = _angle_grid(K)
     tol = 1e-8
     # case one: constant weight, target 0 -> segment from 0 to the weight
@@ -469,10 +553,13 @@ def _run_pro1_rank_one(p):
     return passed, metrics, tol, notes
 
 
-def _run_theo2_zero_interior(p):
-    alpha, K = _as_number(p["alpha"], "alpha"), _as_int(p["K"], "K", 8)
-    margin_req = _as_number(p["margin"], "margin")
-    schedule = _each(_as_int, p["schedule"], "schedule", 2)
+@_check(
+    "theo2_zero_interior",
+    "the origin is interior to the range when the self-map fixes the origin without being a dilation",
+    alpha=(0.0, _as_number), schedule=([16, 32, 64, 128], _list_of(_int(2))), K=(360, _int(8)),
+    margin=(1e-3, _as_number),
+)
+def _run_theo2_zero_interior(alpha, schedule, K, margin):
     theta = _angle_grid(K)
     phi = [0.0, 0.45, 0.45]
     margins = []
@@ -482,31 +569,37 @@ def _run_theo2_zero_interior(p):
     metrics = {f"margin_N{N}": m for N, m in zip(schedule, margins)}
     metrics["max_margin"] = max(margins)
     monotone = all(b >= a - 1e-12 for a, b in zip(margins, margins[1:]))
-    passed = max(margins) >= margin_req and monotone
+    passed = max(margins) >= margin and monotone
     notes = (
         "the minimum of the support function is the distance from the origin "
         "to the range boundary whenever it is positive; margins grow with N "
         "because truncation ranges nest"
     )
-    return passed, metrics, margin_req, notes
+    return passed, metrics, margin, notes
 
 
-def _run_theo3_zero_interior(p):
-    alpha, N, K = _sizes(p)
-    margin_req = _as_number(p["margin"], "margin")
+@_check(
+    "theo3_zero_interior",
+    "the origin is interior to the range of the weight 1+z composed with negation",
+    alpha=(0.0, _as_number), N=(32, _int(2)), K=(360, _int(8)), margin=(1e-3, _as_number),
+)
+def _run_theo3_zero_interior(alpha, N, K, margin):
     A = build_weighted_composition([1.0, 1.0], [0.0, -1.0], alpha, N)
-    margin = float(np.min(support_function(A, _angle_grid(K))))
+    swept = float(np.min(support_function(A, _angle_grid(K))))
     return (
-        margin >= margin_req,
-        {"margin": margin},
-        margin_req,
+        swept >= margin,
+        {"margin": swept},
+        margin,
         "origin sits strictly inside the range of the weight (1+z) composed with the sign flip",
     )
 
 
-def _run_remark_counterexample(p):
-    alpha, K = _as_number(p["alpha"], "alpha"), _as_int(p["K"], "K", 8)
-    schedule = _each(_as_int, p["schedule"], "schedule", 2)
+@_check(
+    "remark_counterexample",
+    "for the weight 1+z/4 over the half dilation the origin stays outside every truncation range, certified by scaled positive definiteness",
+    alpha=(0.0, _as_number), schedule=([16, 32, 64, 128], _list_of(_int(2))), K=(360, _int(8)),
+)
+def _run_remark_counterexample(alpha, schedule, K):
     tol = 0.1
     psi, phi = [1.0, 0.25], [0.0, 0.5]
     metrics = {}
@@ -533,10 +626,13 @@ def _run_remark_counterexample(p):
     return passed, metrics, tol, notes
 
 
-def _run_th_disc_one(p):
-    alpha, N, K = _sizes(p)
-    m = _as_int(p["m"], "m", 1)
-    n_lambda = _as_int(p["n_lambda"], "n_lambda", 4)
+@_check(
+    "th_disc_TH1",
+    "witness vectors realize a centred disc of radius w_m/(1+w_m) inside the range of the monomial weight over the squaring map",
+    alpha=(0.0, _as_number), m=(1, _int(1)), N=(64, _int(2)), K=(360, _int(8)),
+    n_lambda=(32, _int(4)),
+)
+def _run_th_disc_one(alpha, m, N, K, n_lambda):
     if N <= 3 * m:
         raise UsageError(f"N must exceed 3m to hold the witness action, got N={N}, m={m}")
     psi = np.zeros(m + 1, dtype=complex)
@@ -569,10 +665,13 @@ def _run_th_disc_one(p):
     return passed, metrics, tol, notes
 
 
-def _run_th_disc_two(p):
-    alpha, N, K = _sizes(p)
-    m = _as_int(p["m"], "m", 2)
-    lam = _as_complex(p["lam"], "lam")
+@_check(
+    "th_disc_TH2",
+    "the {e_1, e_m} compression is nilpotent with disc radius half of sqrt(r_1/r_m) times the relevant weight coefficient",
+    alpha=(0.0, _as_number), m=(2, _int(2)), lam=([1.0, 0.0], _as_complex), N=(64, _int(2)),
+    K=(720, _int(8)),
+)
+def _run_th_disc_two(alpha, m, lam, N, K):
     if abs(abs(lam) - 1.0) > 1e-12:
         raise UsageError(f"lam must be unimodular, got |lam| = {abs(lam)}")
     if N <= m:
@@ -600,13 +699,15 @@ def _run_th_disc_two(p):
     return passed, metrics, tol, notes
 
 
-def _run_th_circle_3x3(p):
-    alpha, N, K = _sizes(p)
-    n = _as_int(p["n"], "n", 2)
-    m1, m2 = _as_int(p["m1"], "m1", 1), _as_int(p["m2"], "m2", 2)
+@_check(
+    "th_circle_3x3",
+    "the three-index compression sweeps a circle whose radius follows the first-principles entry formula",
+    alpha=(0.0, _as_number), n=(2, _int(2)), m1=(1, _int(1)), m2=(2, _int(2)), N=(16, _int(2)),
+    K=(720, _int(8)), psi=([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], _as_pairs),
+)
+def _run_th_circle_3x3(alpha, n, m1, m2, N, K, psi):
     if m2 <= m1:
         raise UsageError(f"need m2 > m1, got m1={m1}, m2={m2}")
-    psi = _as_pairs(p["psi"], "psi")
     i1, i2 = n * m1, n * m2
     if N <= i2:
         raise UsageError(f"N must exceed n*m2 = {i2}, got {N}")
@@ -637,11 +738,12 @@ def _run_th_circle_3x3(p):
         return 0.5 * np.sqrt(w2 * (inner + (1.0 / c_ratio) * abs(_padded_coeff(psi, i2)) ** 2))
 
     theta = _angle_grid(K)
-    h_b = support_function(B, theta)
+    sweep = boundary_points(B, K)
+    h_b = np.array([s for _, _, s in sweep])
+    pts = np.array([pt for _, pt, _ in sweep])
     radial = h_b - support_of(np.array([center]), theta)
     radius_dev = float(np.max(np.abs(radial - radius_formula)))
     alt_gap = float(np.min(np.abs(radial - radius_alt)))
-    pts = np.array([pt for _, pt, _ in boundary_points(B, K)])
     center_dev = float(abs(np.mean(pts) - center))
     containment = float(np.min(support_function(A, theta) - h_b))
     tol = 1e-10
@@ -672,12 +774,14 @@ def _run_th_circle_3x3(p):
     return passed, metrics, tol, notes
 
 
-def _run_th_ellipse_rotation(p):
-    alpha, N, K = _sizes(p)
-    n = _as_int(p["n"], "n", 2)
-    pp, j = _as_int(p["p"], "p", 0), _as_int(p["j"], "j", 1)
-    psi = _as_pairs(p["psi"], "psi")
-    k = n * pp + j
+@_check(
+    "th_ellipse_rotation",
+    "the {e_0, e_k} compression has the predicted elliptical range, contained in the full sweep",
+    alpha=(0.0, _as_number), n=(2, _int(2)), p=(0, _int(0)), j=(1, _int(1)), N=(64, _int(2)),
+    K=(720, _int(8)), psi=([[1.0, 0.0], [1.0, 0.0]], _as_pairs),
+)
+def _run_th_ellipse_rotation(alpha, n, p, j, N, K, psi):
+    k = n * p + j
     if N <= k:
         raise UsageError(f"N must exceed n*p + j = {k}, got {N}")
     lam = np.exp(2j * np.pi / n)
@@ -690,14 +794,16 @@ def _run_th_ellipse_rotation(p):
     return _ellipse_compare(A, B, ell, f1_exp, f2_exp, minor_exp, K)
 
 
-def _run_th_ellipse_irrational(p):
-    alpha, N, K = _sizes(p)
-    rot = _as_number(p["theta"], "theta")
-    n, m = _as_int(p["n"], "n", 0), _as_int(p["m"], "m", 1)
-    psi = _as_pairs(p["psi"], "psi")
+@_check(
+    "th_ellipse_irrational",
+    "under an irrational rotation the two-index compression yields the predicted ellipse",
+    alpha=(0.0, _as_number), theta=(0.7071067811865476, _as_number), n=(0, _int(0)), m=(1, _int(1)),
+    N=(64, _int(2)), K=(720, _int(8)), psi=([[1.0, 0.0], [1.0, 0.0]], _as_pairs),
+)
+def _run_th_ellipse_irrational(alpha, theta, n, m, N, K, psi):
     if N <= n + m:
         raise UsageError(f"N must exceed n + m = {n + m}, got {N}")
-    mu = np.exp(2j * np.pi * rot)
+    mu = np.exp(2j * np.pi * theta)
     A = build_weighted_composition(psi, [0.0, mu], alpha, N)
     B = compress(A, [n, n + m])
     ell = ellipse_from_2x2(B)
@@ -739,10 +845,13 @@ def _ellipse_compare(A, B, ell, f1_exp, f2_exp, minor_exp, K):
     return passed, metrics, tol, notes
 
 
-def _run_mobius_mean_value(p):
-    radial = _as_int(p["radial"], "radial", 2)
-    angular = _as_int(p["angular"], "angular", 2)
-    degree = _as_int(p["degree"], "degree", 1)
+@_check(
+    "mobius_mean_value",
+    "the disk mean of a harmonic function composed with an automorphism equals its value at the image of the origin",
+    centers=([[0.3, 0.0], [0.0, 0.5], [-0.6, 0.0]], _list_of(_as_complex)), radial=(64, _int(2)),
+    angular=(128, _int(2)), degree=(8, _int(1)),
+)
+def _run_mobius_mean_value(centers, radial, angular, degree):
     # a fixed harmonic dictionary: analytic plus anti-analytic parts with
     # deterministic coefficients
     a = np.array([1.0 / (k + 1.0) for k in range(degree + 1)], dtype=complex)
@@ -759,7 +868,7 @@ def _run_mobius_mean_value(p):
         return acc + anti * np.conj(z)
 
     errs = []
-    for w in _each(_as_complex, p["centers"], "centers"):
+    for w in centers:
         if abs(w) >= 1.0:
             raise UsageError(f"centers must lie in the open disk, got |w| = {abs(w)}")
 
@@ -780,8 +889,12 @@ def _run_mobius_mean_value(p):
     return max(errs) <= tol, metrics, tol, notes
 
 
-def _run_adjoint_kernel(p):
-    alpha, N = _as_number(p["alpha"], "alpha"), _as_int(p["N"], "N", 2)
+@_check(
+    "adjoint_kernel",
+    "the adjoint truncation maps kernel vectors to scaled kernel vectors at the image point",
+    alpha=(0.0, _as_number), N=(128, _int(2)),
+)
+def _run_adjoint_kernel(alpha, N):
     pairs = [
         ([1.0, 0.25], [0.0, 0.5]),
         ([0.0, 1.0], [0.0, 0.45, 0.45]),
@@ -808,188 +921,9 @@ def _run_adjoint_kernel(p):
     )
 
 
-# ---------------------------------------------------------------------------
-# registry
-
-
-@dataclass(frozen=True)
-class _CheckDef:
-    id: str
-    claim: str
-    defaults: dict
-    fn: Callable
-
-
-_REGISTRY = [
-    _CheckDef(
-        "t1_spectrum",
-        "Hermitian truncations of a real harmonic symbol keep their spectrum inside the sampled symbol interval and expand to fill it",
-        {"alpha": 0.0, "N": 128, "cover": 0.97},
-        _run_t1_spectrum,
-    ),
-    _CheckDef(
-        "t3_harmonic_range",
-        "the swept range of a harmonic-symbol truncation approximates the open image hull from inside",
-        {"alpha": 0.0, "N": 200, "K": 360, "a": 0.5, "delta": 0.02},
-        _run_t3_harmonic,
-    ),
-    _CheckDef(
-        "c1_multiplication",
-        "the range of a multiplication truncation fills the convex hull of the symbol image",
-        {"alpha": 0.0, "N": 200, "K": 360, "psi": [[0.5, 0.0], [0.5, 0.0]]},
-        _run_c1_multiplication,
-    ),
-    _CheckDef(
-        "zsq_diagonal",
-        "the matrix of the symbol |z|^2 is diagonal with entries (n+1)/(n+alpha+2)",
-        {"alphas": [0.0, 1.0], "N": 64},
-        _run_zsq_diagonal,
-    ),
-    _CheckDef(
-        "l11_bounded",
-        "the ratio sequence n! G(nm+c) / ((nm)! G(n+c)) is monotone and bounded by m^(c-1)",
-        {"pairs": [[1, 2.5], [2, 1.5], [2, 3.0], [3, 2.0]], "n_max": 64},
-        _run_l11_bounded,
-    ),
-    _CheckDef(
-        "block_decomposition",
-        "multiplication by g(z^n) splits into n diagonal blocks over index residues mod n",
-        {"alpha": 0.5, "N": 96, "orders": [2, 3, 4, 6], "g": [[1.0, 0.0], [0.5, 0.0]]},
-        _run_block_decomposition,
-    ),
-    _CheckDef(
-        "th1_rotation_hull",
-        "for a weight of the form g(z^n) over the order-n rotation, the range is the hull of the union of the rotated symbol images",
-        {
-            "alpha": 0.0,
-            "n": 3,
-            "N": 192,
-            "K": 360,
-            "psi": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
-        },
-        _run_th1_rotation,
-    ),
-    _CheckDef(
-        "c2_polygon",
-        "composition with a root-of-unity rotation sweeps a regular eigenvalue polygon, degenerating to a segment at order two",
-        {"alpha": 0.0, "orders": [2, 3, 4, 6], "N": 16, "K": 360},
-        _run_c2_polygon,
-    ),
-    _CheckDef(
-        "th2_symmetric",
-        "for a weight built from powers of z^n the truncation is exactly equivariant under an n-fold rotation and its range matches the symbol image hull",
-        {"alpha": 0.0, "orders": [2, 3], "N": 192, "K": 360, "c": 0.25},
-        _run_th2_symmetric,
-    ),
-    _CheckDef(
-        "theo1_kernel_sum",
-        "kernel quadratic forms of a two-term sum vanish at a common zero of the weights and decay toward the boundary",
-        {"alpha": 0.0, "N": 128, "w0": [0.3, 0.0], "ts": [0.9, 0.99, 0.999]},
-        _run_theo1_kernel_sum,
-    ),
-    _CheckDef(
-        "pro1_rank_one",
-        "constant-target compositions have rank one with segment, disc, or ellipse ranges as predicted",
-        {"alpha": 0.0, "N": 128, "K": 360},
-        _run_pro1_rank_one,
-    ),
-    _CheckDef(
-        "theo2_zero_interior",
-        "the origin is interior to the range when the self-map fixes the origin without being a dilation",
-        {"alpha": 0.0, "schedule": [16, 32, 64, 128], "K": 360, "margin": 1e-3},
-        _run_theo2_zero_interior,
-    ),
-    _CheckDef(
-        "theo3_zero_interior",
-        "the origin is interior to the range of the weight 1+z composed with negation",
-        {"alpha": 0.0, "N": 32, "K": 360, "margin": 1e-3},
-        _run_theo3_zero_interior,
-    ),
-    _CheckDef(
-        "remark_counterexample",
-        "for the weight 1+z/4 over the half dilation the origin stays outside every truncation range, certified by scaled positive definiteness",
-        {"alpha": 0.0, "schedule": [16, 32, 64, 128], "K": 360},
-        _run_remark_counterexample,
-    ),
-    _CheckDef(
-        "th_disc_TH1",
-        "witness vectors realize a centred disc of radius w_m/(1+w_m) inside the range of the monomial weight over the squaring map",
-        {"alpha": 0.0, "m": 1, "N": 64, "K": 360, "n_lambda": 32},
-        _run_th_disc_one,
-    ),
-    _CheckDef(
-        "th_disc_TH2",
-        "the {e_1, e_m} compression is nilpotent with disc radius half of sqrt(r_1/r_m) times the relevant weight coefficient",
-        {"alpha": 0.0, "m": 2, "lam": [1.0, 0.0], "N": 64, "K": 720},
-        _run_th_disc_two,
-    ),
-    _CheckDef(
-        "th_circle_3x3",
-        "the three-index compression sweeps a circle whose radius follows the first-principles entry formula",
-        {
-            "alpha": 0.0,
-            "n": 2,
-            "m1": 1,
-            "m2": 2,
-            "N": 16,
-            "K": 720,
-            "psi": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
-        },
-        _run_th_circle_3x3,
-    ),
-    _CheckDef(
-        "th_ellipse_rotation",
-        "the {e_0, e_k} compression has the predicted elliptical range, contained in the full sweep",
-        {
-            "alpha": 0.0,
-            "n": 2,
-            "p": 0,
-            "j": 1,
-            "N": 64,
-            "K": 720,
-            "psi": [[1.0, 0.0], [1.0, 0.0]],
-        },
-        _run_th_ellipse_rotation,
-    ),
-    _CheckDef(
-        "th_ellipse_irrational",
-        "under an irrational rotation the two-index compression yields the predicted ellipse",
-        {
-            "alpha": 0.0,
-            "theta": 0.7071067811865476,
-            "n": 0,
-            "m": 1,
-            "N": 64,
-            "K": 720,
-            "psi": [[1.0, 0.0], [1.0, 0.0]],
-        },
-        _run_th_ellipse_irrational,
-    ),
-    _CheckDef(
-        "mobius_mean_value",
-        "the disk mean of a harmonic function composed with an automorphism equals its value at the image of the origin",
-        {
-            "centers": [[0.3, 0.0], [0.0, 0.5], [-0.6, 0.0]],
-            "radial": 64,
-            "angular": 128,
-            "degree": 8,
-        },
-        _run_mobius_mean_value,
-    ),
-    _CheckDef(
-        "adjoint_kernel",
-        "the adjoint truncation maps kernel vectors to scaled kernel vectors at the image point",
-        {"alpha": 0.0, "N": 128},
-        _run_adjoint_kernel,
-    ),
-]
-
-_BY_ID = {d.id: d for d in _REGISTRY}
-
-
 def list_checks():
     """Registry view: (id, claim, default params) in deterministic order."""
-    return [(d.id, d.claim, dict(d.defaults)) for d in _REGISTRY]
+    return [(check_id, d.claim, dict(d.defaults)) for check_id, d in _REGISTRY.items()]
 
 
 def run_check(check_id: str, params: dict | None = None) -> CheckReport:
@@ -997,12 +931,13 @@ def run_check(check_id: str, params: dict | None = None) -> CheckReport:
 
     Unknown ids and unknown parameter names raise UsageError; "seed" is
     accepted everywhere and recorded even though the registered checks
-    are deterministic grids.
+    are deterministic grids.  Every parameter is read before the check
+    runs, so a malformed one raises UsageError naming it.
     """
-    if check_id not in _BY_ID:
-        known = ", ".join(sorted(_BY_ID))
+    if check_id not in _REGISTRY:
+        known = ", ".join(sorted(_REGISTRY))
         raise UsageError(f"unknown check id {check_id!r}; known ids: {known}")
-    d = _BY_ID[check_id]
+    d = _REGISTRY[check_id]
     params = dict(params or {})
     allowed = set(d.defaults) | {"seed"}
     unknown = sorted(set(params) - allowed)
@@ -1013,7 +948,8 @@ def run_check(check_id: str, params: dict | None = None) -> CheckReport:
     if "seed" in params:
         _as_int(params["seed"], "seed", 0)
     merged = {**d.defaults, **params}
-    passed, metrics, tolerance, notes = d.fn(merged)
+    args = {name: read(merged[name], name) for name, read in d.readers.items()}
+    passed, metrics, tolerance, notes = d.fn(**args)
     metrics = {k: float(v) for k, v in metrics.items()}
     return CheckReport(
         id=check_id,
@@ -1031,11 +967,11 @@ def accepted_overrides(check_id: str, overrides: dict) -> dict:
     So a global --alpha reaches the single-alpha checks and leaves the
     rest alone; an unknown id keeps only "seed", and run_check rejects it.
     """
-    defaults = _BY_ID[check_id].defaults if check_id in _BY_ID else {}
+    defaults = _REGISTRY[check_id].defaults if check_id in _REGISTRY else {}
     return {k: v for k, v in overrides.items() if k in defaults or k == "seed"}
 
 
 def run_all(overrides: dict | None = None) -> list:
     """Run every registered check in order, each with the overrides it accepts."""
     overrides = dict(overrides or {})
-    return [run_check(d.id, accepted_overrides(d.id, overrides)) for d in _REGISTRY]
+    return [run_check(check_id, accepted_overrides(check_id, overrides)) for check_id in _REGISTRY]

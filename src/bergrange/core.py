@@ -103,9 +103,11 @@ def _as_pairs(value, where: str) -> np.ndarray:
 
 
 def _as_complex(value, where: str) -> complex:
-    """A real number or a [re, im] pair."""
+    """A number, a Python or NumPy complex, or a [re, im] pair; never a str or bool."""
     if isinstance(value, (list, tuple)):
         return _as_pair(value, where)
+    if isinstance(value, (complex, np.complexfloating)):
+        return complex(value)
     return complex(_as_number(value, where))
 
 
@@ -285,7 +287,7 @@ def kernel_coeffs(w: complex, alpha: float, N: int, normalized: bool = False) ->
     stays finite where sqrt(r_n) alone would overflow.
     """
     alpha = _check_alpha(alpha)
-    w = complex(w)
+    w = _as_complex(w, "w")
     if abs(w) >= 1.0:
         raise DomainError(f"base point must satisfy |w| < 1, got |w| = {abs(w)}")
     N = _as_int(N, "N", 0)

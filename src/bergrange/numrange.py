@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from bergrange.core import NumericError, UsageError, _as_int, _as_matrix
+from bergrange.core import NumericError, UsageError, _as_complex, _as_int, _as_matrix, _as_number
 
 __all__ = [
     "hermitian_extreme_eig",
@@ -545,8 +545,8 @@ class DiscSpec:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "center", _as_complex(self.center, "center"))
+        object.__setattr__(self, "radius", _as_number(self.radius, "radius"))
         if not (np.isfinite(self.center) and 0.0 <= self.radius < np.inf):
             raise UsageError(f"disc needs a finite center and a finite radius >= 0, got {self.center!r}, {self.radius!r}")
 
@@ -567,9 +567,9 @@ class EllipseSpec:
     minor_axis: float
 
     def __post_init__(self):
-        object.__setattr__(self, "focus1", complex(self.focus1))
-        object.__setattr__(self, "focus2", complex(self.focus2))
-        object.__setattr__(self, "minor_axis", float(self.minor_axis))
+        object.__setattr__(self, "focus1", _as_complex(self.focus1, "focus1"))
+        object.__setattr__(self, "focus2", _as_complex(self.focus2, "focus2"))
+        object.__setattr__(self, "minor_axis", _as_number(self.minor_axis, "minor_axis"))
         if not (np.isfinite(self.focus1) and np.isfinite(self.focus2) and 0.0 <= self.minor_axis < np.inf):
             raise UsageError("ellipse needs finite foci and a finite minor_axis >= 0")
 

@@ -12,7 +12,7 @@ structure is simpler and it serves as a cross-check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,6 +21,7 @@ from bergrange.core import (
     DomainError,
     TruncatedSeries,
     UsageError,
+    _as_complex,
     _as_int,
     _as_matrix,
     _check_alpha,
@@ -70,7 +71,7 @@ class BiPolySymbol:
             except (TypeError, ValueError):
                 raise UsageError(f"symbol term must be (p, q, coeff), got {term!r}")
             key = (_as_int(p, "symbol exponent p", 0), _as_int(q, "symbol exponent q", 0))
-            merged[key] = merged.get(key, 0j) + complex(c)
+            merged[key] = merged.get(key, 0j) + _as_complex(c, "symbol coefficient")
         clean = tuple(
             (p, q, c) for (p, q), c in sorted(merged.items()) if c != 0
         )
@@ -106,7 +107,6 @@ class OperatorTruncation:
     matrix: np.ndarray
     alpha: float
     kind: str = "custom"
-    params: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         m = _as_matrix(self.matrix, f"{self.kind} matrix at alpha={self.alpha}").copy()
@@ -155,7 +155,7 @@ def build_toeplitz(symbol, alpha: float, N: int) -> OperatorTruncation:
         nn = n_idx[keep]
         mm = m_idx[keep]
         A[mm, nn] += c * np.exp(0.5 * (log_r[nn] + log_r[mm]) - log_r[nn + p])
-    return OperatorTruncation(A, alpha, kind="toeplitz", params={"terms": sym.terms})
+    return OperatorTruncation(A, alpha, kind="toeplitz")
 
 
 def _certify_self_map(phi: TruncatedSeries):
@@ -218,12 +218,7 @@ def build_weighted_composition(
             A[:, n] = np.where(c != 0, c * np.exp(0.5 * (log_r[n] - log_r)), 0)
             if n + 1 < N:
                 c = np.convolve(c, phi_c)[:N]
-    return OperatorTruncation(
-        A,
-        alpha,
-        kind="weighted_composition",
-        params={"psi": psi_s.coeffs, "phi": phi_s.coeffs},
-    )
+    return OperatorTruncation(A, alpha, kind="weighted_composition")
 
 
 def build_multiplication(psi, alpha: float, N: int) -> OperatorTruncation:
@@ -244,7 +239,7 @@ def build_multiplication(psi, alpha: float, N: int) -> OperatorTruncation:
         m = np.arange(k, N)
         n = m - k
         A[m, n] = c * np.exp(0.5 * (log_r[n] - log_r[m]))
-    return OperatorTruncation(A, alpha, kind="multiplication", params={"psi": psi_s.coeffs})
+    return OperatorTruncation(A, alpha, kind="multiplication")
 
 
 def operator_sum(ops: Sequence[OperatorTruncation]) -> OperatorTruncation:
@@ -289,7 +284,7 @@ def kernel_form_closed(psi, phi, w: complex, alpha: float) -> complex:
     """
     psi_s = _as_series(psi, "psi")
     phi_s = _as_series(phi, "phi")
-    w = complex(w)
+    w = _as_complex(w, "w")
     if abs(w) >= 1.0:
         raise DomainError(f"base point must satisfy |w| < 1, got |w| = {abs(w)}")
     alpha = _check_alpha(alpha)

@@ -9,6 +9,7 @@ rather than read back from the library.
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +193,27 @@ def test_check_rejects_a_parameter_it_would_not_run_at(check_id, params, name):
     # record the given one, or to fail with a bare ValueError
     with pytest.raises(UsageError, match=f"^{re.escape(name)} must be "):
         run_check(check_id, params)
+
+
+@pytest.mark.parametrize(
+    "check_id, name",
+    [(check_id, name) for check_id, _, defaults in list_checks() for name in defaults],
+)
+def test_every_parameter_is_read_before_the_check_runs(check_id, name):
+    # a bool is no integer, number, pair or list, so every reader rejects it
+    with pytest.raises(UsageError, match=f"^{re.escape(name)} must be "):
+        run_check(check_id, {name: True})
+
+
+def test_readme_table_lists_every_check_with_its_claim():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Named checks", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip().replace("`", "").replace("\\|", "|") for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+        for line in section.splitlines()
+        if line.startswith("| ") and not line.startswith(("| id ", "| ---"))
+    ]
+    assert rows == [[check_id, claim] for check_id, claim, _ in list_checks()]
 
 
 def test_accepted_overrides_keep_each_checks_own_parameters():

@@ -17,9 +17,12 @@ from bergrange.core import (
     _as_number,
     _as_pairs,
     disk_quadrature,
+    kernel_coeffs,
     norm_ratio,
 )
+from bergrange.numrange import DiscSpec, EllipseSpec
 from bergrange.operators import (
+    BiPolySymbol,
     block_structure_report,
     boundedness_functional,
     build_toeplitz,
@@ -36,6 +39,9 @@ def test_validators_accept_numpy_numbers_and_reject_bools():
     assert np.array_equal(_as_pairs([(1, np.float64(2.0)), [0.5, 0]], "psi"), [1 + 2j, 0.5])
     assert _as_complex(0.25, "c") == 0.25
     assert _as_complex([0, -1], "c") == -1j
+    assert _as_complex(1j, "c") == 1j
+    w = _as_complex(np.complex128(0.5 - 2j), "c")
+    assert w == 0.5 - 2j and type(w) is complex
     for bad in (True, np.bool_(True), 2.0, "2"):
         with pytest.raises(UsageError, match="^n must be an integer, got "):
             _as_int(bad, "n", 0)
@@ -74,6 +80,12 @@ SYMBOL = [(1, 0, 0.5), (0, 1, 0.5)]
         (lambda: compress(np.ones(3), [0]), "matrix"),
         (lambda: block_structure_report(np.ones(3), 2), "matrix"),
         (lambda: compress(np.ones((2, 3)), [0, 1]), "matrix"),
+        (lambda: DiscSpec("x", 1.0), "center"),
+        (lambda: DiscSpec("1", "2"), "center"),
+        (lambda: EllipseSpec("1", 0, 0.5), "focus1"),
+        (lambda: kernel_coeffs("x", 0.0, 2), "w"),
+        (lambda: kernel_form_closed([1.0], [0.0, 0.5], "0.5", 0.0), "w"),
+        (lambda: BiPolySymbol(((1, 0, "x"),)), "symbol coefficient"),
     ],
     ids=[
         "quadrature-float-nodes",
@@ -87,6 +99,12 @@ SYMBOL = [(1, 0, 0.5), (0, 1, 0.5)]
         "compress-1d",
         "block_report-1d",
         "compress-2x3",
+        "disc-str-center",
+        "disc-str-fields",
+        "ellipse-str-focus",
+        "kernel_coeffs-str-w",
+        "kernel_form-str-w",
+        "symbol-str-coeff",
     ],
 )
 def test_malformed_library_inputs_raise_usage_error(call, name):
