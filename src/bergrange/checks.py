@@ -10,7 +10,13 @@ Containment statements are decided through support functions on a
 uniform angle grid: for convex sets the sup-norm gap of the support
 functions equals their Hausdorff distance, and support dominance along
 a grid is exact for nested compressions, so the tests avoid the sag of
-inscribed polygons entirely.
+inscribed polygons entirely.  Every containment of a closed-form set
+(the origin, a disc, a circle, an ellipse) in a range is decided by
+``numrange.shape_containment`` on the check's K-angle grid; its margin
+is a grid minimum, not a certified distance.  Symbol images are sampled
+on the unit circle alone: Re(e^{-i theta} f) is harmonic for every
+symbol used here, so by the maximum principle the circle holds each
+support.
 
 A check is declared once, by the ``_check`` decorator right above its
 body: its id, its claim, and each parameter as ``name=(default, reader)``.
@@ -57,6 +63,7 @@ from bergrange.numrange import (
     boundary_points,
     ellipse_from_2x2,
     numerical_range_hull,
+    shape_containment,
     support_function,
     support_of,
 )
@@ -167,14 +174,13 @@ def _support_gap(h_a: np.ndarray, h_b: np.ndarray) -> float:
     alpha=(0.0, _as_number), N=(128, _int(2)), cover=(0.97, _as_number),
 )
 def _run_t1_spectrum(alpha, N, cover):
-    T = build_toeplitz([(1, 0, 0.5), (0, 1, 0.5)], alpha, N)
+    sym = BiPolySymbol(((1, 0, 0.5), (0, 1, 0.5)))
+    T = build_toeplitz(sym, alpha, N)
     herm_dev = float(np.max(np.abs(T.matrix - T.matrix.conj().T)))
     vals = np.linalg.eigvalsh(T.matrix)
     lam_min, lam_max = float(vals[0]), float(vals[-1])
-    # the symbol Re z sampled over the closed disk; extremes sit on the circle
-    theta = _angle_grid(512)
-    radii = np.linspace(0.0, 1.0, 21)
-    samples = np.real(radii[:, None] * np.exp(1j * theta)[None, :])
+    # the symbol Re z is harmonic, so its extremes over the disk sit on the circle
+    samples = _image_samples(sym, [1.0], 512).real
     s_inf, s_sup = float(np.min(samples)), float(np.max(samples))
     tol = 1e-12
     passed = (
@@ -240,7 +246,7 @@ def _run_c1_multiplication(alpha, N, K, psi):
     M = build_multiplication(psi, alpha, N)
     theta = _angle_grid(K)
     h_sweep = support_function(M, theta)
-    image = _image_samples(series(psi), np.linspace(0.0, 1.0, 33), 512)
+    image = _image_samples(series(psi), [1.0], 512)
     hausdorff = _support_gap(h_sweep, support_of(image, theta))
     tol = 0.05
     return (
@@ -367,7 +373,7 @@ def _run_th1_rotation(alpha, n, N, K, psi):
     A = build_weighted_composition(psi, [0.0, lam], alpha, N)
     theta = _angle_grid(K)
     h_sweep = support_function(A, theta)
-    image = _image_samples(series(psi), np.linspace(0.0, 1.0, 33), 512)
+    image = _image_samples(series(psi), [1.0], 512)
     union = np.concatenate([lam**j * image for j in range(n)])
     hausdorff = _support_gap(h_sweep, support_of(union, theta))
     tol = 0.05
@@ -436,7 +442,7 @@ def _run_th2_symmetric(alpha, orders, N, K, c):
         theta = _angle_grid(K)
         h = support_function(A, theta)
         sym_dev = float(np.max(np.abs(h - np.roll(h, -(K // order)))))
-        image = _image_samples(series(psi), np.linspace(0.0, 1.0, 33), 1024)
+        image = _image_samples(series(psi), [1.0], 1024)
         image_haus = _support_gap(h, support_of(image, theta))
         metrics[f"equivariance_dev_n{order}"] = equiv_dev
         metrics[f"symmetry_dev_n{order}"] = sym_dev
@@ -475,23 +481,18 @@ def _run_theo1_kernel_sum(alpha, N, w0, ts):
     # converged
     psi_a, phi_a = [1.0], [0.0, 0.5]
     psi_b, phi_b = [1.0, 0.25], [0.0, -0.5]
-    decay = [
-        abs(
-            kernel_form_closed(psi_a, phi_a, t, alpha)
-            + kernel_form_closed(psi_b, phi_b, t, alpha)
-        )
+    closed = [
+        kernel_form_closed(psi_a, phi_a, t, alpha) + kernel_form_closed(psi_b, phi_b, t, alpha)
         for t in ts
     ]
+    decay = [abs(v) for v in closed]
     B = operator_sum(
         [
             build_weighted_composition(psi_a, phi_a, alpha, N),
             build_weighted_composition(psi_b, phi_b, alpha, N),
         ]
     )
-    closed_first = kernel_form_closed(psi_a, phi_a, ts[0], alpha) + kernel_form_closed(
-        psi_b, phi_b, ts[0], alpha
-    )
-    cross_dev = abs(kernel_form_matrix(B, ts[0]) - closed_first)
+    cross_dev = abs(kernel_form_matrix(B, ts[0]) - closed[0])
     metrics = {"interior_form_abs": float(interior), "cross_check_dev": float(cross_dev)}
     for t, v in zip(ts, decay):
         metrics[f"decay_t{t:g}"] = float(v)
@@ -560,20 +561,19 @@ def _run_pro1_rank_one(alpha, N, K):
     margin=(1e-3, _as_number),
 )
 def _run_theo2_zero_interior(alpha, schedule, K, margin):
-    theta = _angle_grid(K)
     phi = [0.0, 0.45, 0.45]
-    margins = []
-    for N in schedule:
-        A = build_weighted_composition([1.0], phi, alpha, N)
-        margins.append(float(np.min(support_function(A, theta))))
+    margins = [
+        shape_containment(DiscSpec(0j, 0.0), build_weighted_composition([1.0], phi, alpha, N), K)
+        for N in schedule
+    ]
     metrics = {f"margin_N{N}": m for N, m in zip(schedule, margins)}
     metrics["max_margin"] = max(margins)
     monotone = all(b >= a - 1e-12 for a, b in zip(margins, margins[1:]))
     passed = max(margins) >= margin and monotone
     notes = (
-        "the minimum of the support function is the distance from the origin "
-        "to the range boundary whenever it is positive; margins grow with N "
-        "because truncation ranges nest"
+        f"each margin is the origin's smallest support margin on the {K}-angle "
+        "grid: an upper bound on its distance to the range boundary, not a "
+        "certified one; margins grow with N because truncation ranges nest"
     )
     return passed, metrics, margin, notes
 
@@ -585,12 +585,14 @@ def _run_theo2_zero_interior(alpha, schedule, K, margin):
 )
 def _run_theo3_zero_interior(alpha, N, K, margin):
     A = build_weighted_composition([1.0, 1.0], [0.0, -1.0], alpha, N)
-    swept = float(np.min(support_function(A, _angle_grid(K))))
+    swept = shape_containment(DiscSpec(0j, 0.0), A, K)
     return (
         swept >= margin,
         {"margin": swept},
         margin,
-        "origin sits strictly inside the range of the weight (1+z) composed with the sign flip",
+        f"the margin is the origin's smallest support margin on the {K}-angle grid "
+        "for the weight (1+z) composed with the sign flip: an upper bound on its "
+        "distance to the range boundary, not a certified one",
     )
 
 
@@ -649,8 +651,7 @@ def _run_th_disc_one(alpha, m, N, K, n_lambda):
         v[m] = np.sqrt(w_m) * scale
         form = complex(v.conj() @ (A.matrix @ v))
         devs.append(abs(form - radius * lam))
-    theta = _angle_grid(K)
-    containment = float(np.min(support_function(A, theta) - radius))
+    containment = shape_containment(DiscSpec(0j, radius), A, K)
     tol = 1e-10
     passed = max(devs) <= tol and containment >= -1e-9
     metrics = {
@@ -682,10 +683,9 @@ def _run_th_disc_two(alpha, m, lam, N, K):
     structure_dev = float(max(abs(B[0, 0]), abs(B[0, 1]), abs(B[1, 1])))
     psi_hat = _padded_coeff(psi, m - 1)
     radius = 0.5 * np.sqrt(norm_ratio(1, alpha) / norm_ratio(m, alpha)) * abs(lam * psi_hat)
-    theta = _angle_grid(K)
-    h_b = support_function(B, theta)
+    h_b = support_function(B, _angle_grid(K))
     radius_dev = float(np.max(np.abs(h_b - radius)))
-    containment = float(np.min(support_function(A, theta) - h_b))
+    containment = shape_containment(DiscSpec(0j, radius), A, K)
     tol = 1e-10
     passed = structure_dev <= 1e-13 and radius_dev <= tol and containment >= -1e-9
     metrics = {
@@ -745,7 +745,7 @@ def _run_th_circle_3x3(alpha, n, m1, m2, N, K, psi):
     radius_dev = float(np.max(np.abs(radial - radius_formula)))
     alt_gap = float(np.min(np.abs(radial - radius_alt)))
     center_dev = float(abs(np.mean(pts) - center))
-    containment = float(np.min(support_function(A, theta) - h_b))
+    containment = shape_containment(DiscSpec(center, radius_formula), A, K)
     tol = 1e-10
     passed = (
         entry_dev <= 1e-12
@@ -786,12 +786,10 @@ def _run_th_ellipse_rotation(alpha, n, p, j, N, K, psi):
         raise UsageError(f"N must exceed n*p + j = {k}, got {N}")
     lam = np.exp(2j * np.pi / n)
     A = build_weighted_composition(psi, [0.0, lam], alpha, N)
-    B = compress(A, [0, k])
-    ell = ellipse_from_2x2(B)
     f1_exp = _padded_coeff(psi, 0)
     f2_exp = lam**k * _padded_coeff(psi, 0)
     minor_exp = float(np.sqrt(monomial_norm_sq(k, alpha)) * abs(_padded_coeff(psi, k)))
-    return _ellipse_compare(A, B, ell, f1_exp, f2_exp, minor_exp, K)
+    return _ellipse_compare(A, [0, k], f1_exp, f2_exp, minor_exp, K)
 
 
 @_check(
@@ -805,17 +803,18 @@ def _run_th_ellipse_irrational(alpha, theta, n, m, N, K, psi):
         raise UsageError(f"N must exceed n + m = {n + m}, got {N}")
     mu = np.exp(2j * np.pi * theta)
     A = build_weighted_composition(psi, [0.0, mu], alpha, N)
-    B = compress(A, [n, n + m])
-    ell = ellipse_from_2x2(B)
     f1_exp = mu**n * _padded_coeff(psi, 0)
     f2_exp = mu ** (n + m) * _padded_coeff(psi, 0)
     minor_exp = float(
         np.sqrt(norm_ratio(n, alpha) / norm_ratio(n + m, alpha)) * abs(_padded_coeff(psi, m))
     )
-    return _ellipse_compare(A, B, ell, f1_exp, f2_exp, minor_exp, K)
+    return _ellipse_compare(A, [n, n + m], f1_exp, f2_exp, minor_exp, K)
 
 
-def _ellipse_compare(A, B, ell, f1_exp, f2_exp, minor_exp, K):
+def _ellipse_compare(A, indices, f1_exp, f2_exp, minor_exp, K):
+    """The compression of A onto ``indices`` against the predicted ellipse, and that ellipse inside the range of A."""
+    B = compress(A, indices)
+    ell = ellipse_from_2x2(B)
     foci_dev = min(
         max(abs(ell.focus1 - f1_exp), abs(ell.focus2 - f2_exp)),
         max(abs(ell.focus1 - f2_exp), abs(ell.focus2 - f1_exp)),
@@ -823,10 +822,8 @@ def _ellipse_compare(A, B, ell, f1_exp, f2_exp, minor_exp, K):
     minor_dev = abs(ell.minor_axis - minor_exp)
     expected = EllipseSpec(f1_exp, f2_exp, minor_exp)
     theta = _angle_grid(K)
-    h_b = support_function(B, theta)
-    h_exp = expected.support(theta)
-    support_dev = _support_gap(h_b, h_exp)
-    containment = float(np.min(support_function(A, theta) - h_exp))
+    support_dev = _support_gap(support_function(B, theta), expected.support(theta))
+    containment = shape_containment(expected, A, K)
     tol = 1e-10
     passed = (
         foci_dev <= tol

@@ -445,14 +445,13 @@ class HullPolygon:
     """Convex polygon given by counterclockwise vertices.
 
     Supports one- and two-vertex degenerate cases (a point, a segment).
+    The vertices must be a nonempty, finite point cloud.
     """
 
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=complex).ravel().copy()
-        if v.size == 0:
-            raise UsageError("polygon needs at least one vertex")
+        v = _point_cloud(self.vertices).copy()
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
 
@@ -646,6 +645,10 @@ def shape_containment(inner, outer, n_angles: int = 720) -> float:
 def regular_polygon(n: int, radius: float = 1.0, center: complex = 0j, phase: float = 0.0) -> np.ndarray:
     """Vertices of a regular n-gon, counterclockwise from the phase angle."""
     n = _as_int(n, "polygon order", 3)
+    radius, center, phase = _as_number(radius, "radius"), _as_complex(center, "center"), _as_number(phase, "phase")
+    for name, value in (("radius", radius), ("center", center), ("phase", phase)):
+        if not np.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value!r}")
     k = np.arange(n)
     return center + radius * np.exp(1j * (phase + 2.0 * np.pi * k / n))
 

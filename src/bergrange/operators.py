@@ -109,10 +109,10 @@ class OperatorTruncation:
     kind: str = "custom"
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         m = _as_matrix(self.matrix, f"{self.kind} matrix at alpha={self.alpha}").copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "alpha", float(self.alpha))
 
     @property
     def truncation(self) -> int:
@@ -199,13 +199,15 @@ def build_weighted_composition(
     basis, the z^m one scaled by sqrt(r_n / r_m); an entry too large for
     float64 raises NumericError.  Inputs shorter than the truncation are
     zero-padded.  When ``check_self_map`` is set, phi is rejected unless
-    it is certified to map the disk into itself.
+    it is certified to map the disk into itself; the certificate covers
+    every coefficient of phi, also those the truncation cuts away.
     """
     N = _as_int(N, "truncation", 1)
     psi_s = _as_series(psi, "psi").pad_to(N - 1)
-    phi_s = _as_series(phi, "phi").pad_to(N - 1)
+    phi_s = _as_series(phi, "phi")
     if check_self_map:
         _certify_self_map(phi_s)
+    phi_s = phi_s.pad_to(N - 1)
     log_r = alpha_weight(alpha, N - 1).log_norm_ratio
     A = np.empty((N, N), dtype=complex)
     # phi cut to its degree makes each step O(N deg phi), not O(N^2)

@@ -30,6 +30,8 @@ from bergrange.numrange import (
     support_function,
     support_of,
     _Block,
+    _angle_grid,
+    _image_samples,
     _range_basis,
     _residue_classes,
     _scale_entries,
@@ -431,6 +433,16 @@ class TestHullGeometry:
         assert shape_containment(inner, outer) == pytest.approx(0.25, abs=1e-12)
         assert shape_containment(outer, inner) == pytest.approx(-0.25, abs=1e-12)
 
+    def test_shape_containment_in_an_operator_range_is_the_grid_minimum(self):
+        # a banded, a reduced and a dense sweep as the outer set
+        matrices = dict(_structured_matrices())
+        g = _angle_grid(360)
+        for name in ("t3", "composition", "dense24"):
+            h = support_function(matrices[name], g)
+            for inner in (DiscSpec(0j, 0.0), DiscSpec(0.1j, 0.2)):
+                want = float(np.min(h - inner.support(g)))
+                assert shape_containment(inner, matrices[name], 360) == want, (name, inner)
+
     def test_shape_containment_needs_an_integer_grid(self):
         for bad in (3.5, 2, 720.0, "720"):
             with pytest.raises(UsageError):
@@ -513,6 +525,25 @@ class TestImageHull:
         disc = DiscSpec(0.5, 0.5)
         th = 2.0 * np.pi * np.arange(720) / 720
         assert np.max(np.abs(support_of(hull, th) - disc.support(th))) < 2e-3
+
+    def test_unit_circle_samples_hold_every_support_of_the_disk_image(self):
+        # Re(e^{-i theta} f) is harmonic for these symbols, so by the maximum
+        # principle the inner circles of a 33-circle cloud never hold a support
+        from bergrange.core import series
+
+        rng = np.random.default_rng(2024)
+        symbols = []
+        for i in range(200):
+            degree = int(rng.integers(1, 13))
+            coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            symbols.append((series(coeffs), 512 if i % 2 else 1024))
+        for a in (0.0, 0.3, 0.5, 0.9, 1.0):
+            symbols.append((BiPolySymbol(((1, 0, 1.0), (0, 1, a))), 512))
+        th = _angle_grid(360)
+        for f, n in symbols:
+            on_circle = support_of(_image_samples(f, [1.0], n), th)
+            over_disk = support_of(_image_samples(f, np.linspace(0.0, 1.0, 33), n), th)
+            assert np.array_equal(on_circle, over_disk), f
 
     def test_boundary_only_sampling(self):
         from bergrange.core import series

@@ -148,6 +148,9 @@ class TestWeightedComposition:
             build_weighted_composition([1.0], [0.0005, 0.0, 0.0, 0.0, 0.0, 0.9996], 0.0, 8)
         with pytest.raises(DomainError, match="self-map"):
             build_weighted_composition([1.0], [1.0], 0.0, 8)
+        # the certificate covers the coefficients the truncation cuts away
+        with pytest.raises(DomainError, match="self-map"):
+            build_weighted_composition([1.0], [0, 0, 0, 0, 0, 5.0], 0.0, 4)
         # NaN compares False with every bound, and inf must not reach the FFT
         for phi in ([0.0, np.nan], [np.nan], [0.5, 0.1, np.nan], [0.0, np.inf]):
             with pytest.raises(DomainError, match="self-map"):

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from bergrange.core import (
+    DomainError,
+    NumericError,
     TruncatedSeries,
     UsageError,
     _as_complex,
@@ -20,9 +22,10 @@ from bergrange.core import (
     kernel_coeffs,
     norm_ratio,
 )
-from bergrange.numrange import DiscSpec, EllipseSpec
+from bergrange.numrange import DiscSpec, EllipseSpec, HullPolygon, regular_polygon
 from bergrange.operators import (
     BiPolySymbol,
+    OperatorTruncation,
     block_structure_report,
     boundedness_functional,
     build_toeplitz,
@@ -86,6 +89,12 @@ SYMBOL = [(1, 0, 0.5), (0, 1, 0.5)]
         (lambda: kernel_coeffs("x", 0.0, 2), "w"),
         (lambda: kernel_form_closed([1.0], [0.0, 0.5], "0.5", 0.0), "w"),
         (lambda: BiPolySymbol(((1, 0, "x"),)), "symbol coefficient"),
+        (lambda: regular_polygon(3, radius="2"), "radius"),
+        (lambda: regular_polygon(3, center="1"), "center"),
+        (lambda: regular_polygon(3, radius=True), "radius"),
+        (lambda: regular_polygon(3, radius=np.nan), "radius"),
+        (lambda: OperatorTruncation(np.eye(2), "x"), "alpha"),
+        (lambda: OperatorTruncation(np.eye(2), True), "alpha"),
     ],
     ids=[
         "quadrature-float-nodes",
@@ -105,8 +114,23 @@ SYMBOL = [(1, 0, 0.5), (0, 1, 0.5)]
         "kernel_coeffs-str-w",
         "kernel_form-str-w",
         "symbol-str-coeff",
+        "polygon-str-radius",
+        "polygon-str-center",
+        "polygon-bool-radius",
+        "polygon-nan-radius",
+        "truncation-str-alpha",
+        "truncation-bool-alpha",
     ],
 )
 def test_malformed_library_inputs_raise_usage_error(call, name):
     with pytest.raises(UsageError, match=f"^{name} must be "):
         call()
+
+
+def test_truncation_alpha_and_polygon_vertices_are_read_at_construction():
+    # alpha <= -1 is outside the weighted spaces, as for every builder
+    with pytest.raises(DomainError, match="^alpha must be "):
+        OperatorTruncation(np.eye(2), -5.0)
+    # a non-finite vertex fails as in convex_hull, not as a NaN distance later
+    with pytest.raises(NumericError, match="non-finite"):
+        HullPolygon([np.nan, 1, 1j])
