@@ -22,15 +22,16 @@ A check is declared once, by the ``_check`` decorator right above its
 body: its id, its claim, and each parameter as ``name=(default, reader)``.
 The registry holds the checks in the order they are declared here.
 ``run_check`` merges the overrides with the defaults and reads every
-parameter with its reader before the body runs, so the body receives
-typed keyword arguments and a report records only values its check ran
-at.  The readers are the validators of ``bergrange.core``, as for job
-configs: counts are integers (Python or NumPy, never bool), real
-parameters are numbers, coefficient lists such as ``psi`` are lists of
-[re, im] pairs, and a single complex value such as ``lam`` is a pair or a
-number.  Any other value raises UsageError naming the parameter, which
-the command line reports with exit code 2.  Relations between parameters,
-such as ``m2 > m1``, are checked in the bodies.
+parameter, and "seed", with ``core._read_fields`` before the body runs,
+so the body receives typed keyword arguments and a report records only
+values its check ran at.  The readers are the validators of
+``bergrange.core``, as for job configs: counts are integers (Python or
+NumPy, never bool), real parameters are numbers, coefficient lists such
+as ``psi`` are lists of [re, im] pairs, and a single complex value such
+as ``lam`` is a pair or a number.  Any other value raises UsageError
+naming the parameter, and an unknown name one that lists the allowed
+ones; the command line reports either with exit code 2.  Relations
+between parameters, such as ``m2 > m1``, are checked in the bodies.
 """
 
 from __future__ import annotations
@@ -44,9 +45,11 @@ from bergrange.core import (
     UsageError,
     _as_complex,
     _as_int,
-    _as_list,
     _as_number,
     _as_pairs,
+    _int,
+    _list_of,
+    _read_fields,
     alpha_weight,
     disk_quadrature,
     kernel_coeffs,
@@ -108,7 +111,7 @@ class CheckReport:
 class _CheckDef:
     claim: str
     defaults: dict
-    readers: dict
+    fields: dict
     fn: Callable
 
 
@@ -120,28 +123,16 @@ def _check(check_id: str, claim: str, **params):
     """Register the decorated body as check ``check_id``.
 
     Each keyword is a parameter of the body, given as (default, reader);
-    ``run_check`` passes it as ``reader(value, name)``.
+    ``run_check`` passes it as ``reader(value, name)``.  "seed" is read
+    first, as a field of every check, and recorded but not passed on.
     """
 
     def register(fn):
         defaults = {name: default for name, (default, _) in params.items()}
-        readers = {name: read for name, (_, read) in params.items()}
-        _REGISTRY[check_id] = _CheckDef(claim, defaults, readers, fn)
+        _REGISTRY[check_id] = _CheckDef(claim, defaults, {"seed": (None, _int(0)), **params}, fn)
         return fn
 
     return register
-
-
-def _int(minimum: int):
-    """Reader of an integer >= minimum."""
-    return lambda value, where: _as_int(value, where, minimum)
-
-
-def _list_of(read, items: str = "values"):
-    """Reader of a non-empty list whose entry i is read as ``read(entry, "where[i]")``."""
-    return lambda values, where: [
-        read(v, f"{where}[{i}]") for i, v in enumerate(_as_list(values, where, items))
-    ]
 
 
 def _as_mc_pair(value, where: str) -> tuple:
@@ -851,18 +842,11 @@ def _ellipse_compare(A, indices, f1_exp, f2_exp, minor_exp, K):
 def _run_mobius_mean_value(centers, radial, angular, degree):
     # a fixed harmonic dictionary: analytic plus anti-analytic parts with
     # deterministic coefficients
-    a = np.array([1.0 / (k + 1.0) for k in range(degree + 1)], dtype=complex)
-    b = np.array([(-1.0) ** q / (q + 2.0) for q in range(1, degree + 1)], dtype=complex)
+    a = series([1.0 / (k + 1.0) for k in range(degree + 1)])
+    b = series([(-1.0) ** q / (q + 2.0) for q in range(1, degree + 1)])
 
     def harmonic(z):
-        z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(z)
-        for k in range(degree, -1, -1):
-            acc = acc * z + a[k]
-        anti = np.zeros_like(z)
-        for q in range(degree, 0, -1):
-            anti = anti * np.conj(z) + b[q - 1]
-        return acc + anti * np.conj(z)
+        return series_eval(a, z) + series_eval(b, np.conj(z)) * np.conj(z)
 
     errs = []
     for w in centers:
@@ -935,17 +919,9 @@ def run_check(check_id: str, params: dict | None = None) -> CheckReport:
         known = ", ".join(sorted(_REGISTRY))
         raise UsageError(f"unknown check id {check_id!r}; known ids: {known}")
     d = _REGISTRY[check_id]
-    params = dict(params or {})
-    allowed = set(d.defaults) | {"seed"}
-    unknown = sorted(set(params) - allowed)
-    if unknown:
-        raise UsageError(
-            f"unknown parameters for {check_id}: {unknown}; allowed: {sorted(allowed)}"
-        )
-    if "seed" in params:
-        _as_int(params["seed"], "seed", 0)
-    merged = {**d.defaults, **params}
-    args = {name: read(merged[name], name) for name, read in d.readers.items()}
+    merged = {**d.defaults, **(params or {})}
+    args = _read_fields(merged, d.fields, check_id)
+    del args["seed"]
     passed, metrics, tolerance, notes = d.fn(**args)
     metrics = {k: float(v) for k, v in metrics.items()}
     return CheckReport(

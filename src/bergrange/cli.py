@@ -9,14 +9,18 @@ Subcommands:
 * ``plot``        render a points file written by ``range`` as a small static SVG
 
 Job configs are JSON objects with the keys ``alpha``, ``truncation``,
-``operator`` and optionally ``angles`` and ``seed``.  Unknown fields are
-rejected rather than ignored, so a typo cannot silently fall back to a
-default.  Fields and overrides are read by the validators of
+``operator`` and optionally ``angles`` and ``seed``.  The config and each
+operator body are declared once, as field tables of (default, reader)
+read by ``core._read_fields``, the reader of check parameters too.
+Unknown fields are rejected rather than ignored, naming the allowed ones,
+so a typo cannot silently fall back to a default.  ``--alpha``,
+``--truncation`` and ``--angles`` are read by the reader of the config
+field they replace.  The readers are the validators of
 ``bergrange.core``: an integer is a JSON integer, a number an integer or
 a float, a pair a list ``[re, im]`` of two numbers, and ``true``/``false``
 count as none of these.  Every such error is a UsageError naming the
-field.  Exit codes: 0 success, 1 check failures, 2 usage or config
-errors.
+field, a top-level one bare: ``truncation must be an integer, got True``.
+Exit codes: 0 success, 1 check failures, 2 usage or config errors.
 """
 
 from __future__ import annotations
@@ -33,11 +37,15 @@ from bergrange.checks import accepted_overrides, list_checks, run_all, run_check
 from bergrange.core import (
     DomainError,
     NumericError,
+    _REQUIRED,
     UsageError,
     _as_int,
-    _as_list,
     _as_number,
+    _as_object,
     _as_pairs,
+    _int,
+    _list_of,
+    _read_fields,
 )
 from bergrange.numrange import boundary_points
 from bergrange.operators import (
@@ -47,29 +55,36 @@ from bergrange.operators import (
     operator_sum,
 )
 
-_TOP_KEYS = {"alpha", "truncation", "operator", "angles", "seed"}
-_OPERATOR_KINDS = {"toeplitz", "weighted_composition", "sum"}
-
 
 @dataclass(frozen=True)
 class JobConfig:
     alpha: float
     truncation: int
     operator: dict
-    angles: int = 360
-    seed: int | None = None
+    angles: int
+    seed: int | None
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise UsageError(f"unknown field {unknown[0]!r} in {where}")
+def _as_term(value, where: str) -> tuple:
+    """A Toeplitz term [p, q, re, im]: the triple (p, q, re + i im)."""
+    if not isinstance(value, list) or len(value) != 4:
+        raise UsageError(f"{where} must be [p, q, re, im], got {value!r}")
+    p, q = _as_int(value[0], f"{where}[0]", 0), _as_int(value[1], f"{where}[1]", 0)
+    return p, q, complex(_as_number(value[2], f"{where}[2]"), _as_number(value[3], f"{where}[3]"))
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise UsageError(f"missing field {key!r} in {where}")
-    return obj[key]
+# each table maps a field to (default, reader); see core._read_fields
+_CONFIG_FIELDS = {
+    "alpha": (_REQUIRED, _as_number),
+    "truncation": (_REQUIRED, _int(2)),
+    "operator": (_REQUIRED, _as_object),
+    "angles": (360, _int(8)),
+    "seed": (None, _int(0)),
+}
+# _build_spec reads the body once the spec is known to hold exactly one kind
+_OPERATOR_KINDS = dict.fromkeys(("sum", "toeplitz", "weighted_composition"), (None, lambda body, where: body))
+_TOEPLITZ_FIELDS = {"terms": (_REQUIRED, _list_of(_as_term, "[p, q, re, im] terms"))}
+_COMPOSITION_FIELDS = {"psi": (_REQUIRED, _as_pairs), "phi": (_REQUIRED, _as_pairs)}
 
 
 def parse_config(text: str) -> JobConfig:
@@ -79,21 +94,7 @@ def parse_config(text: str) -> JobConfig:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-    alpha = _as_number(_require(raw, "alpha", "config"), "config field 'alpha'")
-    truncation = _as_int(
-        _require(raw, "truncation", "config"), "config field 'truncation'", 2
-    )
-    operator = _require(raw, "operator", "config")
-    if not isinstance(operator, dict):
-        raise UsageError("config field 'operator' must be an object")
-    angles = 360
-    if "angles" in raw:
-        angles = _as_int(raw["angles"], "config field 'angles'", 8)
-    seed = None
-    if "seed" in raw:
-        seed = _as_int(raw["seed"], "config field 'seed'", 0)
-    return JobConfig(alpha=alpha, truncation=truncation, operator=operator, angles=angles, seed=seed)
+    return JobConfig(**_read_fields(raw, _CONFIG_FIELDS, "config"))
 
 
 def operator_from_spec(spec: dict, alpha: float, truncation: int) -> OperatorTruncation:
@@ -102,40 +103,21 @@ def operator_from_spec(spec: dict, alpha: float, truncation: int) -> OperatorTru
 
 
 def _build_spec(spec, alpha: float, truncation: int, where: str) -> OperatorTruncation:
-    if not isinstance(spec, dict):
-        raise UsageError(f"{where} must be an object")
-    _reject_unknown(spec, _OPERATOR_KINDS, where)
+    _read_fields(spec, _OPERATOR_KINDS, where)
     if len(spec) != 1:
         raise UsageError(
             f"{where} must contain exactly one of {sorted(_OPERATOR_KINDS)}, got {sorted(spec)}"
         )
-    kind, body = next(iter(spec.items()))
+    ((kind, body),) = spec.items()
     where = f"{where}.{kind}"
     if kind == "sum":
-        body = _as_list(body, where, "operator objects")
-        return operator_sum(
-            [_build_spec(sub, alpha, truncation, f"{where}[{i}]") for i, sub in enumerate(body)]
-        )
-    if not isinstance(body, dict):
-        raise UsageError(f"{where} must be an object")
+        read = _list_of(lambda sub, at: _build_spec(sub, alpha, truncation, at), "operator objects")
+        return operator_sum(read(body, where))
     if kind == "toeplitz":
-        _reject_unknown(body, {"terms"}, where)
-        terms = _as_list(_require(body, "terms", where), f"{where}.terms", "[p, q, re, im] terms")
-        symbol = []
-        for i, term in enumerate(terms):
-            at = f"{where}.terms[{i}]"
-            if not isinstance(term, list) or len(term) != 4:
-                raise UsageError(f"{at} must be [p, q, re, im], got {term!r}")
-            p = _as_int(term[0], f"{at}[0]", 0)
-            q = _as_int(term[1], f"{at}[1]", 0)
-            re = _as_number(term[2], f"{at}[2]")
-            im = _as_number(term[3], f"{at}[3]")
-            symbol.append((p, q, complex(re, im)))
-        return build_toeplitz(symbol, alpha, truncation)
-    _reject_unknown(body, {"psi", "phi"}, where)
-    psi = _as_pairs(_require(body, "psi", where), f"{where}.psi")
-    phi = _as_pairs(_require(body, "phi", where), f"{where}.phi")
-    return build_weighted_composition(psi, phi, alpha, truncation)
+        terms = _read_fields(body, _TOEPLITZ_FIELDS, where, f"{where}.")["terms"]
+        return build_toeplitz(terms, alpha, truncation)
+    fields = _read_fields(body, _COMPOSITION_FIELDS, where, f"{where}.")
+    return build_weighted_composition(fields["psi"], fields["phi"], alpha, truncation)
 
 
 def build_operator(config: JobConfig) -> OperatorTruncation:
@@ -260,14 +242,19 @@ def _emit(text: str, out: str | None) -> None:
 # subcommands
 
 
+def _override(name: str, value, current):
+    """``--name value`` read by the reader of config field ``name``; ``current`` when not given."""
+    return current if value is None else _CONFIG_FIELDS[name][1](value, f"--{name}")
+
+
 def _load_config(args) -> JobConfig:
-    """Parse --config and apply --alpha and --truncation with the checks of parse_config."""
+    """Parse --config and apply --alpha and --truncation."""
     config = parse_config(Path(args.config).read_text())
-    if args.alpha is not None:
-        config = replace(config, alpha=_as_number(args.alpha, "--alpha"))
-    if args.truncation is not None:
-        config = replace(config, truncation=_as_int(args.truncation, "--truncation", 2))
-    return config
+    return replace(
+        config,
+        alpha=_override("alpha", args.alpha, config.alpha),
+        truncation=_override("truncation", args.truncation, config.truncation),
+    )
 
 
 def _cmd_build(args) -> int:
@@ -287,11 +274,9 @@ def _cmd_range(args) -> int:
         seed = config.seed
     else:
         matrix = matrix_from_csv(Path(args.matrix).read_text())
-        angles = 360
-    # checked here rather than in _load_config so that --matrix sweeps get it too
-    if args.angles is not None:
-        angles = _as_int(args.angles, "--angles", 8)
-    rows = sweep_rows(matrix, angles)
+        angles = _CONFIG_FIELDS["angles"][0]
+    # read here rather than in _load_config so that --matrix sweeps get it too
+    rows = sweep_rows(matrix, _override("angles", args.angles, angles))
     if args.format == "csv":
         text = rows_to_csv(rows)
     elif args.format == "json":

@@ -83,11 +83,54 @@ def _as_int(value, where: str, minimum: int) -> int:
     return int(value)
 
 
+def _int(minimum: int):
+    """Reader of an integer >= minimum."""
+    return lambda value, where: _as_int(value, where, minimum)
+
+
 def _as_list(value, where: str, items: str) -> list:
     """A non-empty list or tuple, whose entries the caller checks."""
     if not isinstance(value, (list, tuple)) or not value:
         raise UsageError(f"{where} must be a non-empty list of {items}")
     return value
+
+
+def _list_of(read, items: str = "values"):
+    """Reader of a non-empty list whose entry i is read as ``read(entry, "where[i]")``."""
+    return lambda values, where: [
+        read(v, f"{where}[{i}]") for i, v in enumerate(_as_list(values, where, items))
+    ]
+
+
+def _as_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise UsageError(f"{where} must be an object")
+    return value
+
+
+# the default of a field that must be given
+_REQUIRED = object()
+
+
+def _read_fields(raw, fields: dict, where: str, prefix: str = "") -> dict:
+    """Read the object ``raw`` by a table that maps each name to (default, reader).
+
+    A name outside the table is rejected, naming the allowed ones.  A missing
+    field takes its default, unless that is ``_REQUIRED``; a given one is
+    read as ``reader(value, prefix + name)``.  Fields are read in table order.
+    """
+    unknown = sorted(set(_as_object(raw, where)) - set(fields))
+    if unknown:
+        raise UsageError(f"unknown field {unknown[0]!r} in {where}; allowed: {sorted(fields)}")
+    out = {}
+    for name, (default, read) in fields.items():
+        if name in raw:
+            out[name] = read(raw[name], prefix + name)
+        elif default is _REQUIRED:
+            raise UsageError(f"missing field {name!r} in {where}")
+        else:
+            out[name] = default
+    return out
 
 
 def _as_pair(value, where: str) -> complex:

@@ -406,8 +406,10 @@ def convex_hull(points) -> np.ndarray:
     """Convex hull by the monotone chain, vertices counterclockwise.
 
     Degenerate inputs are handled: a single repeated point gives a
-    one-vertex hull and collinear points a two-vertex hull.  Nearly
-    coincident points are merged at 1e-12 relative to the spread.
+    one-vertex hull and collinear points a two-vertex hull.  Points are
+    merged on a grid of spacing 1e-12 times max(1, largest modulus) and
+    sorted by their grid keys, so rounding noise below that spacing
+    cannot reorder points along a near-vertical edge.
     """
     pts = _point_cloud(points)
     scale = max(1.0, float(np.max(np.abs(pts))))
@@ -416,7 +418,7 @@ def convex_hull(points) -> np.ndarray:
     for p in pts:
         key = (round(p.real / (1e-12 * scale)), round(p.imag / (1e-12 * scale)))
         merged.setdefault(key, p)
-    uniq = sorted(merged.values(), key=lambda p: (p.real, p.imag))
+    uniq = [merged[k] for k in sorted(merged)]
     if len(uniq) == 1:
         return np.array(uniq, dtype=complex)
     eps = 1e-12 * scale * scale

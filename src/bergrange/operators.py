@@ -12,6 +12,7 @@ structure is simpler and it serves as a cross-check).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -162,7 +163,11 @@ def _certify_self_map(phi: TruncatedSeries):
     """Prove that phi maps the open disk into itself, or raise DomainError.
 
     A nonconstant polynomial does so exactly when max |phi| <= 1 on the
-    unit circle, which sum |phi_k| <= 1 proves outright.  Otherwise phi
+    unit circle, which sum |phi_k| <= 1 proves outright.  The moduli are
+    correctly rounded by math.hypot and summed by math.fsum, so no unit
+    rotation e^{it} z reads above 1.  This is still a floating-point test,
+    not an exact one: the float nearest e^{2 pi i/10} has a modulus that
+    exceeds 1 by 2.7e-17 and is accepted.  Otherwise phi
     of degree d is sampled at M = _SELF_MAP_SAMPLES * d points of the
     circle; Bernstein's inequality max |phi'| <= d max |phi| bounds the
     true maximum by the sampled one over 1 - pi d / M.  An undecided case
@@ -177,7 +182,7 @@ def _certify_self_map(phi: TruncatedSeries):
         if abs(c[0]) >= 1.0:
             raise DomainError(f"phi is not a self-map of the disk: it is the constant {c[0]:.6f}")
         return
-    if float(np.sum(np.abs(c))) <= 1.0:
+    if math.fsum(math.hypot(z.real, z.imag) for z in c) <= 1.0:
         return
     M = _SELF_MAP_SAMPLES * d
     # the FFT of the coefficients evaluates phi at the M-th roots of unity

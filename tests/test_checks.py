@@ -225,3 +225,32 @@ def test_accepted_overrides_keep_each_checks_own_parameters():
     assert accepted_overrides("no_such_check", overrides) == {"seed": 3}
     with pytest.raises(UsageError, match="unknown check id"):
         run_check("no_such_check", accepted_overrides("no_such_check", overrides))
+
+
+def test_unknown_parameter_message_names_the_allowed_fields():
+    with pytest.raises(UsageError) as info:
+        run_check("l11_bounded", {"bogus": 1})
+    assert str(info.value) == "unknown field 'bogus' in l11_bounded; allowed: ['n_max', 'pairs', 'seed']"
+
+
+def test_c2_polygon_keeps_every_vertex_of_odd_and_even_orders():
+    # at orders 7 and 15 the hull once dropped a vertex for a point on an edge
+    report = run_check("c2_polygon", {"orders": [5, 7, 13, 15]})
+    assert report.passed, report.metrics
+    assert max(report.metrics.values()) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "check_id, params",
+    [
+        # th1 needs a weight g(z^10) at order 10: here 0.5 + 0.5 z^10
+        ("th1_rotation_hull", {"n": 10, "psi": [[0.5, 0.0]] + [[0.0, 0.0]] * 9 + [[0.5, 0.0]]}),
+        ("th_ellipse_rotation", {"n": 10}),
+        ("th_ellipse_irrational", {"theta": 0.1}),
+        ("block_decomposition", {"orders": [10]}),
+        ("c2_polygon", {"orders": [10]}),
+    ],
+)
+def test_rotations_whose_coefficient_rounds_to_modulus_one_are_built(check_id, params):
+    # the float e^{2 pi i / 10} once read as |lambda| = 1 + 2^-52 and failed the self-map certificate
+    assert run_check(check_id, params).passed

@@ -307,3 +307,59 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "adjoint_kernel" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "field, value, override, message",
+    [
+        ("truncation", 1, ["--truncation", "1"], "must be >= 2, got 1"),
+        ("angles", 7, ["--angles", "7"], "must be >= 8, got 7"),
+        ("seed", -1, None, "must be >= 0, got -1"),
+    ],
+)
+def test_config_field_and_its_override_share_one_rule(tmp_path, config_path, capsys, field, value, override, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**CONFIG, field: value}))
+    assert cli.main(["range", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {field} {message}\n"
+    if override:
+        assert cli.main(["range", "--config", str(config_path), *override]) == 2
+        assert capsys.readouterr().err == f"error: {override[0]} {message}\n"
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            {k: v for k, v in CONFIG.items() if k != "alpha"},
+            "missing field 'alpha' in config",
+        ),
+        (
+            {**CONFIG, "truncatoin": 32},
+            "unknown field 'truncatoin' in config; allowed: ['alpha', 'angles', 'operator', 'seed', 'truncation']",
+        ),
+        (
+            {**CONFIG, "operator": {"toeplitz": {"terms": [[1, 0, 0.5, 0.0]], "extra": 1}}},
+            "unknown field 'extra' in operator.toeplitz; allowed: ['terms']",
+        ),
+        (
+            {**CONFIG, "operator": {"shift": {}}},
+            "unknown field 'shift' in operator; allowed: ['sum', 'toeplitz', 'weighted_composition']",
+        ),
+        ({**CONFIG, "operator": [TERM]}, "operator must be an object"),
+    ],
+)
+def test_config_field_error_text(tmp_path, capsys, config, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["build", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_tenth_of_a_turn_rotation_builds(tmp_path, capsys):
+    phi = [[0.0, 0.0], [0.8090169943749475, 0.5877852522924731]]
+    config = {"alpha": 0.0, "truncation": 8, "operator": {"weighted_composition": {"psi": [[1.0, 0.0]], "phi": phi}}}
+    path = tmp_path / "rotation.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["build", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("# bergrange matrix truncation=8")

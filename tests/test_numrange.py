@@ -399,6 +399,21 @@ class TestHullGeometry:
         assert seg.size == 2
         assert {seg[0], seg[1]} == {0j, 1 + 0j}
 
+    def test_regular_polygon_with_points_on_its_edges(self):
+        # along a near-vertical edge, noise below the merge grid must not
+        # reorder the points and so drop a vertex or keep an edge point
+        t = np.array([0.25, 0.5, 0.75])
+        wrong = []
+        for n in range(3, 60):
+            for phase in (0.0, 0.1, 1.0, np.pi / n):
+                v = regular_polygon(n, phase=phase)
+                edges = (v[:, None] * (1 - t) + np.roll(v, -1)[:, None] * t).ravel()
+                hull = convex_hull(np.concatenate([v, edges]))
+                dev = max(float(np.min(np.abs(hull - e))) for e in v)
+                if hull.size != n or dev > 1e-12:
+                    wrong.append((n, phase, hull.size, dev))
+        assert not wrong
+
     def test_signed_distance(self):
         square = HullPolygon.from_points([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
         assert square.signed_distance(0j) == pytest.approx(1.0, abs=1e-12)

@@ -139,6 +139,9 @@ class TestWeightedComposition:
     def test_rejects_non_self_map(self):
         with pytest.raises(DomainError, match="self-map"):
             build_weighted_composition([1.0], [0.0, 1.2], 0.0, 8)
+        # the smallest float modulus above 1, read correctly rounded
+        with pytest.raises(DomainError, match="self-map"):
+            build_weighted_composition([1.0], [0.0, 1.0 + 2.0**-52], 0.0, 8)
         with pytest.raises(DomainError, match="self-map"):
             build_weighted_composition([1.0], [0.5, 1.0], 0.0, 8)
         # both leave the disk only near the unit circle
@@ -155,6 +158,12 @@ class TestWeightedComposition:
         for phi in ([0.0, np.nan], [np.nan], [0.5, 0.1, np.nan], [0.0, np.inf]):
             with pytest.raises(DomainError, match="self-map"):
                 build_weighted_composition([1.0], phi, 0.0, 8)
+
+    def test_every_unit_rotation_is_certified(self):
+        # numpy's complex abs reads some of these floats as 1 + 2^-52
+        ts = np.concatenate([np.arange(1, 2000) / 2000, 1.0 / np.arange(1, 200)])
+        for lam in np.exp(2j * np.pi * ts):
+            assert build_weighted_composition([1.0], [0.0, lam], 0.0, 2).truncation == 2
 
     def test_self_map_certified_by_sampling(self):
         # |1 + z - z^2| peaks at sqrt(5) on the circle while its coefficients
