@@ -1,53 +1,8 @@
 """Truncations of Bergman-space operators and their numerical ranges."""
 
-from bergrange.checks import CheckReport, list_checks, run_all, run_check
-from bergrange.core import (
-    AlphaWeight,
-    DomainError,
-    KernelVector,
-    NumericError,
-    TruncatedSeries,
-    UsageError,
-    alpha_weight,
-    bipoly_moment,
-    disk_quadrature,
-    kernel_coeffs,
-    monomial_norm_sq,
-    norm_ratio,
-    series,
-    series_eval,
-    series_mul,
-    series_pow,
-)
-from bergrange.numrange import (
-    DiscSpec,
-    EllipseSpec,
-    HullPolygon,
-    boundary_points,
-    convex_hull,
-    ellipse_from_2x2,
-    hermitian_extreme_eig,
-    hull_hausdorff,
-    numerical_range_hull,
-    regular_polygon,
-    sample_image_hull,
-    shape_containment,
-    support_function,
-    support_of,
-)
-from bergrange.operators import (
-    BiPolySymbol,
-    BlockReport,
-    OperatorTruncation,
-    block_structure_report,
-    boundedness_functional,
-    build_multiplication,
-    build_toeplitz,
-    build_weighted_composition,
-    compress,
-    kernel_form_closed,
-    kernel_form_matrix,
-    operator_sum,
-)
+from bergrange.checks import *
+from bergrange.core import *
+from bergrange.numrange import *
+from bergrange.operators import *
 
 __version__ = "0.1.0"

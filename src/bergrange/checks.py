@@ -264,10 +264,10 @@ def _run_zsq_diagonal(alphas, N):
         formula = (n + 1.0) / (n + alpha + 2.0)
         diag = np.real(np.diag(T))
         formula_dev = float(np.max(np.abs(diag - formula)))
-        wt = alpha_weight(alpha, N)
+        ratios = np.exp(alpha_weight(alpha, N).log_norm_ratio)
         quad = np.array(
             [
-                wt.norm_ratio[k]
+                ratios[k]
                 * disk_quadrature(lambda z, k=k: np.abs(z) ** (2 * k + 2), alpha, 80, 8).real
                 for k in range(N)
             ]
@@ -360,6 +360,12 @@ def _run_block_decomposition(alpha, N, orders, g):
     psi=([[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]], _as_pairs),
 )
 def _run_th1_rotation(alpha, n, N, K, psi):
+    off = [int(k) for k in np.flatnonzero(psi) if k % n]
+    if off:
+        raise UsageError(
+            f"psi must have the form g(z^n), but its coefficient of degree {off[0]} is nonzero "
+            f"and n={n} does not divide {off[0]}"
+        )
     lam = np.exp(2j * np.pi / n)
     A = build_weighted_composition(psi, [0.0, lam], alpha, N)
     theta = _angle_grid(K)
@@ -705,8 +711,8 @@ def _run_th_circle_3x3(alpha, n, m1, m2, N, K, psi):
     lam = np.exp(2j * np.pi / n)
     A = build_weighted_composition(psi, [0.0, lam], alpha, N)
     B = compress(A, [0, i1, i2])
-    wt = alpha_weight(alpha, i2)
-    w1, w2 = wt.monomial_norm_sq[i1], wt.monomial_norm_sq[i2]
+    norm_sq = np.exp(-alpha_weight(alpha, i2).log_norm_ratio)
+    w1, w2 = norm_sq[i1], norm_sq[i2]
     center = _padded_coeff(psi, 0)
     s21 = np.sqrt(w1) * _padded_coeff(psi, i1)
     s31 = np.sqrt(w2) * _padded_coeff(psi, i2)

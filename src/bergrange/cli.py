@@ -187,8 +187,12 @@ def rows_to_json(rows, seed=None) -> str:
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def render_svg(points, width: int = 480, height: int = 480) -> str:
-    """Static SVG of a closed boundary polyline with light axes."""
+# side of the square SVG canvas, in pixels
+_SVG_SIZE = 480
+
+
+def render_svg(points) -> str:
+    """Static SVG, _SVG_SIZE pixels square, of a closed boundary polyline with light axes."""
     xs = np.array([p[0] for p in points], dtype=float)
     ys = np.array([p[1] for p in points], dtype=float)
     x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
@@ -199,24 +203,24 @@ def render_svg(points, width: int = 480, height: int = 480) -> str:
     y_lo, y_hi = y_lo - pad, y_lo - pad + span + 2 * pad
 
     def sx(x):
-        return (x - x_lo) / (x_hi - x_lo) * width
+        return (x - x_lo) / (x_hi - x_lo) * _SVG_SIZE
 
     def sy(y):
-        return height - (y - y_lo) / (y_hi - y_lo) * height
+        return _SVG_SIZE - (y - y_lo) / (y_hi - y_lo) * _SVG_SIZE
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
+        f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
     ]
     if x_lo < 0 < x_hi:
         parts.append(
-            f'<line x1="{sx(0):.6g}" y1="0" x2="{sx(0):.6g}" y2="{height}" '
+            f'<line x1="{sx(0):.6g}" y1="0" x2="{sx(0):.6g}" y2="{_SVG_SIZE}" '
             'stroke="#bbbbbb" stroke-width="1"/>'
         )
     if y_lo < 0 < y_hi:
         parts.append(
-            f'<line x1="0" y1="{sy(0):.6g}" x2="{width}" y2="{sy(0):.6g}" '
+            f'<line x1="0" y1="{sy(0):.6g}" x2="{_SVG_SIZE}" y2="{sy(0):.6g}" '
             'stroke="#bbbbbb" stroke-width="1"/>'
         )
     coords = " ".join(f"{sx(x):.6g},{sy(y):.6g}" for x, y in zip(xs, ys))
@@ -224,7 +228,7 @@ def render_svg(points, width: int = 480, height: int = 480) -> str:
         f'<polygon points="{coords}" fill="none" stroke="#1f3d7a" stroke-width="1.5"/>'
     )
     parts.append(
-        f'<text x="6" y="{height - 8}" font-family="monospace" font-size="11" fill="#444444">'
+        f'<text x="6" y="{_SVG_SIZE - 8}" font-family="monospace" font-size="11" fill="#444444">'
         f"re [{x_lo:.6g}, {x_hi:.6g}]  im [{y_lo:.6g}, {y_hi:.6g}]</text>"
     )
     parts.append("</svg>")

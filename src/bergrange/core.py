@@ -14,8 +14,9 @@ The ratio r_n lives in one log-domain table, AlphaWeight.log_norm_ratio,
 the running sum log r_n = sum_{k<=n} log1p((alpha+1)/k) of the recurrence
 r_n = r_{n-1} (n+alpha+1)/n.  Every consumer reads that table: matrix
 entries are formed from differences of its logs, which stay O(1) long
-after r_n itself leaves float64 range.  The scalar norm_ratio sums the
-same entry the same way, without building or caching a table.
+after r_n itself leaves float64 range.  Single values come from the
+scalars norm_ratio and monomial_norm_sq, which sum the same entry the same
+way, without building or caching a table.
 """
 
 from __future__ import annotations
@@ -205,20 +206,14 @@ class AlphaWeight:
 
     Attributes
     ----------
-    log_norm_ratio : ndarray, log r_n for n <= max_index; builders read this
-    norm_ratio : ndarray, r_n = exp(log r_n), inf where it exceeds float64
-    monomial_norm_sq : ndarray, w_n = exp(-log r_n), 0 where it underflows
+    log_norm_ratio : read-only ndarray, log r_n for n <= max_index
     """
 
     def __init__(self, alpha: float, max_index: int):
         self.alpha = _check_alpha(alpha)
         self.max_index = _as_int(max_index, "max_index", 0)
         self.log_norm_ratio = _log_norm_ratios(self.alpha, self.max_index)
-        with np.errstate(over="ignore"):
-            self.norm_ratio = np.exp(self.log_norm_ratio)
-        self.monomial_norm_sq = np.exp(-self.log_norm_ratio)
-        for table in (self.log_norm_ratio, self.norm_ratio, self.monomial_norm_sq):
-            table.flags.writeable = False
+        self.log_norm_ratio.flags.writeable = False
 
     def __repr__(self):
         return f"AlphaWeight(alpha={self.alpha}, max_index={self.max_index})"
@@ -313,7 +308,6 @@ class KernelVector:
     base_point: complex
     alpha: float
     coeffs_in_basis: np.ndarray
-    normalized: bool
 
     def __post_init__(self):
         c = np.asarray(self.coeffs_in_basis, dtype=complex).copy()
@@ -321,13 +315,11 @@ class KernelVector:
         object.__setattr__(self, "coeffs_in_basis", c)
 
 
-def kernel_coeffs(w: complex, alpha: float, N: int, normalized: bool = False) -> KernelVector:
+def kernel_coeffs(w: complex, alpha: float, N: int) -> KernelVector:
     """Kernel vector at w, truncated to basis indices 0..N.
 
-    Entry n is sqrt(r_n) conj(w)^n; with ``normalized`` the whole vector is
-    scaled by (1-|w|^2)^(alpha/2+1), whose squared coefficient sum then tends
-    to 1 as N grows.  Moduli are summed as logs before one exp, so an entry
-    stays finite where sqrt(r_n) alone would overflow.
+    Entry n is sqrt(r_n) conj(w)^n.  Moduli are summed as logs before one
+    exp, so an entry stays finite where sqrt(r_n) alone would overflow.
     """
     alpha = _check_alpha(alpha)
     w = _as_complex(w, "w")
@@ -336,10 +328,8 @@ def kernel_coeffs(w: complex, alpha: float, N: int, normalized: bool = False) ->
     N = _as_int(N, "N", 0)
     n = np.arange(N + 1)
     log_c = 0.5 * alpha_weight(alpha, N).log_norm_ratio + xlogy(n, abs(w))
-    if normalized:
-        log_c += (alpha / 2.0 + 1.0) * np.log1p(-abs(w) ** 2)
     c = np.exp(log_c) * np.exp(-1j * np.angle(w) * n)
-    return KernelVector(w, alpha, c, bool(normalized))
+    return KernelVector(w, alpha, c)
 
 
 def bipoly_moment(p: int, q: int, alpha: float) -> complex:

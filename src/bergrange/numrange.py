@@ -56,7 +56,6 @@ import numpy as np
 from bergrange.core import NumericError, UsageError, _as_complex, _as_int, _as_matrix, _as_number
 
 __all__ = [
-    "hermitian_extreme_eig",
     "support_function",
     "boundary_points",
     "convex_hull",
@@ -80,14 +79,15 @@ def _zheevr_lwork(n: int) -> int:
     return int(zheevr_lwork(n, lower=1)[0].real)
 
 
-def _eigpair(H: np.ndarray, index: int, vectors: bool = True):
-    """Eigenvalue ``index`` (ascending) of a Hermitian H, with ``vectors`` also its checked eigenvector.
+def _eigpair(H: np.ndarray, vectors: bool):
+    """Top eigenvalue of a Hermitian H, with ``vectors`` also its checked eigenvector.
 
     zheevr bisects for the one eigenvalue with or without the vector, so
     sweeps with and without vectors return identical supports.
     """
     from scipy.linalg.lapack import zheevr
-    w, z, _, _, info = zheevr(H, compute_v=int(vectors), range="I", lower=1, il=index + 1, iu=index + 1, lwork=_zheevr_lwork(H.shape[0]))
+    n = H.shape[0]
+    w, z, _, _, info = zheevr(H, compute_v=int(vectors), range="I", lower=1, il=n, iu=n, lwork=_zheevr_lwork(n))
     if info != 0:
         raise NumericError(f"Hermitian eigensolver failed (LAPACK info {info})")
     if not vectors:
@@ -154,23 +154,6 @@ def _band_vector(ab: np.ndarray, lam: float, start: np.ndarray) -> np.ndarray:
     for _ in range(2):
         x, _ = zgbtrs(lu, kd, kd, x, piv)
     return x / np.linalg.norm(x)
-
-
-def hermitian_extreme_eig(H, which: str = "max", hermitian_tol: float = 1e-12):
-    """Extreme eigenpair of a Hermitian matrix.
-
-    Returns (eigenvalue, eigenvector).  The input must be Hermitian up to
-    ``hermitian_tol`` times its magnitude; the residual of the returned
-    pair is verified so a silent LAPACK failure cannot leak through.
-    """
-    M = _as_matrix(H)
-    scale = max(1.0, float(np.max(np.abs(M))))
-    dev = float(np.max(np.abs(M - M.conj().T)))
-    if dev > hermitian_tol * scale:
-        raise UsageError(f"matrix is not Hermitian: max deviation {dev:.3e}")
-    if which not in ("max", "min"):
-        raise UsageError(f"which must be 'max' or 'min', got {which!r}")
-    return _eigpair((M + M.conj().T) / 2.0, M.shape[0] - 1 if which == "max" else 0)
 
 
 # Solver choice, from the top eigenvalue of random Hermitian band matrices
@@ -302,9 +285,9 @@ class _Block:
             # ab is this block of H(theta) in band storage: H v at O(n kd), and max |ab| = max_ij |H_ij(theta)|
             return _checked_pair(lam, v, zhbmv(ab.shape[0] - 1, 1.0, ab, v, lower=1), max(1.0, float(np.max(np.abs(ab)))))
         if self.basis is None:
-            return _eigpair(c * self.re + s * self.im, self.n - 1, vectors)
+            return _eigpair(c * self.re + s * self.im, vectors)
         k = self.reduced.shape[1]
-        lam, y = _eigpair(c * self.reduced[0] + s * self.reduced[1], k - 1, vectors)
+        lam, y = _eigpair(c * self.reduced[0] + s * self.reduced[1], vectors)
         support = float(np.maximum(lam, 0.0))  # a NaN stays NaN and wins the sweep's argmax
         if not vectors:
             return support, None

@@ -20,6 +20,7 @@ import numpy as np
 
 from bergrange.core import (
     DomainError,
+    NumericError,
     TruncatedSeries,
     UsageError,
     _as_complex,
@@ -195,23 +196,29 @@ def _certify_self_map(phi: TruncatedSeries):
         )
 
 
-def build_weighted_composition(
-    psi, phi, alpha: float, N: int, check_self_map: bool = True
-) -> OperatorTruncation:
+def _composition_series(psi, phi):
+    """psi and phi as series, once psi is finite and phi is certified as a self-map of the disk."""
+    psi_s, phi_s = _as_series(psi, "psi"), _as_series(phi, "phi")
+    if not np.all(np.isfinite(psi_s.coeffs)):
+        raise NumericError("psi has a non-finite coefficient")
+    _certify_self_map(phi_s)
+    return psi_s, phi_s
+
+
+def build_weighted_composition(psi, phi, alpha: float, N: int) -> OperatorTruncation:
     """Truncation of f -> psi * (f o phi) for polynomial psi and phi.
 
     Column n holds the coefficients of psi * phi^n in the orthonormal
     basis, the z^m one scaled by sqrt(r_n / r_m); an entry too large for
     float64 raises NumericError.  Inputs shorter than the truncation are
-    zero-padded.  When ``check_self_map`` is set, phi is rejected unless
-    it is certified to map the disk into itself; the certificate covers
-    every coefficient of phi, also those the truncation cuts away.
+    zero-padded.  phi is rejected unless it is certified to map the disk
+    into itself; the certificate covers every coefficient of phi, also
+    those the truncation cuts away.
     """
     N = _as_int(N, "truncation", 1)
     psi_s = _as_series(psi, "psi").pad_to(N - 1)
     phi_s = _as_series(phi, "phi")
-    if check_self_map:
-        _certify_self_map(phi_s)
+    _certify_self_map(phi_s)
     phi_s = phi_s.pad_to(N - 1)
     log_r = alpha_weight(alpha, N - 1).log_norm_ratio
     A = np.empty((N, N), dtype=complex)
@@ -288,9 +295,10 @@ def kernel_form_closed(psi, phi, w: complex, alpha: float) -> complex:
     The adjoint sends the kernel at w to conj(psi(w)) times the kernel at
     phi(w), which gives the closed form
     psi(w) (1-|w|^2)^(alpha+2) / (1 - conj(w) phi(w))^(alpha+2).
+    A non-finite psi raises NumericError, and a phi not certified as a
+    self-map of the disk DomainError, as in the builder.
     """
-    psi_s = _as_series(psi, "psi")
-    phi_s = _as_series(phi, "phi")
+    psi_s, phi_s = _composition_series(psi, phi)
     w = _as_complex(w, "w")
     if abs(w) >= 1.0:
         raise DomainError(f"base point must satisfy |w| < 1, got |w| = {abs(w)}")
@@ -321,10 +329,9 @@ def boundedness_functional(
     Evaluates |psi(w)| ((1-|w|^2)/(1-|phi(w)|^2))^((alpha+2)/2) over a
     polar grid (including the origin) and returns the supremum; the value
     is the norm of the adjoint applied to the normalized kernel at the
-    maximizing point.
+    maximizing point.  psi and phi are checked as in kernel_form_closed.
     """
-    psi_s = _as_series(psi, "psi")
-    phi_s = _as_series(phi, "phi")
+    psi_s, phi_s = _composition_series(psi, phi)
     alpha = _check_alpha(alpha)
     radial, angular = _as_int(radial, "radial", 1), _as_int(angular, "angular", 1)
     r = np.linspace(0.0, _KERNEL_GRID_RADIUS, radial)

@@ -73,10 +73,10 @@ def test_criterion_03_modulus_squared_diagonal():
         off = float(np.max(np.abs(T - np.diag(np.diag(T)))))
         n = np.arange(64)
         formula_dev = float(np.max(np.abs(np.real(np.diag(T)) - (n + 1.0) / (n + alpha + 2.0))))
-        wt = alpha_weight(alpha, 64)
+        ratios = np.exp(alpha_weight(alpha, 64).log_norm_ratio)
         quad = np.array(
             [
-                wt.norm_ratio[k]
+                ratios[k]
                 * disk_quadrature(lambda z, k=k: np.abs(z) ** (2 * k + 2), alpha, 80, 8).real
                 for k in range(64)
             ]

@@ -254,3 +254,15 @@ def test_c2_polygon_keeps_every_vertex_of_odd_and_even_orders():
 def test_rotations_whose_coefficient_rounds_to_modulus_one_are_built(check_id, params):
     # the float e^{2 pi i / 10} once read as |lambda| = 1 + 2^-52 and failed the self-map certificate
     assert run_check(check_id, params).passed
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_th1_rejects_a_weight_not_of_the_form_g_of_z_to_the_n(n):
+    # the default weight 0.5 + 0.5 z^3 once ran at these orders and failed with a Hausdorff gap near 0.3
+    with pytest.raises(UsageError, match=rf"^psi must have the form g\(z\^n\), .* and n={n} does not divide 3$"):
+        run_check("th1_rotation_hull", {"n": n})
+
+
+def test_th1_holds_for_a_weight_of_the_form_g_of_z_to_the_n():
+    report = run_check("th1_rotation_hull", {"n": 4, "psi": [[0.5, 0.0]] + [[0.0, 0.0]] * 3 + [[0.5, 0.0]]})
+    assert report.passed, report.metrics

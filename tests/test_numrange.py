@@ -21,7 +21,6 @@ from bergrange.numrange import (
     boundary_points,
     convex_hull,
     ellipse_from_2x2,
-    hermitian_extreme_eig,
     hull_hausdorff,
     numerical_range_hull,
     regular_polygon,
@@ -39,25 +38,6 @@ from bergrange.numrange import (
 from bergrange.operators import BiPolySymbol, build_multiplication, build_toeplitz, build_weighted_composition
 
 GRID = 2.0 * np.pi * np.arange(256) / 256
-
-
-class TestExtremeEig:
-    def test_residual_holds_on_random_hermitian(self):
-        rng = np.random.default_rng(7)
-        X = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
-        H = (X + X.conj().T) / 2.0
-        lam, v = hermitian_extreme_eig(H, "max")
-        assert np.linalg.norm(H @ v - lam * v) < 1e-10 * np.max(np.abs(H)) * np.sqrt(50)
-        lo, _ = hermitian_extreme_eig(H, "min")
-        assert lo < lam
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(UsageError):
-            hermitian_extreme_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(NumericError):
-            hermitian_extreme_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def _structured_matrices():
@@ -88,6 +68,9 @@ def _structured_matrices():
     # positive semidefinite rank one: support 0 over half the circle
     u = rng.standard_normal(48) + 1j * rng.standard_normal(48)
     yield "psd_rank_one", np.outer(u, u.conj())
+    # Hermitian, full rank: the support is lambda_max at theta = 0 and -lambda_min at theta = pi
+    X = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
+    yield "hermitian50", (X + X.conj().T) / 2.0
 
 
 def _dense_composition(rng, n):
@@ -128,7 +111,7 @@ class TestSweepKernel:
     def test_low_rank_blocks_are_solved_on_their_range(self):
         # dimension k of the reduced basis; None keeps the dense solver
         want = {"pro1_disc": 2, "pro1_ellipse": 2, "composition": 57, "psd_rank_one": 1}
-        want.update(dense2=None, dense5=None, dense24=None)
+        want.update(dense2=None, dense5=None, dense24=None, hermitian50=None)
         got = {name: _range_basis(A) for name, A in _structured_matrices() if name in want}
         # theo2: a dense lower-triangular wedge, reduced once N leaves room
         got.update((f"theo2_{N}", _range_basis(_theo2(N))) for N in (16, 32, 64, 128))

@@ -91,13 +91,13 @@ class TestToeplitz:
         T = build_toeplitz(sym, alpha, N).matrix
         from bergrange.core import alpha_weight
 
-        wt = alpha_weight(alpha, N)
+        ratios = np.exp(alpha_weight(alpha, N).log_norm_ratio)
         for m in range(N):
             for n in range(N):
                 val = disk_quadrature(
                     lambda z, m=m, n=n: sym(z) * z**n * np.conj(z) ** m, alpha, 16, 64
                 )
-                want = np.sqrt(wt.norm_ratio[n] * wt.norm_ratio[m]) * val
+                want = np.sqrt(ratios[n] * ratios[m]) * val
                 assert abs(T[m, n] - want) < 1e-9
 
 
@@ -173,10 +173,6 @@ class TestWeightedComposition:
         with pytest.raises(DomainError, match="self-map"):
             build_weighted_composition([1.0], 0.45 * np.array([1.0, 1.0, -1.0]), 0.0, 8)
 
-    def test_check_can_be_disabled(self):
-        W = build_weighted_composition([1.0], [0.0, 1.2], 0.0, 8, check_self_map=False)
-        assert W.truncation == 8
-
     def test_composition_action_on_polynomial(self):
         # column n of the matrix must reproduce psi * phi^n coefficient-wise
         psi = series([0.5, 0.0, 1.0])
@@ -185,10 +181,10 @@ class TestWeightedComposition:
         W = build_weighted_composition(psi, phi, 1.0, N)
         from bergrange.core import alpha_weight, series_mul, series_pow
 
-        wt = alpha_weight(1.0, N - 1)
+        ratios = np.exp(alpha_weight(1.0, N - 1).log_norm_ratio)
         n = 3
         target = series_mul(psi.pad_to(N - 1), series_pow(phi.pad_to(N - 1), n))
-        got = W.matrix[:, n] * np.sqrt(wt.norm_ratio) / np.sqrt(wt.norm_ratio[n])
+        got = W.matrix[:, n] * np.sqrt(ratios) / np.sqrt(ratios[n])
         assert np.allclose(got, target.coeffs, atol=1e-14)
 
 
@@ -269,6 +265,26 @@ class TestBoundedness:
         got = boundedness_functional([0.0, 1.0], [0.5], 0.0)
         assert got == pytest.approx(want, abs=2e-4)
         assert got <= want + 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("helper", [kernel_form_closed, boundedness_functional])
+@pytest.mark.parametrize(
+    "psi, phi, error, match",
+    [
+        ([np.nan], [0.0, 0.5], NumericError, "psi has a non-finite"),
+        ([1.0, np.inf], [0.0, 0.5], NumericError, "psi has a non-finite"),
+        ([1.0], [np.inf], DomainError, "phi .* non-finite"),
+        ([1.0], [0.0, np.nan], DomainError, "phi .* non-finite"),
+        ([1.0], [0.0, 1.2], DomainError, "self-map"),
+    ],
+    ids=["nan-psi", "inf-psi", "inf-phi", "nan-phi", "phi-leaves-the-disk"],
+)
+def test_kernel_helpers_check_psi_and_phi_at_their_source(helper, psi, phi, error, match):
+    # as in the builder: psi finite, phi certified as a self-map of the disk
+    args = (psi, phi, 0.3, 0.0) if helper is kernel_form_closed else (psi, phi, 0.0)
+    with pytest.raises(error, match=match):
+        helper(*args)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
