@@ -11,7 +11,9 @@ Subcommands:
 Job configs are JSON objects with the keys ``alpha``, ``truncation``,
 ``operator`` and optionally ``angles`` and ``seed``.  The config and each
 operator body are declared once, as field tables of (default, reader)
-read by ``core._read_fields``, the reader of check parameters too.
+read by ``core._read_fields``, the reader of check parameters too;
+``parse_config`` returns the dict it builds, which ``build_operator``
+reads.
 Unknown fields are rejected rather than ignored, naming the allowed ones,
 so a typo cannot silently fall back to a default.  ``--alpha``,
 ``--truncation`` and ``--angles`` are read by the reader of the config
@@ -28,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,15 +57,6 @@ from bergrange.operators import (
 )
 
 
-@dataclass(frozen=True)
-class JobConfig:
-    alpha: float
-    truncation: int
-    operator: dict
-    angles: int
-    seed: int | None
-
-
 def _as_term(value, where: str) -> tuple:
     """A Toeplitz term [p, q, re, im]: the triple (p, q, re + i im)."""
     if not isinstance(value, list) or len(value) != 4:
@@ -87,14 +79,15 @@ _TOEPLITZ_FIELDS = {"terms": (_REQUIRED, _list_of(_as_term, "[p, q, re, im] term
 _COMPOSITION_FIELDS = {"psi": (_REQUIRED, _as_pairs), "phi": (_REQUIRED, _as_pairs)}
 
 
-def parse_config(text: str) -> JobConfig:
+def parse_config(text: str) -> dict:
+    """The job config as a dict of its ``_CONFIG_FIELDS``, each read and defaulted."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
-    return JobConfig(**_read_fields(raw, _CONFIG_FIELDS, "config"))
+    return _read_fields(raw, _CONFIG_FIELDS, "config")
 
 
 def operator_from_spec(spec: dict, alpha: float, truncation: int) -> OperatorTruncation:
@@ -120,8 +113,8 @@ def _build_spec(spec, alpha: float, truncation: int, where: str) -> OperatorTrun
     return build_weighted_composition(fields["psi"], fields["phi"], alpha, truncation)
 
 
-def build_operator(config: JobConfig) -> OperatorTruncation:
-    return operator_from_spec(config.operator, config.alpha, config.truncation)
+def build_operator(config: dict) -> OperatorTruncation:
+    return operator_from_spec(config["operator"], config["alpha"], config["truncation"])
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +244,12 @@ def _override(name: str, value, current):
     return current if value is None else _CONFIG_FIELDS[name][1](value, f"--{name}")
 
 
-def _load_config(args) -> JobConfig:
+def _load_config(args) -> dict:
     """Parse --config and apply --alpha and --truncation."""
     config = parse_config(Path(args.config).read_text())
-    return replace(
-        config,
-        alpha=_override("alpha", args.alpha, config.alpha),
-        truncation=_override("truncation", args.truncation, config.truncation),
-    )
+    for name in ("alpha", "truncation"):
+        config[name] = _override(name, getattr(args, name), config[name])
+    return config
 
 
 def _cmd_build(args) -> int:
@@ -274,8 +265,8 @@ def _cmd_range(args) -> int:
     if args.config:
         config = _load_config(args)
         matrix = build_operator(config).matrix
-        angles = config.angles
-        seed = config.seed
+        angles = config["angles"]
+        seed = config["seed"]
     else:
         matrix = matrix_from_csv(Path(args.matrix).read_text())
         angles = _CONFIG_FIELDS["angles"][0]

@@ -10,11 +10,12 @@ Conventions used throughout the package:
 * analytic functions are handled as truncated Taylor series, coefficients
   indexed from degree 0.
 
-The ratio r_n lives in one log-domain table, AlphaWeight.log_norm_ratio,
-the running sum log r_n = sum_{k<=n} log1p((alpha+1)/k) of the recurrence
-r_n = r_{n-1} (n+alpha+1)/n.  Every consumer reads that table: matrix
-entries are formed from differences of its logs, which stay O(1) long
-after r_n itself leaves float64 range.  Single values come from the
+The ratio r_n lives in one log-domain table, the read-only array
+alpha_weight(alpha, max_index) of log r_n for n <= max_index, cached per
+alpha and size.  It is the running sum log r_n = sum_{k<=n}
+log1p((alpha+1)/k) of the recurrence r_n = r_{n-1} (n+alpha+1)/n.  Every
+consumer reads that table: matrix entries are formed from differences of
+its logs, which stay O(1) long after r_n itself leaves float64 range.  Single values come from the
 scalars norm_ratio and monomial_norm_sq, which sum the same entry the same
 way, without building or caching a table.
 """
@@ -33,7 +34,6 @@ __all__ = [
     "DomainError",
     "UsageError",
     "NumericError",
-    "AlphaWeight",
     "alpha_weight",
     "norm_ratio",
     "monomial_norm_sq",
@@ -42,7 +42,6 @@ __all__ = [
     "series_mul",
     "series_pow",
     "series_eval",
-    "KernelVector",
     "kernel_coeffs",
     "bipoly_moment",
     "disk_quadrature",
@@ -175,7 +174,7 @@ def _check_alpha(alpha: float) -> float:
 def norm_ratio(n: int, alpha: float):
     """Squared norm ratio r_n = Gamma(n+alpha+2) / (n! Gamma(alpha+2)).
 
-    The log is the entry n of the ``AlphaWeight`` table, summed the same way
+    The log is the entry n of the ``alpha_weight`` table, summed the same way
     but neither read from nor stored in the ``alpha_weight`` cache.  The
     value is returned as a plain float when it fits, otherwise as an
     extended-precision scalar (the ratio stays finite far beyond float64
@@ -201,28 +200,12 @@ def _log_norm_ratios(alpha: float, max_index: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.log1p((alpha + 1.0) / k))))
 
 
-class AlphaWeight:
-    """Precomputed norm data for one alpha, indices 0..max_index.
-
-    Attributes
-    ----------
-    log_norm_ratio : read-only ndarray, log r_n for n <= max_index
-    """
-
-    def __init__(self, alpha: float, max_index: int):
-        self.alpha = _check_alpha(alpha)
-        self.max_index = _as_int(max_index, "max_index", 0)
-        self.log_norm_ratio = _log_norm_ratios(self.alpha, self.max_index)
-        self.log_norm_ratio.flags.writeable = False
-
-    def __repr__(self):
-        return f"AlphaWeight(alpha={self.alpha}, max_index={self.max_index})"
-
-
 @lru_cache(maxsize=128)
-def alpha_weight(alpha: float, max_index: int) -> AlphaWeight:
-    """Cached AlphaWeight table."""
-    return AlphaWeight(alpha, max_index)
+def alpha_weight(alpha: float, max_index: int) -> np.ndarray:
+    """The cached, read-only table of log r_n for n = 0..max_index."""
+    log_r = _log_norm_ratios(_check_alpha(alpha), _as_int(max_index, "max_index", 0))
+    log_r.flags.writeable = False
+    return log_r
 
 
 @dataclass(frozen=True)
@@ -301,22 +284,8 @@ def series_eval(a: TruncatedSeries, z):
     return acc
 
 
-@dataclass(frozen=True)
-class KernelVector:
-    """Coefficients of a reproducing kernel vector in the orthonormal basis."""
-
-    base_point: complex
-    alpha: float
-    coeffs_in_basis: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs_in_basis, dtype=complex).copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs_in_basis", c)
-
-
-def kernel_coeffs(w: complex, alpha: float, N: int) -> KernelVector:
-    """Kernel vector at w, truncated to basis indices 0..N.
+def kernel_coeffs(w: complex, alpha: float, N: int) -> np.ndarray:
+    """Read-only coefficients of the kernel vector at w in the orthonormal basis, indices 0..N.
 
     Entry n is sqrt(r_n) conj(w)^n.  Moduli are summed as logs before one
     exp, so an entry stays finite where sqrt(r_n) alone would overflow.
@@ -327,9 +296,10 @@ def kernel_coeffs(w: complex, alpha: float, N: int) -> KernelVector:
         raise DomainError(f"base point must satisfy |w| < 1, got |w| = {abs(w)}")
     N = _as_int(N, "N", 0)
     n = np.arange(N + 1)
-    log_c = 0.5 * alpha_weight(alpha, N).log_norm_ratio + xlogy(n, abs(w))
+    log_c = 0.5 * alpha_weight(alpha, N) + xlogy(n, abs(w))
     c = np.exp(log_c) * np.exp(-1j * np.angle(w) * n)
-    return KernelVector(w, alpha, c)
+    c.flags.writeable = False
+    return c
 
 
 def bipoly_moment(p: int, q: int, alpha: float) -> complex:

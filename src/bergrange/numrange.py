@@ -40,10 +40,11 @@ angle, and its scale is the largest band entry, which is the largest
 entry of H(theta) for a Hermitian band.  Only the winning block of an
 angle computes its point.
 
-Reference shapes (discs, ellipses, polygons, sampled image hulls) share a
-common support-function interface so containment can be decided by
-comparing supports on an angle grid, which is exact for convex sets up to
-grid resolution and immune to the sagging of inscribed polygons.
+Reference shapes (discs, ellipses, polygons, and point clouds such as
+symbol images sampled on the unit circle) share a common support-function
+interface so containment can be decided by comparing supports on an angle
+grid, which is exact for convex sets up to grid resolution and immune to
+the sagging of inscribed polygons.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ __all__ = [
     "support_of",
     "shape_containment",
     "regular_polygon",
-    "sample_image_hull",
 ]
 
 
@@ -194,18 +194,27 @@ def _range_basis(M: np.ndarray):
     by up to tau, and the residual check's tolerance falls to 1e-10 sqrt(n)
     where H(theta) is small, as for a large M near a phase times a
     Hermitian matrix.
+
+    The QR is taken in raw form.  Q is formed from its reflectors only for
+    a block that is kept, by the same LAPACK call and workspace query as
+    scipy's full-mode ``qr``, so it has the same bits.
     """
     from scipy.linalg import qr  # here so `build` never pays for loading scipy.linalg
+    from scipy.linalg.lapack import zungqr
     n = M.shape[0]
     X = np.vstack([M.T, M.conj()]).T  # [M, M*] in Fortran order, which the QR overwrites without a copy
-    Q, R, _ = qr(X, overwrite_a=True, pivoting=True)
+    (reflectors, scalars), R, _ = qr(X, overwrite_a=True, mode="raw", pivoting=True)
     d = np.abs(np.diag(R))
     k = int(np.count_nonzero(d > n * np.finfo(float).eps * d[0]))
     if k == 0 or k == n:
         return None
     R[k:] /= d[0]  # rows k.. of R are [0, R_22], scaled in place so that a huge M cannot overflow the norm
     tau = d[0] * float(np.linalg.norm(R[k:]))
-    return None if tau > 0.5e-10 * np.sqrt(n) else (Q[:, :k], Q[:, k])
+    if tau > 0.5e-10 * np.sqrt(n):
+        return None
+    lwork = int(zungqr(reflectors[:, :n], scalars, lwork=-1)[1][0].real)
+    Q = zungqr(reflectors[:, :n], scalars, lwork=lwork, overwrite_a=1)[0]
+    return Q[:, :k], Q[:, k]
 
 
 def _scale_entries(A_re: np.ndarray, A_im: np.ndarray):
@@ -444,10 +453,6 @@ class HullPolygon:
     def from_points(cls, points) -> "HullPolygon":
         return cls(convex_hull(points))
 
-    @property
-    def n_vertices(self) -> int:
-        return self.vertices.size
-
     def support(self, thetas) -> np.ndarray:
         return support_of(self.vertices, thetas)
 
@@ -472,28 +477,6 @@ class HullPolygon:
         cross = ab.real * ap.imag - ab.imag * ap.real
         inside = bool(np.all(cross >= -1e-15 * max(1.0, float(np.max(np.abs(self.vertices)))) ** 2))
         return d if inside else -d
-
-    def contains(self, point: complex, tol: float = 0.0) -> bool:
-        return self.signed_distance(point) >= -tol
-
-    def boundary_samples(self, n: int = 1024) -> np.ndarray:
-        """Roughly arc-length-uniform samples along the closed boundary."""
-        n = _as_int(n, "n", 1)
-        v = self.vertices
-        if v.size == 1:
-            return np.repeat(v, n)
-        a, b = self._edges()
-        if v.size == 2:
-            a, b = np.array([v[0]]), np.array([v[1]])
-        lengths = np.abs(b - a)
-        total = float(np.sum(lengths))
-        if total == 0.0:
-            return np.repeat(v[:1], n)
-        s = np.linspace(0.0, total, n, endpoint=False)
-        cuts = np.concatenate([[0.0], np.cumsum(lengths)])
-        idx = np.clip(np.searchsorted(cuts, s, side="right") - 1, 0, lengths.size - 1)
-        local = (s - cuts[idx]) / lengths[idx]
-        return a[idx] + local * (b[idx] - a[idx])
 
 
 def numerical_range_hull(A, n_angles: int = 360) -> HullPolygon:
@@ -574,13 +557,6 @@ class EllipseSpec:
         bulge = np.sqrt(a_s**2 * np.cos(rel) ** 2 + b_s**2 * np.sin(rel) ** 2)
         return np.real(np.exp(-1j * thetas) * self.center) + bulge
 
-    def boundary(self, n: int = 256) -> np.ndarray:
-        phi = _angle_grid(n)
-        beta = np.angle(self.focus2 - self.focus1) if self.focus2 != self.focus1 else 0.0
-        a_s = self.major_axis / 2.0
-        b_s = self.minor_axis / 2.0
-        return self.center + np.exp(1j * beta) * (a_s * np.cos(phi) + 1j * b_s * np.sin(phi))
-
 
 def ellipse_from_2x2(M) -> EllipseSpec:
     """Elliptical numerical range of a 2 x 2 matrix.
@@ -638,19 +614,10 @@ def regular_polygon(n: int, radius: float = 1.0, center: complex = 0j, phase: fl
     return center + radius * np.exp(1j * (phase + 2.0 * np.pi * k / n))
 
 
-def _image_samples(f, radii, n_angles: int) -> np.ndarray:
-    """Values f(r e^{i theta}) on each circle of the given radii, plus f(0)."""
-    z = np.asarray(radii, dtype=float)[:, None] * np.exp(1j * _angle_grid(n_angles))[None, :]
-    return np.append(np.asarray(f(z), dtype=complex), f(np.zeros(1, dtype=complex)))
-
-
-def sample_image_hull(f, radii=None, n_angles: int = 512) -> HullPolygon:
-    """Convex hull of sampled values f(r e^{i theta}).
+def _image_samples(f, n_angles: int) -> np.ndarray:
+    """Values f(e^{i theta}) on the angle grid of the unit circle.
 
     ``f`` must evaluate elementwise on complex arrays (truncated series
-    and bi-polynomial symbols both do).  Default radii stay just inside
-    the disk; pass radii=[1.0] to sample the boundary circle itself.
+    and bi-polynomial symbols both do).
     """
-    if radii is None:
-        radii = np.linspace(0.0, 1.0 - 1e-3, 25)
-    return HullPolygon.from_points(_image_samples(f, radii, n_angles))
+    return np.asarray(f(np.exp(1j * _angle_grid(n_angles))), dtype=complex)

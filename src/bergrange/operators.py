@@ -89,15 +89,6 @@ class BiPolySymbol:
         return acc
 
     @property
-    def is_real_valued(self) -> bool:
-        """True when the symbol is real on the disk (terms closed under swap-conjugate)."""
-        table = {(p, q): c for p, q, c in self.terms}
-        for (p, q), c in table.items():
-            if table.get((q, p), 0j) != np.conj(c):
-                return False
-        return True
-
-    @property
     def max_degree(self) -> int:
         return max((max(p, q) for p, q, _ in self.terms), default=0)
 
@@ -148,7 +139,7 @@ def build_toeplitz(symbol, alpha: float, N: int) -> OperatorTruncation:
     """
     sym = _as_symbol(symbol)
     N = _as_int(N, "truncation", 1)
-    log_r = alpha_weight(alpha, N - 1 + sym.max_degree).log_norm_ratio
+    log_r = alpha_weight(alpha, N - 1 + sym.max_degree)
     A = np.zeros((N, N), dtype=complex)
     n_idx = np.arange(N)
     for p, q, c in sym.terms:
@@ -220,7 +211,7 @@ def build_weighted_composition(psi, phi, alpha: float, N: int) -> OperatorTrunca
     phi_s = _as_series(phi, "phi")
     _certify_self_map(phi_s)
     phi_s = phi_s.pad_to(N - 1)
-    log_r = alpha_weight(alpha, N - 1).log_norm_ratio
+    log_r = alpha_weight(alpha, N - 1)
     A = np.empty((N, N), dtype=complex)
     # phi cut to its degree makes each step O(N deg phi), not O(N^2)
     phi_c = phi_s.coeffs[: np.flatnonzero(phi_s.coeffs).max(initial=0) + 1]
@@ -244,7 +235,7 @@ def build_multiplication(psi, alpha: float, N: int) -> OperatorTruncation:
     """
     N = _as_int(N, "truncation", 1)
     psi_s = _as_series(psi, "psi").pad_to(N - 1)
-    log_r = alpha_weight(alpha, N - 1).log_norm_ratio
+    log_r = alpha_weight(alpha, N - 1)
     A = np.zeros((N, N), dtype=complex)
     for k in range(N):
         c = psi_s.coeffs[k]
@@ -315,8 +306,7 @@ def kernel_form_matrix(op: OperatorTruncation, w: complex) -> complex:
     closed-form norm, so the form is an exact Rayleigh quotient of the
     matrix and lands inside the numerical range of the truncation.
     """
-    kv = kernel_coeffs(w, op.alpha, op.truncation - 1)
-    v = kv.coeffs_in_basis
+    v = kernel_coeffs(w, op.alpha, op.truncation - 1)
     v = v / np.linalg.norm(v)
     return complex(v.conj() @ (op.matrix @ v))
 
@@ -352,14 +342,13 @@ class BlockReport:
     order: int
     off_block_max: float
     is_block: bool
-    blocks: tuple
 
 
 def block_structure_report(op, order: int, tol: float = 1e-12) -> BlockReport:
     """Check whether entries vanish off the residue classes m = n (mod order).
 
     When they do, permuting the basis by residue turns the matrix into a
-    direct sum of ``order`` blocks, which are returned in residue order.
+    direct sum of ``order`` blocks.
     """
     order = _as_int(order, "order", 1)
     A = _as_matrix(op)
@@ -367,9 +356,4 @@ def block_structure_report(op, order: int, tol: float = 1e-12) -> BlockReport:
     m, n = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
     off = (m - n) % order != 0
     off_max = float(np.max(np.abs(A[off]))) if np.any(off) else 0.0
-    blocks = []
-    for res in range(order):
-        idx = np.arange(res, N, order)
-        if idx.size:
-            blocks.append(A[np.ix_(idx, idx)])
-    return BlockReport(order, off_max, off_max <= tol, tuple(blocks))
+    return BlockReport(order, off_max, off_max <= tol)

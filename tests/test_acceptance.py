@@ -49,14 +49,14 @@ def test_criterion_02_rotation_polygon_and_segment():
     A4 = build_weighted_composition([1.0], [0.0, 1j], 0.0, 16)
     hull4 = numerical_range_hull(A4, 360)
     expected = np.array([1.0, 1j, -1.0, -1j])
-    assert hull4.n_vertices == 4
+    assert hull4.vertices.size == 4
     dev4 = max(float(np.min(np.abs(hull4.vertices - e))) for e in expected)
     assert dev4 <= 1e-12
     A2 = build_weighted_composition([1.0], [0.0, -1.0], 0.0, 16)
     hull2 = numerical_range_hull(A2, 360)
     width = float(np.max(np.abs(hull2.vertices.imag)))
     dev2 = max(float(np.min(np.abs(hull2.vertices - e))) for e in (1.0, -1.0))
-    assert hull2.n_vertices == 2
+    assert hull2.vertices.size == 2
     assert width <= 1e-12
     assert dev2 <= 1e-12
     _report(2, f"order-4 rotation gives vertices 1, i, -1, -i (dev {dev4:.1e}); order 2 gives the segment [-1, 1]")
@@ -73,7 +73,7 @@ def test_criterion_03_modulus_squared_diagonal():
         off = float(np.max(np.abs(T - np.diag(np.diag(T)))))
         n = np.arange(64)
         formula_dev = float(np.max(np.abs(np.real(np.diag(T)) - (n + 1.0) / (n + alpha + 2.0))))
-        ratios = np.exp(alpha_weight(alpha, 64).log_norm_ratio)
+        ratios = np.exp(alpha_weight(alpha, 64))
         quad = np.array(
             [
                 ratios[k]

@@ -16,7 +16,7 @@ import pytest
 from scipy.special import gammaln
 
 from bergrange.checks import accepted_overrides, list_checks, run_all, run_check
-from bergrange.core import UsageError
+from bergrange.core import NumericError, UsageError
 
 EXPECTED_IDS = [
     "t1_spectrum",
@@ -113,6 +113,19 @@ def test_all_checks_pass_at_defaults(all_reports):
 
 def test_zsq_first_eigenvalue(all_reports):
     assert all_reports["zsq_diagonal"].metrics["lambda_0"] == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zsq_quadrature_oracle_is_finite_or_fails_where_r_k_overflows():
+    # at alpha = 400, r_k leaves float64 range from k = 682, where the
+    # quadrature of |z|^(2k+2) underflows to 0: inf * 0 must not reach a metric
+    try:
+        report = run_check("zsq_diagonal", {"alphas": [400.0], "N": 700})
+    except NumericError as exc:
+        assert "k = 682" in str(exc)
+        return
+    assert all(math.isfinite(v) for v in report.metrics.values())
+    json.dumps(report.to_dict(), allow_nan=False)
 
 
 def test_disc_radius_is_one_third(all_reports):
