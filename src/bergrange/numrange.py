@@ -24,21 +24,38 @@ for B = Q* A Q, exact up to 2 tau with tau = ||R_22||_F, the scale of a
 dense eigensolve's own backward error.  A block whose bound could fail
 the residual check where H(theta) nearly vanishes (a large matrix near a
 phase times a Hermitian one) stays dense, as does a zero block and every
-block with k = n: these go to the dense zheevr, for the top index only.
-Each solver gives the same eigenvalue with and without the eigenvector,
-so supports agree bit for bit between the two sweeps.
+block with k = n.  A dense or reduced block reduces its matrix to
+tridiagonal form with zhetrd and bisects for one index with dstebz; the
+matrix is first multiplied by a power of two that takes its entries
+below 1, which is exact and keeps huge entries from overflowing.
 
-Every eigenvector v is checked against the full-size block of H(theta)
-before it gives a point: ||(H v - lam v) / scale|| <= 1e-10 sqrt(n), with
-scale = max(1, max_ij |H_ij(theta)|) and n the block size.  Only a dense
-block forms H(theta), at O(n^2) per angle.  A reduced block takes H v
-from A_re Q and A_im Q, formed once, at O(n k) per angle, and its point
-as y* B y (z* A z where h_B < 0); its scale is the exact maximum over the few entries that can
+H(theta + pi) = -H(theta), so one reduction gives two supports: index n
+for theta and, as -lambda_min, index 1 for theta + pi.  On the uniform
+grid 2 pi j / K with K even the sweep solves angle j with angle j + K/2
+this way; a banded block makes a second zhbevx call at (-c, -s).  For a
+real A, H(-theta) = conj H(theta), so the support at -theta is the one at
+theta and the point its conjugate: the sweep copies them, and solves only
+the angles in [0, pi/2], 91 reductions for K = 360.  Realness is the
+exact test that no imaginary part is nonzero, and it reads a matrix from
+CSV as the one built in process.  Any other angle array (K odd, or
+arbitrary angles) takes the same reduction for the top end alone.  Each
+end gets the same eigenvalue with and without its eigenvector, so
+supports agree bit for bit between the two sweeps.
+
+A boundary point is computed only for the block that wins its end:
+dstein gives the eigenvector of the tridiagonal matrix and zunmqr maps it
+back, or inverse iteration on the band gives it for a banded block.
+Every such eigenvector v is checked against the full-size block of
+H(theta), or of -H(theta) at theta + pi, before it gives a point:
+||(H v - lam v) / scale|| <= 1e-10 sqrt(n), with scale = max(1, max_ij
+|H_ij(theta)|) and n the block size.  Only a dense block forms H(theta),
+at O(n^2) per angle.  A reduced block takes H v from A_re Q and A_im Q,
+formed once, at O(n k) per angle, and its point as y* B y (z* A z where
+h_B < 0); its scale is the exact maximum over the few entries that can
 hold it at some angle, picked once per block by ``_scale_entries``.  A
 banded block takes H v and the point from band storage at O(n kd) per
 angle, and its scale is the largest band entry, which is the largest
-entry of H(theta) for a Hermitian band.  Only the winning block of an
-angle computes its point.
+entry of H(theta) for a Hermitian band.
 
 Reference shapes (discs, ellipses, polygons, and point clouds such as
 symbol images sampled on the unit circle) share a common support-function
@@ -73,31 +90,75 @@ __all__ = [
 
 
 @lru_cache(maxsize=64)
-def _zheevr_lwork(n: int) -> int:
-    """zheevr's optimal workspace for an n x n matrix, queried once per size."""
-    from scipy.linalg.lapack import zheevr_lwork  # here so `build` never pays for loading scipy.linalg
-    return int(zheevr_lwork(n, lower=1)[0].real)
+def _zhetrd_lwork(n: int) -> int:
+    """zhetrd's optimal workspace for an n x n matrix, queried once per size."""
+    from scipy.linalg.lapack import zhetrd_lwork  # here so `build` never pays for loading scipy.linalg
+    return int(zhetrd_lwork(n, lower=1)[0].real)
 
 
-def _eigpair(H: np.ndarray, vectors: bool):
-    """Top eigenvalue of a Hermitian H, with ``vectors`` also its checked eigenvector.
+def _unit(X: np.ndarray, Y: np.ndarray) -> float:
+    """A power of two that takes every entry of c X + s Y, at any angle (c, s) = (cos, sin), below 1 in modulus."""
+    exponent = np.frexp(max(float(np.max(np.abs(X))), float(np.max(np.abs(Y)))))[1]  # both below 2^exponent
+    return float(np.ldexp(1.0, min(-exponent - 1, 1000)))
 
-    zheevr bisects for the one eigenvalue with or without the vector, so
-    sweeps with and without vectors return identical supports.
+
+class _Tridiagonal:
+    """A Hermitian H reduced once by zhetrd, H = Q T Q*, for the top eigenpairs of H and of -H.
+
+    End 0 is the top eigenvalue of H and end 1 that of -H, which is
+    -lambda_min(H); for H = H(theta), end 1 is the support at theta + pi.
+    dstebz bisects T for index n or index 1, so an end gets the same
+    eigenvalue with or without its vector, and its vector comes only on
+    request: dstein gives the eigenvector of T, and for lower = 1 the Q of
+    zhetrd is diag(1, Q') with Q' the product of the QR-style reflectors in
+    c[1:, :n-1], which zunmqr applies.  H is reduced as H * unit, with
+    ``unit`` a power of two from ``_unit``, so that no entry can overflow
+    the reduction or the bisection; that product is exact, and the
+    eigenvalues are divided by it again.  A 1 x 1 H, which dstebz cannot
+    take, is its own eigenvalue.
     """
-    from scipy.linalg.lapack import zheevr
-    n = H.shape[0]
-    w, z, _, _, info = zheevr(H, compute_v=int(vectors), range="I", lower=1, il=n, iu=n, lwork=_zheevr_lwork(n))
-    if info != 0:
-        raise NumericError(f"Hermitian eigensolver failed (LAPACK info {info})")
-    if not vectors:
-        return float(w[0]), None
-    v = z[:, 0]
-    return _checked_pair(float(w[0]), v, H @ v, max(1.0, float(np.max(np.abs(H)))))
+
+    def __init__(self, H: np.ndarray, unit: float):
+        from scipy.linalg.lapack import zhetrd
+        self.unit, self.found = unit, {}
+        if H.shape[0] == 1:
+            self.d = H.real.ravel() * unit  # T = H * unit
+            return
+        self.c, self.d, self.e, self.tau, info = zhetrd(H * unit, lower=1, lwork=_zhetrd_lwork(H.shape[0]), overwrite_a=1)
+        if info != 0:
+            raise NumericError(f"Hermitian tridiagonal reduction failed (LAPACK info {info})")
+
+    def eigenvalue(self, end: int) -> float:
+        """The top eigenvalue of H for end 0, of -H for end 1."""
+        w = self.d
+        if self.d.size > 1:
+            from scipy.linalg.lapack import dstebz
+            index = 1 if end else self.d.size
+            m, w, iblock, isplit, info = dstebz(self.d, self.e, 2, 0.0, 0.0, index, index, 0.0, b"B")
+            if info != 0 or m != 1:
+                raise NumericError(f"Hermitian eigensolver failed (LAPACK info {info}, {m} eigenvalues)")
+            self.found[end] = w[:1], iblock, isplit
+        lam = float(w[0]) / self.unit
+        return -lam if end else lam
+
+    def vector(self, end: int) -> np.ndarray:
+        """Unit eigenvector of the end that ``eigenvalue(end)`` solved: of H at lambda_max for end 0, at lambda_min for end 1."""
+        if self.d.size == 1:
+            return np.ones(1, dtype=complex)
+        from scipy.linalg.lapack import dstein, zunmqr
+        z, info = dstein(self.d, self.e, *self.found[end])
+        if info != 0:
+            raise NumericError(f"tridiagonal eigenvector failed (LAPACK info {info})")
+        v = z[:, 0].astype(complex)
+        Qv, _, info = zunmqr(b"L", b"N", self.c[1:, :-1], self.tau, v[1:, None], 1, overwrite_c=1)
+        if info != 0:
+            raise NumericError(f"tridiagonal back transformation failed (LAPACK info {info})")
+        v[1:] = Qv[:, 0]
+        return v
 
 
-def _checked_pair(lam: float, v: np.ndarray, Hv: np.ndarray, scale: float):
-    """(lam, v), once the residual of H v = lam v is small enough to trust.
+def _checked_pair(lam: float, v: np.ndarray, Hv: np.ndarray, scale: float) -> np.ndarray:
+    """v, once the residual of H v = lam v is small enough to trust.
 
     ``Hv`` is H v and ``scale`` is max(1, max_ij |H_ij|).  The residual is
     divided by the scale before its norm is taken, so entries near the
@@ -107,7 +168,7 @@ def _checked_pair(lam: float, v: np.ndarray, Hv: np.ndarray, scale: float):
     residual = float(np.linalg.norm((Hv - lam * v) / scale))
     if residual > 1e-10 * np.sqrt(v.size):
         raise NumericError(f"eigenpair residual too large: {residual * scale:.3e}")
-    return lam, v
+    return v
 
 
 def _band_top(ab: np.ndarray) -> float:
@@ -115,11 +176,13 @@ def _band_top(ab: np.ndarray) -> float:
 
     zhbevx reduces the band to tridiagonal form and bisects for the one
     eigenvalue; a boundary sweep takes the eigenvector from ``_band_vector``,
-    so both sweeps get the same eigenvalue from the same call.
+    so both sweeps get the same eigenvalue from the same call.  zhbevx
+    scales a band of huge or tiny entries in place, and a one-row band
+    reaches it without a copy, so it is told to copy: ``ab`` stays H.
     """
     from scipy.linalg.lapack import zhbevx
     n = ab.shape[1]
-    w, _, m, _, info = zhbevx(ab, 0.0, 0.0, n, n, compute_v=0, range=2, lower=1)
+    w, _, m, _, info = zhbevx(ab, 0.0, 0.0, n, n, compute_v=0, range=2, lower=1, overwrite_ab=0)
     if info != 0 or m != 1:
         raise NumericError(f"Hermitian band eigensolver failed (LAPACK info {info}, {m} eigenvalues)")
     return float(w[0])
@@ -158,7 +221,8 @@ def _band_vector(ab: np.ndarray, lam: float, start: np.ndarray) -> np.ndarray:
 
 # Solver choice, from the top eigenvalue of random Hermitian band matrices
 # (n = 48..400, one BLAS thread, 2-core Xeon, OpenBLAS 0.3.31): zhbevx
-# beats zheevr while _BAND_RATIO * kd <= n and loses from about 10 kd = n.
+# beats the dense reduction and bisection for one index while
+# _BAND_RATIO * kd <= n and loses from about 10 kd = n.
 _BAND_RATIO = 16
 
 
@@ -268,55 +332,114 @@ class _Block:
             self.start = np.random.default_rng(0).standard_normal(self.n).astype(complex)
         else:
             basis = _range_basis(self.M)
+        if basis is None and self.band is None:
+            self.unit = _unit(self.re, self.im)  # the power of two a dense block is reduced at
         if basis is not None:
             Q, z = basis
             B = Q.conj().T @ self.M @ Q
             self.reduced = np.stack([(B + B.conj().T) / 2.0, (B - B.conj().T) / 2j])
+            self.unit = _unit(*self.reduced)
             # a vector v = [Q, z] u has H(theta) v = (c G[0] + s G[1]) u and v* A v = u* B_z u
             self.basis = np.column_stack([Q, z])
             self.B_z = self.basis.conj().T @ self.M @ self.basis
             self.G = np.stack([self.re @ self.basis, self.im @ self.basis])
             self.scale_entries = _scale_entries(self.re, self.im)
 
-    def top(self, c, s, vectors: bool):
-        """Top eigenvalue of this block of H(theta) and, with ``vectors``, its eigenvector checked against H(theta).
+    def ends(self, c, s, both: bool):
+        """Supports of this block at theta and, with ``both``, at theta + pi, and a function that checks and returns an end's eigenvector.
 
-        The eigenvector goes back as its coordinates u in [Q, z] on a
-        reduced block and as itself on any other; ``point`` reads either.
+        H(theta + pi) = -H(theta), so end 1 is the top of -H(theta).  A
+        dense or reduced block reduces its matrix once for both ends, and a
+        banded block makes a second zhbevx call at (-c, -s).  The function
+        takes the end, 0 or 1, and gives its eigenvector, checked against
+        that end's H, as its coordinates u in [Q, z] on a reduced block and
+        as itself on any other; ``point`` reads either.  A sweep calls it
+        only for the block that wins an end.
         """
+        signs = (1.0, -1.0) if both else (1.0,)
         if self.band is not None:
             ab = c * self.band[0] + s * self.band[1]
-            lam = _band_top(ab)
-            if not vectors:
-                return lam, None
-            from scipy.linalg.blas import zhbmv
-            v = _band_vector(ab, lam, self.start)
-            # ab is this block of H(theta) in band storage: H v at O(n kd), and max |ab| = max_ij |H_ij(theta)|
-            return _checked_pair(lam, v, zhbmv(ab.shape[0] - 1, 1.0, ab, v, lower=1), max(1.0, float(np.max(np.abs(ab)))))
+            bands = [ab, -ab] if both else [ab]
+            supports = [_band_top(ab) for ab in bands]
+
+            def band_vector(end):
+                from scipy.linalg.blas import zhbmv
+                ab, lam = bands[end], supports[end]
+                v = _band_vector(ab, lam, self.start)
+                # ab is this end's H in band storage: H v at O(n kd), and max |ab| = max_ij |H_ij|
+                return _checked_pair(lam, v, zhbmv(ab.shape[0] - 1, 1.0, ab, v, lower=1), max(1.0, float(np.max(np.abs(ab)))))
+
+            return supports, band_vector
         if self.basis is None:
-            return _eigpair(c * self.re + s * self.im, vectors)
-        k = self.reduced.shape[1]
-        lam, y = _eigpair(c * self.reduced[0] + s * self.reduced[1], vectors)
-        support = float(np.maximum(lam, 0.0))  # a NaN stays NaN and wins the sweep's argmax
-        if not vectors:
-            return support, None
-        u = np.zeros(k + 1, dtype=complex)
-        if lam >= 0.0:
-            u[:k] = y
-        else:
-            u[k] = 1.0  # where h_B < 0 the support is 0, attained at z, off the basis
-        a, b = self.scale_entries
-        Hv = c * (self.G[0] @ u) + s * (self.G[1] @ u)
-        _checked_pair(support, self.basis @ u, Hv, max(1.0, float(np.max(np.abs(c * a + s * b)))))
-        return support, u
+            H = c * self.re + s * self.im
+            T = _Tridiagonal(H, self.unit)
+            supports = [T.eigenvalue(end) for end in range(len(signs))]
+
+            def dense_vector(end):
+                v = T.vector(end)
+                return _checked_pair(supports[end], v, signs[end] * (H @ v), max(1.0, float(np.max(np.abs(H)))))
+
+            return supports, dense_vector
+        T = _Tridiagonal(c * self.reduced[0] + s * self.reduced[1], self.unit)
+        tops = [T.eigenvalue(end) for end in range(len(signs))]
+        supports = [float(np.maximum(lam, 0.0)) for lam in tops]  # a NaN stays NaN and wins the sweep's argmax
+
+        def reduced_vector(end):
+            u = np.zeros(self.basis.shape[1], dtype=complex)
+            if tops[end] >= 0.0:
+                u[:-1] = T.vector(end)
+            else:
+                u[-1] = 1.0  # where h_B < 0 the support is 0, attained at z, off the basis
+            a, b = self.scale_entries
+            Hv = signs[end] * (c * (self.G[0] @ u) + s * (self.G[1] @ u))
+            _checked_pair(supports[end], self.basis @ u, Hv, max(1.0, float(np.max(np.abs(c * a + s * b)))))
+            return u
+
+        return supports, reduced_vector
+
+    def top(self, c, s, vectors: bool):
+        """The support at theta alone and, with ``vectors``, its checked eigenvector, as an unpaired angle takes them."""
+        (support,), vector = self.ends(c, s, both=False)
+        return support, vector(0) if vectors else None
 
     def point(self, x) -> complex:
-        """The boundary point v* A v of the eigenvector ``top`` returned as ``x``."""
+        """The boundary point v* A v of the eigenvector ``ends`` returned as ``x``."""
         if self.band is not None:
             from scipy.linalg.blas import zhbmv  # A_re v and A_im v from the band storage, at O(n kd)
             re_x, im_x = (zhbmv(X.shape[0] - 1, 1.0, X, x, lower=1) for X in self.band)
             return complex(np.vdot(x, re_x).real, np.vdot(x, im_x).real)
         return complex(x.conj() @ ((self.M if self.basis is None else self.B_z) @ x))
+
+
+def _angle_pairs(thetas: np.ndarray, real: bool):
+    """(pairs, mirrors): the angles one reduction solves together, and those copied from a mirror image.
+
+    Each pair (j, k) names the index j of an angle theta solved for its top
+    end and the index k of theta + pi, taken from the same reduction, or
+    None.  Only the uniform grid 2 pi j / K with K even holds both angles
+    of a pair; any other array solves each angle alone.  A real A has
+    H(-theta) = conj H(theta), so there h(-theta) = h(theta) and the point
+    at -theta is the conjugate of the one at theta: each mirror (i, j)
+    copies index j into index i = K - j (mod K).  Then the pairs need only
+    the angles in [0, pi/2], and at pi/2, where -theta is theta + pi, the
+    mirror gives the other end.
+    """
+    K = thetas.size
+    if K % 2 or K < 4 or not np.array_equal(thetas, _angle_grid(K)):
+        return [(j, None) for j in range(K)], []
+    half = K // 2
+    if not real:
+        return [(j, j + half) for j in range(half)], []
+    pairs, mirrors = [], []
+    for j in range(half // 2 + 1):
+        if 2 * j == half:
+            pairs.append((j, None))
+            mirrors.append((j + half, j))
+        else:
+            pairs.append((j, j + half))
+            if j:
+                mirrors += [(K - j, j), (half - j, j + half)]
+    return pairs, mirrors
 
 
 def _sweep(A, thetas: np.ndarray, vectors: bool):
@@ -326,7 +449,10 @@ def _sweep(A, thetas: np.ndarray, vectors: bool):
     e^{-i theta} A.  It is nonzero only where A or A* is, so the residue
     classes and half-bandwidth of A fix the solver of every angle: the
     support is the largest block support and the point that of the winning
-    block.  The support comes from the same call in both modes.
+    block.  The angles are solved in the pairs of ``_angle_pairs``, whose
+    realness test is exact (no imaginary part of A is nonzero), so it reads
+    a matrix read back from CSV as the one built in process.  The support
+    comes from the same call in both modes.
     """
     M = _as_matrix(A)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -337,13 +463,19 @@ def _sweep(A, thetas: np.ndarray, vectors: bool):
     blocks = [_Block(M, A_re, A_im, idx, kd) for idx in classes]
     h = np.empty(thetas.size)
     points = np.empty(thetas.size, dtype=complex) if vectors else None
-    for k, th in enumerate(thetas):
-        c, s = np.cos(th), np.sin(th)
-        tops = [block.top(c, s, vectors) for block in blocks]
-        j = int(np.argmax([lam for lam, _ in tops]))  # a NaN wins and fails the check below
-        (h[k], x), win = tops[j], blocks[j]
+    pairs, mirrors = _angle_pairs(thetas, real=not M.imag.any())
+    for first, second in pairs:
+        c, s = np.cos(thetas[first]), np.sin(thetas[first])
+        solved = [block.ends(c, s, second is not None) for block in blocks]
+        for end, k in enumerate((first,) if second is None else (first, second)):
+            j = int(np.argmax([supports[end] for supports, _ in solved]))  # a NaN wins and fails the check below
+            h[k] = solved[j][0][end]
+            if vectors:
+                points[k] = blocks[j].point(solved[j][1](end))
+    for i, j in mirrors:
+        h[i] = h[j]
         if vectors:
-            points[k] = win.point(x)
+            points[i] = np.conj(points[j])
     if not (np.all(np.isfinite(h)) and (points is None or np.all(np.isfinite(points)))):
         raise NumericError("support sweep produced non-finite values")
     return h, points

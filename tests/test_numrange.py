@@ -169,6 +169,39 @@ class TestSweepKernel:
         for th, p, s in boundary_points(A, 64):
             assert abs((np.exp(-1j * th) * p).real - s) <= 1e-12 * 1e300
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_bands_sweep(self):
+        # zhbevx scales a band of entries near 1e200 in place; a one-row band
+        # (kd = 0) reaches it without a copy, yet its vector step must see H
+        rng = np.random.default_rng(19)
+        diagonal = np.diag(1e200 * (rng.standard_normal(6) + 1j * rng.standard_normal(6)))
+        tridiagonal = 1e200 * (np.diag(rng.standard_normal(39), 1) + np.diag(rng.standard_normal(39), -1)).astype(complex)
+        for A in (diagonal, tridiagonal):
+            (block,) = _blocks(A)
+            assert _path(block) == "band"
+            rows = boundary_points(A, 64)
+            want = _top_eigvals(A, _angle_grid(64))
+            assert np.max(np.abs(np.array([s for _, _, s in rows]) - want)) <= 1e-13 * np.max(np.abs(want))
+            for th, p, s in rows:
+                assert abs((np.exp(-1j * th) * p).real - s) <= 1e-12 * 1e200
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_dense_supports_scale_exactly_by_powers_of_two(self):
+        # the reduction sees H(theta) times a power of two that brings its
+        # entries below 1, so 2^p A has the supports of A times 2^p, bit for
+        # bit, from entries near 1e-150 to entries near 1e301; a matrix of
+        # subnormal entries, whose power of two would overflow, still gets
+        # its supports to rounding
+        matrices = dict(_structured_matrices())
+        for name in ("dense24", "hermitian50"):
+            A = matrices[name]
+            assert _path(_blocks(A)[0]) == "dense"
+            h = support_function(A, self.THETAS)
+            for p in (-500, -20, 20, 1000):
+                assert np.array_equal(support_function(A * 2.0**p, self.THETAS), h * 2.0**p), (name, p)
+            tiny = support_function(A * 2.0**-1030, self.THETAS)
+            assert np.max(np.abs(np.ldexp(tiny, 1030) - h)) <= 1e-12 * np.max(np.abs(h)), name
+
     def test_block_checks_use_the_exact_scale_and_residual(self, monkeypatch):
         # every vector check a boundary sweep makes, on the 90-angle grid: the
         # banded and reduced blocks never form H(theta), yet their scale must be
@@ -215,30 +248,28 @@ class TestSweepKernel:
                 assert np.max(np.abs(c * a + s * b)) == np.max(np.abs(c * A_re + s * A_im))
 
     def test_perturbed_vectors_fail_the_check_on_every_path(self, monkeypatch):
-        # a top eigenvector moved by 1e-6 on each path must fail the check
-        # against the full-size block of H(theta)
+        # a top eigenvector moved by 1e-6 on each path, and at either end of
+        # an antipodal pair, must fail the check against the full-size block
+        # of H(theta) or of H(theta + pi) = -H(theta)
         rng = np.random.default_rng(3)
 
         def nudge(v):
             w = v + 1e-6 * (rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size))
             return w / np.linalg.norm(w)
 
-        band_vector, eigpair, zheevr = numrange._band_vector, numrange._eigpair, scipy.linalg.lapack.zheevr
+        band_vector, tridiagonal_vector = numrange._band_vector, numrange._Tridiagonal.vector
 
-        def nudged_eigpair(*args):
-            lam, y = eigpair(*args)  # its k x k check passes before y is moved
-            return lam, nudge(y)
-
-        def nudged_zheevr(*args, **kwargs):
-            w, z, *rest = zheevr(*args, **kwargs)
-            z[:, 0] = nudge(z[:, 0])
-            return (w, z, *rest)
+        def nudged_at(end):
+            # the tridiagonal vector step, moved at one end of each pair only
+            return lambda T, e: nudge(tridiagonal_vector(T, e)) if e == end else tridiagonal_vector(T, e)
 
         matrices = dict(_structured_matrices())
         for name, path, module, target, fake in (
             ("t3", "band", numrange, "_band_vector", lambda *args: nudge(band_vector(*args))),
-            ("composition", "reduced", numrange, "_eigpair", nudged_eigpair),
-            ("dense24", "dense", scipy.linalg.lapack, "zheevr", nudged_zheevr),
+            ("composition", "reduced", numrange._Tridiagonal, "vector", nudged_at(0)),
+            ("dense24", "dense", numrange._Tridiagonal, "vector", nudged_at(0)),
+            ("composition", "reduced", numrange._Tridiagonal, "vector", nudged_at(1)),
+            ("dense24", "dense", numrange._Tridiagonal, "vector", nudged_at(1)),
         ):
             (block,) = _blocks(matrices[name])
             assert _path(block) == path
@@ -318,6 +349,117 @@ class TestSweepKernel:
                 support_function(A, GRID)
             with pytest.raises(NumericError):
                 boundary_points(A, 8)
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """A list that grows by one entry per tridiagonal reduction a sweep makes."""
+    made, init = [], numrange._Tridiagonal.__init__
+    monkeypatch.setattr(numrange._Tridiagonal, "__init__", lambda T, *args: made.append(1) or init(T, *args))
+    return made
+
+
+def _top_eigvals(A, thetas):
+    rot = np.exp(-1j * np.asarray(thetas))
+    return np.array([np.linalg.eigvalsh((r * A + np.conj(r) * A.conj().T) / 2.0)[-1] for r in rot])
+
+
+class TestAnglePairs:
+    """The sweep solves theta and theta + pi with one reduction, and mirrors -theta from theta for a real matrix."""
+
+    @staticmethod
+    def _real_matrices():
+        matrices = dict(_structured_matrices())
+        # one real matrix per path: a Toeplitz band, a rank-two composition, the theo2 wedge
+        return {"band": matrices["t3"], "reduced": matrices["pro1_ellipse"], "dense": _theo2(64)}
+
+    def test_both_ends_of_each_pair_match_eigvalsh(self, reductions):
+        matrices = dict(_structured_matrices())
+        for name in ("dense24", "hermitian50", "composition"):
+            A = matrices[name]
+            assert A.imag.any()
+            reductions.clear()
+            thetas = _angle_grid(64)
+            h = support_function(A, thetas)
+            assert len(reductions) == 32, name  # one reduction per pair, no mirror
+            want = _top_eigvals(A, thetas)
+            assert np.max(np.abs(h - want)) <= 1e-13 * np.max(np.abs(want)), name
+            for th, p, s in boundary_points(A, 64):
+                assert abs((np.exp(-1j * th) * p).real - s) <= 1e-12 * max(1.0, abs(s)), name
+
+    def test_real_matrices_mirror_exactly(self, reductions):
+        for path, A in self._real_matrices().items():
+            (block,) = _blocks(A)
+            assert _path(block) == path and not A.imag.any()
+            for K in (360, 90):
+                reductions.clear()
+                rows = boundary_points(A, K)
+                # one reduction per angle in [0, pi/2]: 91 of 360 and 23 of 90
+                assert len(reductions) == (0 if path == "band" else K // 4 + 1), (path, K)
+                h = np.array([s for _, _, s in rows])
+                points = np.array([p for _, p, _ in rows])
+                j = np.arange(1, K)
+                assert np.array_equal(h[K - j], h[j]) and np.array_equal(points[K - j], np.conj(points[j])), (path, K)
+                want = _top_eigvals(A, _angle_grid(K))
+                assert np.max(np.abs(h - want)) <= 1e-13 * np.max(np.abs(want)), (path, K)
+
+    def test_a_tiny_imaginary_part_is_not_mirrored(self, reductions):
+        A = _theo2(64).copy()
+        A[5, 3] += 1e-300j
+        rows = boundary_points(A, 360)
+        assert len(reductions) == 180  # pairs only
+        h = np.array([s for _, _, s in rows])
+        assert np.max(np.abs(h - support_function(_theo2(64), _angle_grid(360)))) <= 1e-13 * np.max(np.abs(h))
+
+    def test_unpaired_angles_agree_with_the_even_grid(self, reductions):
+        matrices = dict(_structured_matrices())
+        cases = dict(self._real_matrices(), dense24=matrices["dense24"], composition=matrices["composition"], th1=matrices["th1"])
+        rng = np.random.default_rng(5)
+        even = _angle_grid(360)
+        for name, A in cases.items():
+            h = support_function(A, even)
+            scale = np.max(np.abs(h))
+            # odd K = 45 shares every 8th angle of the even grid
+            reductions.clear()
+            odd = support_function(A, _angle_grid(45))
+            assert len(reductions) == (0 if _path(_blocks(A)[0]) == "band" else 45), name
+            assert np.max(np.abs(odd - h[::8])) <= 1e-13 * scale, name
+            # an arbitrary array: the even grid shuffled, a reversed grid and a lone angle
+            order = rng.permutation(360)
+            assert np.max(np.abs(support_function(A, even[order]) - h[order])) <= 1e-13 * scale, name
+            assert np.max(np.abs(support_function(A, even[::-1]) - h[::-1])) <= 1e-13 * scale, name
+            assert abs(support_function(A, even[7])[0] - h[7]) <= 1e-13 * scale, name
+            rows = boundary_points(A, 45)
+            assert np.array_equal(np.array([s for _, _, s in rows]), odd), name
+            paired = boundary_points(A, 360)[::8]
+            assert max(abs(p - q) for (_, p, _), (_, q, _) in zip(rows, paired)) <= 1e-9 * scale, name
+
+    def test_rank_one_reduced_block_at_both_ends(self):
+        # u u* is the segment [0, |u|^2]; on its k = 1 basis h_B < 0 wherever
+        # cos(theta) < 0, and there the support is 0 at z, off the basis
+        rng = np.random.default_rng(41)
+        for u in (rng.standard_normal(48) + 1j * rng.standard_normal(48), rng.standard_normal(48)):
+            A = np.outer(u, u.conj())
+            (block,) = _blocks(A)
+            assert _path(block) == "reduced" and block.basis.shape[1] == 2
+            top = np.vdot(u, u).real
+            rows = boundary_points(A, 64)
+            for th, p, s in rows:
+                if np.cos(th) > 1e-12:
+                    assert abs(s - np.cos(th) * top) <= 1e-13 * top and abs(p - top) <= 1e-12 * top
+                elif np.cos(th) < -1e-12:
+                    assert s == 0.0 and abs(p) <= 1e-13 * top
+            assert np.array_equal(support_function(A, _angle_grid(64)), np.array([s for _, _, s in rows]))
+
+    def test_boundary_supports_equal_support_function_on_every_grid(self):
+        matrices = dict(_structured_matrices())
+        cases = dict(self._real_matrices(), dense24=matrices["dense24"], composition=matrices["composition"], th1=matrices["th1"])
+        assert {_path(_blocks(A)[0]) for A in cases.values()} == {"band", "reduced", "dense"}
+        for name, A in cases.items():
+            for K in (90, 91, 360, 359):
+                rows = boundary_points(A, K)
+                thetas = np.array([th for th, _, _ in rows])
+                assert np.array_equal(np.array([s for _, _, s in rows]), support_function(A, thetas)), (name, K)
 
 
 class TestSmallMatrices:
