@@ -156,6 +156,16 @@ def _support_gap(h_a: np.ndarray, h_b: np.ndarray) -> float:
     return float(np.max(np.abs(h_a - h_b)))
 
 
+def _root_of_unity(n: int) -> np.complex128:
+    """e^{2 pi i / n}, exact at n = 1, 2 and 4.
+
+    There it is 1, -1 and i, where np.exp leaves a stray part near 1e-16:
+    the order-2 rotation built from it would not be exactly real, and its
+    sweep would lose the mirror that a real matrix takes.
+    """
+    return np.complex128({1: 1.0, 2: -1.0, 4: 1j}.get(n, np.exp(2j * np.pi / n)))
+
+
 # ---------------------------------------------------------------------------
 # individual checks; each returns (passed, metrics, tolerance, notes)
 
@@ -343,7 +353,7 @@ def _run_block_decomposition(alpha, N, orders, g):
         psi = np.zeros(order * (g.size - 1) + 1, dtype=complex)
         psi[::order] = g
         M = build_multiplication(psi, alpha, N)
-        lam = np.exp(2j * np.pi / order)
+        lam = _root_of_unity(order)
         W = build_weighted_composition(psi, [0.0, lam], alpha, N)
         rep_m = block_structure_report(M, order, tol)
         rep_w = block_structure_report(W, order, tol)
@@ -374,7 +384,7 @@ def _run_th1_rotation(alpha, n, N, K, psi):
             f"psi must have the form g(z^n), but its coefficient of degree {off[0]} is nonzero "
             f"and n={n} does not divide {off[0]}"
         )
-    lam = np.exp(2j * np.pi / n)
+    lam = _root_of_unity(n)
     A = build_weighted_composition(psi, [0.0, lam], alpha, N)
     theta = _angle_grid(K)
     h_sweep = support_function(A, theta)
@@ -402,7 +412,7 @@ def _run_c2_polygon(alpha, orders, N, K):
     for order in orders:
         if N < order:
             raise UsageError(f"N must be >= the rotation order, got N={N} < {order}")
-        lam = np.exp(2j * np.pi / order)
+        lam = _root_of_unity(order)
         A = build_weighted_composition([1.0], [0.0, lam], alpha, N)
         hull = numerical_range_hull(A, K)
         expected = np.array([lam**k for k in range(order)]) if order >= 3 else np.array([1.0, -1.0])
@@ -438,9 +448,9 @@ def _run_th2_symmetric(alpha, orders, N, K, c):
         psi = np.zeros(order * (order + 1) + 1, dtype=complex)
         psi[order] = 1.0
         psi[order * (order + 1)] = c
-        lam = np.exp(2j * np.pi / order)
+        lam = _root_of_unity(order)
         A = build_weighted_composition(psi, [0.0, lam], alpha, N)
-        mu = np.exp(2j * np.pi / order**2)
+        mu = _root_of_unity(order**2)
         u = mu ** np.arange(N)
         conjugated = (u[:, None] * A.matrix) * np.conj(u)[None, :]
         equiv_dev = float(np.max(np.abs(conjugated - lam * A.matrix)))
@@ -716,7 +726,7 @@ def _run_th_circle_3x3(alpha, n, m1, m2, N, K, psi):
     i1, i2 = n * m1, n * m2
     if N <= i2:
         raise UsageError(f"N must exceed n*m2 = {i2}, got {N}")
-    lam = np.exp(2j * np.pi / n)
+    lam = _root_of_unity(n)
     A = build_weighted_composition(psi, [0.0, lam], alpha, N)
     B = compress(A, [0, i1, i2])
     norm_sq = np.exp(-alpha_weight(alpha, i2))
@@ -789,7 +799,7 @@ def _run_th_ellipse_rotation(alpha, n, p, j, N, K, psi):
     k = n * p + j
     if N <= k:
         raise UsageError(f"N must exceed n*p + j = {k}, got {N}")
-    lam = np.exp(2j * np.pi / n)
+    lam = _root_of_unity(n)
     A = build_weighted_composition(psi, [0.0, lam], alpha, N)
     f1_exp = _padded_coeff(psi, 0)
     f2_exp = lam**k * _padded_coeff(psi, 0)

@@ -14,9 +14,12 @@ g > 1 makes A a direct sum over the residue classes mod g: the support is
 the largest block support, and the boundary point that of the winning
 block.  A block whose half-bandwidth kd is small against its size (a
 Toeplitz truncation, a weighted composition over a rotation; kd = 0 for a
-diagonal or zero matrix) is solved by the banded LAPACK routine zhbevx,
-for the top index only; where it needs a boundary point, the eigenvector
-comes from inverse iteration on the band.  Any other block is dense, and
+diagonal or zero matrix) is reduced on its band by LAPACK zhbtrd, which
+scipy.linalg.lapack does not wrap: it is called through the pointer that
+scipy.linalg.cython_lapack exports, on a workspace each block keeps, and
+a kd = 0 band is its own tridiagonal form.  Where a banded block needs a
+boundary point, the eigenvector comes from inverse iteration on the
+band.  Any other block is dense, and
 one column-pivoted QR of [A, A*] gives its numerical rank k, the count of
 |R_ii| above n eps |R_00|.  If k < n, the block is solved on the k
 dimensional space Q of the leading columns: the support is max(h_B, 0)
@@ -25,14 +28,16 @@ dense eigensolve's own backward error.  A block whose bound could fail
 the residual check where H(theta) nearly vanishes (a large matrix near a
 phase times a Hermitian one) stays dense, as does a zero block and every
 block with k = n.  A dense or reduced block reduces its matrix to
-tridiagonal form with zhetrd and bisects for one index with dstebz; the
-matrix is first multiplied by a power of two that takes its entries
-below 1, which is exact and keeps huge entries from overflowing.
+tridiagonal form with zhetrd.  Every block then bisects its tridiagonal
+form for one index with dstebz; the matrix or band is first multiplied
+by a power of two that takes its entries below 1, which is exact, so
+2^p A has exactly 2^p times the supports of A, and which keeps huge
+entries from overflowing.
 
 H(theta + pi) = -H(theta), so one reduction gives two supports: index n
 for theta and, as -lambda_min, index 1 for theta + pi.  On the uniform
 grid 2 pi j / K with K even the sweep solves angle j with angle j + K/2
-this way; a banded block makes a second zhbevx call at (-c, -s).  For a
+this way, on every kind of block.  For a
 real A, H(-theta) = conj H(theta), so the support at -theta is the one at
 theta and the point its conjugate: the sweep copies them, and solves only
 the angles in [0, pi/2], 91 reductions for K = 360.  Realness is the
@@ -103,30 +108,38 @@ def _unit(X: np.ndarray, Y: np.ndarray) -> float:
 
 
 class _Tridiagonal:
-    """A Hermitian H reduced once by zhetrd, H = Q T Q*, for the top eigenpairs of H and of -H.
+    """A real symmetric tridiagonal T = unit Q* H Q of a Hermitian H, for the top eigenpairs of H and of -H.
 
     End 0 is the top eigenvalue of H and end 1 that of -H, which is
     -lambda_min(H); for H = H(theta), end 1 is the support at theta + pi.
+    T comes from ``dense`` (zhetrd on a full H) or from a block's
+    ``_BandReduction`` (zhbtrd on a band), and every block kind ends here:
     dstebz bisects T for index n or index 1, so an end gets the same
-    eigenvalue with or without its vector, and its vector comes only on
-    request: dstein gives the eigenvector of T, and for lower = 1 the Q of
-    zhetrd is diag(1, Q') with Q' the product of the QR-style reflectors in
-    c[1:, :n-1], which zunmqr applies.  H is reduced as H * unit, with
+    eigenvalue with or without its vector.  H is reduced as H * unit, with
     ``unit`` a power of two from ``_unit``, so that no entry can overflow
     the reduction or the bisection; that product is exact, and the
-    eigenvalues are divided by it again.  A 1 x 1 H, which dstebz cannot
+    eigenvalues are divided by it again.  A 1 x 1 T, which dstebz cannot
     take, is its own eigenvalue.
+
+    Only a dense T holds ``reflectors``, and only it gives vectors, on
+    request: dstein gives the eigenvector of T, and for lower = 1 the Q of
+    zhetrd is diag(1, Q') with Q' the product of the QR-style reflectors in
+    c[1:, :n-1], which zunmqr applies.
     """
 
-    def __init__(self, H: np.ndarray, unit: float):
-        from scipy.linalg.lapack import zhetrd
-        self.unit, self.found = unit, {}
+    def __init__(self, d: np.ndarray, e: np.ndarray, unit: float, reflectors=None):
+        self.d, self.e, self.unit, self.reflectors, self.found = d, e, unit, reflectors, {}
+
+    @classmethod
+    def dense(cls, H: np.ndarray, unit: float) -> "_Tridiagonal":
+        """T of a full Hermitian H, by zhetrd, with the reflectors that map its eigenvectors back."""
         if H.shape[0] == 1:
-            self.d = H.real.ravel() * unit  # T = H * unit
-            return
-        self.c, self.d, self.e, self.tau, info = zhetrd(H * unit, lower=1, lwork=_zhetrd_lwork(H.shape[0]), overwrite_a=1)
+            return cls(H.real.ravel() * unit, np.zeros(0), unit)  # T = H * unit
+        from scipy.linalg.lapack import zhetrd
+        c, d, e, tau, info = zhetrd(H * unit, lower=1, lwork=_zhetrd_lwork(H.shape[0]), overwrite_a=1)
         if info != 0:
             raise NumericError(f"Hermitian tridiagonal reduction failed (LAPACK info {info})")
+        return cls(d, e, unit, (c, tau))
 
     def eigenvalue(self, end: int) -> float:
         """The top eigenvalue of H for end 0, of -H for end 1."""
@@ -150,11 +163,72 @@ class _Tridiagonal:
         if info != 0:
             raise NumericError(f"tridiagonal eigenvector failed (LAPACK info {info})")
         v = z[:, 0].astype(complex)
-        Qv, _, info = zunmqr(b"L", b"N", self.c[1:, :-1], self.tau, v[1:, None], 1, overwrite_c=1)
+        c, tau = self.reflectors
+        Qv, _, info = zunmqr(b"L", b"N", c[1:, :-1], tau, v[1:, None], 1, overwrite_c=1)
         if info != 0:
             raise NumericError(f"tridiagonal back transformation failed (LAPACK info {info})")
         v[1:] = Qv[:, 0]
         return v
+
+
+# The C prototype of zhbtrd in scipy.linalg.cython_lapack, where the last
+# typedef is double; a capsule of any other signature is refused.
+_ZHBTRD_SIGNATURE = (
+    b"void (char *, char *, int *, int *, __pyx_t_double_complex *, int *, "
+    b"__pyx_t_5scipy_6linalg_13cython_lapack_d *, __pyx_t_5scipy_6linalg_13cython_lapack_d *, "
+    b"__pyx_t_double_complex *, int *, __pyx_t_double_complex *, int *)"
+)
+
+
+@lru_cache(maxsize=1)
+def _zhbtrd():
+    """LAPACK zhbtrd as a ctypes function, taken from the capsule that scipy.linalg.cython_lapack exports.
+
+    scipy.linalg.lapack does not wrap zhbtrd.  It is loaded on first use,
+    so that `build` never loads scipy.linalg, and its capsule must carry
+    ``_ZHBTRD_SIGNATURE``, so that another ABI fails here instead of in
+    LAPACK.  Every argument is a pointer, and the call releases the GIL.
+    """
+    import ctypes
+    from scipy.linalg import cython_lapack
+    capsule = cython_lapack.__pyx_capi__["zhbtrd"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    if name != _ZHBTRD_SIGNATURE:
+        raise ImportError(f"scipy.linalg.cython_lapack.zhbtrd has the signature {name!r}, not {_ZHBTRD_SIGNATURE!r}")
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 12)(get_pointer(capsule, name))
+
+
+class _BandReduction:
+    """zhbtrd for one band block, with its workspace made once.
+
+    The workspace is a Fortran-ordered band buffer in LAPACK lower band
+    storage, d, e, work and the int arguments N, KD, LDAB, LDQ and INFO;
+    their pointers are taken once here, so a reduction costs one copy into
+    the buffer and the bare call.  The T it returns holds d and e of this
+    workspace, so it is read before the next reduction.
+    """
+
+    def __init__(self, kd: int, n: int):
+        import ctypes
+        self.ab = np.zeros((kd + 1, n), dtype=complex, order="F")
+        self.d, self.e, self.work = np.zeros(n), np.zeros(max(n - 1, 0)), np.zeros(n, dtype=complex)
+        self.ints = np.array([n, kd, kd + 1, 1, 0], dtype=np.intc)  # N, KD, LDAB, LDQ and INFO
+        n_, kd_, ldab, ldq, info = (ctypes.c_void_p(self.ints.ctypes.data + i * self.ints.itemsize) for i in range(5))
+        self.q = np.zeros(1, dtype=complex)  # VECT = 'N' forms no Q
+        ab, d, e, q, work = (ctypes.c_void_p(X.ctypes.data) for X in (self.ab, self.d, self.e, self.q, self.work))
+        self.args = (ctypes.c_char_p(b"N"), ctypes.c_char_p(b"L"), n_, kd_, ab, ldab, d, e, q, ldq, work, info)
+
+    def __call__(self, ab: np.ndarray, unit: float) -> _Tridiagonal:
+        """T of the Hermitian band ``ab`` (lower band storage), reduced as ab * unit."""
+        if ab.shape[0] == 1:
+            np.multiply(ab[0].real, unit, out=self.d)  # a diagonal band is its own T, which is what zhbtrd returns for kd = 0
+        else:
+            np.multiply(ab, unit, out=self.ab)
+            _zhbtrd()(*self.args)
+            if self.ints[4] != 0:
+                raise NumericError(f"Hermitian band tridiagonal reduction failed (LAPACK info {self.ints[4]})")
+        return _Tridiagonal(self.d, self.e, unit)
 
 
 def _checked_pair(lam: float, v: np.ndarray, Hv: np.ndarray, scale: float) -> np.ndarray:
@@ -171,30 +245,15 @@ def _checked_pair(lam: float, v: np.ndarray, Hv: np.ndarray, scale: float) -> np
     return v
 
 
-def _band_top(ab: np.ndarray) -> float:
-    """Top eigenvalue of the Hermitian band matrix in LAPACK lower band storage ``ab``.
-
-    zhbevx reduces the band to tridiagonal form and bisects for the one
-    eigenvalue; a boundary sweep takes the eigenvector from ``_band_vector``,
-    so both sweeps get the same eigenvalue from the same call.  zhbevx
-    scales a band of huge or tiny entries in place, and a one-row band
-    reaches it without a copy, so it is told to copy: ``ab`` stays H.
-    """
-    from scipy.linalg.lapack import zhbevx
-    n = ab.shape[1]
-    w, _, m, _, info = zhbevx(ab, 0.0, 0.0, n, n, compute_v=0, range=2, lower=1, overwrite_ab=0)
-    if info != 0 or m != 1:
-        raise NumericError(f"Hermitian band eigensolver failed (LAPACK info {info}, {m} eigenvalues)")
-    return float(w[0])
-
-
 def _band_vector(ab: np.ndarray, lam: float, start: np.ndarray) -> np.ndarray:
     """Unit eigenvector for the top eigenvalue ``lam`` of the Hermitian band matrix ``ab`` (lower band storage).
 
     Two steps of inverse iteration from ``start``, shifted to lam + n eps on
     the matrix scaled to unit largest entry: one band LU factorization and
-    two solves, O(n kd^2), where the eigenvector from zhbevx costs O(n^2)
-    at kd = 1 and O(n^2 kd) beyond.  The shift lies within n eps of the top
+    two solves, O(n kd^2), where mapping an eigenvector of the tridiagonal
+    form back through the rotations of zhbtrd would cost O(n^2) at kd = 1
+    and O(n^2 kd) beyond.  ``lam`` is the eigenvalue that the band's own
+    reduction and bisection gave.  The shift lies within n eps of the top
     of the spectrum, so each step shrinks the other eigencomponents by about
     n eps over their gap; a top eigenvalue multiple to that scale gives a
     vector of its eigenspace, which is just as good a support point.  The
@@ -219,10 +278,13 @@ def _band_vector(ab: np.ndarray, lam: float, start: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-# Solver choice, from the top eigenvalue of random Hermitian band matrices
-# (n = 48..400, one BLAS thread, 2-core Xeon, OpenBLAS 0.3.31): zhbevx
-# beats the dense reduction and bisection for one index while
-# _BAND_RATIO * kd <= n and loses from about 10 kd = n.
+# Solver choice, timed per angle through _Block.ends on random complex
+# Hermitian bands (n = 48..400 with kd = n/32..n/8, one BLAS thread, 2-core
+# Xeon, scipy's OpenBLAS 0.3.30): at 16 kd = n the band's zhbtrd and
+# bisection cost 0.7-0.9 times the dense zhetrd and bisection, on paired
+# grids (two ends per reduction) and unpaired ones alike, and the two
+# break even between 8 kd = n and 12 kd = n.  A block takes the band while
+# _BAND_RATIO * kd <= n, which keeps a margin over that crossover.
 _BAND_RATIO = 16
 
 
@@ -311,7 +373,9 @@ def _scale_entries(A_re: np.ndarray, A_im: np.ndarray):
 class _Block:
     """One residue-class block of a sweep: its parts of A, A_re, A_im and its solver.
 
-    A block with a narrow band is solved on the band.  Any other block is
+    A block with a narrow band is reduced on the band, by its own
+    ``_BandReduction``, at the power of two ``_unit`` gives its band, as a
+    dense block is at its own.  Any other block is
     solved on the basis Q of ``_range_basis`` where that is smaller than
     the block, as B(theta) = Q* H(theta) Q, and otherwise dense.  Each
     eigenvector is checked against the block of H(theta); the banded and
@@ -330,6 +394,8 @@ class _Block:
             for d in range(kd + 1):
                 self.band[:, d, : self.n - d] = [np.diagonal(self.re, -d), np.diagonal(self.im, -d)]
             self.start = np.random.default_rng(0).standard_normal(self.n).astype(complex)
+            self.reduction = _BandReduction(kd, self.n)
+            self.unit = _unit(*self.band)  # the power of two a banded block is reduced at
         else:
             basis = _range_basis(self.M)
         if basis is None and self.band is None:
@@ -349,8 +415,8 @@ class _Block:
         """Supports of this block at theta and, with ``both``, at theta + pi, and a function that checks and returns an end's eigenvector.
 
         H(theta + pi) = -H(theta), so end 1 is the top of -H(theta).  A
-        dense or reduced block reduces its matrix once for both ends, and a
-        banded block makes a second zhbevx call at (-c, -s).  The function
+        block reduces its matrix or band once for both ends, and bisects
+        that one tridiagonal form for each.  The function
         takes the end, 0 or 1, and gives its eigenvector, checked against
         that end's H, as its coordinates u in [Q, z] on a reduced block and
         as itself on any other; ``point`` reads either.  A sweep calls it
@@ -358,30 +424,30 @@ class _Block:
         """
         signs = (1.0, -1.0) if both else (1.0,)
         if self.band is not None:
-            ab = c * self.band[0] + s * self.band[1]
-            bands = [ab, -ab] if both else [ab]
-            supports = [_band_top(ab) for ab in bands]
+            H = c * self.band[0] + s * self.band[1]  # H(theta) in lower band storage
+            T = self.reduction(H, self.unit)
+        elif self.basis is None:
+            H = c * self.re + s * self.im
+            T = _Tridiagonal.dense(H, self.unit)
+        else:
+            T = _Tridiagonal.dense(c * self.reduced[0] + s * self.reduced[1], self.unit)
+        tops = [T.eigenvalue(end) for end in range(len(signs))]
+        if self.band is not None:
 
             def band_vector(end):
                 from scipy.linalg.blas import zhbmv
-                ab, lam = bands[end], supports[end]
-                v = _band_vector(ab, lam, self.start)
-                # ab is this end's H in band storage: H v at O(n kd), and max |ab| = max_ij |H_ij|
-                return _checked_pair(lam, v, zhbmv(ab.shape[0] - 1, 1.0, ab, v, lower=1), max(1.0, float(np.max(np.abs(ab)))))
+                ab = -H if end else H  # this end's H in band storage: H v at O(n kd), and max |ab| = max_ij |H_ij|
+                v = _band_vector(ab, tops[end], self.start)
+                return _checked_pair(tops[end], v, zhbmv(ab.shape[0] - 1, 1.0, ab, v, lower=1), max(1.0, float(np.max(np.abs(ab)))))
 
-            return supports, band_vector
+            return tops, band_vector
         if self.basis is None:
-            H = c * self.re + s * self.im
-            T = _Tridiagonal(H, self.unit)
-            supports = [T.eigenvalue(end) for end in range(len(signs))]
 
             def dense_vector(end):
                 v = T.vector(end)
-                return _checked_pair(supports[end], v, signs[end] * (H @ v), max(1.0, float(np.max(np.abs(H)))))
+                return _checked_pair(tops[end], v, signs[end] * (H @ v), max(1.0, float(np.max(np.abs(H)))))
 
-            return supports, dense_vector
-        T = _Tridiagonal(c * self.reduced[0] + s * self.reduced[1], self.unit)
-        tops = [T.eigenvalue(end) for end in range(len(signs))]
+            return tops, dense_vector
         supports = [float(np.maximum(lam, 0.0)) for lam in tops]  # a NaN stays NaN and wins the sweep's argmax
 
         def reduced_vector(end):

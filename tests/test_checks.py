@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from bergrange import checks
 from bergrange.checks import accepted_overrides, list_checks, run_all, run_check
 from bergrange.core import NumericError, UsageError
 
@@ -267,6 +268,18 @@ def test_c2_polygon_keeps_every_vertex_of_odd_and_even_orders():
 def test_rotations_whose_coefficient_rounds_to_modulus_one_are_built(check_id, params):
     # the float e^{2 pi i / 10} once read as |lambda| = 1 + 2^-52 and failed the self-map certificate
     assert run_check(check_id, params).passed
+
+
+def test_quarter_turn_rotations_are_exact(monkeypatch):
+    # np.exp leaves a stray part near 1e-16 at orders 1, 2 and 4, which kept
+    # the order-2 rotation matrices complex and off the sweep's mirror
+    assert [checks._root_of_unity(n) for n in (1, 2, 4)] == [1.0, -1.0, 1j]
+    assert all(checks._root_of_unity(n) == np.exp(2j * np.pi / n) for n in (3, 5, 6, 9, 10))
+    built = []
+    original = checks.build_weighted_composition
+    monkeypatch.setattr(checks, "build_weighted_composition", lambda *args: built.append(original(*args)) or built[-1])
+    assert run_check("th2_symmetric", {"orders": [2], "N": 96}).passed
+    assert len(built) == 1 and not built[0].matrix.imag.any()
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

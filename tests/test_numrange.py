@@ -8,6 +8,10 @@ structural facts: truncation monotonicity, unitary invariance, affine
 equivariance.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg.lapack
@@ -37,6 +41,7 @@ from bergrange.numrange import (
 from bergrange.operators import BiPolySymbol, build_multiplication, build_toeplitz, build_weighted_composition
 
 GRID = 2.0 * np.pi * np.arange(256) / 256
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _structured_matrices():
@@ -78,6 +83,11 @@ def _dense_composition(rng, n):
     mags = rng.uniform(0.5, 1.0, 3)
     mags *= rng.uniform(0.6, 0.9) / mags.sum()
     return build_weighted_composition(psi, mags * np.exp(2j * np.pi * rng.uniform(size=3)), 0.0, n).matrix
+
+
+def _random_band(rng, n, kd):
+    """A complex n x n matrix with random entries on its 2 kd + 1 central diagonals."""
+    return sum(np.diag(rng.standard_normal(n - abs(d)) + 1j * rng.standard_normal(n - abs(d)), d) for d in range(-kd, kd + 1))
 
 
 def _blocks(A):
@@ -171,8 +181,9 @@ class TestSweepKernel:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_bands_sweep(self):
-        # zhbevx scales a band of entries near 1e200 in place; a one-row band
-        # (kd = 0) reaches it without a copy, yet its vector step must see H
+        # a band of entries near 1e200 is reduced at a power of two that takes
+        # them below 1, in the block's own buffer; the vector step, on a
+        # diagonal (kd = 0) as on a tridiagonal band, must still see H itself
         rng = np.random.default_rng(19)
         diagonal = np.diag(1e200 * (rng.standard_normal(6) + 1j * rng.standard_normal(6)))
         tridiagonal = 1e200 * (np.diag(rng.standard_normal(39), 1) + np.diag(rng.standard_normal(39), -1)).astype(complex)
@@ -201,6 +212,36 @@ class TestSweepKernel:
                 assert np.array_equal(support_function(A * 2.0**p, self.THETAS), h * 2.0**p), (name, p)
             tiny = support_function(A * 2.0**-1030, self.THETAS)
             assert np.max(np.abs(np.ldexp(tiny, 1030) - h)) <= 1e-12 * np.max(np.abs(h)), name
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_band_supports_scale_exactly_by_powers_of_two(self):
+        # a complex band with kd = 3 is reduced at the power of two of the
+        # dense path, so 2^p A has the supports of A times 2^p, bit for bit
+        A = _random_band(np.random.default_rng(29), 96, 3)
+        (block,) = _blocks(A)
+        assert _path(block) == "band" and block.band.shape[1] == 4
+        h = support_function(A, self.THETAS)
+        for p in (-500, -20, 20, 1000):
+            assert np.array_equal(support_function(A * 2.0**p, self.THETAS), h * 2.0**p), p
+
+    def test_band_reduction_refuses_another_signature(self, monkeypatch):
+        # zhbtrd is called through a bare pointer, so a capsule whose C
+        # prototype differs from the expected one must fail before any call
+        monkeypatch.setattr(numrange, "_ZHBTRD_SIGNATURE", numrange._ZHBTRD_SIGNATURE.replace(b"int *)", b"long *)"))
+        with pytest.raises(ImportError, match="signature"):
+            numrange._zhbtrd.__wrapped__()
+
+    def test_build_never_loads_scipy_linalg(self, tmp_path):
+        # zhbtrd, like every LAPACK routine here, is loaded on first use
+        config = tmp_path / "job.json"
+        config.write_text('{"alpha": 0.0, "truncation": 16, "operator": {"toeplitz": {"terms": [[1, 0, 0.5, 0.0]]}}}')
+        script = (
+            "import sys; from bergrange import cli; "
+            f"assert cli.main(['build', '--config', {str(config)!r}, '--out', {str(tmp_path / 'm.csv')!r}]) == 0; "
+            "assert not [m for m in sys.modules if m.startswith('scipy.linalg')]"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=120)
 
     def test_block_checks_use_the_exact_scale_and_residual(self, monkeypatch):
         # every vector check a boundary sweep makes, on the 90-angle grid: the
@@ -387,6 +428,23 @@ class TestAnglePairs:
             for th, p, s in boundary_points(A, 64):
                 assert abs((np.exp(-1j * th) * p).real - s) <= 1e-12 * max(1.0, abs(s)), name
 
+    def test_complex_bands_pair_with_one_reduction(self, reductions):
+        # one zhbtrd reduction per pair, and both ends bisected from it: each
+        # is zhbevx's top eigenvalue of H(theta) or -H(theta), bit for bit
+        thetas = _angle_grid(64)
+        for kd in (1, 3, 4):
+            A = _random_band(np.random.default_rng(kd), 80, kd)
+            (block,) = _blocks(A)
+            assert _path(block) == "band" and block.band.shape[1] == kd + 1 and A.imag.any()
+            reductions.clear()
+            h = support_function(A, thetas)
+            assert len(reductions) == 32, kd
+            for j in range(32):
+                ab = np.cos(thetas[j]) * block.band[0] + np.sin(thetas[j]) * block.band[1]
+                for k, H in ((j, ab), (j + 32, -ab)):
+                    w, _, m, _, info = scipy.linalg.lapack.zhbevx(H, 0.0, 0.0, 80, 80, compute_v=0, range=2, lower=1)
+                    assert info == 0 and m == 1 and h[k] == w[0], (kd, k)
+
     def test_real_matrices_mirror_exactly(self, reductions):
         for path, A in self._real_matrices().items():
             (block,) = _blocks(A)
@@ -394,8 +452,8 @@ class TestAnglePairs:
             for K in (360, 90):
                 reductions.clear()
                 rows = boundary_points(A, K)
-                # one reduction per angle in [0, pi/2]: 91 of 360 and 23 of 90
-                assert len(reductions) == (0 if path == "band" else K // 4 + 1), (path, K)
+                # one reduction per angle in [0, pi/2] on every path: 91 of 360 and 23 of 90
+                assert len(reductions) == K // 4 + 1, (path, K)
                 h = np.array([s for _, _, s in rows])
                 points = np.array([p for _, p, _ in rows])
                 j = np.arange(1, K)
@@ -422,7 +480,7 @@ class TestAnglePairs:
             # odd K = 45 shares every 8th angle of the even grid
             reductions.clear()
             odd = support_function(A, _angle_grid(45))
-            assert len(reductions) == (0 if _path(_blocks(A)[0]) == "band" else 45), name
+            assert len(reductions) == 45 * len(_blocks(A)), name  # one reduction per angle and block
             assert np.max(np.abs(odd - h[::8])) <= 1e-13 * scale, name
             # an arbitrary array: the even grid shuffled, a reversed grid and a lone angle
             order = rng.permutation(360)
