@@ -39,11 +39,8 @@ __all__ = [
     "monomial_norm_sq",
     "TruncatedSeries",
     "series",
-    "series_mul",
-    "series_pow",
     "series_eval",
     "kernel_coeffs",
-    "bipoly_moment",
     "disk_quadrature",
 ]
 
@@ -239,38 +236,9 @@ class TruncatedSeries:
         return series_eval(self, z)
 
 
-def series(coeffs: Sequence[complex], truncation: int | None = None) -> TruncatedSeries:
-    """Build a TruncatedSeries, optionally zero-padded to a target degree."""
-    s = TruncatedSeries(np.asarray(coeffs, dtype=complex))
-    if truncation is not None:
-        s = s.pad_to(truncation)
-    return s
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product, truncated back to the common truncation."""
-    if a.truncation != b.truncation:
-        raise UsageError(
-            f"truncation mismatch: {a.truncation} vs {b.truncation}"
-        )
-    n = a.truncation + 1
-    return TruncatedSeries(np.convolve(a.coeffs, b.coeffs)[:n])
-
-
-def series_pow(phi: TruncatedSeries, k: int) -> TruncatedSeries:
-    """k-th power at fixed truncation; k = 0 gives the constant series 1."""
-    k = _as_int(k, "exponent", 0)
-    out = np.zeros(phi.truncation + 1, dtype=complex)
-    out[0] = 1.0
-    result = TruncatedSeries(out)
-    base = phi
-    while k:
-        if k & 1:
-            result = series_mul(result, base)
-        k >>= 1
-        if k:
-            base = series_mul(base, base)
-    return result
+def series(coeffs: Sequence[complex]) -> TruncatedSeries:
+    """Build a TruncatedSeries; ``series(coeffs).pad_to(t)`` zero-pads it to degree t."""
+    return TruncatedSeries(np.asarray(coeffs, dtype=complex))
 
 
 def series_eval(a: TruncatedSeries, z):
@@ -300,15 +268,6 @@ def kernel_coeffs(w: complex, alpha: float, N: int) -> np.ndarray:
     c = np.exp(log_c) * np.exp(-1j * np.angle(w) * n)
     c.flags.writeable = False
     return c
-
-
-def bipoly_moment(p: int, q: int, alpha: float) -> complex:
-    """Weighted moment of z^p conj(z)^q: zero off the diagonal, w_p on it."""
-    p, q = _as_int(p, "p", 0), _as_int(q, "q", 0)
-    _check_alpha(alpha)
-    if p != q:
-        return 0j
-    return complex(monomial_norm_sq(p, alpha))
 
 
 @lru_cache(maxsize=64)

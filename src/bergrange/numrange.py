@@ -84,13 +84,11 @@ __all__ = [
     "convex_hull",
     "HullPolygon",
     "numerical_range_hull",
-    "hull_hausdorff",
     "DiscSpec",
     "EllipseSpec",
     "ellipse_from_2x2",
     "support_of",
     "shape_containment",
-    "regular_polygon",
 ]
 
 
@@ -231,6 +229,18 @@ class _BandReduction:
         return _Tridiagonal(self.d, self.e, unit)
 
 
+def _divided(X: np.ndarray, largest: float) -> np.ndarray:
+    """X / largest for a complex X and a real largest >= max |X| > 0.
+
+    numpy divides a complex array by a real through the reciprocal of the
+    real, which overflows where ``largest`` is subnormal; there X and
+    largest are first scaled up by 2^600, which is exact.
+    """
+    if largest < np.finfo(float).tiny:
+        X, largest = np.ldexp(X.real, 600) + 1j * np.ldexp(X.imag, 600), np.ldexp(largest, 600)
+    return X / largest
+
+
 def _checked_pair(lam: float, v: np.ndarray, Hv: np.ndarray, scale: float) -> np.ndarray:
     """v, once the residual of H v = lam v is small enough to trust.
 
@@ -265,7 +275,7 @@ def _band_vector(ab: np.ndarray, lam: float, start: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.abs(ab))) or 1.0
     # LAPACK general band storage with kd rows for the fill-in: lu[2 kd + i - j, j] = X[i, j]
     lu = np.zeros((3 * kd + 1, n), dtype=complex)
-    lu[2 * kd :] = ab / scale
+    lu[2 * kd :] = _divided(ab, scale)
     for d in range(1, kd + 1):
         lu[2 * kd - d, d:] = lu[2 * kd + d, : n - d].conj()
     lu[2 * kd] -= lam / scale + n * np.finfo(float).eps
@@ -334,8 +344,8 @@ def _range_basis(M: np.ndarray):
     k = int(np.count_nonzero(d > n * np.finfo(float).eps * d[0]))
     if k == 0 or k == n:
         return None
-    R[k:] /= d[0]  # rows k.. of R are [0, R_22], scaled in place so that a huge M cannot overflow the norm
-    tau = d[0] * float(np.linalg.norm(R[k:]))
+    # rows k.. of R are [0, R_22], scaled first so that a huge M cannot overflow the norm
+    tau = d[0] * float(np.linalg.norm(_divided(R[k:], d[0])))
     if tau > 0.5e-10 * np.sqrt(n):
         return None
     lwork = int(zungqr(reflectors[:, :n], scalars, lwork=-1)[1][0].real)
@@ -362,7 +372,7 @@ def _scale_entries(A_re: np.ndarray, A_im: np.ndarray):
     hi, lo_max = np.empty(a.size), 0.0
     for i in range(0, a.size, 1 << 12):
         part = slice(i, i + (1 << 12))
-        an, bn = a[part] / largest, b[part] / largest
+        an, bn = _divided(a[part], largest), _divided(b[part], largest)
         sa, sb, ab = np.abs(an) ** 2, np.abs(bn) ** 2, an * bn.conj()
         hi[part] = h = np.sqrt((sa + sb) / 2.0 + np.hypot((sa - sb) / 2.0, ab.real))
         lo_max = max(lo_max, float(np.max(np.abs(ab.imag) / np.where(h > 0.0, h, 1.0))))
@@ -462,11 +472,6 @@ class _Block:
             return u
 
         return supports, reduced_vector
-
-    def top(self, c, s, vectors: bool):
-        """The support at theta alone and, with ``vectors``, its checked eigenvector, as an unpaired angle takes them."""
-        (support,), vector = self.ends(c, s, both=False)
-        return support, vector(0) if vectors else None
 
     def point(self, x) -> complex:
         """The boundary point v* A v of the eigenvector ``ends`` returned as ``x``."""
@@ -683,25 +688,6 @@ def numerical_range_hull(A, n_angles: int = 360) -> HullPolygon:
     return HullPolygon.from_points(pts)
 
 
-def _distance_to_hull(p: complex, hull: HullPolygon) -> float:
-    return max(0.0, -hull.signed_distance(p))
-
-
-def hull_hausdorff(a: HullPolygon, b: HullPolygon) -> float:
-    """Hausdorff distance between two convex polygons (as filled sets).
-
-    The distance-to-a-convex-set function is convex, so each directed
-    distance is attained at a vertex.
-    """
-    if not isinstance(a, HullPolygon):
-        a = HullPolygon.from_points(a)
-    if not isinstance(b, HullPolygon):
-        b = HullPolygon.from_points(b)
-    d_ab = max(_distance_to_hull(complex(p), b) for p in a.vertices)
-    d_ba = max(_distance_to_hull(complex(p), a) for p in b.vertices)
-    return max(d_ab, d_ba)
-
-
 @dataclass(frozen=True)
 class DiscSpec:
     """Closed disc, for containment comparisons."""
@@ -775,7 +761,7 @@ def ellipse_from_2x2(M) -> EllipseSpec:
 def support_of(obj, thetas) -> np.ndarray:
     """Support function of any of the shapes handled by this module.
 
-    Accepts matrices / truncations (boundary sweep), hull polygons,
+    Accepts matrices / truncations (support_function), hull polygons,
     discs, ellipses, or a bare 1-d array of points.
     """
     thetas = _angles(thetas)
@@ -799,17 +785,6 @@ def shape_containment(inner, outer, n_angles: int = 720) -> float:
     """
     thetas = _angle_grid(n_angles)
     return float(np.min(support_of(outer, thetas) - support_of(inner, thetas)))
-
-
-def regular_polygon(n: int, radius: float = 1.0, center: complex = 0j, phase: float = 0.0) -> np.ndarray:
-    """Vertices of a regular n-gon, counterclockwise from the phase angle."""
-    n = _as_int(n, "polygon order", 3)
-    radius, center, phase = _as_number(radius, "radius"), _as_complex(center, "center"), _as_number(phase, "phase")
-    for name, value in (("radius", radius), ("center", center), ("phase", phase)):
-        if not np.isfinite(value):
-            raise UsageError(f"{name} must be finite, got {value!r}")
-    k = np.arange(n)
-    return center + radius * np.exp(1j * (phase + 2.0 * np.pi * k / n))
 
 
 def _image_samples(f, n_angles: int) -> np.ndarray:

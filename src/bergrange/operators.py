@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,16 +43,12 @@ __all__ = [
     "compress",
     "kernel_form_closed",
     "kernel_form_matrix",
-    "boundedness_functional",
-    "BlockReport",
-    "block_structure_report",
+    "off_block_max",
 ]
 
 # unit-circle samples per degree when certifying a self-map by sampling;
 # the Bernstein margin 1 / (1 - pi / _SELF_MAP_SAMPLES) is then about 1.2%
 _SELF_MAP_SAMPLES = 256
-# outermost radius of the kernel-testing grid, kept off the boundary
-_KERNEL_GRID_RADIUS = 1.0 - 1e-3
 
 
 @dataclass(frozen=True)
@@ -187,15 +183,6 @@ def _certify_self_map(phi: TruncatedSeries):
         )
 
 
-def _composition_series(psi, phi):
-    """psi and phi as series, once psi is finite and phi is certified as a self-map of the disk."""
-    psi_s, phi_s = _as_series(psi, "psi"), _as_series(phi, "phi")
-    if not np.all(np.isfinite(psi_s.coeffs)):
-        raise NumericError("psi has a non-finite coefficient")
-    _certify_self_map(phi_s)
-    return psi_s, phi_s
-
-
 def build_weighted_composition(psi, phi, alpha: float, N: int) -> OperatorTruncation:
     """Truncation of f -> psi * (f o phi) for polynomial psi and phi.
 
@@ -289,7 +276,10 @@ def kernel_form_closed(psi, phi, w: complex, alpha: float) -> complex:
     A non-finite psi raises NumericError, and a phi not certified as a
     self-map of the disk DomainError, as in the builder.
     """
-    psi_s, phi_s = _composition_series(psi, phi)
+    psi_s, phi_s = _as_series(psi, "psi"), _as_series(phi, "phi")
+    if not np.all(np.isfinite(psi_s.coeffs)):
+        raise NumericError("psi has a non-finite coefficient")
+    _certify_self_map(phi_s)
     w = _as_complex(w, "w")
     if abs(w) >= 1.0:
         raise DomainError(f"base point must satisfy |w| < 1, got |w| = {abs(w)}")
@@ -311,49 +301,13 @@ def kernel_form_matrix(op: OperatorTruncation, w: complex) -> complex:
     return complex(v.conj() @ (op.matrix @ v))
 
 
-def boundedness_functional(
-    psi, phi, alpha: float, radial: int = 64, angular: int = 128
-) -> float:
-    """Kernel-testing lower bound for the norm of a weighted composition.
+def off_block_max(op, order: int) -> float:
+    """Largest entry modulus off the residue classes m = n (mod order), 0.0 if there is none.
 
-    Evaluates |psi(w)| ((1-|w|^2)/(1-|phi(w)|^2))^((alpha+2)/2) over a
-    polar grid (including the origin) and returns the supremum; the value
-    is the norm of the adjoint applied to the normalized kernel at the
-    maximizing point.  psi and phi are checked as in kernel_form_closed.
-    """
-    psi_s, phi_s = _composition_series(psi, phi)
-    alpha = _check_alpha(alpha)
-    radial, angular = _as_int(radial, "radial", 1), _as_int(angular, "angular", 1)
-    r = np.linspace(0.0, _KERNEL_GRID_RADIUS, radial)
-    theta = 2.0 * np.pi * np.arange(angular) / angular
-    w = r[:, None] * np.exp(1j * theta)[None, :]
-    pw = np.abs(series_eval(psi_s, w))
-    fw = np.abs(series_eval(phi_s, w))
-    if np.any(fw >= 1.0):
-        raise DomainError("phi leaves the disk on the test grid")
-    ratio = (1.0 - np.abs(w) ** 2) / (1.0 - fw**2)
-    return float(np.max(pw * ratio ** ((alpha + 2.0) / 2.0)))
-
-
-@dataclass(frozen=True)
-class BlockReport:
-    """Residue-class structure of a truncation under index classes mod n."""
-
-    order: int
-    off_block_max: float
-    is_block: bool
-
-
-def block_structure_report(op, order: int, tol: float = 1e-12) -> BlockReport:
-    """Check whether entries vanish off the residue classes m = n (mod order).
-
-    When they do, permuting the basis by residue turns the matrix into a
+    Where it is 0, permuting the basis by residue turns the matrix into a
     direct sum of ``order`` blocks.
     """
     order = _as_int(order, "order", 1)
     A = _as_matrix(op)
-    N = A.shape[0]
-    m, n = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    off = (m - n) % order != 0
-    off_max = float(np.max(np.abs(A[off]))) if np.any(off) else 0.0
-    return BlockReport(order, off_max, off_max <= tol)
+    idx = np.arange(A.shape[0])
+    return float(np.max(np.abs(A[(idx[:, None] - idx) % order != 0]), initial=0.0))

@@ -10,23 +10,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from bergrange.core import (
     DomainError,
     UsageError,
     alpha_weight,
-    bipoly_moment,
     disk_quadrature,
     kernel_coeffs,
     monomial_norm_sq,
     norm_ratio,
     series,
     series_eval,
-    series_mul,
-    series_pow,
 )
 
 ALPHAS = [-0.5, 0.0, 1.0, 2.5]
@@ -113,58 +108,12 @@ class TestAlphaWeight:
 
 
 class TestSeries:
-    def test_mul_small(self):
-        a = series([1, 1], truncation=3)          # 1 + z
-        b = series([1, -1], truncation=3)         # 1 - z
-        c = series_mul(a, b)                      # 1 - z^2
-        assert np.allclose(c.coeffs, [1, 0, -1, 0])
-
-    def test_mul_truncates(self):
-        a = series([0, 1, 1])                     # z + z^2, truncation 2
-        c = series_mul(a, a)                      # z^2 + 2 z^3 + z^4 -> z^2
-        assert np.allclose(c.coeffs, [0, 0, 1])
-
-    def test_mul_mismatch_raises(self):
-        with pytest.raises(UsageError):
-            series_mul(series([1, 2]), series([1, 2, 3]))
-
-    def test_pow_matches_repeated_mul(self):
-        phi = series([0.2, 0.5, -0.1j], truncation=8)
-        p3 = series_pow(phi, 3)
-        manual = series_mul(series_mul(phi, phi), phi)
-        assert np.allclose(p3.coeffs, manual.coeffs, atol=1e-15)
-        assert np.allclose(series_pow(phi, 0).coeffs, series([1], truncation=8).coeffs)
-
     def test_eval_horner(self):
         f = series([1, 2, 3])
         assert series_eval(f, 0.5) == pytest.approx(1 + 2 * 0.5 + 3 * 0.25)
         z = np.array([0.1, 0.2j])
         got = series_eval(f, z)
         assert np.allclose(got, 1 + 2 * z + 3 * z**2)
-
-    # Products of integer-coefficient polynomials are exact in floating
-    # point, so commutativity and associativity hold bit for bit.
-    coeff = st.tuples(
-        st.integers(min_value=-8, max_value=8),
-        st.integers(min_value=-8, max_value=8),
-    ).map(lambda t: complex(t[0], t[1]))
-    poly = st.lists(coeff, min_size=1, max_size=6)
-
-    @settings(max_examples=60, deadline=None)
-    @given(poly, poly)
-    def test_mul_commutative_exact(self, ca, cb):
-        t = max(len(ca), len(cb)) + 2
-        a, b = series(ca, truncation=t), series(cb, truncation=t)
-        assert np.array_equal(series_mul(a, b).coeffs, series_mul(b, a).coeffs)
-
-    @settings(max_examples=60, deadline=None)
-    @given(poly, poly, poly)
-    def test_mul_associative_exact(self, ca, cb, cc):
-        t = max(len(ca), len(cb), len(cc)) + 2
-        a, b, c = (series(x, truncation=t) for x in (ca, cb, cc))
-        left = series_mul(series_mul(a, b), c)
-        right = series_mul(a, series_mul(b, c))
-        assert np.array_equal(left.coeffs, right.coeffs)
 
 
 class TestKernel:
@@ -208,23 +157,17 @@ class TestMoments:
                 want = (alpha + 1.0) * np.exp(
                     gammaln(p + 1.0) + gammaln(alpha + 1.0) - gammaln(p + alpha + 2.0)
                 )
-                got = bipoly_moment(p, p, alpha)
-                assert got.imag == 0.0
-                assert got.real == pytest.approx(want, rel=1e-12)
-                assert got.real == pytest.approx(monomial_norm_sq(p, alpha), rel=1e-13)
-
-    def test_off_diagonal_vanishes(self):
-        assert bipoly_moment(2, 3, 0.5) == 0j
+                assert monomial_norm_sq(p, alpha) == pytest.approx(want, rel=1e-12)
 
 
 class TestQuadrature:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_exact_on_monomials(self, alpha):
-        # all z^p conj(z)^q with p + q <= 12 against the moment formula
+        # all z^p conj(z)^q with p + q <= 12 against their moments: w_p on the diagonal, 0 off it
         for p in range(0, 13):
             for q in range(0, 13 - p):
                 got = disk_quadrature(lambda z: z**p * np.conj(z) ** q, alpha, 16, 32)
-                want = bipoly_moment(p, q, alpha)
+                want = monomial_norm_sq(p, alpha) if p == q else 0.0
                 assert abs(got - want) < 1e-10
 
     def test_total_mass_one(self):

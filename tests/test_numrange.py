@@ -25,9 +25,7 @@ from bergrange.numrange import (
     boundary_points,
     convex_hull,
     ellipse_from_2x2,
-    hull_hausdorff,
     numerical_range_hull,
-    regular_polygon,
     shape_containment,
     support_function,
     support_of,
@@ -99,6 +97,15 @@ def _blocks(A):
 
 def _path(block):
     return "band" if block.band is not None else "reduced" if block.basis is not None else "dense"
+
+
+def _assert_subnormal_sweeps(A):
+    """2^-1030 A and 2^-1060 A, whose largest entries are subnormal, sweep to finite supports and points, the same supports in both sweeps."""
+    for p in (-1030, -1060):
+        rows = boundary_points(A * 2.0**p, 48)
+        h = np.array([s for _, _, s in rows])
+        assert np.all(np.isfinite(h)) and all(np.isfinite(point) for _, point, _ in rows), p
+        assert np.array_equal(support_function(A * 2.0**p, _angle_grid(48)), h), p
 
 
 def _theo2(n):
@@ -202,7 +209,9 @@ class TestSweepKernel:
         # entries below 1, so 2^p A has the supports of A times 2^p, bit for
         # bit, from entries near 1e-150 to entries near 1e301; a matrix of
         # subnormal entries, whose power of two would overflow, still gets
-        # its supports to rounding
+        # its supports to rounding; at 2^-1030 and 2^-1060 it sweeps to finite
+        # supports and points, and so does a low-rank composition solved on
+        # its range
         matrices = dict(_structured_matrices())
         for name in ("dense24", "hermitian50"):
             A = matrices[name]
@@ -212,17 +221,23 @@ class TestSweepKernel:
                 assert np.array_equal(support_function(A * 2.0**p, self.THETAS), h * 2.0**p), (name, p)
             tiny = support_function(A * 2.0**-1030, self.THETAS)
             assert np.max(np.abs(np.ldexp(tiny, 1030) - h)) <= 1e-12 * np.max(np.abs(h)), name
+            _assert_subnormal_sweeps(A)
+        W = build_weighted_composition([1.0, 0.5 - 0.25j], [0.2 + 0.1j, 0.3, 0.2j], 0.5, 96).matrix
+        assert [_path(block) for block in _blocks(W * 2.0**-1030)] == ["reduced"]
+        _assert_subnormal_sweeps(W)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_band_supports_scale_exactly_by_powers_of_two(self):
         # a complex band with kd = 3 is reduced at the power of two of the
-        # dense path, so 2^p A has the supports of A times 2^p, bit for bit
+        # dense path, so 2^p A has the supports of A times 2^p, bit for bit;
+        # at a subnormal scale the vector step must not overflow either
         A = _random_band(np.random.default_rng(29), 96, 3)
         (block,) = _blocks(A)
         assert _path(block) == "band" and block.band.shape[1] == 4
         h = support_function(A, self.THETAS)
         for p in (-500, -20, 20, 1000):
             assert np.array_equal(support_function(A * 2.0**p, self.THETAS), h * 2.0**p), p
+        _assert_subnormal_sweeps(A)
 
     def test_band_reduction_refuses_another_signature(self, monkeypatch):
         # zhbtrd is called through a bare pointer, so a capsule whose C
@@ -244,10 +259,11 @@ class TestSweepKernel:
         subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=120)
 
     def test_block_checks_use_the_exact_scale_and_residual(self, monkeypatch):
-        # every vector check a boundary sweep makes, on the 90-angle grid: the
-        # banded and reduced blocks never form H(theta), yet their scale must be
-        # max(1, max |H_ij(theta)|) bit for bit and their H v that of the full
-        # block of H(theta), so the residual is the one a dense check would see
+        # every vector check a boundary sweep makes, at both ends of each pair
+        # on the 90-angle grid: the banded and reduced blocks never form
+        # H(theta), yet their scale must be max(1, max |H_ij|) bit for bit and
+        # their H v that of the full block of H(theta) at end 0 and of
+        # -H(theta) at end 1, so the residual is the one a dense check would see
         checks = []
         original = numrange._checked_pair
         monkeypatch.setattr(numrange, "_checked_pair", lambda *args: checks.append(args) or original(*args))
@@ -259,14 +275,16 @@ class TestSweepKernel:
                 paths.add(_path(block))
                 for th in 2.0 * np.pi * np.arange(90) / 90:
                     c, s = np.cos(th), np.sin(th)
-                    checks.clear()
-                    block.top(c, s, vectors=True)
-                    lam, v, Hv, scale = checks[-1]
-                    H = c * block.re + s * block.im
-                    assert v.size == block.n and scale == max(1.0, float(np.max(np.abs(H)))), name
-                    assert np.linalg.norm(Hv - H @ v) <= 1e-12 * scale, name
-                    full = np.linalg.norm(H @ v - lam * v)
-                    assert abs(np.linalg.norm(Hv - lam * v) - full) <= 1e-12 * scale, name
+                    _, vector = block.ends(c, s, both=True)
+                    for end, sign in ((0, 1.0), (1, -1.0)):
+                        checks.clear()
+                        vector(end)
+                        lam, v, Hv, scale = checks[-1]
+                        H = sign * (c * block.re + s * block.im)
+                        assert v.size == block.n and scale == max(1.0, float(np.max(np.abs(H)))), (name, end)
+                        assert np.linalg.norm(Hv - H @ v) <= 1e-12 * scale, (name, end)
+                        full = np.linalg.norm(H @ v - lam * v)
+                        assert abs(np.linalg.norm(Hv - lam * v) - full) <= 1e-12 * scale, (name, end)
         assert paths == {"band", "reduced", "dense"}
 
     def test_scale_entries_hold_the_largest_entry_at_every_angle(self):
@@ -540,10 +558,12 @@ class TestSmallMatrices:
     def test_square_vs_circumscribed_polygon_hausdorff(self):
         # hull of diag(1, i, -1, -i) against the regular 360-gon in the unit
         # circle: farthest point is the 45-degree vertex, at distance
-        # 1 - 1/sqrt(2) from the square
+        # 1 - 1/sqrt(2) from the square; for convex sets the Hausdorff distance
+        # is the sup-norm of the support difference
         square = numerical_range_hull(np.diag([1.0, 1j, -1.0, -1j]), 360)
-        gon = HullPolygon.from_points(regular_polygon(360))
-        d = hull_hausdorff(square, gon)
+        gon = HullPolygon.from_points(np.exp(1j * _angle_grid(360)))
+        g = _angle_grid(3600)
+        d = np.max(np.abs(support_of(square, g) - support_of(gon, g)))
         assert d == pytest.approx(1.0 - 1.0 / np.sqrt(2.0), abs=2e-3)
 
     def test_2x2_oracle_support_match(self):
@@ -592,7 +612,7 @@ class TestHullGeometry:
         wrong = []
         for n in range(3, 60):
             for phase in (0.0, 0.1, 1.0, np.pi / n):
-                v = regular_polygon(n, phase=phase)
+                v = np.exp(1j * (phase + 2.0 * np.pi * np.arange(n) / n))
                 edges = (v[:, None] * (1 - t) + np.roll(v, -1)[:, None] * t).ravel()
                 hull = convex_hull(np.concatenate([v, edges]))
                 dev = max(float(np.min(np.abs(hull - e))) for e in v)
@@ -651,10 +671,6 @@ class TestHullGeometry:
             with pytest.raises(UsageError):
                 EllipseSpec(*fields)
 
-    def test_regular_polygon_bad_order(self):
-        with pytest.raises(UsageError):
-            regular_polygon(2)
-
 
 class TestEllipseSpec:
     def test_degenerate_segment_support(self):
@@ -707,7 +723,9 @@ class TestStructuralInvariants:
         hull_a = numerical_range_hull(A, 256)
         hull_b = numerical_range_hull(B, 256)
         moved = HullPolygon.from_points(c * hull_a.vertices + d)
-        assert hull_hausdorff(hull_b, moved) < 1e-9
+        # the sup-norm of the support difference is the Hausdorff distance of convex sets
+        g = _angle_grid(4096)
+        assert np.max(np.abs(support_of(hull_b, g) - support_of(moved, g))) < 1e-9
 
 
 class TestImageHull:

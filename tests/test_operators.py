@@ -20,16 +20,14 @@ from bergrange.core import (
 )
 from bergrange.operators import (
     BiPolySymbol,
-    BlockReport,
     OperatorTruncation,
-    block_structure_report,
-    boundedness_functional,
     build_multiplication,
     build_toeplitz,
     build_weighted_composition,
     compress,
     kernel_form_closed,
     kernel_form_matrix,
+    off_block_max,
     operator_sum,
 )
 
@@ -173,13 +171,15 @@ class TestWeightedComposition:
         phi = series([0.1, 0.4, 0.2])
         N = 16
         W = build_weighted_composition(psi, phi, 1.0, N)
-        from bergrange.core import alpha_weight, series_mul, series_pow
+        from bergrange.core import alpha_weight
 
         ratios = np.exp(alpha_weight(1.0, N - 1))
         n = 3
-        target = series_mul(psi.pad_to(N - 1), series_pow(phi.pad_to(N - 1), n))
+        target = psi.coeffs
+        for _ in range(n):
+            target = np.convolve(target, phi.coeffs)
         got = W.matrix[:, n] * np.sqrt(ratios) / np.sqrt(ratios[n])
-        assert np.allclose(got, target.coeffs, atol=1e-14)
+        assert np.allclose(got, series(target).pad_to(N - 1).coeffs, atol=1e-14)
 
 
 class TestSumAndCompress:
@@ -245,24 +245,8 @@ class TestKernelForms:
                 assert np.linalg.norm(lhs - np.conj(pw) * kfw) < 1e-5
 
 
-class TestBoundedness:
-    def test_identity_is_one(self):
-        assert boundedness_functional([1.0], [0.0, 1.0], 0.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_contraction_phi(self):
-        # psi = 1, phi = z/2: ratio peaks at the origin
-        assert boundedness_functional([1.0], [0.0, 0.5], 1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_constant_target(self):
-        # psi = z, phi = 1/2, alpha = 0: sup_r r(1-r^2)/0.75 = 2/(3 sqrt(3) 0.75)
-        want = (1.0 / np.sqrt(3.0)) * (2.0 / 3.0) / 0.75
-        got = boundedness_functional([0.0, 1.0], [0.5], 0.0)
-        assert got == pytest.approx(want, abs=2e-4)
-        assert got <= want + 1e-12
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("helper", [kernel_form_closed, boundedness_functional])
+@pytest.mark.parametrize("helper", [kernel_form_closed])
 @pytest.mark.parametrize(
     "psi, phi, error, match",
     [
@@ -276,9 +260,8 @@ class TestBoundedness:
 )
 def test_kernel_helpers_check_psi_and_phi_at_their_source(helper, psi, phi, error, match):
     # as in the builder: psi finite, phi certified as a self-map of the disk
-    args = (psi, phi, 0.3, 0.0) if helper is kernel_form_closed else (psi, phi, 0.0)
     with pytest.raises(error, match=match):
-        helper(*args)
+        helper(psi, phi, 0.3, 0.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -351,13 +334,8 @@ class TestBlocks:
     def test_block_structure_positive(self):
         # multiplication by g(z^2), g = 1 + z/2: entries on residue classes mod 2
         M = build_multiplication([1.0, 0.0, 0.5], 0.5, 33)
-        rep = block_structure_report(M, 2)
-        assert isinstance(rep, BlockReport)
-        assert rep.is_block
-        assert rep.off_block_max == 0.0
+        assert off_block_max(M, 2) == 0.0
 
     def test_block_structure_negative(self):
         M = build_multiplication([1.0, 0.0, 0.5], 0.5, 33)
-        rep = block_structure_report(M, 3)
-        assert not rep.is_block
-        assert rep.off_block_max > 0.2
+        assert off_block_max(M, 3) > 0.2

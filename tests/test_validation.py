@@ -22,15 +22,14 @@ from bergrange.core import (
     kernel_coeffs,
     norm_ratio,
 )
-from bergrange.numrange import DiscSpec, EllipseSpec, HullPolygon, regular_polygon
+from bergrange.numrange import DiscSpec, EllipseSpec, HullPolygon
 from bergrange.operators import (
     BiPolySymbol,
     OperatorTruncation,
-    block_structure_report,
-    boundedness_functional,
     build_toeplitz,
     compress,
     kernel_form_closed,
+    off_block_max,
 )
 
 
@@ -74,14 +73,12 @@ SYMBOL = [(1, 0, 0.5), (0, 1, 0.5)]
     [
         (lambda: disk_quadrature(_one, 0.0, 2.5, 8), "radial_nodes"),
         (lambda: disk_quadrature(_one, 0.0, True, 8), "radial_nodes"),
-        (lambda: boundedness_functional([1.0], [0.0, 0.5], 0.0, radial=2.5), "radial"),
-        (lambda: boundedness_functional([1.0], [0.0, 0.5], True), "alpha"),
         (lambda: kernel_form_closed([1.0], [0.0, 0.5], 0.5, True), "alpha"),
         (lambda: TruncatedSeries(np.ones(4)).pad_to(2.5), "truncation"),
         (lambda: norm_ratio(True, 0.0), "n"),
         (lambda: build_toeplitz(SYMBOL, 0.0, True), "truncation"),
         (lambda: compress(np.ones(3), [0]), "matrix"),
-        (lambda: block_structure_report(np.ones(3), 2), "matrix"),
+        (lambda: off_block_max(np.ones(3), 2), "matrix"),
         (lambda: compress(np.ones((2, 3)), [0, 1]), "matrix"),
         (lambda: DiscSpec("x", 1.0), "center"),
         (lambda: DiscSpec("1", "2"), "center"),
@@ -89,18 +86,12 @@ SYMBOL = [(1, 0, 0.5), (0, 1, 0.5)]
         (lambda: kernel_coeffs("x", 0.0, 2), "w"),
         (lambda: kernel_form_closed([1.0], [0.0, 0.5], "0.5", 0.0), "w"),
         (lambda: BiPolySymbol(((1, 0, "x"),)), "symbol coefficient"),
-        (lambda: regular_polygon(3, radius="2"), "radius"),
-        (lambda: regular_polygon(3, center="1"), "center"),
-        (lambda: regular_polygon(3, radius=True), "radius"),
-        (lambda: regular_polygon(3, radius=np.nan), "radius"),
         (lambda: OperatorTruncation(np.eye(2), "x"), "alpha"),
         (lambda: OperatorTruncation(np.eye(2), True), "alpha"),
     ],
     ids=[
         "quadrature-float-nodes",
         "quadrature-bool-nodes",
-        "boundedness-float-grid",
-        "boundedness-bool-alpha",
         "kernel_form-bool-alpha",
         "pad_to-float",
         "norm_ratio-bool",
@@ -114,10 +105,6 @@ SYMBOL = [(1, 0, 0.5), (0, 1, 0.5)]
         "kernel_coeffs-str-w",
         "kernel_form-str-w",
         "symbol-str-coeff",
-        "polygon-str-radius",
-        "polygon-str-center",
-        "polygon-bool-radius",
-        "polygon-nan-radius",
         "truncation-str-alpha",
         "truncation-bool-alpha",
     ],
