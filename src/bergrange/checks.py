@@ -43,6 +43,7 @@ import numpy as np
 
 from bergrange.core import (
     NumericError,
+    TruncatedSeries,
     UsageError,
     _as_complex,
     _as_int,
@@ -56,7 +57,6 @@ from bergrange.core import (
     kernel_coeffs,
     monomial_norm_sq,
     norm_ratio,
-    series,
     series_eval,
 )
 from bergrange.numrange import (
@@ -248,7 +248,7 @@ def _run_c1_multiplication(alpha, N, K, psi):
     M = build_multiplication(psi, alpha, N)
     theta = _angle_grid(K)
     h_sweep = support_function(M, theta)
-    image = _image_samples(series(psi), 512)
+    image = _image_samples(TruncatedSeries(psi), 512)
     hausdorff = _support_gap(h_sweep, support_of(image, theta))
     tol = 0.05
     return (
@@ -383,7 +383,7 @@ def _run_th1_rotation(alpha, n, N, K, psi):
     A = build_weighted_composition(psi, [0.0, lam], alpha, N)
     theta = _angle_grid(K)
     h_sweep = support_function(A, theta)
-    image = _image_samples(series(psi), 512)
+    image = _image_samples(TruncatedSeries(psi), 512)
     union = np.concatenate([lam**j * image for j in range(n)])
     hausdorff = _support_gap(h_sweep, support_of(union, theta))
     tol = 0.05
@@ -452,7 +452,7 @@ def _run_th2_symmetric(alpha, orders, N, K, c):
         theta = _angle_grid(K)
         h = support_function(A, theta)
         sym_dev = float(np.max(np.abs(h - np.roll(h, -(K // order)))))
-        image = _image_samples(series(psi), 1024)
+        image = _image_samples(TruncatedSeries(psi), 1024)
         image_haus = _support_gap(h, support_of(image, theta))
         metrics[f"equivariance_dev_n{order}"] = equiv_dev
         metrics[f"symmetry_dev_n{order}"] = sym_dev
@@ -546,7 +546,7 @@ def _run_pro1_rank_one(alpha, N, K):
     w3 = 0.3
     psi3 = np.array([1.0, 1.0], dtype=complex)
     A3 = build_weighted_composition(psi3, [w3], alpha, N)
-    fw = complex(series_eval(series(psi3), w3))
+    fw = complex(series_eval(TruncatedSeries(psi3), w3))
     norm_sq = 1.0 + monomial_norm_sq(1, alpha)
     kernel_sq = (1.0 - w3**2) ** (-(alpha + 2.0))
     minor = float(np.sqrt(norm_sq * kernel_sq - abs(fw) ** 2))
@@ -861,8 +861,8 @@ def _ellipse_compare(A, indices, f1_exp, f2_exp, minor_exp, K):
 def _run_mobius_mean_value(centers, radial, angular, degree):
     # a fixed harmonic dictionary: analytic plus anti-analytic parts with
     # deterministic coefficients
-    a = series([1.0 / (k + 1.0) for k in range(degree + 1)])
-    b = series([(-1.0) ** q / (q + 2.0) for q in range(1, degree + 1)])
+    a = TruncatedSeries([1.0 / (k + 1.0) for k in range(degree + 1)])
+    b = TruncatedSeries([(-1.0) ** q / (q + 2.0) for q in range(1, degree + 1)])
 
     def harmonic(z):
         return series_eval(a, z) + series_eval(b, np.conj(z)) * np.conj(z)
@@ -907,9 +907,9 @@ def _run_adjoint_kernel(alpha, N):
         A = build_weighted_composition(psi, phi, alpha, N)
         for w in ws:
             kw = kernel_coeffs(w, alpha, N - 1)
-            fw = complex(series_eval(series(phi), w))
+            fw = complex(series_eval(TruncatedSeries(phi), w))
             kfw = kernel_coeffs(fw, alpha, N - 1)
-            pw = complex(series_eval(series(psi), w))
+            pw = complex(series_eval(TruncatedSeries(psi), w))
             residual = float(np.linalg.norm(A.matrix.conj().T @ kw - np.conj(pw) * kfw))
             worst = max(worst, residual)
     tol = 1e-5

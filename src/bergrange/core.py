@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import roots_jacobi, xlogy
@@ -38,7 +38,6 @@ __all__ = [
     "norm_ratio",
     "monomial_norm_sq",
     "TruncatedSeries",
-    "series",
     "series_eval",
     "kernel_coeffs",
     "disk_quadrature",
@@ -234,11 +233,6 @@ class TruncatedSeries:
 
     def __call__(self, z):
         return series_eval(self, z)
-
-
-def series(coeffs: Sequence[complex]) -> TruncatedSeries:
-    """Build a TruncatedSeries; ``series(coeffs).pad_to(t)`` zero-pads it to degree t."""
-    return TruncatedSeries(np.asarray(coeffs, dtype=complex))
 
 
 def series_eval(a: TruncatedSeries, z):

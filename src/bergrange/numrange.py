@@ -51,16 +51,18 @@ A boundary point is computed only for the block that wins its end:
 dstein gives the eigenvector of the tridiagonal matrix and zunmqr maps it
 back, or inverse iteration on the band gives it for a banded block.
 Every such eigenvector v is checked against the full-size block of
-H(theta), or of -H(theta) at theta + pi, before it gives a point:
-||(H v - lam v) / scale|| <= 1e-10 sqrt(n), with scale = max(1, max_ij
-|H_ij(theta)|) and n the block size.  Only a dense block forms H(theta),
-at O(n^2) per angle.  A reduced block takes H v from A_re Q and A_im Q,
-formed once, at O(n k) per angle, and its point as y* B y (z* A z where
-h_B < 0); its scale is the exact maximum over the few entries that can
-hold it at some angle, picked once per block by ``_scale_entries``.  A
-banded block takes H v and the point from band storage at O(n kd) per
-angle, and its scale is the largest band entry, which is the largest
-entry of H(theta) for a Hermitian band.
+H(theta), or of -H(theta) at theta + pi, before it gives the point
+v* A v: ||(H v - lam v) / scale|| <= 1e-10 sqrt(n), with n the block
+size.  Every block takes its scale by one rule, max(1, max |c a + s b|)
+over a set of entry pairs (a, b) that it picks once: the band storage of
+A_re and A_im for a banded block, all of A_re and A_im for a dense one,
+and for a reduced one the few entries that can hold the maximum at some
+angle, from ``_scale_entries``.  Each set holds the largest entry of
+H(theta) at every angle, so the scale is max(1, max_ij |H_ij(theta)|)
+on every path.  Only a dense block forms H(theta), at O(n^2) per angle.
+A reduced block takes H v from A_re Q and A_im Q, formed once, at O(n k)
+per angle, and its point as y* B y (z* A z where h_B < 0).  A banded
+block takes H v and the point from band storage at O(n kd) per angle.
 
 Reference shapes (discs, ellipses, polygons, and point clouds such as
 symbol images sampled on the unit circle) share a common support-function
@@ -383,103 +385,84 @@ def _scale_entries(A_re: np.ndarray, A_im: np.ndarray):
 class _Block:
     """One residue-class block of a sweep: its parts of A, A_re, A_im and its solver.
 
-    A block with a narrow band is reduced on the band, by its own
-    ``_BandReduction``, at the power of two ``_unit`` gives its band, as a
-    dense block is at its own.  Any other block is
-    solved on the basis Q of ``_range_basis`` where that is smaller than
-    the block, as B(theta) = Q* H(theta) Q, and otherwise dense.  Each
-    eigenvector is checked against the block of H(theta); the banded and
-    reduced solvers take H(theta) v and max_ij |H_ij(theta)| from what
-    they store here, so neither forms H(theta).
+    Every block keeps one pair ``parts``, with H(theta) = c parts[0] + s
+    parts[1], and one ``reduce``, which takes H(theta) to tridiagonal form
+    at the power of two ``unit`` of its parts.  A block with a narrow band
+    keeps its band storage and its own ``_BandReduction``.  Any other block
+    keeps the Hermitian parts of B = Q* A Q, on the basis Q of
+    ``_range_basis`` where that is smaller than the block, or else A_re and
+    A_im, and is reduced by zhetrd.  ``scale_entries`` holds the entry
+    pairs (a, b) over which the residual check takes its scale max(1, max
+    |c a + s b|): the band storage, all of A_re and A_im, or on a reduced
+    block those of ``_scale_entries``.
     """
 
     def __init__(self, M, A_re, A_im, idx, kd):
         whole = idx.size == M.shape[0]
         self.M, self.re, self.im = (X if whole else X[np.ix_(idx, idx)] for X in (M, A_re, A_im))
         self.n = idx.size
-        self.band = self.basis = basis = None
+        self.band = self.basis = None
+        self.parts = self.scale_entries = (self.re, self.im)
+        self.reduce = _Tridiagonal.dense
         if _BAND_RATIO * kd <= self.n:
             # LAPACK lower band storage: band[d, j] = X[j + d, j]
-            self.band = np.zeros((2, kd + 1, self.n), dtype=complex)
+            self.band = self.parts = self.scale_entries = np.zeros((2, kd + 1, self.n), dtype=complex)
             for d in range(kd + 1):
                 self.band[:, d, : self.n - d] = [np.diagonal(self.re, -d), np.diagonal(self.im, -d)]
             self.start = np.random.default_rng(0).standard_normal(self.n).astype(complex)
-            self.reduction = _BandReduction(kd, self.n)
-            self.unit = _unit(*self.band)  # the power of two a banded block is reduced at
-        else:
-            basis = _range_basis(self.M)
-        if basis is None and self.band is None:
-            self.unit = _unit(self.re, self.im)  # the power of two a dense block is reduced at
-        if basis is not None:
+            self.reduce = _BandReduction(kd, self.n)
+        elif (basis := _range_basis(self.M)) is not None:
             Q, z = basis
             B = Q.conj().T @ self.M @ Q
-            self.reduced = np.stack([(B + B.conj().T) / 2.0, (B - B.conj().T) / 2j])
-            self.unit = _unit(*self.reduced)
+            self.parts = ((B + B.conj().T) / 2.0, (B - B.conj().T) / 2j)
             # a vector v = [Q, z] u has H(theta) v = (c G[0] + s G[1]) u and v* A v = u* B_z u
             self.basis = np.column_stack([Q, z])
             self.B_z = self.basis.conj().T @ self.M @ self.basis
-            self.G = np.stack([self.re @ self.basis, self.im @ self.basis])
+            self.G = (self.re @ self.basis, self.im @ self.basis)
             self.scale_entries = _scale_entries(self.re, self.im)
+        self.unit = _unit(*self.parts)
 
     def ends(self, c, s, both: bool):
-        """Supports of this block at theta and, with ``both``, at theta + pi, and a function that checks and returns an end's eigenvector.
+        """Supports of this block at theta and, with ``both``, at theta + pi, and a function that gives an end's boundary point.
 
         H(theta + pi) = -H(theta), so end 1 is the top of -H(theta).  A
-        block reduces its matrix or band once for both ends, and bisects
-        that one tridiagonal form for each.  The function
-        takes the end, 0 or 1, and gives its eigenvector, checked against
-        that end's H, as its coordinates u in [Q, z] on a reduced block and
-        as itself on any other; ``point`` reads either.  A sweep calls it
-        only for the block that wins an end.
+        block forms H(theta) from its parts and reduces it once for both
+        ends, and bisects that one tridiagonal form for each; a reduced
+        block's support is max(h_B, 0).  The function takes the end, 0 or
+        1, checks that end's eigenvector v against that end's H, and
+        returns v* A v.  A sweep calls it only for the block that wins an
+        end.
         """
-        signs = (1.0, -1.0) if both else (1.0,)
-        if self.band is not None:
-            H = c * self.band[0] + s * self.band[1]  # H(theta) in lower band storage
-            T = self.reduction(H, self.unit)
-        elif self.basis is None:
-            H = c * self.re + s * self.im
-            T = _Tridiagonal.dense(H, self.unit)
-        else:
-            T = _Tridiagonal.dense(c * self.reduced[0] + s * self.reduced[1], self.unit)
-        tops = [T.eigenvalue(end) for end in range(len(signs))]
-        if self.band is not None:
+        H = c * self.parts[0] + s * self.parts[1]
+        T = self.reduce(H, self.unit)
+        tops = [T.eigenvalue(end) for end in range(2 if both else 1)]
+        supports = tops if self.basis is None else [float(np.maximum(lam, 0.0)) for lam in tops]  # a NaN stays NaN and wins the sweep's argmax
 
-            def band_vector(end):
-                from scipy.linalg.blas import zhbmv
-                ab = -H if end else H  # this end's H in band storage: H v at O(n kd), and max |ab| = max_ij |H_ij|
-                v = _band_vector(ab, tops[end], self.start)
-                return _checked_pair(tops[end], v, zhbmv(ab.shape[0] - 1, 1.0, ab, v, lower=1), max(1.0, float(np.max(np.abs(ab)))))
-
-            return tops, band_vector
-        if self.basis is None:
-
-            def dense_vector(end):
-                v = T.vector(end)
-                return _checked_pair(tops[end], v, signs[end] * (H @ v), max(1.0, float(np.max(np.abs(H)))))
-
-            return tops, dense_vector
-        supports = [float(np.maximum(lam, 0.0)) for lam in tops]  # a NaN stays NaN and wins the sweep's argmax
-
-        def reduced_vector(end):
-            u = np.zeros(self.basis.shape[1], dtype=complex)
-            if tops[end] >= 0.0:
-                u[:-1] = T.vector(end)
+        def point(end):
+            from scipy.linalg.blas import zhbmv  # H v, A_re v and A_im v from band storage, at O(n kd)
+            sign = -1.0 if end else 1.0
+            if self.band is not None:
+                ab = -H if end else H  # this end's H in band storage
+                x = v = _band_vector(ab, tops[end], self.start)
+                Hv = zhbmv(ab.shape[0] - 1, 1.0, ab, v, lower=1)
+            elif self.basis is None:
+                x = v = T.vector(end)
+                Hv = sign * (H @ v)
             else:
-                u[-1] = 1.0  # where h_B < 0 the support is 0, attained at z, off the basis
+                x = np.zeros(self.basis.shape[1], dtype=complex)  # the coordinates of v in [Q, z]
+                if tops[end] >= 0.0:
+                    x[:-1] = T.vector(end)
+                else:
+                    x[-1] = 1.0  # where h_B < 0 the support is 0, attained at z, off the basis
+                v, Hv = self.basis @ x, sign * (c * (self.G[0] @ x) + s * (self.G[1] @ x))
             a, b = self.scale_entries
-            Hv = signs[end] * (c * (self.G[0] @ u) + s * (self.G[1] @ u))
-            _checked_pair(supports[end], self.basis @ u, Hv, max(1.0, float(np.max(np.abs(c * a + s * b)))))
-            return u
+            _checked_pair(supports[end], v, Hv, max(1.0, float(np.max(np.abs(c * a + s * b)))))
+            if self.band is not None:
+                re_x, im_x = (zhbmv(X.shape[0] - 1, 1.0, X, x, lower=1) for X in self.band)
+                return complex(np.vdot(x, re_x).real, np.vdot(x, im_x).real)
+            return complex(x.conj() @ ((self.M if self.basis is None else self.B_z) @ x))
 
-        return supports, reduced_vector
-
-    def point(self, x) -> complex:
-        """The boundary point v* A v of the eigenvector ``ends`` returned as ``x``."""
-        if self.band is not None:
-            from scipy.linalg.blas import zhbmv  # A_re v and A_im v from the band storage, at O(n kd)
-            re_x, im_x = (zhbmv(X.shape[0] - 1, 1.0, X, x, lower=1) for X in self.band)
-            return complex(np.vdot(x, re_x).real, np.vdot(x, im_x).real)
-        return complex(x.conj() @ ((self.M if self.basis is None else self.B_z) @ x))
+        return supports, point
 
 
 def _angle_pairs(thetas: np.ndarray, real: bool):
@@ -542,7 +525,7 @@ def _sweep(A, thetas: np.ndarray, vectors: bool):
             j = int(np.argmax([supports[end] for supports, _ in solved]))  # a NaN wins and fails the check below
             h[k] = solved[j][0][end]
             if vectors:
-                points[k] = blocks[j].point(solved[j][1](end))
+                points[k] = solved[j][1](end)
     for i, j in mirrors:
         h[i] = h[j]
         if vectors:

@@ -29,7 +29,6 @@ from bergrange.core import (
     _check_alpha,
     alpha_weight,
     kernel_coeffs,
-    series,
     series_eval,
 )
 
@@ -121,7 +120,7 @@ def _as_series(f, name: str) -> TruncatedSeries:
     if isinstance(f, TruncatedSeries):
         return f
     try:
-        return series(f)
+        return TruncatedSeries(f)
     except (UsageError, TypeError, ValueError):
         raise UsageError(f"{name} must be a TruncatedSeries or a coefficient sequence")
 

@@ -14,13 +14,13 @@ from scipy.special import gammaln
 
 from bergrange.core import (
     DomainError,
+    TruncatedSeries,
     UsageError,
     alpha_weight,
     disk_quadrature,
     kernel_coeffs,
     monomial_norm_sq,
     norm_ratio,
-    series,
     series_eval,
 )
 
@@ -109,7 +109,7 @@ class TestAlphaWeight:
 
 class TestSeries:
     def test_eval_horner(self):
-        f = series([1, 2, 3])
+        f = TruncatedSeries([1, 2, 3])
         assert series_eval(f, 0.5) == pytest.approx(1 + 2 * 0.5 + 3 * 0.25)
         z = np.array([0.1, 0.2j])
         got = series_eval(f, z)

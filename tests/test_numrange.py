@@ -275,16 +275,37 @@ class TestSweepKernel:
                 paths.add(_path(block))
                 for th in 2.0 * np.pi * np.arange(90) / 90:
                     c, s = np.cos(th), np.sin(th)
-                    _, vector = block.ends(c, s, both=True)
+                    _, point = block.ends(c, s, both=True)
                     for end, sign in ((0, 1.0), (1, -1.0)):
                         checks.clear()
-                        vector(end)
+                        point(end)
                         lam, v, Hv, scale = checks[-1]
                         H = sign * (c * block.re + s * block.im)
                         assert v.size == block.n and scale == max(1.0, float(np.max(np.abs(H)))), (name, end)
                         assert np.linalg.norm(Hv - H @ v) <= 1e-12 * scale, (name, end)
                         full = np.linalg.norm(H @ v - lam * v)
                         assert abs(np.linalg.norm(Hv - lam * v) - full) <= 1e-12 * scale, (name, end)
+        assert paths == {"band", "reduced", "dense"}
+
+    def test_each_point_is_the_form_of_its_checked_vector(self, monkeypatch):
+        # the point an end returns is v* A v for the very vector v that its
+        # residual check accepted (v = [Q, z] u on a reduced block), on every
+        # path and at both ends of each pair
+        checks = []
+        original = numrange._checked_pair
+        monkeypatch.setattr(numrange, "_checked_pair", lambda *args: checks.append(args) or original(*args))
+        paths = set()
+        for name, A in list(_structured_matrices()) + [("theo2", _theo2(128))]:
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(A))))
+            for block in _blocks(A):
+                paths.add(_path(block))
+                for th in 2.0 * np.pi * np.arange(30) / 30:
+                    _, point = block.ends(np.cos(th), np.sin(th), both=True)
+                    for end in (0, 1):
+                        checks.clear()
+                        p = point(end)
+                        ((_, v, _, _),) = checks
+                        assert abs(p - np.vdot(v, block.M @ v)) <= tol, (name, th, end)
         assert paths == {"band", "reduced", "dense"}
 
     def test_scale_entries_hold_the_largest_entry_at_every_angle(self):
@@ -730,9 +751,9 @@ class TestStructuralInvariants:
 
 class TestImageHull:
     def test_polynomial_image_hull(self):
-        from bergrange.core import series
+        from bergrange.core import TruncatedSeries
 
-        f = series([0.5, 0.5])  # 0.5 + 0.5 z: image of the disk is a disc
+        f = TruncatedSeries([0.5, 0.5])  # 0.5 + 0.5 z: image of the disk is a disc
         hull = HullPolygon.from_points(_image_samples(f, 720))
         disc = DiscSpec(0.5, 0.5)
         th = 2.0 * np.pi * np.arange(720) / 720
@@ -742,14 +763,14 @@ class TestImageHull:
         # Re(e^{-i theta} f) is harmonic for these symbols, so by the maximum
         # principle the inner circles of a 33-circle cloud never hold a support;
         # the cloud, with radii 0 .. 1, is the reference built here
-        from bergrange.core import series
+        from bergrange.core import TruncatedSeries
 
         rng = np.random.default_rng(2024)
         symbols = []
         for i in range(200):
             degree = int(rng.integers(1, 13))
             coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-            symbols.append((series(coeffs), 512 if i % 2 else 1024))
+            symbols.append((TruncatedSeries(coeffs), 512 if i % 2 else 1024))
         for a in (0.0, 0.3, 0.5, 0.9, 1.0):
             symbols.append((BiPolySymbol(((1, 0, 1.0), (0, 1, a))), 512))
         th = _angle_grid(360)
@@ -760,9 +781,9 @@ class TestImageHull:
             assert np.array_equal(on_circle, over_disk), f
 
     def test_boundary_only_sampling(self):
-        from bergrange.core import series
+        from bergrange.core import TruncatedSeries
 
-        f = series([0.0, 1.0])
+        f = TruncatedSeries([0.0, 1.0])
         hull = HullPolygon.from_points(_image_samples(f, 1024))
         # hull of the unit circle samples: support 1 up to polygon sag
         th = np.array([0.0, 1.0, 2.0])

@@ -12,10 +12,10 @@ import pytest
 from bergrange.core import (
     DomainError,
     NumericError,
+    TruncatedSeries,
     UsageError,
     disk_quadrature,
     kernel_coeffs,
-    series,
     series_eval,
 )
 from bergrange.operators import (
@@ -167,8 +167,8 @@ class TestWeightedComposition:
 
     def test_composition_action_on_polynomial(self):
         # column n of the matrix must reproduce psi * phi^n coefficient-wise
-        psi = series([0.5, 0.0, 1.0])
-        phi = series([0.1, 0.4, 0.2])
+        psi = TruncatedSeries([0.5, 0.0, 1.0])
+        phi = TruncatedSeries([0.1, 0.4, 0.2])
         N = 16
         W = build_weighted_composition(psi, phi, 1.0, N)
         from bergrange.core import alpha_weight
@@ -179,7 +179,7 @@ class TestWeightedComposition:
         for _ in range(n):
             target = np.convolve(target, phi.coeffs)
         got = W.matrix[:, n] * np.sqrt(ratios) / np.sqrt(ratios[n])
-        assert np.allclose(got, series(target).pad_to(N - 1).coeffs, atol=1e-14)
+        assert np.allclose(got, TruncatedSeries(target).pad_to(N - 1).coeffs, atol=1e-14)
 
 
 class TestSumAndCompress:
@@ -238,9 +238,9 @@ class TestKernelForms:
             W = build_weighted_composition(psi, phi, 0.0, 128)
             for w in (0.5, -0.3 + 0.4j):
                 kw = kernel_coeffs(w, 0.0, 127)
-                fw = series_eval(series(phi), w)
+                fw = series_eval(TruncatedSeries(phi), w)
                 kfw = kernel_coeffs(fw, 0.0, 127)
-                pw = series_eval(series(psi), w)
+                pw = series_eval(TruncatedSeries(psi), w)
                 lhs = W.matrix.conj().T @ kw
                 assert np.linalg.norm(lhs - np.conj(pw) * kfw) < 1e-5
 
