@@ -29,7 +29,9 @@ the residual check where H(theta) nearly vanishes (a large matrix near a
 phase times a Hermitian one) stays dense, as does a zero block and every
 block with k = n.  A dense or reduced block reduces its matrix to
 tridiagonal form with zhetrd.  Every block then bisects its tridiagonal
-form for one index with dstebz; the matrix or band is first multiplied
+form for one index with dstebz, except where that form is diagonal (a
+kd = 0 band, a 1 x 1 block) and its ends are max(d) and min(d), the bits
+dstebz would return; the matrix or band is first multiplied
 by a power of two that takes its entries below 1, which is exact, so
 2^p A has exactly 2^p times the supports of A, and which keeps huge
 entries from overflowing.
@@ -59,10 +61,12 @@ A_re and A_im for a banded block, all of A_re and A_im for a dense one,
 and for a reduced one the few entries that can hold the maximum at some
 angle, from ``_scale_entries``.  Each set holds the largest entry of
 H(theta) at every angle, so the scale is max(1, max_ij |H_ij(theta)|)
-on every path.  Only a dense block forms H(theta), at O(n^2) per angle.
-A reduced block takes H v from A_re Q and A_im Q, formed once, at O(n k)
-per angle, and its point as y* B y (z* A z where h_B < 0).  A banded
-block takes H v and the point from band storage at O(n kd) per angle.
+on every path.  Every path forms the product pair P = (A_re v, A_im v)
+once and takes the rest from it: H v = c P[0] + s P[1], negated at
+theta + pi, for the check, and the point Re(v* P[0]) + i Re(v* P[1]).
+A banded block forms P from band storage at O(n kd) per angle, a reduced
+block as G x with G = (A_re [Q, z], A_im [Q, z]), formed once, and x the
+coordinates of v in [Q, z], at O(n k), and a dense block at O(n^2).
 
 Reference shapes (discs, ellipses, polygons, and point clouds such as
 symbol images sampled on the unit circle) share a common support-function
@@ -118,8 +122,9 @@ class _Tridiagonal:
     eigenvalue with or without its vector.  H is reduced as H * unit, with
     ``unit`` a power of two from ``_unit``, so that no entry can overflow
     the reduction or the bisection; that product is exact, and the
-    eigenvalues are divided by it again.  A 1 x 1 T, which dstebz cannot
-    take, is its own eigenvalue.
+    eigenvalues are divided by it again.  A T that has no reflectors and
+    no nonzero off-diagonal entry (1 x 1, which dstebz cannot take, or a
+    kd = 0 band) is its own spectrum: its ends are max(d) and min(d).
 
     Only a dense T holds ``reflectors``, and only it gives vectors, on
     request: dstein gives the eigenvector of T, and for lower = 1 the Q of
@@ -143,8 +148,9 @@ class _Tridiagonal:
 
     def eigenvalue(self, end: int) -> float:
         """The top eigenvalue of H for end 0, of -H for end 1."""
-        w = self.d
-        if self.d.size > 1:
+        if self.reflectors is None and not self.e.any():
+            w = [np.min(self.d) if end else np.max(self.d)]  # T is diagonal, its own spectrum: the bits dstebz returns
+        else:
             from scipy.linalg.lapack import dstebz
             index = 1 if end else self.d.size
             m, w, iblock, isplit, info = dstebz(self.d, self.e, 2, 0.0, 0.0, index, index, 0.0, b"B")
@@ -318,11 +324,11 @@ def _residue_classes(M: np.ndarray):
 
 
 def _range_basis(M: np.ndarray):
-    """(Q, z): an orthonormal basis Q of the numerical range(M) + range(M*) and a unit z orthogonal to it, or None.
+    """The n x (k + 1) basis [Q, z]: Q orthonormal for the numerical range(M) + range(M*), z a unit vector orthogonal to it; or None.
 
     One column-pivoted QR of X = [M, M*] gives the rank k, the count of
-    |R_ii| above n eps |R_00|; Q is the first k columns of its Q factor and
-    z the next one.  With P = Q Q*, tau = ||R_22||_F = ||(I - P) X||_F
+    |R_ii| above n eps |R_00|; [Q, z] is the first k + 1 columns of its Q
+    factor.  With P = Q Q*, tau = ||R_22||_F = ||(I - P) X||_F
     bounds ||(I - P) M|| and ||M (I - P)||, and M - P M P = (I - P) M +
     P M (I - P), so each support of M is within 2 tau of max(h_B, 0) for
     B = Q* M Q, whose 0 is attained at z.
@@ -352,7 +358,7 @@ def _range_basis(M: np.ndarray):
         return None
     lwork = int(zungqr(reflectors[:, :n], scalars, lwork=-1)[1][0].real)
     Q = zungqr(reflectors[:, :n], scalars, lwork=lwork, overwrite_a=1)[0]
-    return Q[:, :k], Q[:, k]
+    return Q[:, : k + 1]
 
 
 def _scale_entries(A_re: np.ndarray, A_im: np.ndarray):
@@ -383,43 +389,41 @@ def _scale_entries(A_re: np.ndarray, A_im: np.ndarray):
 
 
 class _Block:
-    """One residue-class block of a sweep: its parts of A, A_re, A_im and its solver.
+    """One residue-class block of a sweep: what its solver and its boundary points read of A_re and A_im.
 
     Every block keeps one pair ``parts``, with H(theta) = c parts[0] + s
     parts[1], and one ``reduce``, which takes H(theta) to tridiagonal form
     at the power of two ``unit`` of its parts.  A block with a narrow band
     keeps its band storage and its own ``_BandReduction``.  Any other block
-    keeps the Hermitian parts of B = Q* A Q, on the basis Q of
+    keeps the Hermitian parts of B = Q* A Q, on the basis [Q, z] of
     ``_range_basis`` where that is smaller than the block, or else A_re and
-    A_im, and is reduced by zhetrd.  ``scale_entries`` holds the entry
-    pairs (a, b) over which the residual check takes its scale max(1, max
-    |c a + s b|): the band storage, all of A_re and A_im, or on a reduced
-    block those of ``_scale_entries``.
+    A_im, and is reduced by zhetrd.  ``G`` is the pair whose products with
+    an end's vector give P = (A_re v, A_im v): the band storage, A_re and
+    A_im, or on a reduced block A_re [Q, z] and A_im [Q, z].
+    ``scale_entries`` holds the entry pairs (a, b) over which the residual
+    check takes its scale max(1, max |c a + s b|): the band storage, all of
+    A_re and A_im, or on a reduced block those of ``_scale_entries``.
     """
 
     def __init__(self, M, A_re, A_im, idx, kd):
         whole = idx.size == M.shape[0]
-        self.M, self.re, self.im = (X if whole else X[np.ix_(idx, idx)] for X in (M, A_re, A_im))
-        self.n = idx.size
+        M, re, im = (X if whole else X[np.ix_(idx, idx)] for X in (M, A_re, A_im))
         self.band = self.basis = None
-        self.parts = self.scale_entries = (self.re, self.im)
+        self.parts = self.scale_entries = self.G = (re, im)
         self.reduce = _Tridiagonal.dense
-        if _BAND_RATIO * kd <= self.n:
+        if _BAND_RATIO * kd <= idx.size:
             # LAPACK lower band storage: band[d, j] = X[j + d, j]
-            self.band = self.parts = self.scale_entries = np.zeros((2, kd + 1, self.n), dtype=complex)
+            self.band = self.parts = self.scale_entries = self.G = np.zeros((2, kd + 1, idx.size), dtype=complex)
             for d in range(kd + 1):
-                self.band[:, d, : self.n - d] = [np.diagonal(self.re, -d), np.diagonal(self.im, -d)]
-            self.start = np.random.default_rng(0).standard_normal(self.n).astype(complex)
-            self.reduce = _BandReduction(kd, self.n)
-        elif (basis := _range_basis(self.M)) is not None:
-            Q, z = basis
-            B = Q.conj().T @ self.M @ Q
+                self.band[:, d, : idx.size - d] = [np.diagonal(re, -d), np.diagonal(im, -d)]
+            self.start = np.random.default_rng(0).standard_normal(idx.size).astype(complex)
+            self.reduce = _BandReduction(kd, idx.size)
+        elif (basis := _range_basis(M)) is not None:
+            Q = basis[:, :-1]
+            B = Q.conj().T @ M @ Q
             self.parts = ((B + B.conj().T) / 2.0, (B - B.conj().T) / 2j)
-            # a vector v = [Q, z] u has H(theta) v = (c G[0] + s G[1]) u and v* A v = u* B_z u
-            self.basis = np.column_stack([Q, z])
-            self.B_z = self.basis.conj().T @ self.M @ self.basis
-            self.G = (self.re @ self.basis, self.im @ self.basis)
-            self.scale_entries = _scale_entries(self.re, self.im)
+            self.basis, self.G = basis, (re @ basis, im @ basis)
+            self.scale_entries = _scale_entries(re, im)
         self.unit = _unit(*self.parts)
 
     def ends(self, c, s, both: bool):
@@ -429,9 +433,11 @@ class _Block:
         block forms H(theta) from its parts and reduces it once for both
         ends, and bisects that one tridiagonal form for each; a reduced
         block's support is max(h_B, 0).  The function takes the end, 0 or
-        1, checks that end's eigenvector v against that end's H, and
-        returns v* A v.  A sweep calls it only for the block that wins an
-        end.
+        1, and that end's eigenvector v, as its coordinates x in [Q, z] on
+        a reduced block.  It forms P = (A_re v, A_im v) once, as G x or
+        with zhbmv on a band, checks v against that end's H v = +-(c P[0] +
+        s P[1]), and returns the point v* A v = Re(v* P[0]) + i Re(v* P[1]).
+        A sweep calls it only for the block that wins an end.
         """
         H = c * self.parts[0] + s * self.parts[1]
         T = self.reduce(H, self.unit)
@@ -439,28 +445,23 @@ class _Block:
         supports = tops if self.basis is None else [float(np.maximum(lam, 0.0)) for lam in tops]  # a NaN stays NaN and wins the sweep's argmax
 
         def point(end):
-            from scipy.linalg.blas import zhbmv  # H v, A_re v and A_im v from band storage, at O(n kd)
-            sign = -1.0 if end else 1.0
+            from scipy.linalg.blas import zhbmv  # A_re v and A_im v from band storage, at O(n kd)
             if self.band is not None:
-                ab = -H if end else H  # this end's H in band storage
-                x = v = _band_vector(ab, tops[end], self.start)
-                Hv = zhbmv(ab.shape[0] - 1, 1.0, ab, v, lower=1)
+                x = _band_vector(-H if end else H, tops[end], self.start)  # this end's H in band storage
             elif self.basis is None:
-                x = v = T.vector(end)
-                Hv = sign * (H @ v)
+                x = T.vector(end)
             else:
                 x = np.zeros(self.basis.shape[1], dtype=complex)  # the coordinates of v in [Q, z]
                 if tops[end] >= 0.0:
                     x[:-1] = T.vector(end)
                 else:
                     x[-1] = 1.0  # where h_B < 0 the support is 0, attained at z, off the basis
-                v, Hv = self.basis @ x, sign * (c * (self.G[0] @ x) + s * (self.G[1] @ x))
+            P = [X @ x if self.band is None else zhbmv(X.shape[0] - 1, 1.0, X, x, lower=1) for X in self.G]
+            v = x if self.basis is None else self.basis @ x
+            Hv = (-1.0 if end else 1.0) * (c * P[0] + s * P[1])  # H(theta + pi) = -H(theta)
             a, b = self.scale_entries
             _checked_pair(supports[end], v, Hv, max(1.0, float(np.max(np.abs(c * a + s * b)))))
-            if self.band is not None:
-                re_x, im_x = (zhbmv(X.shape[0] - 1, 1.0, X, x, lower=1) for X in self.band)
-                return complex(np.vdot(x, re_x).real, np.vdot(x, im_x).real)
-            return complex(x.conj() @ ((self.M if self.basis is None else self.B_z) @ x))
+            return complex(np.vdot(v, P[0]).real, np.vdot(v, P[1]).real)
 
         return supports, point
 
@@ -587,22 +588,27 @@ def convex_hull(points) -> np.ndarray:
     one-vertex hull and collinear points a two-vertex hull.  Points are
     merged on a grid of spacing 1e-12 times max(1, largest modulus) and
     sorted by their grid keys, so rounding noise below that spacing
-    cannot reorder points along a near-vertical edge.
+    cannot reorder points along a near-vertical edge.  The cross products
+    are taken on the coordinates times a power of two that takes that
+    scale below 1, which is exact, so they cannot overflow; the vertices
+    returned are input points.
     """
     pts = _point_cloud(points)
     scale = max(1.0, float(np.max(np.abs(pts))))
     # dedup on a rounded grid
     merged = {}
-    for p in pts:
+    for i, p in enumerate(pts):
         key = (round(p.real / (1e-12 * scale)), round(p.imag / (1e-12 * scale)))
-        merged.setdefault(key, p)
+        merged.setdefault(key, i)
     uniq = [merged[k] for k in sorted(merged)]
     if len(uniq) == 1:
-        return np.array(uniq, dtype=complex)
-    eps = 1e-12 * scale * scale
+        return pts[uniq]
+    unit = float(np.ldexp(1.0, -np.frexp(scale)[1]))
+    x, y = (pts.real * unit).tolist(), (pts.imag * unit).tolist()
+    eps = 1e-12 * (scale * unit) * (scale * unit)
 
     def cross(o, a, b):
-        return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
+        return (x[a] - x[o]) * (y[b] - y[o]) - (y[a] - y[o]) * (x[b] - x[o])
 
     def half(seq):
         chain = []
@@ -617,7 +623,7 @@ def convex_hull(points) -> np.ndarray:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 2:
         hull = [uniq[0], uniq[-1]]
-    return np.array(hull, dtype=complex)
+    return pts[hull]
 
 
 @dataclass(frozen=True)
@@ -649,19 +655,25 @@ class HullPolygon:
         return v, np.roll(v, -1)
 
     def signed_distance(self, point: complex) -> float:
-        """Distance to the boundary, positive inside and negative outside."""
-        p = complex(point)
-        a, b = self._edges()
+        """Distance to the boundary, positive inside and negative outside.
+
+        It is taken on the coordinates times a power of two that takes them
+        below 1, which is exact, so no product can overflow.
+        """
+        scale = max(1.0, float(np.max(np.abs(self.vertices))))
+        unit = float(np.ldexp(1.0, -np.frexp(max(scale, abs(complex(point))))[1]))
+        p = complex(point) * unit
+        a, b = (X * unit for X in self._edges())
         ab = b - a
         ap = p - a
         with np.errstate(invalid="ignore", divide="ignore"):
             t = np.where(np.abs(ab) > 0, np.clip((ap * np.conj(ab)).real / np.abs(ab) ** 2, 0.0, 1.0), 0.0)
         closest = a + t * ab
-        d = float(np.min(np.abs(p - closest)))
+        d = float(np.min(np.abs(p - closest))) / unit
         if self.vertices.size < 3:
             return -d
         cross = ab.real * ap.imag - ab.imag * ap.real
-        inside = bool(np.all(cross >= -1e-15 * max(1.0, float(np.max(np.abs(self.vertices)))) ** 2))
+        inside = bool(np.all(cross >= -1e-15 * (scale * unit) ** 2))
         return d if inside else -d
 
 

@@ -133,8 +133,8 @@ class TestSweepKernel:
         mats.update((f"theo2_{N}", _theo2(N)) for N in (16, 32, 64, 128))
         want.update(theo2_16=None, theo2_32=None, theo2_64=None, theo2_128=103)
         got = {name: _range_basis(A) for name, A in mats.items()}
-        assert {name: None if r is None else r[0].shape[1] for name, r in got.items()} == want
-        for name, (Q, z) in ((name, r) for name, r in got.items() if r is not None):
+        assert {name: None if r is None else r[:, :-1].shape[1] for name, r in got.items()} == want
+        for name, (Q, z) in ((name, (r[:, :-1], r[:, -1])) for name, r in got.items() if r is not None):
             assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-13)
             assert abs(np.linalg.norm(z) - 1.0) <= 1e-13 and np.linalg.norm(Q.conj().T @ z) <= 1e-13
             # Q is formed from the raw QR only for a kept block, with the bits of the full-mode Q
@@ -146,7 +146,7 @@ class TestSweepKernel:
         reduced = ("pro1_disc", "pro1_ellipse", "composition", "psd_rank_one")
         cases = [(name, A) for name, A in _structured_matrices() if name in reduced]
         for name, A in cases + [("theo2", _theo2(128))]:
-            Q, _ = _range_basis(A)
+            Q = _range_basis(A)[:, :-1]
             off = np.eye(A.shape[0]) - Q @ Q.conj().T
             # the larger of ||(I - P) A|| and ||A (I - P)||, each at most ||R_22||_F
             tau = max(np.linalg.norm(off @ A, 2), np.linalg.norm(A @ off, 2))
@@ -271,7 +271,8 @@ class TestSweepKernel:
         cases = list(_structured_matrices()) + [("theo2", _theo2(128))]
         # at 1e3 times the size the scale is not hidden by its floor of 1
         for name, A in cases + [(f"{name} x 1e3", 1e3 * A) for name, A in cases]:
-            for block in _blocks(A):
+            A_re, A_im = (A + A.conj().T) / 2.0, (A - A.conj().T) / 2j
+            for idx, block in zip(_residue_classes(A)[0], _blocks(A)):
                 paths.add(_path(block))
                 for th in 2.0 * np.pi * np.arange(90) / 90:
                     c, s = np.cos(th), np.sin(th)
@@ -280,8 +281,8 @@ class TestSweepKernel:
                         checks.clear()
                         point(end)
                         lam, v, Hv, scale = checks[-1]
-                        H = sign * (c * block.re + s * block.im)
-                        assert v.size == block.n and scale == max(1.0, float(np.max(np.abs(H)))), (name, end)
+                        H = sign * (c * A_re[np.ix_(idx, idx)] + s * A_im[np.ix_(idx, idx)])
+                        assert v.size == idx.size and scale == max(1.0, float(np.max(np.abs(H)))), (name, end)
                         assert np.linalg.norm(Hv - H @ v) <= 1e-12 * scale, (name, end)
                         full = np.linalg.norm(H @ v - lam * v)
                         assert abs(np.linalg.norm(Hv - lam * v) - full) <= 1e-12 * scale, (name, end)
@@ -297,7 +298,7 @@ class TestSweepKernel:
         paths = set()
         for name, A in list(_structured_matrices()) + [("theo2", _theo2(128))]:
             tol = 1e-12 * max(1.0, float(np.max(np.abs(A))))
-            for block in _blocks(A):
+            for idx, block in zip(_residue_classes(A)[0], _blocks(A)):
                 paths.add(_path(block))
                 for th in 2.0 * np.pi * np.arange(30) / 30:
                     _, point = block.ends(np.cos(th), np.sin(th), both=True)
@@ -305,7 +306,7 @@ class TestSweepKernel:
                         checks.clear()
                         p = point(end)
                         ((_, v, _, _),) = checks
-                        assert abs(p - np.vdot(v, block.M @ v)) <= tol, (name, th, end)
+                        assert abs(p - np.vdot(v, A[np.ix_(idx, idx)] @ v)) <= tol, (name, th, end)
         assert paths == {"band", "reduced", "dense"}
 
     def test_scale_entries_hold_the_largest_entry_at_every_angle(self):
@@ -484,6 +485,24 @@ class TestAnglePairs:
                     w, _, m, _, info = scipy.linalg.lapack.zhbevx(H, 0.0, 0.0, 80, 80, compute_v=0, range=2, lower=1)
                     assert info == 0 and m == 1 and h[k] == w[0], (kd, k)
 
+    def test_diagonal_ends_are_read_without_bisection(self, monkeypatch):
+        # a complex diagonal is a kd = 0 band, a tridiagonal form with no
+        # off-diagonal entry: its ends are the largest and smallest of
+        # c Re d_j + s Im d_j, read with no dstebz call, bit for bit
+        calls = []
+        original = scipy.linalg.lapack.dstebz
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", lambda *args: calls.append(args) or original(*args))
+        rng = np.random.default_rng(43)
+        d = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        thetas = _angle_grid(360)
+        h = support_function(np.diag(d), thetas)
+        rows = boundary_points(np.diag(d), 360)
+        assert not calls
+        for j in range(180):
+            H = np.cos(thetas[j]) * d.real + np.sin(thetas[j]) * d.imag
+            assert h[j] == np.max(H) and h[j + 180] == -np.min(H), j
+        assert np.array_equal(np.array([s for _, _, s in rows]), h)
+
     def test_real_matrices_mirror_exactly(self, reductions):
         for path, A in self._real_matrices().items():
             (block,) = _blocks(A)
@@ -647,6 +666,29 @@ class TestHullGeometry:
         assert square.signed_distance(2 + 0j) == pytest.approx(-1.0, abs=1e-12)
         assert square.signed_distance(0.999 + 0.999j) > 0.0
         assert square.signed_distance(1.001 + 0j) < 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_hulls_and_distances_scale_exactly_by_powers_of_two(self):
+        # the cross products and distances are taken on coordinates scaled
+        # below 1 by a power of two, so a cloud near the overflow threshold
+        # keeps the hull and the distances of the cloud at scale 1
+        rng = np.random.default_rng(47)
+        square = np.array([1.5, 1.5j, -1.5, -1.5j, 0.25 + 0.5j])  # and a point inside
+        clouds = [square, np.concatenate([square, rng.standard_normal(50) + 1j * rng.standard_normal(50)])]
+        queries = [0.0, 0.3 - 0.2j, 2.0 + 1.0j, -3.0j]
+        for P in clouds:
+            hull = convex_hull(P)
+            dist = [HullPolygon(hull).signed_distance(q) for q in queries]
+            for p in (0, 600, 1000):
+                scaled = convex_hull(2.0**p * P)
+                assert np.array_equal(scaled, 2.0**p * hull), (P.size, p)
+                assert [HullPolygon(scaled).signed_distance(2.0**p * q) for q in queries] == [2.0**p * x for x in dist], (P.size, p)
+        D = np.diag([1.0, 1j, -1.0, -1j])
+        square_range = numerical_range_hull(D, 64)
+        for p in (0, 600, 1000):
+            scaled = numerical_range_hull(2.0**p * D, 64)
+            assert np.array_equal(scaled.vertices, 2.0**p * square_range.vertices) and scaled.vertices.size == 4, p
+            assert scaled.signed_distance(0.0) == 2.0**p * square_range.signed_distance(0.0), p
 
     def test_support_of_dispatch(self):
         hull = HullPolygon.from_points([0j, 1 + 0j, 1j])
