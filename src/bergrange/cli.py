@@ -129,7 +129,9 @@ def matrix_to_csv(op: OperatorTruncation) -> str:
     lines = [f"# bergrange matrix truncation={op.truncation} alpha={_fmt(op.alpha)}"]
     # a complex row viewed as floats is re, im, re, im, ...
     lines.extend(",".join(map(repr, row.tolist())) for row in op.matrix.view(float))
-    return "\n".join(lines) + "\n"
+    # the empty last line ends the text with a newline without copying the joined text again
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _data_lines(text: str):
@@ -165,7 +167,8 @@ def rows_to_csv(rows) -> str:
     lines = ["# theta,re,im,support"]
     for theta, re, im, support in rows:
         lines.append(f"{_fmt(theta)},{_fmt(re)},{_fmt(im)},{_fmt(support)}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def rows_to_json(rows, seed=None) -> str:

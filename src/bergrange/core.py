@@ -18,6 +18,14 @@ consumer reads that table: matrix entries are formed from differences of
 its logs, which stay O(1) long after r_n itself leaves float64 range.  Single values come from the
 scalars norm_ratio and monomial_norm_sq, which sum the same entry the same
 way, without building or caching a table.
+
+disk_quadrature integrates against the weighted measure with a Gauss-Jacobi
+rule in r^2, built here by Golub and Welsch's method (Math. Comp. 23, 1969):
+the nodes are the eigenvalues of the Jacobi matrix, and the weights are the
+Christoffel numbers of the orthonormal recurrence, which sum to 1.  The rule
+is exact for z^p conj(z)^q whenever p + q < min(2*radial_nodes,
+angular_nodes).  The package needs numpy alone until a sweep loads
+scipy.linalg.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi, xlogy
 
 __all__ = [
     "DomainError",
@@ -258,7 +265,9 @@ def kernel_coeffs(w: complex, alpha: float, N: int) -> np.ndarray:
         raise DomainError(f"base point must satisfy |w| < 1, got |w| = {abs(w)}")
     N = _as_int(N, "N", 0)
     n = np.arange(N + 1)
-    log_c = 0.5 * alpha_weight(alpha, N) + xlogy(n, abs(w))
+    log_c = 0.5 * alpha_weight(alpha, N)
+    # plus n log|w|, where 0 log 0 = 0: at w = 0 only entry 0 is nonzero
+    log_c = log_c + n * math.log(abs(w)) if w else np.where(n == 0, log_c, -np.inf)
     c = np.exp(log_c) * np.exp(-1j * np.angle(w) * n)
     c.flags.writeable = False
     return c
@@ -266,7 +275,26 @@ def kernel_coeffs(w: complex, alpha: float, N: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _jacobi_rule(n: int, alpha: float):
-    x, w = roots_jacobi(n, alpha, 0.0)
+    """Gauss-Jacobi nodes and weights on [-1, 1] for the weight (1-x)^alpha, the weights summing to 1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    orthonormal Jacobi polynomials p_k, with diagonal a and off-diagonal b.
+    Each weight is the Christoffel number 1 / sum_{k<n} p_k(x)^2 of the
+    probability measure, which keeps tiny weights to relative accuracy.
+    """
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + alpha
+    a = np.concatenate(([-alpha / (alpha + 2.0)], -alpha * alpha / (s * (s + 2.0))))
+    b = 2.0 * k * (k + alpha) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(b, -1))
+    p_prev, p, total = np.zeros(n), np.ones(n), np.ones(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a_j, b_lo, b_hi in zip(a, np.append(0.0, b), b):
+            p_prev, p = p, ((x - a_j) * p - b_lo * p_prev) / b_hi
+            total += p * p
+    # a sum past float range (inf, or nan once p overflows) is a weight below 1e-308
+    w = np.where(total < np.inf, 1.0 / total, 0.0)
+    w /= w.sum()
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -281,16 +309,17 @@ def disk_quadrature(
     """Integrate a sampled function over the disk against the weighted measure.
 
     Radially Gauss-Jacobi in t = r^2 against (1-t)^alpha on [0, 1], mapped
-    from the standard [-1, 1] rule; uniform nodes in angle.  Exact for
-    z^p conj(z)^q whenever p + q < min(2*radial_nodes, angular_nodes).
+    from the standard [-1, 1] rule: Golub-Welsch nodes and Christoffel
+    weights that sum to 1, the mass of the weighted measure, so no gamma
+    factor is formed and any alpha > -1 works.  Uniform nodes in angle.
+    Exact for z^p conj(z)^q whenever p + q < min(2*radial_nodes, angular_nodes).
     ``f`` must accept a complex ndarray and evaluate elementwise.
     """
     alpha = _check_alpha(alpha)
     radial_nodes = _as_int(radial_nodes, "radial_nodes", 1)
     angular_nodes = _as_int(angular_nodes, "angular_nodes", 1)
-    x, wj = _jacobi_rule(radial_nodes, alpha)
+    x, radial_w = _jacobi_rule(radial_nodes, alpha)
     t = (x + 1.0) / 2.0
-    radial_w = (alpha + 1.0) * 2.0 ** (-(alpha + 1.0)) * wj
     theta = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
     z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
     vals = np.asarray(f(z), dtype=complex)

@@ -7,6 +7,7 @@ asserted directly; one subprocess test covers the module entry point.
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,25 @@ def test_matrix_csv_round_trip(config_path):
     op = cli.build_operator(config)
     parsed = cli.matrix_from_csv(cli.matrix_to_csv(op))
     assert np.array_equal(parsed, op.matrix)
+
+
+def test_matrix_csv_makes_no_third_copy_of_its_text():
+    # the line list and the joined text are each about len(text); a text
+    # that gained its final newline after the join would be a third copy
+    config = {
+        "alpha": 0.5,
+        "truncation": 300,
+        "operator": {"weighted_composition": {"psi": [[1.0, 0.0], [0.5, -0.25]], "phi": [[0.2, 0.1], [0.3, 0.0], [0.0, 0.2]]}},
+    }
+    # phi(0) != 0 fills every column, so each of the 300 lines is long
+    op = cli.build_operator(config)
+    tracemalloc.start()
+    try:
+        text = cli.matrix_to_csv(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.endswith("\n") and peak <= 2.3 * len(text)
 
 
 def test_range_json_records_seed(tmp_path, config_path, capsys):

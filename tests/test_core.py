@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from bergrange.core import (
     DomainError,
@@ -22,6 +22,7 @@ from bergrange.core import (
     monomial_norm_sq,
     norm_ratio,
     series_eval,
+    _jacobi_rule,
 )
 
 ALPHAS = [-0.5, 0.0, 1.0, 2.5]
@@ -141,6 +142,20 @@ class TestKernel:
         want = np.exp(0.5 * (gammaln(n + 402.0) - gammaln(n + 1.0) - gammaln(402.0))) * 0.5**n
         assert np.allclose(c[:600], want, rtol=1e-10, atol=0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
+    def test_log_modulus_matches_xlogy(self, alpha):
+        # n log|w| with 0 log 0 = 0 gives the bits of scipy's xlogy(n, |w|),
+        # at the origin, at the smallest subnormal and near the circle
+        rng = np.random.default_rng(3)
+        ws = [0.0, 5e-324, 1e-300, 0.999999]
+        ws += list(np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40)))
+        n = np.arange(65)
+        for w in ws:
+            log_c = 0.5 * alpha_weight(alpha, 64) + xlogy(n, abs(w))
+            want = np.exp(log_c) * np.exp(-1j * np.angle(w) * n)
+            assert kernel_coeffs(w, alpha, 64).tobytes() == want.tobytes(), w
+
     def test_origin(self):
         c = kernel_coeffs(0.0, 1.0, 4)
         assert np.array_equal(c, [1, 0, 0, 0, 0])
@@ -160,6 +175,35 @@ class TestMoments:
                 assert monomial_norm_sq(p, alpha) == pytest.approx(want, rel=1e-12)
 
 
+def beta_moment(k, alpha):
+    """(alpha+1) B(k+1, alpha+1), the integral of t^k against (alpha+1)(1-t)^alpha on [0, 1]."""
+    return math.exp(math.log(alpha + 1.0) + math.lgamma(k + 1.0) + math.lgamma(alpha + 1.0) - math.lgamma(k + alpha + 2.0))
+
+
+class TestJacobiRule:
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 5.0, 20.0, 100.0, 500.0])
+    @pytest.mark.parametrize("n", [1, 2, 16, 80, 128])
+    def test_moments_match_the_beta_integral(self, alpha, n):
+        # an n-node rule in t = (1+x)/2 is exact for t^k, k < 2n
+        x, w = _jacobi_rule(n, alpha)
+        assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0
+        assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+        t = (x + 1.0) / 2.0
+        for k in range(2 * n):
+            want = beta_moment(k, alpha)
+            assert abs(np.sum(w * t**k) - want) <= 1e-11 * want, k
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weights_below_float_range_are_zero(self):
+        # at alpha = 1000 and n = 256 the top nodes carry weights below 1e-308,
+        # whose Christoffel sums overflow
+        x, w = _jacobi_rule(256, 1000.0)
+        assert np.all(np.isfinite(w)) and w[-1] == 0.0 and abs(w.sum() - 1.0) <= 1e-12
+        t = (x + 1.0) / 2.0
+        for k in range(8):
+            assert abs(np.sum(w * t**k) - beta_moment(k, 1000.0)) <= 1e-11 * beta_moment(k, 1000.0), k
+
+
 class TestQuadrature:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_exact_on_monomials(self, alpha):
@@ -174,6 +218,14 @@ class TestQuadrature:
         for alpha in ALPHAS:
             got = disk_quadrature(lambda z: np.ones_like(z), alpha, 8, 8)
             assert got.real == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [1100.0, 5000.0])
+    def test_large_alpha(self, alpha):
+        # past alpha ~ 1024 a gamma-factor normalization over- or underflows;
+        # weights that sum to 1 need none
+        assert disk_quadrature(np.ones_like, alpha).real == pytest.approx(1.0, rel=1e-13)
+        got = disk_quadrature(lambda z: np.abs(z) ** 2, alpha)
+        assert got.real == pytest.approx(monomial_norm_sq(1, alpha), rel=1e-11)
 
     def test_mean_value_of_harmonic_function(self):
         # weighted mean of a function harmonic on the disk recovers a

@@ -247,16 +247,26 @@ class TestSweepKernel:
             numrange._zhbtrd.__wrapped__()
 
     def test_build_never_loads_scipy_linalg(self, tmp_path):
-        # zhbtrd, like every LAPACK routine here, is loaded on first use
+        # zhbtrd, like every LAPACK routine here, is loaded on first use, and
+        # no command loads scipy.special: build needs numpy alone
         config = tmp_path / "job.json"
         config.write_text('{"alpha": 0.0, "truncation": 16, "operator": {"toeplitz": {"terms": [[1, 0, 0.5, 0.0]]}}}')
-        script = (
-            "import sys; from bergrange import cli; "
-            f"assert cli.main(['build', '--config', {str(config)!r}, '--out', {str(tmp_path / 'm.csv')!r}]) == 0; "
-            "assert not [m for m in sys.modules if m.startswith('scipy.linalg')]"
-        )
+        out = str(tmp_path / "out.txt")
+        runs = [
+            (["build", "--config", str(config), "--out", out], "scipy"),
+            (["range", "--config", str(config), "--out", out], "scipy.special"),
+            (["check", "zsq_diagonal", "--out", out], "scipy.special"),
+            (["check", "mobius_mean_value", "--out", out], "scipy.special"),
+        ]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=120)
+        for argv, banned in runs:
+            script = (
+                "import sys; from bergrange import cli; "
+                f"assert cli.main({argv!r}) == 0; "
+                f"loaded = [m for m in sys.modules if (m + '.').startswith({banned + '.'!r})]; "
+                "assert not loaded, loaded"
+            )
+            subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=120)
 
     def test_block_checks_use_the_exact_scale_and_residual(self, monkeypatch):
         # every vector check a boundary sweep makes, at both ends of each pair
