@@ -10,13 +10,15 @@ Containment statements are decided through support functions on a
 uniform angle grid: for convex sets the sup-norm gap of the support
 functions equals their Hausdorff distance, and support dominance along
 a grid is exact for nested compressions, so the tests avoid the sag of
-inscribed polygons entirely.  Every containment of a closed-form set
-(the origin, a disc, a circle, an ellipse) in a range is decided by
-``numrange.shape_containment`` on the check's K-angle grid; its margin
-is a grid minimum, not a certified distance.  Symbol images are sampled
-on the unit circle alone: Re(e^{-i theta} f) is harmonic for every
-symbol used here, so by the maximum principle the circle holds each
-support.
+inscribed polygons entirely.  Every comparison of a range with a
+closed-form set (the origin, a disc, a circle, an ellipse, a segment or
+a sampled symbol image) goes through one helper, ``_compare``: it sweeps
+the range once on the check's K-angle grid and returns the smallest
+support margin, which decides containment, and the largest support gap.
+Both are grid values, not certified distances.  Symbol images are
+sampled on the unit circle alone: Re(e^{-i theta} f) is harmonic for
+every symbol used here, so by the maximum principle the circle holds
+each support.
 
 A check is declared once, by the ``_check`` decorator right above its
 body: its id, its claim, and each parameter as ``name=(default, reader)``.
@@ -37,13 +39,13 @@ between parameters, such as ``m2 > m1``, are checked in the bodies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from bergrange.core import (
     NumericError,
-    TruncatedSeries,
     UsageError,
     _as_complex,
     _as_int,
@@ -67,7 +69,6 @@ from bergrange.numrange import (
     boundary_points,
     ellipse_from_2x2,
     numerical_range_hull,
-    shape_containment,
     support_function,
     support_of,
 )
@@ -152,8 +153,18 @@ def _padded_coeff(coeffs: np.ndarray, k: int) -> complex:
     return complex(coeffs[k])
 
 
-def _support_gap(h_a: np.ndarray, h_b: np.ndarray) -> float:
-    return float(np.max(np.abs(h_a - h_b)))
+def _compare(A, shape, K: int) -> tuple:
+    """(margin, gap) of the range of A against ``shape`` on the K-angle grid.
+
+    With d = h_A - h_shape over the grid, the margin is min d, which is
+    nonnegative where the convex ``shape`` (a disc, an ellipse or a point
+    cloud) fits inside the range, and the gap is max |d|, their Hausdorff
+    distance for a convex shape.  Both are grid values, not certified
+    distances: the margin only bounds the true one from above.
+    """
+    theta = _angle_grid(K)
+    d = support_function(A, theta) - support_of(shape, theta)
+    return float(np.min(d)), float(np.max(np.abs(d)))
 
 
 def _root_of_unity(n: int) -> np.complex128:
@@ -219,7 +230,7 @@ def _run_t3_harmonic(alpha, N, K, a, delta):
     h_sweep = support_function(T, theta)
     h_closure = support_of(_image_samples(sym, 2048), theta)
     exclusion = float(np.min(h_closure - h_sweep))
-    hausdorff = _support_gap(h_closure, h_sweep)
+    hausdorff = float(np.max(np.abs(h_closure - h_sweep)))
     # interior probes: the image of a slightly shrunk circle must already be
     # swallowed by the swept range (support inequalities on the grid)
     probes = sym((1.0 - delta) * np.exp(1j * _angle_grid(64)))
@@ -246,10 +257,7 @@ def _run_t3_harmonic(alpha, N, K, a, delta):
 )
 def _run_c1_multiplication(alpha, N, K, psi):
     M = build_multiplication(psi, alpha, N)
-    theta = _angle_grid(K)
-    h_sweep = support_function(M, theta)
-    image = _image_samples(TruncatedSeries(psi), 512)
-    hausdorff = _support_gap(h_sweep, support_of(image, theta))
+    hausdorff = _compare(M, _image_samples(partial(series_eval, psi), 512), K)[1]
     tol = 0.05
     return (
         hausdorff <= tol,
@@ -381,11 +389,8 @@ def _run_th1_rotation(alpha, n, N, K, psi):
         )
     lam = _root_of_unity(n)
     A = build_weighted_composition(psi, [0.0, lam], alpha, N)
-    theta = _angle_grid(K)
-    h_sweep = support_function(A, theta)
-    image = _image_samples(TruncatedSeries(psi), 512)
-    union = np.concatenate([lam**j * image for j in range(n)])
-    hausdorff = _support_gap(h_sweep, support_of(union, theta))
+    image = _image_samples(partial(series_eval, psi), 512)
+    hausdorff = _compare(A, np.concatenate([lam**j * image for j in range(n)]), K)[1]
     tol = 0.05
     notes = (
         "the union identity needs a weight of the form g(z^n), which keeps "
@@ -452,8 +457,8 @@ def _run_th2_symmetric(alpha, orders, N, K, c):
         theta = _angle_grid(K)
         h = support_function(A, theta)
         sym_dev = float(np.max(np.abs(h - np.roll(h, -(K // order)))))
-        image = _image_samples(TruncatedSeries(psi), 1024)
-        image_haus = _support_gap(h, support_of(image, theta))
+        image = _image_samples(partial(series_eval, psi), 1024)
+        image_haus = float(np.max(np.abs(h - support_of(image, theta))))
         metrics[f"equivariance_dev_n{order}"] = equiv_dev
         metrics[f"symmetry_dev_n{order}"] = sym_dev
         metrics[f"image_hausdorff_n{order}"] = image_haus
@@ -527,31 +532,27 @@ def _run_theo1_kernel_sum(alpha, N, w0, ts):
     alpha=(0.0, _as_number), N=(128, _int(2)), K=(360, _int(8)),
 )
 def _run_pro1_rank_one(alpha, N, K):
-    theta = _angle_grid(K)
     tol = 1e-8
     # case one: constant weight, target 0 -> segment from 0 to the weight
     c0 = 0.7 + 0.2j
     A1 = build_weighted_composition([c0], [0.0], alpha, N)
-    h1 = support_function(A1, theta)
-    h_seg = support_of(np.array([0j, c0]), theta)
-    dev_segment = _support_gap(h1, h_seg)
+    dev_segment = _compare(A1, np.array([0j, c0]), K)[1]
     # case two: weight vanishing at the target point -> centred disc
     w2 = 0.4
     psi2 = np.array([-w2, 1.0], dtype=complex)
     A2 = build_weighted_composition(psi2, [w2], alpha, N)
     norm_psi2 = np.sqrt(monomial_norm_sq(1, alpha) + abs(w2) ** 2)
     radius = float(norm_psi2 / (2.0 * (1.0 - w2**2) ** (alpha / 2.0 + 1.0)))
-    dev_disc = _support_gap(support_function(A2, theta), DiscSpec(0j, radius).support(theta))
+    dev_disc = _compare(A2, DiscSpec(0j, radius), K)[1]
     # case three: generic constant target -> ellipse with foci 0 and psi(w)
     w3 = 0.3
     psi3 = np.array([1.0, 1.0], dtype=complex)
     A3 = build_weighted_composition(psi3, [w3], alpha, N)
-    fw = complex(series_eval(TruncatedSeries(psi3), w3))
+    fw = complex(series_eval(psi3, w3))
     norm_sq = 1.0 + monomial_norm_sq(1, alpha)
     kernel_sq = (1.0 - w3**2) ** (-(alpha + 2.0))
     minor = float(np.sqrt(norm_sq * kernel_sq - abs(fw) ** 2))
-    ell = EllipseSpec(0j, fw, minor)
-    dev_ellipse = _support_gap(support_function(A3, theta), ell.support(theta))
+    dev_ellipse = _compare(A3, EllipseSpec(0j, fw, minor), K)[1]
     metrics = {
         "segment_dev": dev_segment,
         "disc_radius": radius,
@@ -572,10 +573,7 @@ def _run_pro1_rank_one(alpha, N, K):
 )
 def _run_theo2_zero_interior(alpha, schedule, K, margin):
     phi = [0.0, 0.45, 0.45]
-    margins = [
-        shape_containment(DiscSpec(0j, 0.0), build_weighted_composition([1.0], phi, alpha, N), K)
-        for N in schedule
-    ]
+    margins = [_compare(build_weighted_composition([1.0], phi, alpha, N), DiscSpec(0j, 0.0), K)[0] for N in schedule]
     metrics = {f"margin_N{N}": m for N, m in zip(schedule, margins)}
     metrics["max_margin"] = max(margins)
     monotone = all(b >= a - 1e-12 for a, b in zip(margins, margins[1:]))
@@ -595,7 +593,7 @@ def _run_theo2_zero_interior(alpha, schedule, K, margin):
 )
 def _run_theo3_zero_interior(alpha, N, K, margin):
     A = build_weighted_composition([1.0, 1.0], [0.0, -1.0], alpha, N)
-    swept = shape_containment(DiscSpec(0j, 0.0), A, K)
+    swept = _compare(A, DiscSpec(0j, 0.0), K)[0]
     return (
         swept >= margin,
         {"margin": swept},
@@ -661,7 +659,7 @@ def _run_th_disc_one(alpha, m, N, K, n_lambda):
         v[m] = np.sqrt(w_m) * scale
         form = complex(v.conj() @ (A.matrix @ v))
         devs.append(abs(form - radius * lam))
-    containment = shape_containment(DiscSpec(0j, radius), A, K)
+    containment = _compare(A, DiscSpec(0j, radius), K)[0]
     tol = 1e-10
     passed = max(devs) <= tol and containment >= -1e-9
     metrics = {
@@ -695,7 +693,7 @@ def _run_th_disc_two(alpha, m, lam, N, K):
     radius = 0.5 * np.sqrt(norm_ratio(1, alpha) / norm_ratio(m, alpha)) * abs(lam * psi_hat)
     h_b = support_function(B, _angle_grid(K))
     radius_dev = float(np.max(np.abs(h_b - radius)))
-    containment = shape_containment(DiscSpec(0j, radius), A, K)
+    containment = _compare(A, DiscSpec(0j, radius), K)[0]
     tol = 1e-10
     passed = structure_dev <= 1e-13 and radius_dev <= tol and containment >= -1e-9
     metrics = {
@@ -755,7 +753,7 @@ def _run_th_circle_3x3(alpha, n, m1, m2, N, K, psi):
     radius_dev = float(np.max(np.abs(radial - radius_formula)))
     alt_gap = float(np.min(np.abs(radial - radius_alt)))
     center_dev = float(abs(np.mean(pts) - center))
-    containment = shape_containment(DiscSpec(center, radius_formula), A, K)
+    containment = _compare(A, DiscSpec(center, radius_formula), K)[0]
     tol = 1e-10
     passed = (
         entry_dev <= 1e-12
@@ -831,9 +829,8 @@ def _ellipse_compare(A, indices, f1_exp, f2_exp, minor_exp, K):
     )
     minor_dev = abs(ell.minor_axis - minor_exp)
     expected = EllipseSpec(f1_exp, f2_exp, minor_exp)
-    theta = _angle_grid(K)
-    support_dev = _support_gap(support_function(B, theta), expected.support(theta))
-    containment = shape_containment(expected, A, K)
+    support_dev = _compare(B, expected, K)[1]
+    containment = _compare(A, expected, K)[0]
     tol = 1e-10
     passed = (
         foci_dev <= tol
@@ -861,8 +858,8 @@ def _ellipse_compare(A, indices, f1_exp, f2_exp, minor_exp, K):
 def _run_mobius_mean_value(centers, radial, angular, degree):
     # a fixed harmonic dictionary: analytic plus anti-analytic parts with
     # deterministic coefficients
-    a = TruncatedSeries([1.0 / (k + 1.0) for k in range(degree + 1)])
-    b = TruncatedSeries([(-1.0) ** q / (q + 2.0) for q in range(1, degree + 1)])
+    a = [1.0 / (k + 1.0) for k in range(degree + 1)]
+    b = [(-1.0) ** q / (q + 2.0) for q in range(1, degree + 1)]
 
     def harmonic(z):
         return series_eval(a, z) + series_eval(b, np.conj(z)) * np.conj(z)
@@ -907,9 +904,9 @@ def _run_adjoint_kernel(alpha, N):
         A = build_weighted_composition(psi, phi, alpha, N)
         for w in ws:
             kw = kernel_coeffs(w, alpha, N - 1)
-            fw = complex(series_eval(TruncatedSeries(phi), w))
+            fw = complex(series_eval(phi, w))
             kfw = kernel_coeffs(fw, alpha, N - 1)
-            pw = complex(series_eval(TruncatedSeries(psi), w))
+            pw = complex(series_eval(psi, w))
             residual = float(np.linalg.norm(A.matrix.conj().T @ kw - np.conj(pw) * kfw))
             worst = max(worst, residual)
     tol = 1e-5

@@ -7,7 +7,7 @@ Conventions used throughout the package:
   alpha > -1;
 * the monomial z^n has squared norm w_n = n! Gamma(alpha+2) / Gamma(n+alpha+2),
   and e_n = sqrt(r_n) z^n with r_n = 1/w_n is the orthonormal basis;
-* analytic functions are handled as truncated Taylor series, coefficients
+* analytic polynomials are plain sequences of Taylor coefficients,
   indexed from degree 0.
 
 The ratio r_n lives in one log-domain table, the read-only array
@@ -31,7 +31,6 @@ scipy.linalg.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -44,7 +43,6 @@ __all__ = [
     "alpha_weight",
     "norm_ratio",
     "monomial_norm_sq",
-    "TruncatedSeries",
     "series_eval",
     "kernel_coeffs",
     "disk_quadrature",
@@ -211,42 +209,11 @@ def alpha_weight(alpha: float, max_index: int) -> np.ndarray:
     return log_r
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Taylor coefficients of an analytic function, degrees 0..truncation."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 1 or c.size == 0:
-            raise UsageError("coeffs must be a nonempty 1-d sequence")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def truncation(self) -> int:
-        return self.coeffs.size - 1
-
-    def pad_to(self, truncation: int) -> "TruncatedSeries":
-        """Extend with zero coefficients, or drop the tail, to the given degree."""
-        n = _as_int(truncation, "truncation", 0) + 1
-        if n <= self.coeffs.size:
-            return TruncatedSeries(self.coeffs[:n])
-        out = np.zeros(n, dtype=complex)
-        out[: self.coeffs.size] = self.coeffs
-        return TruncatedSeries(out)
-
-    def __call__(self, z):
-        return series_eval(self, z)
-
-
-def series_eval(a: TruncatedSeries, z):
-    """Evaluate by Horner's rule; z may be a scalar or ndarray."""
+def series_eval(coeffs, z):
+    """The polynomial with Taylor coefficients ``coeffs``, degree 0 first, at z, by Horner's rule; z may be a scalar or ndarray."""
     z = np.asarray(z, dtype=complex)
     acc = np.zeros_like(z)
-    for c in a.coeffs[::-1]:
+    for c in np.asarray(coeffs, dtype=complex)[::-1]:
         acc = acc * z + c
     if acc.ndim == 0:
         return complex(acc)

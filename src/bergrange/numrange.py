@@ -68,11 +68,9 @@ A banded block forms P from band storage at O(n kd) per angle, a reduced
 block as G x with G = (A_re [Q, z], A_im [Q, z]), formed once, and x the
 coordinates of v in [Q, z], at O(n k), and a dense block at O(n^2).
 
-Reference shapes (discs, ellipses, polygons, and point clouds such as
-symbol images sampled on the unit circle) share a common support-function
-interface so containment can be decided by comparing supports on an angle
-grid, which is exact for convex sets up to grid resolution and immune to
-the sagging of inscribed polygons.
+Reference shapes (discs, ellipses, hull polygons, and point clouds such
+as symbol images sampled on the unit circle) share one support-function
+interface, ``support_of``.
 """
 
 from __future__ import annotations
@@ -94,7 +92,6 @@ __all__ = [
     "EllipseSpec",
     "ellipse_from_2x2",
     "support_of",
-    "shape_containment",
 ]
 
 
@@ -585,27 +582,28 @@ def convex_hull(points) -> np.ndarray:
     """Convex hull by the monotone chain, vertices counterclockwise.
 
     Degenerate inputs are handled: a single repeated point gives a
-    one-vertex hull and collinear points a two-vertex hull.  Points are
-    merged on a grid of spacing 1e-12 times max(1, largest modulus) and
-    sorted by their grid keys, so rounding noise below that spacing
-    cannot reorder points along a near-vertical edge.  The cross products
-    are taken on the coordinates times a power of two that takes that
-    scale below 1, which is exact, so they cannot overflow; the vertices
-    returned are input points.
+    one-vertex hull and collinear points a two-vertex hull.  Everything
+    is taken on the coordinates times the power of two 2^-e that takes
+    the largest modulus, the scale, into [1/2, 1), which is exact down to
+    subnormal clouds, so nothing can overflow and a hull of 2^p times a
+    cloud is 2^p times its hull at any scale.  Points are merged on a
+    grid of spacing 1e-12 times the scale and sorted by their grid keys,
+    so rounding noise below that spacing cannot reorder points along a
+    near-vertical edge; the vertices returned are input points.
     """
     pts = _point_cloud(points)
-    scale = max(1.0, float(np.max(np.abs(pts))))
+    largest = float(np.max(np.abs(pts))) or 1.0
+    e = int(np.frexp(largest)[1])
+    x, y = np.ldexp(pts.real, -e).tolist(), np.ldexp(pts.imag, -e).tolist()
+    scale = float(np.ldexp(largest, -e))
     # dedup on a rounded grid
     merged = {}
-    for i, p in enumerate(pts):
-        key = (round(p.real / (1e-12 * scale)), round(p.imag / (1e-12 * scale)))
-        merged.setdefault(key, i)
+    for i in range(pts.size):
+        merged.setdefault((round(x[i] / (1e-12 * scale)), round(y[i] / (1e-12 * scale))), i)
     uniq = [merged[k] for k in sorted(merged)]
     if len(uniq) == 1:
         return pts[uniq]
-    unit = float(np.ldexp(1.0, -np.frexp(scale)[1]))
-    x, y = (pts.real * unit).tolist(), (pts.imag * unit).tolist()
-    eps = 1e-12 * (scale * unit) * (scale * unit)
+    eps = 1e-12 * scale * scale
 
     def cross(o, a, b):
         return (x[a] - x[o]) * (y[b] - y[o]) - (y[a] - y[o]) * (x[b] - x[o])
@@ -657,23 +655,25 @@ class HullPolygon:
     def signed_distance(self, point: complex) -> float:
         """Distance to the boundary, positive inside and negative outside.
 
-        It is taken on the coordinates times a power of two that takes them
-        below 1, which is exact, so no product can overflow.
+        It is taken on the coordinates times the power of two 2^-e that
+        takes the largest modulus of the vertices and the point below 1,
+        which is exact down to subnormal inputs, so no product can
+        overflow and the distance scales exactly with the polygon.  The
+        inside tolerance is relative to the largest vertex modulus.
         """
-        scale = max(1.0, float(np.max(np.abs(self.vertices))))
-        unit = float(np.ldexp(1.0, -np.frexp(max(scale, abs(complex(point))))[1]))
-        p = complex(point) * unit
-        a, b = (X * unit for X in self._edges())
+        largest = float(np.max(np.abs(self.vertices))) or 1.0
+        e = int(np.frexp(max(largest, abs(complex(point))))[1])
+        p, a, b = (np.ldexp(X.real, -e) + 1j * np.ldexp(X.imag, -e) for X in (np.complex128(point), *self._edges()))
         ab = b - a
         ap = p - a
         with np.errstate(invalid="ignore", divide="ignore"):
             t = np.where(np.abs(ab) > 0, np.clip((ap * np.conj(ab)).real / np.abs(ab) ** 2, 0.0, 1.0), 0.0)
         closest = a + t * ab
-        d = float(np.min(np.abs(p - closest))) / unit
+        d = float(np.ldexp(np.min(np.abs(p - closest)), e))
         if self.vertices.size < 3:
             return -d
         cross = ab.real * ap.imag - ab.imag * ap.real
-        inside = bool(np.all(cross >= -1e-15 * (scale * unit) ** 2))
+        inside = bool(np.all(cross >= -1e-15 * np.ldexp(largest, -e) ** 2))
         return d if inside else -d
 
 
@@ -772,20 +772,10 @@ def support_of(obj, thetas) -> np.ndarray:
     raise UsageError(f"cannot compute a support function for {type(obj).__name__}")
 
 
-def shape_containment(inner, outer, n_angles: int = 720) -> float:
-    """Worst-case support margin of outer over inner on an angle grid.
-
-    Nonnegative means the inner convex set fits inside the outer one (up
-    to grid resolution); the value is the smallest slack found.
-    """
-    thetas = _angle_grid(n_angles)
-    return float(np.min(support_of(outer, thetas) - support_of(inner, thetas)))
-
-
 def _image_samples(f, n_angles: int) -> np.ndarray:
     """Values f(e^{i theta}) on the angle grid of the unit circle.
 
-    ``f`` must evaluate elementwise on complex arrays (truncated series
-    and bi-polynomial symbols both do).
+    ``f`` must evaluate elementwise on complex arrays, as a bi-polynomial
+    symbol and ``partial(series_eval, coeffs)`` do.
     """
     return np.asarray(f(np.exp(1j * _angle_grid(n_angles))), dtype=complex)

@@ -21,7 +21,6 @@ import numpy as np
 from bergrange.core import (
     DomainError,
     NumericError,
-    TruncatedSeries,
     UsageError,
     _as_complex,
     _as_int,
@@ -116,13 +115,19 @@ def _as_symbol(symbol) -> BiPolySymbol:
     return BiPolySymbol(tuple(symbol))
 
 
-def _as_series(f, name: str) -> TruncatedSeries:
-    if isinstance(f, TruncatedSeries):
-        return f
+def _coeffs(f, name: str, N: int | None = None) -> np.ndarray:
+    """The Taylor coefficients ``f`` as a nonempty 1-d complex array; with N, cut or zero-padded to N entries."""
     try:
-        return TruncatedSeries(f)
-    except (UsageError, TypeError, ValueError):
-        raise UsageError(f"{name} must be a TruncatedSeries or a coefficient sequence")
+        c = np.asarray(f, dtype=complex)
+    except (TypeError, ValueError):
+        c = np.zeros(0)
+    if c.ndim != 1 or c.size == 0:
+        raise UsageError(f"{name} must be a nonempty 1-d coefficient sequence")
+    if N is None:
+        return c
+    out = np.zeros(N, dtype=complex)
+    out[: c.size] = c[:N]
+    return out
 
 
 def build_toeplitz(symbol, alpha: float, N: int) -> OperatorTruncation:
@@ -146,7 +151,7 @@ def build_toeplitz(symbol, alpha: float, N: int) -> OperatorTruncation:
     return OperatorTruncation(A, alpha, kind="toeplitz")
 
 
-def _certify_self_map(phi: TruncatedSeries):
+def _certify_self_map(c: np.ndarray):
     """Prove that phi maps the open disk into itself, or raise DomainError.
 
     A nonconstant polynomial does so exactly when max |phi| <= 1 on the
@@ -158,9 +163,8 @@ def _certify_self_map(phi: TruncatedSeries):
     of degree d is sampled at M = _SELF_MAP_SAMPLES * d points of the
     circle; Bernstein's inequality max |phi'| <= d max |phi| bounds the
     true maximum by the sampled one over 1 - pi d / M.  An undecided case
-    is rejected.
+    is rejected.  ``c`` holds the coefficients of phi.
     """
-    c = phi.coeffs
     # NaN fails every comparison below, so it must be rejected up front
     if not np.all(np.isfinite(c)):
         raise DomainError("phi is not a self-map of the disk: it has a non-finite coefficient")
@@ -193,15 +197,13 @@ def build_weighted_composition(psi, phi, alpha: float, N: int) -> OperatorTrunca
     those the truncation cuts away.
     """
     N = _as_int(N, "truncation", 1)
-    psi_s = _as_series(psi, "psi").pad_to(N - 1)
-    phi_s = _as_series(phi, "phi")
-    _certify_self_map(phi_s)
-    phi_s = phi_s.pad_to(N - 1)
+    c = _coeffs(psi, "psi", N)
+    phi_c = _coeffs(phi, "phi")
+    _certify_self_map(phi_c)
     log_r = alpha_weight(alpha, N - 1)
     A = np.empty((N, N), dtype=complex)
-    # phi cut to its degree makes each step O(N deg phi), not O(N^2)
-    phi_c = phi_s.coeffs[: np.flatnonzero(phi_s.coeffs).max(initial=0) + 1]
-    c = psi_s.coeffs
+    # phi cut to N terms and to its degree makes each step O(N deg phi), not O(N^2)
+    phi_c = phi_c[: np.flatnonzero(phi_c[:N]).max(initial=0) + 1]
     # a zero coefficient stays zero even where its scale overflows; any
     # other overflow leaves inf or nan, which OperatorTruncation rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -220,11 +222,11 @@ def build_multiplication(psi, alpha: float, N: int) -> OperatorTruncation:
     composition builder at phi(z) = z.
     """
     N = _as_int(N, "truncation", 1)
-    psi_s = _as_series(psi, "psi").pad_to(N - 1)
+    psi_c = _coeffs(psi, "psi", N)
     log_r = alpha_weight(alpha, N - 1)
     A = np.zeros((N, N), dtype=complex)
     for k in range(N):
-        c = psi_s.coeffs[k]
+        c = psi_c[k]
         if c == 0:
             continue
         m = np.arange(k, N)
@@ -275,16 +277,16 @@ def kernel_form_closed(psi, phi, w: complex, alpha: float) -> complex:
     A non-finite psi raises NumericError, and a phi not certified as a
     self-map of the disk DomainError, as in the builder.
     """
-    psi_s, phi_s = _as_series(psi, "psi"), _as_series(phi, "phi")
-    if not np.all(np.isfinite(psi_s.coeffs)):
+    psi_c, phi_c = _coeffs(psi, "psi"), _coeffs(phi, "phi")
+    if not np.all(np.isfinite(psi_c)):
         raise NumericError("psi has a non-finite coefficient")
-    _certify_self_map(phi_s)
+    _certify_self_map(phi_c)
     w = _as_complex(w, "w")
     if abs(w) >= 1.0:
         raise DomainError(f"base point must satisfy |w| < 1, got |w| = {abs(w)}")
     alpha = _check_alpha(alpha)
-    pw = series_eval(psi_s, w)
-    fw = series_eval(phi_s, w)
+    pw = series_eval(psi_c, w)
+    fw = series_eval(phi_c, w)
     return pw * (1.0 - abs(w) ** 2) ** (alpha + 2.0) / (1.0 - np.conj(w) * fw) ** (alpha + 2.0)
 
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from bergrange.checks import run_check
-from bergrange.core import kernel_coeffs, monomial_norm_sq, series_eval
+from bergrange.core import kernel_coeffs, monomial_norm_sq
 from bergrange.numrange import (
     EllipseSpec,
     ellipse_from_2x2,

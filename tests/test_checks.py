@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from bergrange import checks
+from bergrange import checks, numrange
 from bergrange.checks import accepted_overrides, list_checks, run_all, run_check
 from bergrange.core import NumericError, UsageError
 
@@ -292,3 +292,36 @@ def test_th1_rejects_a_weight_not_of_the_form_g_of_z_to_the_n(n):
 def test_th1_holds_for_a_weight_of_the_form_g_of_z_to_the_n():
     report = run_check("th1_rotation_hull", {"n": 4, "psi": [[0.5, 0.0]] + [[0.0, 0.0]] * 3 + [[0.5, 0.0]]})
     assert report.passed, report.metrics
+
+
+# sweeps per check at the defaults; each comparison with a closed form sweeps
+# its range once, and a check not listed here sweeps nothing
+SWEEPS = {
+    "t3_harmonic_range": 1,
+    "c1_multiplication": 1,
+    "th1_rotation_hull": 1,
+    "c2_polygon": 4,
+    "th2_symmetric": 2,
+    "pro1_rank_one": 3,
+    "theo2_zero_interior": 4,
+    "theo3_zero_interior": 1,
+    "remark_counterexample": 2,
+    "th_disc_TH1": 1,
+    "th_disc_TH2": 2,
+    "th_circle_3x3": 2,
+    "th_ellipse_rotation": 2,
+    "th_ellipse_irrational": 2,
+}
+
+
+def test_each_check_sweeps_each_range_once(monkeypatch):
+    calls = []
+    sweep = numrange._sweep
+    monkeypatch.setattr(numrange, "_sweep", lambda *args, **kwargs: calls.append(1) or sweep(*args, **kwargs))
+    counts = {}
+    for check_id in EXPECTED_IDS:
+        before = len(calls)
+        run_check(check_id)
+        counts[check_id] = len(calls) - before
+    assert counts == {check_id: SWEEPS.get(check_id, 0) for check_id in EXPECTED_IDS}
+    assert sum(counts.values()) == 28

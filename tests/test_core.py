@@ -14,7 +14,6 @@ from scipy.special import gammaln, xlogy
 
 from bergrange.core import (
     DomainError,
-    TruncatedSeries,
     UsageError,
     alpha_weight,
     disk_quadrature,
@@ -110,7 +109,7 @@ class TestAlphaWeight:
 
 class TestSeries:
     def test_eval_horner(self):
-        f = TruncatedSeries([1, 2, 3])
+        f = [1, 2, 3]
         assert series_eval(f, 0.5) == pytest.approx(1 + 2 * 0.5 + 3 * 0.25)
         z = np.array([0.1, 0.2j])
         got = series_eval(f, z)

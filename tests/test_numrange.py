@@ -11,13 +11,15 @@ equivariance.
 import os
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg.lapack
 
 from bergrange import numrange
-from bergrange.core import NumericError, UsageError
+from bergrange.checks import _compare
+from bergrange.core import NumericError, UsageError, series_eval
 from bergrange.numrange import (
     DiscSpec,
     EllipseSpec,
@@ -26,7 +28,6 @@ from bergrange.numrange import (
     convex_hull,
     ellipse_from_2x2,
     numerical_range_hull,
-    shape_containment,
     support_function,
     support_of,
     _Block,
@@ -686,10 +687,12 @@ class TestHullGeometry:
         square = np.array([1.5, 1.5j, -1.5, -1.5j, 0.25 + 0.5j])  # and a point inside
         clouds = [square, np.concatenate([square, rng.standard_normal(50) + 1j * rng.standard_normal(50)])]
         queries = [0.0, 0.3 - 0.2j, 2.0 + 1.0j, -3.0j]
-        for P in clouds:
+        # below 1 as well, down to subnormal coordinates for the square, whose
+        # coordinates 2^p keeps exact
+        for P, small in zip(clouds, [(-600, -1000, -1060), (-600, -1000)]):
             hull = convex_hull(P)
             dist = [HullPolygon(hull).signed_distance(q) for q in queries]
-            for p in (0, 600, 1000):
+            for p in (0, 600, 1000) + small:
                 scaled = convex_hull(2.0**p * P)
                 assert np.array_equal(scaled, 2.0**p * hull), (P.size, p)
                 assert [HullPolygon(scaled).signed_distance(2.0**p * q) for q in queries] == [2.0**p * x for x in dist], (P.size, p)
@@ -699,6 +702,18 @@ class TestHullGeometry:
             scaled = numerical_range_hull(2.0**p * D, 64)
             assert np.array_equal(scaled.vertices, 2.0**p * square_range.vertices) and scaled.vertices.size == 4, p
             assert scaled.signed_distance(0.0) == 2.0**p * square_range.signed_distance(0.0), p
+
+    def test_small_clouds_keep_their_vertices(self):
+        # the merge grid and the tolerances are relative to the largest
+        # modulus, not to max(1, largest modulus)
+        square = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
+        five = np.array([0j, 1, 1j, 1 + 1j, (1 + 1j) / 2])
+        for s in (1e-9, 1e-13):
+            hull = HullPolygon.from_points(s * square)
+            assert hull.vertices.size == 4 and hull.signed_distance(0.0) == s, s
+        for s in (1e-10, 1e-13):
+            hull = convex_hull(s * five)
+            assert sorted(hull.tolist(), key=lambda z: (z.real, z.imag)) == [0j, s * 1j, s + 0j, s * (1 + 1j)], s
 
     def test_support_of_dispatch(self):
         hull = HullPolygon.from_points([0j, 1 + 0j, 1j])
@@ -715,27 +730,6 @@ class TestHullGeometry:
             with pytest.raises(NumericError):
                 support_of(np.array([1j, bad, -1j]), GRID)
 
-    def test_shape_containment_margins(self):
-        inner = DiscSpec(0j, 0.5)
-        outer = DiscSpec(0j, 0.75)
-        assert shape_containment(inner, outer) == pytest.approx(0.25, abs=1e-12)
-        assert shape_containment(outer, inner) == pytest.approx(-0.25, abs=1e-12)
-
-    def test_shape_containment_in_an_operator_range_is_the_grid_minimum(self):
-        # a banded, a reduced and a dense sweep as the outer set
-        matrices = dict(_structured_matrices())
-        g = _angle_grid(360)
-        for name in ("t3", "composition", "dense24"):
-            h = support_function(matrices[name], g)
-            for inner in (DiscSpec(0j, 0.0), DiscSpec(0.1j, 0.2)):
-                want = float(np.min(h - inner.support(g)))
-                assert shape_containment(inner, matrices[name], 360) == want, (name, inner)
-
-    def test_shape_containment_needs_an_integer_grid(self):
-        for bad in (3.5, 2, 720.0, "720"):
-            with pytest.raises(UsageError):
-                shape_containment(DiscSpec(0j, 0.5), DiscSpec(0j, 0.75), n_angles=bad)
-
     def test_shapes_reject_non_finite_fields(self):
         for fields in ((0j, np.nan), (0j, np.inf), (complex(np.nan, 0.0), 1.0)):
             with pytest.raises(UsageError):
@@ -743,6 +737,26 @@ class TestHullGeometry:
         for fields in ((0j, 1 + 0j, np.nan), (0j, complex(0.0, np.inf), 1.0), (np.nan, 1 + 0j, 0.0)):
             with pytest.raises(UsageError):
                 EllipseSpec(*fields)
+
+
+class TestCheckComparison:
+    """``checks._compare``, which decides every comparison of a range with a closed-form set."""
+
+    def test_margin_and_gap_are_the_grid_extremes(self):
+        # a banded, a reduced and a dense sweep against a disc, an ellipse and a point cloud
+        matrices = dict(_structured_matrices())
+        g = _angle_grid(360)
+        shapes = (DiscSpec(0.1j, 0.2), EllipseSpec(-0.3, 0.2 + 0.1j, 0.25), np.array([0j, 0.5 - 0.25j, 0.1 + 0.6j]))
+        for name in ("t3", "composition", "dense24"):
+            h = support_function(matrices[name], g)
+            for shape in shapes:
+                d = h - support_of(shape, g)
+                assert _compare(matrices[name], shape, 360) == (float(np.min(d)), float(np.max(np.abs(d)))), (name, shape)
+
+    def test_needs_an_integer_grid(self):
+        for bad in (3.5, 2, 720.0, "720"):
+            with pytest.raises(UsageError):
+                _compare(np.eye(2), DiscSpec(0j, 0.5), bad)
 
 
 class TestEllipseSpec:
@@ -803,9 +817,7 @@ class TestStructuralInvariants:
 
 class TestImageHull:
     def test_polynomial_image_hull(self):
-        from bergrange.core import TruncatedSeries
-
-        f = TruncatedSeries([0.5, 0.5])  # 0.5 + 0.5 z: image of the disk is a disc
+        f = partial(series_eval, [0.5, 0.5])  # 0.5 + 0.5 z: image of the disk is a disc
         hull = HullPolygon.from_points(_image_samples(f, 720))
         disc = DiscSpec(0.5, 0.5)
         th = 2.0 * np.pi * np.arange(720) / 720
@@ -815,14 +827,12 @@ class TestImageHull:
         # Re(e^{-i theta} f) is harmonic for these symbols, so by the maximum
         # principle the inner circles of a 33-circle cloud never hold a support;
         # the cloud, with radii 0 .. 1, is the reference built here
-        from bergrange.core import TruncatedSeries
-
         rng = np.random.default_rng(2024)
         symbols = []
         for i in range(200):
             degree = int(rng.integers(1, 13))
             coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-            symbols.append((TruncatedSeries(coeffs), 512 if i % 2 else 1024))
+            symbols.append((partial(series_eval, coeffs), 512 if i % 2 else 1024))
         for a in (0.0, 0.3, 0.5, 0.9, 1.0):
             symbols.append((BiPolySymbol(((1, 0, 1.0), (0, 1, a))), 512))
         th = _angle_grid(360)
@@ -833,9 +843,7 @@ class TestImageHull:
             assert np.array_equal(on_circle, over_disk), f
 
     def test_boundary_only_sampling(self):
-        from bergrange.core import TruncatedSeries
-
-        f = TruncatedSeries([0.0, 1.0])
+        f = partial(series_eval, [0.0, 1.0])
         hull = HullPolygon.from_points(_image_samples(f, 1024))
         # hull of the unit circle samples: support 1 up to polygon sag
         th = np.array([0.0, 1.0, 2.0])

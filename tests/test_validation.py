@@ -12,7 +12,6 @@ import pytest
 from bergrange.core import (
     DomainError,
     NumericError,
-    TruncatedSeries,
     UsageError,
     _as_complex,
     _as_int,
@@ -26,7 +25,9 @@ from bergrange.numrange import DiscSpec, EllipseSpec, HullPolygon
 from bergrange.operators import (
     BiPolySymbol,
     OperatorTruncation,
+    build_multiplication,
     build_toeplitz,
+    build_weighted_composition,
     compress,
     kernel_form_closed,
     off_block_max,
@@ -74,9 +75,11 @@ SYMBOL = [(1, 0, 0.5), (0, 1, 0.5)]
         (lambda: disk_quadrature(_one, 0.0, 2.5, 8), "radial_nodes"),
         (lambda: disk_quadrature(_one, 0.0, True, 8), "radial_nodes"),
         (lambda: kernel_form_closed([1.0], [0.0, 0.5], 0.5, True), "alpha"),
-        (lambda: TruncatedSeries(np.ones(4)).pad_to(2.5), "truncation"),
         (lambda: norm_ratio(True, 0.0), "n"),
         (lambda: build_toeplitz(SYMBOL, 0.0, True), "truncation"),
+        (lambda: build_multiplication([], 0.0, 4), "psi"),
+        (lambda: build_weighted_composition([1.0], [[0.0, 0.5]], 0.0, 4), "phi"),
+        (lambda: kernel_form_closed("x", [0.0, 0.5], 0.5, 0.0), "psi"),
         (lambda: compress(np.ones(3), [0]), "matrix"),
         (lambda: off_block_max(np.ones(3), 2), "matrix"),
         (lambda: compress(np.ones((2, 3)), [0, 1]), "matrix"),
@@ -93,11 +96,13 @@ SYMBOL = [(1, 0, 0.5), (0, 1, 0.5)]
         "quadrature-float-nodes",
         "quadrature-bool-nodes",
         "kernel_form-bool-alpha",
-        "pad_to-float",
         "norm_ratio-bool",
         "toeplitz-bool-N",
+        "multiplication-empty-psi",
+        "composition-2d-phi",
+        "kernel_form-str-psi",
         "compress-1d",
-        "block_report-1d",
+        "off_block_max-1d",
         "compress-2x3",
         "disc-str-center",
         "disc-str-fields",
