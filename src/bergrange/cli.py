@@ -17,11 +17,14 @@ reads.
 Unknown fields are rejected rather than ignored, naming the allowed ones,
 so a typo cannot silently fall back to a default.  ``--alpha``,
 ``--truncation`` and ``--angles`` are read by the reader of the config
-field they replace.  The readers are the validators of
-``bergrange.core``: an integer is a JSON integer, a number an integer or
-a float, a pair a list ``[re, im]`` of two numbers, and ``true``/``false``
-count as none of these.  Every such error is a UsageError naming the
-field, a top-level one bare: ``truncation must be an integer, got True``.
+field they replace; a ``--matrix`` range takes ``--angles`` alone.
+``check <id>`` passes its overrides to that check, which rejects one it
+does not take; ``check all`` gives each check the ones it takes.  The
+readers are the validators of ``bergrange.core``: an integer is a JSON
+integer, a number an integer or a float, a pair a list ``[re, im]`` of
+two numbers, and ``true``/``false`` count as none of these.  Every such
+error is a UsageError naming the field, a top-level one bare:
+``truncation must be an integer, got True``.
 Exit codes: 0 success, 1 check failures, 2 usage or config errors.
 """
 
@@ -34,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bergrange.checks import accepted_overrides, list_checks, run_all, run_check
+from bergrange.checks import list_checks, run_all, run_check
 from bergrange.core import (
     DomainError,
     NumericError,
@@ -159,10 +162,6 @@ def matrix_from_csv(text: str) -> np.ndarray:
     return np.vstack(rows).view(complex)
 
 
-def sweep_rows(matrix, n_angles: int):
-    return [(theta, pt.real, pt.imag, support) for theta, pt, support in boundary_points(matrix, n_angles)]
-
-
 def rows_to_csv(rows) -> str:
     lines = ["# theta,re,im,support"]
     for theta, re, im, support in rows:
@@ -271,10 +270,13 @@ def _cmd_range(args) -> int:
         angles = config["angles"]
         seed = config["seed"]
     else:
+        if args.alpha is not None or args.truncation is not None:
+            raise UsageError("--alpha and --truncation apply to --config only; a --matrix file is swept as it is")
         matrix = matrix_from_csv(Path(args.matrix).read_text())
         angles = _CONFIG_FIELDS["angles"][0]
     # read here rather than in _load_config so that --matrix sweeps get it too
-    rows = sweep_rows(matrix, _override("angles", args.angles, angles))
+    points = boundary_points(matrix, _override("angles", args.angles, angles))
+    rows = [(theta, pt.real, pt.imag, support) for theta, pt, support in points]
     if args.format == "csv":
         text = rows_to_csv(rows)
     elif args.format == "json":
@@ -286,17 +288,9 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    overrides = {}
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.truncation is not None:
-        overrides["N"] = args.truncation
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.id == "all":
-        reports = run_all(overrides)
-    else:
-        reports = [run_check(args.id, accepted_overrides(args.id, overrides))]
+    overrides = {k: v for k, v in (("alpha", args.alpha), ("N", args.truncation), ("seed", args.seed)) if v is not None}
+    # each check of "all" takes the overrides it accepts; a single check rejects any other
+    reports = run_all(overrides) if args.id == "all" else [run_check(args.id, overrides)]
     text = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports)
     _emit(text, args.out)
     return 0 if all(r.passed for r in reports) else 1
@@ -346,16 +340,16 @@ def _parser() -> argparse.ArgumentParser:
     r.add_argument("--config", help="JSON job config")
     r.add_argument("--matrix", help="matrix CSV produced by the build subcommand")
     r.add_argument("--angles", type=int, help="number of sweep directions")
-    r.add_argument("--alpha", type=float, help="override the config weight parameter")
-    r.add_argument("--truncation", type=int, help="override the config matrix size")
+    r.add_argument("--alpha", type=float, help="override the config weight parameter (--config only)")
+    r.add_argument("--truncation", type=int, help="override the config matrix size (--config only)")
     r.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     r.add_argument("--out", help="output path (stdout when absent)")
     r.set_defaults(fn=_cmd_range)
 
     c = sub.add_parser("check", help="run named validation checks")
     c.add_argument("id", nargs="?", default="all", help="check id, or 'all'")
-    c.add_argument("--alpha", type=float, help="override alpha where a check accepts it")
-    c.add_argument("--truncation", type=int, help="override N where a check accepts it")
+    c.add_argument("--alpha", type=float, help="override alpha; with 'all', in the checks that accept it")
+    c.add_argument("--truncation", type=int, help="override N; with 'all', in the checks that accept it")
     c.add_argument("--seed", type=int, help="recorded in each report")
     c.add_argument("--out", help="output path (stdout when absent)")
     c.set_defaults(fn=_cmd_check)

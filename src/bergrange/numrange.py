@@ -68,9 +68,10 @@ A banded block forms P from band storage at O(n kd) per angle, a reduced
 block as G x with G = (A_re [Q, z], A_im [Q, z]), formed once, and x the
 coordinates of v in [Q, z], at O(n k), and a dense block at O(n^2).
 
-Reference shapes (discs, ellipses, hull polygons, and point clouds such
-as symbol images sampled on the unit circle) share one support-function
-interface, ``support_of``.
+Reference shapes (discs, ellipses, and point clouds such as symbol
+images sampled on the unit circle) share one support-function interface,
+``support_of``; a hull polygon answers through its vertices.  Hull
+geometry is taken in one exact power-of-two frame, from ``_frame``.
 """
 
 from __future__ import annotations
@@ -578,24 +579,36 @@ def _point_cloud(points) -> np.ndarray:
     return pts
 
 
+def _frame(*clouds):
+    """(e, the clouds times 2^-e), for e one above the exponent of the largest |Re| or |Im|.
+
+    Every scaled coordinate is below 1/2 and every modulus below 1.  The
+    scaling rounds only a coordinate that lands below the normal range, so
+    it is exact for subnormal clouds too.  No modulus of an unscaled point
+    is taken, so a finite cloud up to the float limit keeps its geometry,
+    and the geometry of 2^p times a cloud is 2^p times its own.
+    """
+    largest = max(max(float(np.max(np.abs(c.real))), float(np.max(np.abs(c.imag)))) for c in clouds)
+    e = int(np.frexp(largest)[1]) + 1
+    return e, [np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e) for c in clouds]
+
+
 def convex_hull(points) -> np.ndarray:
     """Convex hull by the monotone chain, vertices counterclockwise.
 
     Degenerate inputs are handled: a single repeated point gives a
     one-vertex hull and collinear points a two-vertex hull.  Everything
-    is taken on the coordinates times the power of two 2^-e that takes
-    the largest modulus, the scale, into [1/2, 1), which is exact down to
-    subnormal clouds, so nothing can overflow and a hull of 2^p times a
-    cloud is 2^p times its hull at any scale.  Points are merged on a
-    grid of spacing 1e-12 times the scale and sorted by their grid keys,
-    so rounding noise below that spacing cannot reorder points along a
-    near-vertical edge; the vertices returned are input points.
+    is taken in the exact frame of ``_frame``, so nothing can overflow
+    and a hull of 2^p times a cloud is 2^p times its hull at any scale.
+    Points are merged on a grid of spacing 1e-12 times the largest
+    modulus, the scale, and sorted by their grid keys, so rounding noise
+    below that spacing cannot reorder points along a near-vertical edge;
+    the vertices returned are input points.
     """
     pts = _point_cloud(points)
-    largest = float(np.max(np.abs(pts))) or 1.0
-    e = int(np.frexp(largest)[1])
-    x, y = np.ldexp(pts.real, -e).tolist(), np.ldexp(pts.imag, -e).tolist()
-    scale = float(np.ldexp(largest, -e))
+    _, (z,) = _frame(pts)
+    x, y = z.real.tolist(), z.imag.tolist()
+    scale = float(np.max(np.abs(z))) or 1.0
     # dedup on a rounded grid
     merged = {}
     for i in range(pts.size):
@@ -629,7 +642,8 @@ class HullPolygon:
     """Convex polygon given by counterclockwise vertices.
 
     Supports one- and two-vertex degenerate cases (a point, a segment).
-    The vertices must be a nonempty, finite point cloud.
+    The vertices must be a nonempty, finite point cloud; its support
+    function is that of the cloud, ``support_of(vertices, thetas)``.
     """
 
     vertices: np.ndarray
@@ -639,48 +653,32 @@ class HullPolygon:
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
 
-    @classmethod
-    def from_points(cls, points) -> "HullPolygon":
-        return cls(convex_hull(points))
-
-    def support(self, thetas) -> np.ndarray:
-        return support_of(self.vertices, thetas)
-
-    def _edges(self):
-        v = self.vertices
-        if v.size == 1:
-            return np.array([v[0]]), np.array([v[0]])
-        return v, np.roll(v, -1)
-
     def signed_distance(self, point: complex) -> float:
         """Distance to the boundary, positive inside and negative outside.
 
-        It is taken on the coordinates times the power of two 2^-e that
-        takes the largest modulus of the vertices and the point below 1,
-        which is exact down to subnormal inputs, so no product can
-        overflow and the distance scales exactly with the polygon.  The
+        It is taken on the vertices and the point in the exact frame of
+        ``_frame``, so no product can overflow and the distance scales
+        exactly with the polygon.  Edge i runs from vertex i to vertex
+        i + 1, cyclically; a one-vertex polygon is its own edge.  The
         inside tolerance is relative to the largest vertex modulus.
         """
-        largest = float(np.max(np.abs(self.vertices))) or 1.0
-        e = int(np.frexp(max(largest, abs(complex(point))))[1])
-        p, a, b = (np.ldexp(X.real, -e) + 1j * np.ldexp(X.imag, -e) for X in (np.complex128(point), *self._edges()))
-        ab = b - a
+        e, (p, a) = _frame(np.complex128(point), self.vertices)
+        ab = np.roll(a, -1) - a
         ap = p - a
         with np.errstate(invalid="ignore", divide="ignore"):
             t = np.where(np.abs(ab) > 0, np.clip((ap * np.conj(ab)).real / np.abs(ab) ** 2, 0.0, 1.0), 0.0)
         closest = a + t * ab
         d = float(np.ldexp(np.min(np.abs(p - closest)), e))
-        if self.vertices.size < 3:
+        if a.size < 3:
             return -d
         cross = ab.real * ap.imag - ab.imag * ap.real
-        inside = bool(np.all(cross >= -1e-15 * np.ldexp(largest, -e) ** 2))
+        inside = bool(np.all(cross >= -1e-15 * float(np.max(np.abs(a))) ** 2))
         return d if inside else -d
 
 
 def numerical_range_hull(A, n_angles: int = 360) -> HullPolygon:
     """Convex hull of a boundary sweep of the numerical range."""
-    pts = [p for _, p, _ in boundary_points(A, n_angles)]
-    return HullPolygon.from_points(pts)
+    return HullPolygon(convex_hull([p for _, p, _ in boundary_points(A, n_angles)]))
 
 
 @dataclass(frozen=True)
@@ -754,22 +752,20 @@ def ellipse_from_2x2(M) -> EllipseSpec:
 
 
 def support_of(obj, thetas) -> np.ndarray:
-    """Support function of any of the shapes handled by this module.
+    """Support function of a disc, an ellipse or a bare 1-d array of points.
 
-    Accepts matrices / truncations (support_function), hull polygons,
-    discs, ellipses, or a bare 1-d array of points.
+    A hull polygon answers through its vertices, and a matrix through
+    ``support_function``.
     """
     thetas = _angles(thetas)
-    if isinstance(obj, (HullPolygon, DiscSpec, EllipseSpec)):
+    if isinstance(obj, (DiscSpec, EllipseSpec)):
         return obj.support(thetas)
-    arr = np.asarray(getattr(obj, "matrix", obj))
-    if arr.ndim == 1:
-        # max of Re(e^{-i theta} p) one angle at a time: O(points) memory
-        pts = _point_cloud(arr)
-        return np.array([np.max(d.real * pts.real - d.imag * pts.imag) for d in np.exp(-1j * thetas)])
-    if arr.ndim == 2:
-        return support_function(arr, thetas)
-    raise UsageError(f"cannot compute a support function for {type(obj).__name__}")
+    arr = np.asarray(obj)
+    if arr.ndim != 1:
+        raise UsageError(f"support_of takes a 1-d point cloud, a disc or an ellipse, got {type(obj).__name__} with ndim {arr.ndim}; sweep a matrix with support_function")
+    # max of Re(e^{-i theta} p) one angle at a time: O(points) memory
+    pts = _point_cloud(arr)
+    return np.array([np.max(d.real * pts.real - d.imag * pts.imag) for d in np.exp(-1j * thetas)])
 
 
 def _image_samples(f, n_angles: int) -> np.ndarray:

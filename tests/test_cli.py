@@ -14,6 +14,7 @@ import pytest
 
 from bergrange import cli
 from bergrange.checks import list_checks
+from bergrange.numrange import boundary_points
 
 CONFIG = {
     "alpha": 0.0,
@@ -61,8 +62,19 @@ def test_build_then_range_matches_in_process(tmp_path, config_path):
     )
     config = cli.parse_config(config_path.read_text())
     op = cli.build_operator(config)
-    expected = cli.rows_to_csv(cli.sweep_rows(op.matrix, 64))
+    expected = cli.rows_to_csv([(theta, pt.real, pt.imag, support) for theta, pt, support in boundary_points(op.matrix, 64)])
     assert points_path.read_text() == expected
+
+
+@pytest.mark.parametrize("flag, value", [("--truncation", "99"), ("--alpha", "0.5")])
+def test_range_of_a_matrix_rejects_config_overrides(tmp_path, config_path, capsys, flag, value):
+    # a matrix file is swept as it is; only --angles applies to it
+    matrix_path = tmp_path / "matrix.csv"
+    assert cli.main(["build", "--config", str(config_path), "--out", str(matrix_path)]) == 0
+    assert cli.main(["range", "--matrix", str(matrix_path), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--alpha and --truncation apply to --config only" in captured.err
 
 
 def _range_from_config_and_csv(tmp_path, operator):
@@ -194,6 +206,18 @@ def test_check_failure_exit_code(capsys):
     assert cli.main(["check", "t1_spectrum", "--truncation", "4"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [(["theo2_zero_interior", "--truncation", "64"], "N"), (["mobius_mean_value", "--alpha", "0.5"], "alpha")],
+)
+def test_check_rejects_an_override_the_check_does_not_take(capsys, argv, field):
+    # a single check reads its overrides as its own fields; "all" filters them per check
+    assert cli.main(["check", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown field {field!r} in {argv[0]}" in captured.err
 
 
 def test_check_unknown_id(capsys):

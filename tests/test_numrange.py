@@ -8,6 +8,7 @@ structural facts: truncation monotonicity, unitary invariance, affine
 equivariance.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,8 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergrange import numrange
 from bergrange.checks import _compare
@@ -413,13 +416,13 @@ class TestSweepKernel:
     def test_point_cloud_support_matches_its_hull(self):
         rng = np.random.default_rng(13)
         cloud = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
-        want = HullPolygon.from_points(cloud).support(GRID)
+        want = support_of(HullPolygon(convex_hull(cloud)).vertices, GRID)
         assert np.max(np.abs(support_of(cloud, GRID) - want)) <= 1e-12
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_angles_raise(self):
         A = dict(_structured_matrices())["dense5"]
-        shapes = (A, np.array([1j, 2.0]), HullPolygon.from_points([0j, 1.0, 1j]), DiscSpec(0j, 1.0), EllipseSpec(0j, 1.0, 0.5))
+        shapes = (np.array([1j, 2.0]), HullPolygon(convex_hull([0j, 1.0, 1j])).vertices, DiscSpec(0j, 1.0), EllipseSpec(0j, 1.0, 0.5))
         for bad in ([np.inf], [0.0, np.nan], -np.inf):
             with pytest.raises(UsageError):
                 support_function(A, bad)
@@ -612,9 +615,9 @@ class TestSmallMatrices:
         # 1 - 1/sqrt(2) from the square; for convex sets the Hausdorff distance
         # is the sup-norm of the support difference
         square = numerical_range_hull(np.diag([1.0, 1j, -1.0, -1j]), 360)
-        gon = HullPolygon.from_points(np.exp(1j * _angle_grid(360)))
+        gon = HullPolygon(convex_hull(np.exp(1j * _angle_grid(360))))
         g = _angle_grid(3600)
-        d = np.max(np.abs(support_of(square, g) - support_of(gon, g)))
+        d = np.max(np.abs(support_of(square.vertices, g) - support_of(gon.vertices, g)))
         assert d == pytest.approx(1.0 - 1.0 / np.sqrt(2.0), abs=2e-3)
 
     def test_2x2_oracle_support_match(self):
@@ -640,7 +643,7 @@ class TestHullGeometry:
     def test_hull_of_random_cloud(self):
         rng = np.random.default_rng(11)
         pts = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
-        hull = HullPolygon.from_points(pts)
+        hull = HullPolygon(convex_hull(pts))
         # every input point is inside the hull
         for p in pts[::37]:
             assert hull.signed_distance(complex(p)) >= -1e-9
@@ -672,7 +675,7 @@ class TestHullGeometry:
         assert not wrong
 
     def test_signed_distance(self):
-        square = HullPolygon.from_points([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
+        square = HullPolygon(convex_hull([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]))
         assert square.signed_distance(0j) == pytest.approx(1.0, abs=1e-12)
         assert square.signed_distance(2 + 0j) == pytest.approx(-1.0, abs=1e-12)
         assert square.signed_distance(0.999 + 0.999j) > 0.0
@@ -709,19 +712,61 @@ class TestHullGeometry:
         square = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
         five = np.array([0j, 1, 1j, 1 + 1j, (1 + 1j) / 2])
         for s in (1e-9, 1e-13):
-            hull = HullPolygon.from_points(s * square)
+            hull = HullPolygon(convex_hull(s * square))
             assert hull.vertices.size == 4 and hull.signed_distance(0.0) == s, s
         for s in (1e-10, 1e-13):
             hull = convex_hull(s * five)
             assert sorted(hull.tolist(), key=lambda z: (z.real, z.imag)) == [0j, s * 1j, s + 0j, s * (1 + 1j)], s
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_clouds_near_the_float_limit_keep_their_hulls(self):
+        # every coordinate is finite, but the corners' moduli are not: the
+        # frame comes from the largest |Re| or |Im|, never from a modulus
+        s = 1.5e308
+        cloud = np.array([complex(s, s), complex(s, -s), complex(-s, s), complex(-s, -s), complex(0.0, 0.1 * s)])
+        hull = HullPolygon(convex_hull(cloud))
+        assert hull.vertices.size == 4
+        d = hull.signed_distance(0.0)
+        assert 0.0 < d < np.inf and d == s
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_power_of_two_scaling_is_exact_over_the_float_range(self, data):
+        # coordinates sign * m * 2^k with 1 <= m < 2 and k anywhere from -1022,
+        # the smallest normal exponent, to 1000, and 2^p keeping each nonzero
+        # coordinate normal and below 2^1001, so that 2^p P is exact and no
+        # distance overflows
+        base = data.draw(st.integers(-1022, 1000))
+        exponents = st.integers(base, data.draw(st.integers(base, 1000)))
+        coordinate = st.one_of(
+            st.just(0.0),
+            st.builds(lambda sign, m, k: sign * math.ldexp(m, k), st.sampled_from([-1.0, 1.0]), st.floats(1.0, 2.0, exclude_max=True), exponents),
+        )
+        P = np.array(data.draw(st.lists(st.builds(complex, coordinate, coordinate), min_size=1, max_size=24)))
+        k = [math.frexp(x)[1] - 1 for x in np.concatenate([P.real, P.imag]).tolist() if x]
+        p = data.draw(st.integers(-1022 - min(k, default=0), 1000 - max(k, default=0)))
+        hull, scaled = convex_hull(P), convex_hull(np.ldexp(P.real, p) + 1j * np.ldexp(P.imag, p))
+        assert np.array_equal(scaled, np.ldexp(hull.real, p) + 1j * np.ldexp(hull.imag, p))
+        assert all(v in P for v in hull)
+        tiny = np.finfo(float).tiny
+        for q in (0j, *P):
+            d = HullPolygon(hull).signed_distance(q)
+            d_scaled = HullPolygon(scaled).signed_distance(complex(math.ldexp(q.real, p), math.ldexp(q.imag, p)))
+            # a distance below the normal range is rounded at that scale, not scaled
+            if all(x == 0.0 or abs(x) >= tiny for x in (d, d_scaled)):
+                assert d_scaled == math.ldexp(d, p), (q, p)
+
     def test_support_of_dispatch(self):
-        hull = HullPolygon.from_points([0j, 1 + 0j, 1j])
+        hull = HullPolygon(convex_hull([0j, 1 + 0j, 1j]))
         disc = DiscSpec(0.5, 0.5)
         th = np.array([0.0, np.pi / 2.0])
-        assert np.allclose(support_of(hull, th), [1.0, 1.0])
+        assert np.allclose(support_of(hull.vertices, th), [1.0, 1.0])
         assert np.allclose(support_of(disc, th), [1.0, 0.5])
         assert np.allclose(support_of(np.array([1j, 2j, -1j]), th), [0.0, 2.0])
+        # a matrix is swept by support_function, which the error names
+        with pytest.raises(UsageError, match="support_function"):
+            support_of(np.eye(2), th)
 
     def test_point_cloud_must_be_nonempty_and_finite(self):
         with pytest.raises(UsageError):
@@ -809,19 +854,19 @@ class TestStructuralInvariants:
         B = c * A + d * np.eye(8)
         hull_a = numerical_range_hull(A, 256)
         hull_b = numerical_range_hull(B, 256)
-        moved = HullPolygon.from_points(c * hull_a.vertices + d)
+        moved = HullPolygon(convex_hull(c * hull_a.vertices + d))
         # the sup-norm of the support difference is the Hausdorff distance of convex sets
         g = _angle_grid(4096)
-        assert np.max(np.abs(support_of(hull_b, g) - support_of(moved, g))) < 1e-9
+        assert np.max(np.abs(support_of(hull_b.vertices, g) - support_of(moved.vertices, g))) < 1e-9
 
 
 class TestImageHull:
     def test_polynomial_image_hull(self):
         f = partial(series_eval, [0.5, 0.5])  # 0.5 + 0.5 z: image of the disk is a disc
-        hull = HullPolygon.from_points(_image_samples(f, 720))
+        hull = HullPolygon(convex_hull(_image_samples(f, 720)))
         disc = DiscSpec(0.5, 0.5)
         th = 2.0 * np.pi * np.arange(720) / 720
-        assert np.max(np.abs(support_of(hull, th) - disc.support(th))) < 2e-3
+        assert np.max(np.abs(support_of(hull.vertices, th) - disc.support(th))) < 2e-3
 
     def test_unit_circle_samples_hold_every_support_of_the_disk_image(self):
         # Re(e^{-i theta} f) is harmonic for these symbols, so by the maximum
@@ -844,7 +889,7 @@ class TestImageHull:
 
     def test_boundary_only_sampling(self):
         f = partial(series_eval, [0.0, 1.0])
-        hull = HullPolygon.from_points(_image_samples(f, 1024))
+        hull = HullPolygon(convex_hull(_image_samples(f, 1024)))
         # hull of the unit circle samples: support 1 up to polygon sag
         th = np.array([0.0, 1.0, 2.0])
-        assert np.max(np.abs(support_of(hull, th) - 1.0)) < 1e-4
+        assert np.max(np.abs(support_of(hull.vertices, th) - 1.0)) < 1e-4
