@@ -25,6 +25,7 @@ the nodes are the eigenvalues of the Jacobi matrix, and the weights are the
 Christoffel numbers of the orthonormal recurrence, which sum to 1.  The rule
 is exact for z^p conj(z)^q whenever p + q < min(2*radial_nodes,
 angular_nodes).  The package needs numpy alone until a sweep loads
+scipy's LAPACK and BLAS extension modules, without the package
 scipy.linalg.
 """
 

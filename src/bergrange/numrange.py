@@ -17,7 +17,10 @@ Toeplitz truncation, a weighted composition over a rotation; kd = 0 for a
 diagonal or zero matrix) is reduced on its band by LAPACK zhbtrd, which
 scipy.linalg.lapack does not wrap: it is called through the pointer that
 scipy.linalg.cython_lapack exports, on a workspace each block keeps, and
-a kd = 0 band is its own tridiagonal form.  Where a banded block needs a
+a kd = 0 band is its own tridiagonal form.  Every LAPACK and BLAS routine
+comes from one of scipy's extension modules _flapack, _fblas and
+cython_lapack, which ``_linalg`` loads on the first sweep without
+importing the package scipy.linalg.  Where a banded block needs a
 boundary point, the eigenvector comes from inverse iteration on the
 band.  Any other block is dense, and
 one column-pivoted QR of [A, A*] gives its numerical rank k, the count of
@@ -96,11 +99,35 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _linalg(name: str):
+    """The extension module scipy.linalg.<name> (``_flapack``, ``_fblas`` or ``cython_lapack``), loaded on first use.
+
+    It is loaded from the directory of scipy.linalg, which ``find_spec``
+    finds by importing the small top-level scipy package alone.  The
+    package scipy.linalg is not imported: its ``__init__`` costs about
+    0.25 s and 22 MiB, through scipy's array API layer, which imports
+    numpy.testing, numpy.f2py and numpy.random, while these modules load in
+    about 0.02 s.  The interpreter keeps an extension module under its
+    name once it is loaded, so a later import of scipy.linalg.lapack or
+    scipy.linalg.blas exports these same routines.
+    """
+    import importlib.machinery
+    import importlib.util
+    directory = importlib.util.find_spec("scipy.linalg").submodule_search_locations[0]
+    extensions = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(directory, extensions).find_spec(f"scipy.linalg.{name}")
+    if spec is None:
+        raise ImportError(f"scipy.linalg.{name} is not in {directory}", name=f"scipy.linalg.{name}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @lru_cache(maxsize=64)
 def _zhetrd_lwork(n: int) -> int:
     """zhetrd's optimal workspace for an n x n matrix, queried once per size."""
-    from scipy.linalg.lapack import zhetrd_lwork  # here so `build` never pays for loading scipy.linalg
-    return int(zhetrd_lwork(n, lower=1)[0].real)
+    return int(_linalg("_flapack").zhetrd_lwork(n, lower=1)[0].real)
 
 
 def _unit(X: np.ndarray, Y: np.ndarray) -> float:
@@ -138,8 +165,7 @@ class _Tridiagonal:
         """T of a full Hermitian H, by zhetrd, with the reflectors that map its eigenvectors back."""
         if H.shape[0] == 1:
             return cls(H.real.ravel() * unit, np.zeros(0), unit)  # T = H * unit
-        from scipy.linalg.lapack import zhetrd
-        c, d, e, tau, info = zhetrd(H * unit, lower=1, lwork=_zhetrd_lwork(H.shape[0]), overwrite_a=1)
+        c, d, e, tau, info = _linalg("_flapack").zhetrd(H * unit, lower=1, lwork=_zhetrd_lwork(H.shape[0]), overwrite_a=1)
         if info != 0:
             raise NumericError(f"Hermitian tridiagonal reduction failed (LAPACK info {info})")
         return cls(d, e, unit, (c, tau))
@@ -149,9 +175,8 @@ class _Tridiagonal:
         if self.reflectors is None and not self.e.any():
             w = [np.min(self.d) if end else np.max(self.d)]  # T is diagonal, its own spectrum: the bits dstebz returns
         else:
-            from scipy.linalg.lapack import dstebz
             index = 1 if end else self.d.size
-            m, w, iblock, isplit, info = dstebz(self.d, self.e, 2, 0.0, 0.0, index, index, 0.0, b"B")
+            m, w, iblock, isplit, info = _linalg("_flapack").dstebz(self.d, self.e, 2, 0.0, 0.0, index, index, 0.0, b"B")
             if info != 0 or m != 1:
                 raise NumericError(f"Hermitian eigensolver failed (LAPACK info {info}, {m} eigenvalues)")
             self.found[end] = w[:1], iblock, isplit
@@ -162,13 +187,13 @@ class _Tridiagonal:
         """Unit eigenvector of the end that ``eigenvalue(end)`` solved: of H at lambda_max for end 0, at lambda_min for end 1."""
         if self.d.size == 1:
             return np.ones(1, dtype=complex)
-        from scipy.linalg.lapack import dstein, zunmqr
-        z, info = dstein(self.d, self.e, *self.found[end])
+        flapack = _linalg("_flapack")
+        z, info = flapack.dstein(self.d, self.e, *self.found[end])
         if info != 0:
             raise NumericError(f"tridiagonal eigenvector failed (LAPACK info {info})")
         v = z[:, 0].astype(complex)
         c, tau = self.reflectors
-        Qv, _, info = zunmqr(b"L", b"N", c[1:, :-1], tau, v[1:, None], 1, overwrite_c=1)
+        Qv, _, info = flapack.zunmqr(b"L", b"N", c[1:, :-1], tau, v[1:, None], 1, overwrite_c=1)
         if info != 0:
             raise NumericError(f"tridiagonal back transformation failed (LAPACK info {info})")
         v[1:] = Qv[:, 0]
@@ -189,13 +214,12 @@ def _zhbtrd():
     """LAPACK zhbtrd as a ctypes function, taken from the capsule that scipy.linalg.cython_lapack exports.
 
     scipy.linalg.lapack does not wrap zhbtrd.  It is loaded on first use,
-    so that `build` never loads scipy.linalg, and its capsule must carry
+    through ``_linalg``, and its capsule must carry
     ``_ZHBTRD_SIGNATURE``, so that another ABI fails here instead of in
     LAPACK.  Every argument is a pointer, and the call releases the GIL.
     """
     import ctypes
-    from scipy.linalg import cython_lapack
-    capsule = cython_lapack.__pyx_capi__["zhbtrd"]
+    capsule = _linalg("cython_lapack").__pyx_capi__["zhbtrd"]
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
     if name != _ZHBTRD_SIGNATURE:
         raise ImportError(f"scipy.linalg.cython_lapack.zhbtrd has the signature {name!r}, not {_ZHBTRD_SIGNATURE!r}")
@@ -276,7 +300,7 @@ def _band_vector(ab: np.ndarray, lam: float, start: np.ndarray) -> np.ndarray:
     two steps grow the vector by at most about 1 / eps^2, far from
     overflow, so it is normalized once.
     """
-    from scipy.linalg.lapack import zgbtrf, zgbtrs
+    flapack = _linalg("_flapack")
     kd, n = ab.shape[0] - 1, ab.shape[1]
     scale = float(np.max(np.abs(ab))) or 1.0
     # LAPACK general band storage with kd rows for the fill-in: lu[2 kd + i - j, j] = X[i, j]
@@ -285,12 +309,12 @@ def _band_vector(ab: np.ndarray, lam: float, start: np.ndarray) -> np.ndarray:
     for d in range(1, kd + 1):
         lu[2 * kd - d, d:] = lu[2 * kd + d, : n - d].conj()
     lu[2 * kd] -= lam / scale + n * np.finfo(float).eps
-    lu, piv, info = zgbtrf(lu, kd, kd)
+    lu, piv, info = flapack.zgbtrf(lu, kd, kd)
     if info != 0:
         raise NumericError(f"band inverse iteration failed (LAPACK info {info})")
     x = start
     for _ in range(2):
-        x, _ = zgbtrs(lu, kd, kd, x, piv)
+        x, _ = flapack.zgbtrs(lu, kd, kd, x, piv)
     return x / np.linalg.norm(x)
 
 
@@ -337,25 +361,28 @@ def _range_basis(M: np.ndarray):
     where H(theta) is small, as for a large M near a phase times a
     Hermitian matrix.
 
-    The QR is taken in raw form.  Q is formed from its reflectors only for
-    a block that is kept, by the same LAPACK call and workspace query as
-    scipy's full-mode ``qr``, so it has the same bits.
+    The QR is zgeqp3, called in place with the workspace query of scipy's
+    ``qr``, and R is read from its upper triangle.  Q is formed from its
+    reflectors only for a block that is kept, by the same LAPACK call and
+    workspace query as scipy's full-mode ``qr``, so it has the same bits.
     """
-    from scipy.linalg import qr  # here so `build` never pays for loading scipy.linalg
-    from scipy.linalg.lapack import zungqr
+    flapack = _linalg("_flapack")
     n = M.shape[0]
-    X = np.vstack([M.T, M.conj()]).T  # [M, M*] in Fortran order, which the QR overwrites without a copy
-    (reflectors, scalars), R, _ = qr(X, overwrite_a=True, mode="raw", pivoting=True)
-    d = np.abs(np.diag(R))
+    X = np.vstack([M.T, M.conj()]).T  # [M, M*] in Fortran order, which zgeqp3 overwrites without a copy
+    lwork = int(flapack.zgeqp3(X, lwork=-1, overwrite_a=1)[3][0].real)
+    qr, _, scalars, _, info = flapack.zgeqp3(X, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise NumericError(f"column-pivoted QR failed (LAPACK info {info})")
+    d = np.abs(np.diag(qr))
     k = int(np.count_nonzero(d > n * np.finfo(float).eps * d[0]))
     if k == 0 or k == n:
         return None
     # rows k.. of R are [0, R_22], scaled first so that a huge M cannot overflow the norm
-    tau = d[0] * float(np.linalg.norm(_divided(R[k:], d[0])))
+    tau = d[0] * float(np.linalg.norm(_divided(np.triu(qr[k:], k), d[0])))
     if tau > 0.5e-10 * np.sqrt(n):
         return None
-    lwork = int(zungqr(reflectors[:, :n], scalars, lwork=-1)[1][0].real)
-    Q = zungqr(reflectors[:, :n], scalars, lwork=lwork, overwrite_a=1)[0]
+    lwork = int(flapack.zungqr(qr[:, :n], scalars, lwork=-1)[1][0].real)
+    Q = flapack.zungqr(qr[:, :n], scalars, lwork=lwork, overwrite_a=1)[0]
     return Q[:, : k + 1]
 
 
@@ -443,7 +470,6 @@ class _Block:
         supports = tops if self.basis is None else [float(np.maximum(lam, 0.0)) for lam in tops]  # a NaN stays NaN and wins the sweep's argmax
 
         def point(end):
-            from scipy.linalg.blas import zhbmv  # A_re v and A_im v from band storage, at O(n kd)
             if self.band is not None:
                 x = _band_vector(-H if end else H, tops[end], self.start)  # this end's H in band storage
             elif self.basis is None:
@@ -454,7 +480,8 @@ class _Block:
                     x[:-1] = T.vector(end)
                 else:
                     x[-1] = 1.0  # where h_B < 0 the support is 0, attained at z, off the basis
-            P = [X @ x if self.band is None else zhbmv(X.shape[0] - 1, 1.0, X, x, lower=1) for X in self.G]
+            # A_re v and A_im v, from band storage with zhbmv at O(n kd)
+            P = [X @ x if self.band is None else _linalg("_fblas").zhbmv(X.shape[0] - 1, 1.0, X, x, lower=1) for X in self.G]
             v = x if self.basis is None else self.basis @ x
             Hv = (-1.0 if end else 1.0) * (c * P[0] + s * P[1])  # H(theta + pi) = -H(theta)
             a, b = self.scale_entries
@@ -660,9 +687,14 @@ class HullPolygon:
         ``_frame``, so no product can overflow and the distance scales
         exactly with the polygon.  Edge i runs from vertex i to vertex
         i + 1, cyclically; a one-vertex polygon is its own edge.  The
-        inside tolerance is relative to the largest vertex modulus.
+        inside tolerance is relative to the largest vertex modulus.  The
+        point is read as a point cloud of one, so a NaN or infinite point
+        raises ``NumericError``.
         """
-        e, (p, a) = _frame(np.complex128(point), self.vertices)
+        p = _point_cloud(point)
+        if p.size != 1:
+            raise UsageError(f"signed_distance takes one point, got {p.size}")
+        e, (p, a) = _frame(p, self.vertices)
         ab = np.roll(a, -1) - a
         ap = p - a
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -46,6 +46,11 @@ GRID = 2.0 * np.pi * np.arange(256) / 256
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def _src_env():
+    """The environment of a subprocess that imports bergrange from this checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def _structured_matrices():
     """(name, matrix) pairs covering each solver of the sweep kernel."""
     rng = np.random.default_rng(31)
@@ -250,27 +255,77 @@ class TestSweepKernel:
         with pytest.raises(ImportError, match="signature"):
             numrange._zhbtrd.__wrapped__()
 
+    def test_a_missing_extension_module_is_named(self):
+        with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module") as raised:
+            numrange._linalg.__wrapped__("_no_such_module")
+        assert raised.value.name == "scipy.linalg._no_such_module"
+
     def test_build_never_loads_scipy_linalg(self, tmp_path):
-        # zhbtrd, like every LAPACK routine here, is loaded on first use, and
-        # no command loads scipy.special: build needs numpy alone
+        # every LAPACK and BLAS routine here is loaded on first use, from the
+        # extension modules of numrange._linalg and never through the package
+        # scipy.linalg; no command loads scipy.special, and build needs numpy alone
         config = tmp_path / "job.json"
         config.write_text('{"alpha": 0.0, "truncation": 16, "operator": {"toeplitz": {"terms": [[1, 0, 0.5, 0.0]]}}}')
         out = str(tmp_path / "out.txt")
+        sweep = ["scipy.linalg", "scipy.special"]
         runs = [
-            (["build", "--config", str(config), "--out", out], "scipy"),
-            (["range", "--config", str(config), "--out", out], "scipy.special"),
-            (["check", "zsq_diagonal", "--out", out], "scipy.special"),
-            (["check", "mobius_mean_value", "--out", out], "scipy.special"),
+            (["build", "--config", str(config), "--out", out], ["scipy"]),
+            (["range", "--config", str(config), "--out", out], sweep),
+            (["check", "c2_polygon", "--out", out], sweep),
+            (["check", "zsq_diagonal", "--out", out], sweep),
+            (["check", "mobius_mean_value", "--out", out], sweep),
         ]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        extensions = [f"scipy.linalg.{name}" for name in ("_flapack", "_fblas", "cython_lapack")]
         for argv, banned in runs:
             script = (
                 "import sys; from bergrange import cli; "
                 f"assert cli.main({argv!r}) == 0; "
-                f"loaded = [m for m in sys.modules if (m + '.').startswith({banned + '.'!r})]; "
+                f"loaded = [m for m in sys.modules if m not in {extensions!r} and any((m + '.').startswith(b + '.') for b in {banned!r})]; "
                 "assert not loaded, loaded"
             )
-            subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=120)
+            subprocess.run([sys.executable, "-c", script], check=True, env=_src_env(), timeout=120)
+
+    def test_sweeps_share_their_routines_with_scipy_linalg(self):
+        # a sweep first, then the package's own import: every routine that the
+        # sweep took from numrange._linalg is the object that scipy.linalg.lapack,
+        # scipy.linalg.blas and scipy.linalg.cython_lapack export, and a second
+        # sweep gives the same bits.  The three matrices take the band, dense
+        # and reduced paths, each with boundary points
+        script = """
+import sys
+import numpy as np
+from bergrange import numrange
+
+rng = np.random.default_rng(5)
+band = np.triu(np.tril(rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80)), 2), -2)
+dense = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+low_rank = rng.standard_normal((60, 3)) @ (rng.standard_normal((3, 60)) + 1j * rng.standard_normal((3, 60)))
+def sweeps():
+    return repr([numrange.boundary_points(A, 64) + [numrange.support_function(A, [0.1, 2.0, -1.0]).tolist()] for A in (band, dense, low_rank)])
+
+used, real = set(), numrange._linalg
+class Recorder:
+    def __init__(self, name):
+        self.name = name
+    def __getattr__(self, attr):
+        used.add((self.name, attr))
+        return getattr(real(self.name), attr)
+numrange._linalg = Recorder
+first = sweeps()
+numrange._linalg = real
+assert "scipy.linalg" not in sys.modules
+flapack = "zhetrd_lwork zhetrd dstebz dstein zunmqr zgbtrf zgbtrs zgeqp3 zungqr".split()
+assert used == {("_flapack", r) for r in flapack} | {("_fblas", "zhbmv"), ("cython_lapack", "__pyx_capi__")}, sorted(used)
+import scipy.linalg.blas
+import scipy.linalg.lapack
+from scipy.linalg import cython_lapack
+exported = {"_flapack": scipy.linalg.lapack, "_fblas": scipy.linalg.blas, "cython_lapack": cython_lapack}
+for name, attr in used:
+    assert getattr(real(name), attr) is getattr(exported[name], attr), (name, attr)
+assert real("cython_lapack").__pyx_capi__["zhbtrd"] is cython_lapack.__pyx_capi__["zhbtrd"]
+assert sweeps() == first
+"""
+        subprocess.run([sys.executable, "-c", script], check=True, env=_src_env(), timeout=120)
 
     def test_block_checks_use_the_exact_scale_and_residual(self, monkeypatch):
         # every vector check a boundary sweep makes, at both ends of each pair
@@ -504,8 +559,9 @@ class TestAnglePairs:
         # off-diagonal entry: its ends are the largest and smallest of
         # c Re d_j + s Im d_j, read with no dstebz call, bit for bit
         calls = []
-        original = scipy.linalg.lapack.dstebz
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", lambda *args: calls.append(args) or original(*args))
+        flapack = numrange._linalg("_flapack")  # the module that the sweep calls
+        original = flapack.dstebz
+        monkeypatch.setattr(flapack, "dstebz", lambda *args: calls.append(args) or original(*args))
         rng = np.random.default_rng(43)
         d = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         thetas = _angle_grid(360)
@@ -680,6 +736,16 @@ class TestHullGeometry:
         assert square.signed_distance(2 + 0j) == pytest.approx(-1.0, abs=1e-12)
         assert square.signed_distance(0.999 + 0.999j) > 0.0
         assert square.signed_distance(1.001 + 0j) < 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_signed_distance_of_a_non_finite_point_raises(self):
+        # the point is read as a point cloud of one, like the vertices
+        square = HullPolygon(convex_hull([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]))
+        for q in (complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.0, -np.inf), complex(np.inf, np.nan)):
+            with pytest.raises(NumericError, match="non-finite"):
+                square.signed_distance(q)
+        with pytest.raises(UsageError, match="one point"):
+            square.signed_distance([0j, 2j])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_hulls_and_distances_scale_exactly_by_powers_of_two(self):
