@@ -669,7 +669,9 @@ def _run_th_disc_one(alpha, m, N, K, n_lambda):
     }
     notes = (
         "unit vectors proportional to (lambda + z^m) realize the boundary of "
-        "the predicted centred disc inside the range itself"
+        "the predicted centred disc inside the range itself; the truncation is "
+        "a weighted shift (entries n -> 2n + m, zero diagonal), so its range is "
+        "exactly a centred disc, whose radius one solve at theta = 0 gives"
     )
     return passed, metrics, tol, notes
 
@@ -703,7 +705,12 @@ def _run_th_disc_two(alpha, m, lam, N, K):
         "structure_dev": structure_dev,
         "containment_margin": containment,
     }
-    notes = "the two-index compression is nilpotent, so its range is the centred disc of half the entry modulus"
+    notes = (
+        "the two-index compression is nilpotent, so its range is exactly the "
+        "centred disc of half the entry modulus; the truncation is a weighted "
+        "shift, so its range is exactly a centred disc too, and each radius "
+        "comes from one solve at theta = 0"
+    )
     return passed, metrics, tol, notes
 
 
@@ -777,7 +784,10 @@ def _run_th_circle_3x3(alpha, n, m1, m2, N, K, psi):
         "swept radius matches the first-principles entry formula under that "
         "convention only (the n(m1-m2) reading misses by the reported gap), "
         "and the weighted template with coefficients (c, 1, 1/c) reproduces "
-        "the sweep under neither reading"
+        "the sweep under neither reading; where the coefficient at n m2 "
+        "vanishes, as for the default psi, the compression minus its centre "
+        "has entries at (2,1) and (3,2) alone, a weighted shift, so its range "
+        "is exactly a disc, whose radius one solve at theta = 0 gives"
     )
     return passed, metrics, tol, notes
 

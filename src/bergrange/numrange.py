@@ -22,7 +22,9 @@ comes from one of scipy's extension modules _flapack, _fblas and
 cython_lapack, which ``_linalg`` loads on the first sweep without
 importing the package scipy.linalg.  Where a banded block needs a
 boundary point, the eigenvector comes from inverse iteration on the
-band.  Any other block is dense, and
+band, and on a kd = 0 band it is the unit vector e_i at the first largest
+entry of the diagonal of H(theta) (of -H(theta) at theta + pi), whose
+point is the diagonal entry A_ii.  Any other block is dense, and
 one column-pivoted QR of [A, A*] gives its numerical rank k, the count of
 |R_ii| above n eps |R_00|.  If k < n, the block is solved on the k
 dimensional space Q of the leading columns: the support is max(h_B, 0)
@@ -39,10 +41,23 @@ by a power of two that takes its entries below 1, which is exact, so
 2^p A has exactly 2^p times the supports of A, and which keeps huge
 entries from overflowing.
 
+A block is graded when its diagonal is one constant c and its indices
+carry integer labels f with f(i) - f(j) = 1 at every nonzero off-diagonal
+entry A_ij (a weighted shift, as in Tsai and Wu, Numerical ranges of
+weighted shift matrices, Linear Algebra Appl. 435 (2011)).  Then D_t =
+diag(e^{i t f}) gives D_t (A - cI) D_t* = e^{i t} (A - cI), so the range of
+the block is exactly the disc about c of radius r = h(0) - Re c.  Both
+tests read the exact entries, as the residue classes do, and the labels
+are searched only on a block of at most 4 n nonzero off-diagonal
+entries.  A graded block is solved once, at theta = 0 on its own path,
+where its point p_0 passes the residual check below; at every other end
+its support is Re(e^{-i theta} c) + r and its point c + e^{i theta} (p_0 -
+c), the rotation negated at theta + pi.
+
 H(theta + pi) = -H(theta), so one reduction gives two supports: index n
 for theta and, as -lambda_min, index 1 for theta + pi.  On the uniform
 grid 2 pi j / K with K even the sweep solves angle j with angle j + K/2
-this way, on every kind of block.  For a
+this way, on every kind of block that is not graded.  For a
 real A, H(-theta) = conj H(theta), so the support at -theta is the one at
 theta and the point its conjugate: the sweep copies them, and solves only
 the angles in [0, pi/2], 91 reductions for K = 360.  Realness is the
@@ -54,7 +69,8 @@ supports agree bit for bit between the two sweeps.
 
 A boundary point is computed only for the block that wins its end:
 dstein gives the eigenvector of the tridiagonal matrix and zunmqr maps it
-back, or inverse iteration on the band gives it for a banded block.
+back, or inverse iteration on the band gives it for a banded block, or
+the diagonal for a kd = 0 band.
 Every such eigenvector v is checked against the full-size block of
 H(theta), or of -H(theta) at theta + pi, before it gives the point
 v* A v: ||(H v - lam v) / scale|| <= 1e-10 sqrt(n), with n the block
@@ -103,24 +119,35 @@ __all__ = [
 def _linalg(name: str):
     """The extension module scipy.linalg.<name> (``_flapack``, ``_fblas`` or ``cython_lapack``), loaded on first use.
 
-    It is loaded from the directory of scipy.linalg, which ``find_spec``
-    finds by importing the small top-level scipy package alone.  The
-    package scipy.linalg is not imported: its ``__init__`` costs about
-    0.25 s and 22 MiB, through scipy's array API layer, which imports
-    numpy.testing, numpy.f2py and numpy.random, while these modules load in
-    about 0.02 s.  The interpreter keeps an extension module under its
-    name once it is loaded, so a later import of scipy.linalg.lapack or
-    scipy.linalg.blas exports these same routines.
+    A module that is already in sys.modules, as after the caller's own
+    import of scipy.linalg, is used as it is.  Any other is loaded from the
+    directory of scipy.linalg, which ``find_spec`` finds by importing the
+    small top-level scipy package alone.  The package scipy.linalg is not
+    imported: its ``__init__`` costs about 0.25 s and 22 MiB, through
+    scipy's array API layer, which imports numpy.testing, numpy.f2py and
+    numpy.random, while these modules load in about 0.02 s.  The
+    sys.modules entries that the load adds are removed again, so a later
+    import of scipy.linalg.<name> by the caller loads the module through
+    the import system, which binds it on the package; the interpreter keeps
+    an extension module's first state, so that import exports these same
+    routines, as scipy.linalg.lapack and scipy.linalg.blas do.
     """
     import importlib.machinery
     import importlib.util
+    import sys
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
     directory = importlib.util.find_spec("scipy.linalg").submodule_search_locations[0]
     extensions = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
-    spec = importlib.machinery.FileFinder(directory, extensions).find_spec(f"scipy.linalg.{name}")
+    spec = importlib.machinery.FileFinder(directory, extensions).find_spec(full)
     if spec is None:
-        raise ImportError(f"scipy.linalg.{name} is not in {directory}", name=f"scipy.linalg.{name}")
+        raise ImportError(f"{full} is not in {directory}", name=full)
+    before = set(sys.modules)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    for added in set(sys.modules) - before:
+        del sys.modules[added]
     return module
 
 
@@ -413,6 +440,37 @@ def _scale_entries(A_re: np.ndarray, A_im: np.ndarray):
     return a[keep], b[keep]
 
 
+def _grading(M: np.ndarray):
+    """Integer labels f with f(i) - f(j) = 1 at every nonzero off-diagonal entry M_ij, or None.
+
+    A depth-first search over the entries labels each connected set of
+    indices from one root and checks every entry against the labels.  It
+    runs only where M has at most 4 n nonzero off-diagonal entries, so a
+    denser M pays one count.
+    """
+    n = M.shape[0]
+    entries = M != 0
+    np.fill_diagonal(entries, False)
+    if np.count_nonzero(entries) > 4 * n:
+        return None
+    links = [[] for _ in range(n)]
+    for i, j in zip(*(index.tolist() for index in np.nonzero(entries))):
+        links[j].append((i, 1))
+        links[i].append((j, -1))
+    labels = [None] * n
+    for root in (k for k in range(n) if labels[k] is None):
+        labels[root], stack = 0, [root]
+        while stack:
+            k = stack.pop()
+            for m, step in links[k]:
+                if labels[m] is None:
+                    labels[m] = labels[k] + step
+                    stack.append(m)
+                elif labels[m] != labels[k] + step:
+                    return None
+    return np.array(labels)
+
+
 class _Block:
     """One residue-class block of a sweep: what its solver and its boundary points read of A_re and A_im.
 
@@ -428,12 +486,22 @@ class _Block:
     ``scale_entries`` holds the entry pairs (a, b) over which the residual
     check takes its scale max(1, max |c a + s b|): the band storage, all of
     A_re and A_im, or on a reduced block those of ``_scale_entries``.
+
+    A block is graded when its diagonal is one constant ``center`` and
+    ``_grading`` finds ``labels`` f, with f(i) - f(j) = 1 at every nonzero
+    off-diagonal entry, both read exactly off its entries.  Then D_t =
+    diag(e^{i t f}) gives D_t (A - center I) D_t* = e^{i t} (A - center I)
+    for every t, so the range of the block is exactly the disc about the
+    center of radius h(0) - Re center.  A graded block is solved once, at
+    theta = 0 on its own path, and ``origin`` keeps that radius and the
+    checked point p_0 of theta = 0; a block that is not graded pays only
+    the diagonal test, or one count of its entries.
     """
 
     def __init__(self, M, A_re, A_im, idx, kd):
         whole = idx.size == M.shape[0]
         M, re, im = (X if whole else X[np.ix_(idx, idx)] for X in (M, A_re, A_im))
-        self.band = self.basis = None
+        self.band = self.basis = self.labels = self.origin = None
         self.parts = self.scale_entries = self.G = (re, im)
         self.reduce = _Tridiagonal.dense
         if _BAND_RATIO * kd <= idx.size:
@@ -450,19 +518,47 @@ class _Block:
             self.basis, self.G = basis, (re @ basis, im @ basis)
             self.scale_entries = _scale_entries(re, im)
         self.unit = _unit(*self.parts)
+        self.center = complex(M[0, 0])
+        if np.all(np.diagonal(M) == self.center):
+            self.labels = _grading(M)
 
     def ends(self, c, s, both: bool):
         """Supports of this block at theta and, with ``both``, at theta + pi, and a function that gives an end's boundary point.
+
+        A graded block answers from ``origin``, which its first call solves:
+        the support Re(e^{-i theta} center) + r, with r = h(0) - Re center,
+        and the point center + e^{i theta} (p_0 - center), with the rotation
+        negated at theta + pi.
+        Any other block solves theta itself, in ``_solve``.
+        """
+        if self.labels is None:
+            return self._solve(c, s, both)
+        if self.origin is None:
+            (h0,), point0 = self._solve(1.0, 0.0, False)
+            self.origin = h0 - self.center.real, lru_cache(maxsize=1)(point0)
+        radius, p0 = self.origin
+        t = c * self.center.real + s * self.center.imag  # Re(e^{-i theta} center)
+
+        def point(end):
+            w = complex(c, s) * (p0(0) - self.center)
+            return self.center - w if end else self.center + w
+
+        return [t + radius, radius - t][: 2 if both else 1], point
+
+    def _solve(self, c, s, both: bool):
+        """``ends`` solved at theta itself.
 
         H(theta + pi) = -H(theta), so end 1 is the top of -H(theta).  A
         block forms H(theta) from its parts and reduces it once for both
         ends, and bisects that one tridiagonal form for each; a reduced
         block's support is max(h_B, 0).  The function takes the end, 0 or
         1, and that end's eigenvector v, as its coordinates x in [Q, z] on
-        a reduced block.  It forms P = (A_re v, A_im v) once, as G x or
-        with zhbmv on a band, checks v against that end's H v = +-(c P[0] +
-        s P[1]), and returns the point v* A v = Re(v* P[0]) + i Re(v* P[1]).
-        A sweep calls it only for the block that wins an end.
+        a reduced block; on a band of kd = 0 that vector is e_i at the
+        first largest entry of that end's diagonal, so the point is that
+        diagonal entry.  It forms P = (A_re v, A_im v) once, as G x or with zhbmv
+        on a band, checks v against that end's H v = +-(c P[0] + s P[1]),
+        and returns the point v* A v = Re(v* P[0]) + i Re(v* P[1]).  A
+        sweep calls it only for the block that wins an end.
         """
         H = c * self.parts[0] + s * self.parts[1]
         T = self.reduce(H, self.unit)
@@ -470,7 +566,10 @@ class _Block:
         supports = tops if self.basis is None else [float(np.maximum(lam, 0.0)) for lam in tops]  # a NaN stays NaN and wins the sweep's argmax
 
         def point(end):
-            if self.band is not None:
+            if self.band is not None and H.shape[0] == 1:
+                x = np.zeros(H.shape[1], dtype=complex)
+                x[np.argmax(-H[0].real if end else H[0].real)] = 1.0  # a diagonal's top eigenvector
+            elif self.band is not None:
                 x = _band_vector(-H if end else H, tops[end], self.start)  # this end's H in band storage
             elif self.basis is None:
                 x = T.vector(end)
@@ -548,7 +647,7 @@ def _sweep(A, thetas: np.ndarray, vectors: bool):
         c, s = np.cos(thetas[first]), np.sin(thetas[first])
         solved = [block.ends(c, s, second is not None) for block in blocks]
         for end, k in enumerate((first,) if second is None else (first, second)):
-            j = int(np.argmax([supports[end] for supports, _ in solved]))  # a NaN wins and fails the check below
+            j = 0 if len(solved) == 1 else int(np.argmax([supports[end] for supports, _ in solved]))  # a NaN wins and fails the check below
             h[k] = solved[j][0][end]
             if vectors:
                 points[k] = solved[j][1](end)

@@ -82,6 +82,12 @@ def _structured_matrices():
     # Hermitian, full rank: the support is lambda_max at theta = 0 and -lambda_min at theta = pi
     X = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
     yield "hermitian50", (X + X.conj().T) / 2.0
+    # graded blocks, exact discs: the symbol 0.5 + 0.5 z on a band, the
+    # weight z over phi = z^2 (entries n -> 2n + 1, a forest) on its range,
+    # and a complex forest about a complex centre, dense
+    yield "disc_band", build_multiplication([0.5, 0.5], 0.0, 64).matrix
+    yield "disc_reduced", build_weighted_composition([0.0, 1.0], [0.0, 0.0, 1.0], 0.0, 64).matrix
+    yield "disc_dense", _forest(rng, 40, 0.3 - 0.2j)
 
 
 def _dense_composition(rng, n):
@@ -90,6 +96,14 @@ def _dense_composition(rng, n):
     mags = rng.uniform(0.5, 1.0, 3)
     mags *= rng.uniform(0.6, 0.9) / mags.sum()
     return build_weighted_composition(psi, mags * np.exp(2j * np.pi * rng.uniform(size=3)), 0.0, n).matrix
+
+
+def _forest(rng, n, center, real=False):
+    """center I plus random entries at (2k + 1, k), index links that form a forest, so that f(2k + 1) = f(k) + 1 labels them."""
+    k = np.arange(n // 2)
+    A = center * np.eye(n, dtype=complex)
+    A[2 * k + 1, k] = rng.standard_normal(k.size) + (0.0 if real else 1j * rng.standard_normal(k.size))
+    return A
 
 
 def _random_band(rng, n, kd):
@@ -128,6 +142,7 @@ class TestSweepKernel:
     def test_dispatch_reads_the_zero_pattern(self):
         # (number of residue classes, half-bandwidth inside them)
         want = {"t3": (1, 1), "th1": (3, 1), "th2_n2": (2, 3), "th2_n3": (3, 4), "diagonal": (1, 0), "zero": (1, 0), "e13": (2, 1)}
+        want.update(disc_band=(1, 1), disc_reduced=(1, 32), disc_dense=(1, 20))
         for name, A in _structured_matrices():
             classes, kd = _residue_classes(A)
             assert (len(classes), kd) == want.get(name, (1, A.shape[0] - 1)), name
@@ -262,8 +277,9 @@ class TestSweepKernel:
 
     def test_build_never_loads_scipy_linalg(self, tmp_path):
         # every LAPACK and BLAS routine here is loaded on first use, from the
-        # extension modules of numrange._linalg and never through the package
-        # scipy.linalg; no command loads scipy.special, and build needs numpy alone
+        # extension modules of numrange._linalg, which leaves none of them in
+        # sys.modules, and never through the package scipy.linalg; no command
+        # loads scipy.special, and build needs numpy alone
         config = tmp_path / "job.json"
         config.write_text('{"alpha": 0.0, "truncation": 16, "operator": {"toeplitz": {"terms": [[1, 0, 0.5, 0.0]]}}}')
         out = str(tmp_path / "out.txt")
@@ -275,12 +291,11 @@ class TestSweepKernel:
             (["check", "zsq_diagonal", "--out", out], sweep),
             (["check", "mobius_mean_value", "--out", out], sweep),
         ]
-        extensions = [f"scipy.linalg.{name}" for name in ("_flapack", "_fblas", "cython_lapack")]
         for argv, banned in runs:
             script = (
                 "import sys; from bergrange import cli; "
                 f"assert cli.main({argv!r}) == 0; "
-                f"loaded = [m for m in sys.modules if m not in {extensions!r} and any((m + '.').startswith(b + '.') for b in {banned!r})]; "
+                f"loaded = [m for m in sys.modules if any((m + '.').startswith(b + '.') for b in {banned!r})]; "
                 "assert not loaded, loaded"
             )
             subprocess.run([sys.executable, "-c", script], check=True, env=_src_env(), timeout=120)
@@ -327,56 +342,114 @@ assert sweeps() == first
 """
         subprocess.run([sys.executable, "-c", script], check=True, env=_src_env(), timeout=120)
 
+    def test_sweeps_leave_the_callers_scipy_linalg_imports_alone(self):
+        # a sweep leaves no scipy.linalg module in sys.modules, so the caller's
+        # plain import of an extension module binds it on the package and
+        # exports the sweep's routines; a module that the caller imported
+        # first is the one that the sweep takes
+        after = """
+import sys
+import numpy as np
+from bergrange import numrange
+band = np.diag(np.ones(39), 1) + 0.5j * np.diag(np.ones(39), -1)
+numrange.boundary_points(band, 64)
+numrange.boundary_points(np.arange(16.0).reshape(4, 4) + 1j, 64)
+assert not [m for m in sys.modules if (m + ".").startswith("scipy.linalg.")]
+import scipy.linalg.cython_lapack
+import scipy.linalg._flapack
+import scipy.linalg._fblas
+assert scipy.linalg.cython_lapack.__pyx_capi__["zhbtrd"] is numrange._linalg("cython_lapack").__pyx_capi__["zhbtrd"]
+assert scipy.linalg._flapack.dstebz is numrange._linalg("_flapack").dstebz
+assert scipy.linalg._fblas.zhbmv is numrange._linalg("_fblas").zhbmv
+"""
+        before = """
+import sys
+import numpy as np
+import scipy.linalg.lapack
+from scipy.linalg import cython_lapack
+from bergrange import numrange
+numrange.boundary_points(np.diag(np.ones(39), 1) + 0.5j * np.diag(np.ones(39), -1), 64)
+assert numrange._linalg("_flapack") is sys.modules["scipy.linalg._flapack"]
+assert numrange._linalg("cython_lapack") is cython_lapack
+"""
+        for script in (after, before):
+            subprocess.run([sys.executable, "-c", script], check=True, env=_src_env(), timeout=120)
+
     def test_block_checks_use_the_exact_scale_and_residual(self, monkeypatch):
         # every vector check a boundary sweep makes, at both ends of each pair
         # on the 90-angle grid: the banded and reduced blocks never form
         # H(theta), yet their scale must be max(1, max |H_ij|) bit for bit and
         # their H v that of the full block of H(theta) at end 0 and of
-        # -H(theta) at end 1, so the residual is the one a dense check would see
+        # -H(theta) at end 1, so the residual is the one a dense check would
+        # see; a graded block checks its p_0 alone, once, as the top end at
+        # theta = 0, on each of its paths
         checks = []
         original = numrange._checked_pair
         monkeypatch.setattr(numrange, "_checked_pair", lambda *args: checks.append(args) or original(*args))
-        paths = set()
+        paths, disc_paths = set(), set()
         cases = list(_structured_matrices()) + [("theo2", _theo2(128))]
         # at 1e3 times the size the scale is not hidden by its floor of 1
         for name, A in cases + [(f"{name} x 1e3", 1e3 * A) for name, A in cases]:
             A_re, A_im = (A + A.conj().T) / 2.0, (A - A.conj().T) / 2j
             for idx, block in zip(_residue_classes(A)[0], _blocks(A)):
                 paths.add(_path(block))
+
+                def assert_exact(check, c, s, sign):
+                    lam, v, Hv, scale = check
+                    H = sign * (c * A_re[np.ix_(idx, idx)] + s * A_im[np.ix_(idx, idx)])
+                    assert v.size == idx.size and scale == max(1.0, float(np.max(np.abs(H)))), name
+                    assert np.linalg.norm(Hv - H @ v) <= 1e-12 * scale, name
+                    full = np.linalg.norm(H @ v - lam * v)
+                    assert abs(np.linalg.norm(Hv - lam * v) - full) <= 1e-12 * scale, name
+
+                checks.clear()
                 for th in 2.0 * np.pi * np.arange(90) / 90:
                     c, s = np.cos(th), np.sin(th)
                     _, point = block.ends(c, s, both=True)
                     for end, sign in ((0, 1.0), (1, -1.0)):
-                        checks.clear()
-                        point(end)
-                        lam, v, Hv, scale = checks[-1]
-                        H = sign * (c * A_re[np.ix_(idx, idx)] + s * A_im[np.ix_(idx, idx)])
-                        assert v.size == idx.size and scale == max(1.0, float(np.max(np.abs(H)))), (name, end)
-                        assert np.linalg.norm(Hv - H @ v) <= 1e-12 * scale, (name, end)
-                        full = np.linalg.norm(H @ v - lam * v)
-                        assert abs(np.linalg.norm(Hv - lam * v) - full) <= 1e-12 * scale, (name, end)
-        assert paths == {"band", "reduced", "dense"}
+                        if block.labels is None:
+                            checks.clear()
+                            point(end)
+                            assert_exact(checks[-1], c, s, sign)
+                        else:
+                            point(end)
+                if block.labels is not None:
+                    disc_paths.add(_path(block))
+                    (check,) = checks
+                    assert_exact(check, 1.0, 0.0, 1.0)
+        assert paths == disc_paths == {"band", "reduced", "dense"}
 
     def test_each_point_is_the_form_of_its_checked_vector(self, monkeypatch):
         # the point an end returns is v* A v for the very vector v that its
         # residual check accepted (v = [Q, z] u on a reduced block), on every
-        # path and at both ends of each pair
+        # path and at both ends of each pair; a graded block's point at t,
+        # theta or theta + pi, is the form of D_t* v_0 for the one vector v_0
+        # it checked, with D_t = diag(e^{i t f}) on its labels f
         checks = []
         original = numrange._checked_pair
         monkeypatch.setattr(numrange, "_checked_pair", lambda *args: checks.append(args) or original(*args))
-        paths = set()
+        paths, disc_paths = set(), set()
         for name, A in list(_structured_matrices()) + [("theo2", _theo2(128))]:
             tol = 1e-12 * max(1.0, float(np.max(np.abs(A))))
             for idx, block in zip(_residue_classes(A)[0], _blocks(A)):
                 paths.add(_path(block))
+                A_block = A[np.ix_(idx, idx)]
+                checks.clear()
                 for th in 2.0 * np.pi * np.arange(30) / 30:
                     _, point = block.ends(np.cos(th), np.sin(th), both=True)
                     for end in (0, 1):
-                        checks.clear()
+                        if block.labels is None:
+                            checks.clear()
                         p = point(end)
-                        ((_, v, _, _),) = checks
-                        assert abs(p - np.vdot(v, A[np.ix_(idx, idx)] @ v)) <= tol, (name, th, end)
-        assert paths == {"band", "reduced", "dense"}
+                        if block.labels is None:
+                            ((_, v, _, _),) = checks
+                        else:
+                            ((_, v_0, _, _),) = checks
+                            v = np.exp(-1j * (th + np.pi * end) * block.labels) * v_0
+                        assert abs(p - np.vdot(v, A_block @ v)) <= tol, (name, th, end)
+                if block.labels is not None:
+                    disc_paths.add(_path(block))
+        assert paths == disc_paths == {"band", "reduced", "dense"}
 
     def test_scale_entries_hold_the_largest_entry_at_every_angle(self):
         # random parts of scale 1e-5 and 1e5 drop entries; where lo = 0
@@ -646,6 +719,95 @@ class TestAnglePairs:
                 rows = boundary_points(A, K)
                 thetas = np.array([th for th, _, _ in rows])
                 assert np.array_equal(np.array([s for _, _, s in rows]), support_function(A, thetas)), (name, K)
+
+
+def _offset(rng, n, d, center, real=False):
+    """center I plus random entries at (k + d, k), which the labels f(k) = k // d grade."""
+    w = rng.standard_normal(n - d) + (0.0 if real else 1j * rng.standard_normal(n - d))
+    return center * np.eye(n, dtype=complex) + np.diag(w, -d)
+
+
+class TestGradedBlocks:
+    """A graded block is an exact disc, solved once; a diagonal block reads its points off the diagonal."""
+
+    @staticmethod
+    def _graded():
+        # (name, matrix, path of its blocks): one offset, on a band or, in
+        # blocks of 3, dense; a forest n -> 2n + 1, on its range about 0 and
+        # dense about a centre c != 0; real and complex entries
+        rng = np.random.default_rng(47)
+        yield "offset1", _offset(rng, 80, 1, 0.7 - 0.4j), "band"
+        yield "offset3_real", _offset(rng, 96, 3, 1.5, real=True), "band"
+        yield "offset2_above", _offset(rng, 6, 2, -0.25 + 1j).T, "dense"
+        yield "forest", _forest(rng, 64, 0.0), "reduced"
+        yield "forest_real", _forest(rng, 40, 0.0, real=True), "reduced"
+        yield "forest_centred", _forest(rng, 41, 2.0 + 0.5j), "dense"
+        yield "forest_centred_real", _forest(rng, 30, -1.0, real=True), "dense"
+
+    @staticmethod
+    def _angle_sets():
+        return [_angle_grid(360), _angle_grid(359), np.random.default_rng(53).uniform(-10.0, 10.0, 40)]
+
+    def test_discs_match_eigvalsh_from_one_reduction_per_block(self, reductions):
+        # every support against a dense eigvalsh of its own angle, and every
+        # point against the disc c + R e^{i theta}, R = lambda_max(Re(A - cI)):
+        # one reduction per block and sweep, on every path and angle array
+        for name, A, path in self._graded():
+            blocks = _blocks(A)
+            assert {_path(block) for block in blocks} == {path} and all(block.labels is not None for block in blocks), name
+            n, center = A.shape[0], A[0, 0]
+            tol = 8.0 * n * np.finfo(float).eps * np.max(np.abs(A))
+            B = A - center * np.eye(n)
+            R = np.linalg.eigvalsh((B + B.conj().T) / 2.0)[-1]
+            for thetas in self._angle_sets():
+                reductions.clear()
+                h = support_function(A, thetas)
+                assert len(reductions) == len(blocks), name
+                assert np.max(np.abs(h - _top_eigvals(A, thetas))) <= tol, name
+            for K in (360, 359):
+                reductions.clear()
+                rows = boundary_points(A, K)
+                assert len(reductions) == len(blocks), (name, K)
+                assert np.array_equal(np.array([s for _, _, s in rows]), support_function(A, _angle_grid(K))), (name, K)
+                assert max(abs(p - (center + R * np.exp(1j * th))) for th, p, _ in rows) <= tol, (name, K)
+
+    def test_one_entry_away_from_graded_takes_the_full_count(self, reductions):
+        # the mirror of an entry, A_0d next to A_d0, contradicts any labels,
+        # and so does one diagonal entry off the centre: the block of index 0
+        # is solved at every pair or angle, any other block still once
+        for name, A, _ in self._graded():
+            off = A - np.diag(np.diagonal(A))
+            d = int(np.flatnonzero(off[:, 0] + off[0])[0])  # the entry (d, 0), or (0, d) above the diagonal
+            mirrored, moved = A.copy(), A.copy()
+            mirrored[0, d] = mirrored[d, 0] = off[d, 0] + off[0, d]
+            moved[0, 0] += 0.125
+            for near in (mirrored, moved):
+                blocks = _blocks(near)
+                assert [block.labels is None for block in blocks] == [True] + [False] * (len(blocks) - 1), name
+                for thetas in self._angle_sets():
+                    pairs = len(numrange._angle_pairs(thetas, not near.imag.any())[0])
+                    reductions.clear()
+                    h = support_function(near, thetas)
+                    assert len(reductions) == pairs + len(blocks) - 1, name
+                    assert np.max(np.abs(h - _top_eigvals(near, thetas))) <= 1e-13 * np.max(np.abs(h)), name
+
+    def test_diagonal_points_are_winning_diagonal_entries(self, monkeypatch):
+        # a kd = 0 block takes e_i at the first largest entry of this end's
+        # diagonal, never inverse iteration: each point is a diagonal entry
+        # whose support wins its angle, where repeated entries and the pair
+        # 1 +- i tie; only a constant diagonal, graded, is a disc
+        monkeypatch.setattr(numrange, "_band_vector", lambda *args: pytest.fail("a diagonal block called _band_vector"))
+        rng = np.random.default_rng(59)
+        d = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        ties = np.concatenate([d, d[:4], [1 + 1j, 1 - 1j, 1 + 1j]])
+        for diagonal in (ties, ties.real, rng.permutation(ties)):
+            A = np.diag(diagonal)
+            assert [(_path(block), block.labels) for block in _blocks(A)] == [("band", None)]
+            for K in (360, 359):
+                for th, p, _ in boundary_points(A, K):
+                    # theta + pi is solved as -H(theta), so a winner may lose at theta + pi by rounding
+                    H = np.cos(th) * diagonal.real + np.sin(th) * diagonal.imag
+                    assert p in diagonal[H >= np.max(H) - 8.0 * np.finfo(float).eps * np.max(np.abs(diagonal))], (K, th)
 
 
 class TestSmallMatrices:
