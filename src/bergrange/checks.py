@@ -604,6 +604,33 @@ def _run_theo3_zero_interior(alpha, N, K, margin):
     )
 
 
+def _scaled_hermitian(A: np.ndarray) -> np.ndarray:
+    """S = D H D for H = Re A, the Hermitian part, and D = diag(2^(k/2)), the float powers of sqrt 2.
+
+    Any positive diagonal D keeps the inertia of H, so these float powers
+    serve as they are.
+    """
+    H = (A + A.conj().T) / 2.0
+    scale = np.sqrt(2.0) ** np.arange(A.shape[0])
+    return (scale[:, None] * H) * scale[None, :]
+
+
+def _gershgorin_lower(S: np.ndarray) -> float:
+    """A proven lower bound on the least eigenvalue of the Hermitian matrix that S holds up to its rounding: min_i (S_ii - sum_{j != i} |S_ij|), less a rounding bound.
+
+    The slack, (n + 8) eps times each row's sum of moduli, is twice what
+    rounding can take: three units in the last place on each entry of S,
+    from forming the Hermitian part and scaling it, one on each modulus,
+    and gamma_n on each row sum (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 3.1).
+    """
+    moduli = np.abs(S)
+    diagonal = np.diagonal(S).real
+    off = moduli.sum(axis=1) - np.diagonal(moduli)
+    slack = (S.shape[0] + 8) * np.finfo(float).eps * (np.abs(diagonal) + off)
+    return float(np.min(diagonal - off - slack))
+
+
 @_check(
     "remark_counterexample",
     "for the weight 1+z/4 over the half dilation the origin stays outside every truncation range, certified by scaled positive definiteness",
@@ -616,22 +643,29 @@ def _run_remark_counterexample(alpha, schedule, K):
     passed = True
     for N in schedule:
         A = build_weighted_composition(psi, phi, alpha, N)
-        H = (A.matrix + A.matrix.conj().T) / 2.0
-        scale = np.sqrt(2.0) ** np.arange(N)
-        S = (scale[:, None] * H) * scale[None, :]
+        S = _scaled_hermitian(A.matrix)
         lam_s = float(np.linalg.eigvalsh(S)[0])
+        lower = _gershgorin_lower(S)
         metrics[f"scaled_min_eig_N{N}"] = lam_s
         metrics[f"distance_lower_bound_N{N}"] = lam_s * 2.0 ** (-(N - 1))
-        passed = passed and lam_s > tol
+        metrics[f"gershgorin_lower_N{N}"] = lower
+        passed = passed and lam_s > tol and lower > tol
         if N <= 32:
             hull = numerical_range_hull(A, K)
             metrics[f"polygon_distance_N{N}"] = max(0.0, -hull.signed_distance(0j))
+    metrics["gershgorin_limit"] = 1.0 - np.sqrt(2.0) / 4.0
     notes = (
-        "the raw Hermitian part has eigenvalues decaying like 2^(-N), below "
-        "noise for large N; a diagonal congruence by diag(2^(k/2)) undoes the "
-        "decay and certifies positive definiteness, which puts the origin "
-        "outside every truncation range; the limiting range is not numerically "
-        "decidable and is not claimed"
+        "A e_n = 2^(-n) (e_n + (c_n/4) e_(n+1)) with c_n = ||z^(n+1)|| / ||z^n|| < 1, "
+        "so S = D H D, for H the Hermitian part and D = diag(2^(n/2)), has unit "
+        "diagonal and off-diagonal entries sqrt(2) c_n / 8 < sqrt(2)/8; by "
+        "Gershgorin S >= (1 - sqrt(2)/4) I, the gershgorin_limit, for every N and "
+        "every alpha > -1, and on the whole space, so Re<Tx, x> >= "
+        "(1 - sqrt(2)/4) ||D^(-1) x||^2 > 0 for x != 0: the origin lies outside "
+        "the range of every truncation and of the operator itself, and in the "
+        "closure, as <T e_n, e_n> = 2^(-n); each gershgorin_lower_N is that bound "
+        "from the computed entries of S less an outward rounding bound, a proof "
+        "at that N, while scaled_min_eig_N is an eigensolver's value, which is "
+        "not, and the raw Hermitian part has eigenvalues decaying like 2^(-N)"
     )
     return passed, metrics, tol, notes
 
@@ -760,12 +794,16 @@ def _run_th_circle_3x3(alpha, n, m1, m2, N, K, psi):
     radius_dev = float(np.max(np.abs(radial - radius_formula)))
     alt_gap = float(np.min(np.abs(radial - radius_alt)))
     center_dev = float(abs(np.mean(pts) - center))
+    # the mean of points on any circle about the centre is the centre; each
+    # point must lie on the circle itself
+    point_radius_dev = float(np.max(np.abs(np.abs(pts - center) - radius_formula)))
     containment = _compare(A, DiscSpec(center, radius_formula), K)[0]
     tol = 1e-10
     passed = (
         entry_dev <= 1e-12
         and radius_dev <= tol
         and center_dev <= 1e-8
+        and point_radius_dev <= tol
         and alt_gap > 1e-3
         and containment >= -1e-9
     )
@@ -776,6 +814,7 @@ def _run_th_circle_3x3(alpha, n, m1, m2, N, K, psi):
         "template_m1m2": float(template(i1 - i2)),
         "radius_dev": radius_dev,
         "center_dev": center_dev,
+        "point_radius_dev": point_radius_dev,
         "entry_dev": entry_dev,
         "containment_margin": containment,
     }

@@ -18,13 +18,13 @@ diagonal or zero matrix) is reduced on its band by LAPACK zhbtrd, which
 scipy.linalg.lapack does not wrap: it is called through the pointer that
 scipy.linalg.cython_lapack exports, on a workspace each block keeps, and
 a kd = 0 band is its own tridiagonal form.  Every LAPACK and BLAS routine
-comes from one of scipy's extension modules _flapack, _fblas and
-cython_lapack, which ``_linalg`` loads on the first sweep without
-importing the package scipy.linalg.  Where a banded block needs a
-boundary point, the eigenvector comes from inverse iteration on the
-band, and on a kd = 0 band it is the unit vector e_i at the first largest
-entry of the diagonal of H(theta) (of -H(theta) at theta + pi), whose
-point is the diagonal entry A_ii.  Any other block is dense, and
+comes from one of scipy's extension modules _flapack, cython_lapack and
+cython_blas, which ``_linalg`` loads on the first sweep without
+importing the package scipy.linalg.  A kd = 0 band needs no solver: it forms the diagonal of
+H(theta) at every angle in one array, by the elementwise ops of one
+angle, and its point is the diagonal entry A_ii at the first largest
+entry of the diagonal of H(theta) (of -H(theta) at theta + pi).  Any
+other block is dense, and
 one column-pivoted QR of [A, A*] gives its numerical rank k, the count of
 |R_ii| above n eps |R_00|.  If k < n, the block is solved on the k
 dimensional space Q of the leading columns: the support is max(h_B, 0)
@@ -50,14 +50,16 @@ the block is exactly the disc about c of radius r = h(0) - Re c.  Both
 tests read the exact entries, as the residue classes do, and the labels
 are searched only on a block of at most 4 n nonzero off-diagonal
 entries.  A graded block is solved once, at theta = 0 on its own path,
-where its point p_0 passes the residual check below; at every other end
-its support is Re(e^{-i theta} c) + r and its point c + e^{i theta} (p_0 -
-c), the rotation negated at theta + pi.
+where its point p_0 passes the residual check below; at every angle its
+support is Re(e^{-i theta} c) + r and its point c + e^{i theta} (p_0 -
+c), the rotation negated at theta + pi, in one array expression.  Graded
+and kd = 0 blocks are closed: they answer every angle at once, and a
+sweep of closed blocks alone runs no angle loop.
 
 H(theta + pi) = -H(theta), so one reduction gives two supports: index n
 for theta and, as -lambda_min, index 1 for theta + pi.  On the uniform
 grid 2 pi j / K with K even the sweep solves angle j with angle j + K/2
-this way, on every kind of block that is not graded.  For a
+this way, on every kind of block that is not closed.  For a
 real A, H(-theta) = conj H(theta), so the support at -theta is the one at
 theta and the point its conjugate: the sweep copies them, and solves only
 the angles in [0, pi/2], 91 reductions for K = 360.  Realness is the
@@ -67,10 +69,18 @@ arbitrary angles) takes the same reduction for the top end alone.  Each
 end gets the same eigenvalue with and without its eigenvector, so
 supports agree bit for bit between the two sweeps.
 
-A boundary point is computed only for the block that wins its end:
-dstein gives the eigenvector of the tridiagonal matrix and zunmqr maps it
-back, or inverse iteration on the band gives it for a banded block, or
-the diagonal for a kd = 0 band.
+Boundary points come in two phases.  The angle loop calls scipy's LAPACK
+and numpy's elementwise ops alone, and takes an eigenvector only for the
+block that wins an end: dstein and zunmqr on a dense or reduced block,
+inverse iteration on a band.  After the loop each block turns the
+eigenvectors it won into points in one batch, ``_Block.points``, in
+chunks of ``_POINT_CHUNK`` entries per temporary, with scipy's zgemm
+from cython_blas for its products.  numpy and scipy each load their own
+OpenBLAS, whose threads keep spinning for a while after each call.  At
+the default thread count a sweep that switched pools at every angle took
+up to 30 times its one-thread time, and at n = 64 one that switched
+twice per sweep still took 2 to 3 times.  Past the construction of its
+blocks, a sweep calls scipy's BLAS alone.
 Every such eigenvector v is checked against the full-size block of
 H(theta), or of -H(theta) at theta + pi, before it gives the point
 v* A v: ||(H v - lam v) / scale|| <= 1e-10 sqrt(n), with n the block
@@ -83,9 +93,10 @@ H(theta) at every angle, so the scale is max(1, max_ij |H_ij(theta)|)
 on every path.  Every path forms the product pair P = (A_re v, A_im v)
 once and takes the rest from it: H v = c P[0] + s P[1], negated at
 theta + pi, for the check, and the point Re(v* P[0]) + i Re(v* P[1]).
-A banded block forms P from band storage at O(n kd) per angle, a reduced
-block as G x with G = (A_re [Q, z], A_im [Q, z]), formed once, and x the
-coordinates of v in [Q, z], at O(n k), and a dense block at O(n^2).
+A banded block forms P from band storage, summed over its diagonals, at
+O(n kd) per point, a reduced block as G x with G = (A_re [Q, z], A_im
+[Q, z]), formed once, and x the coordinates of v in [Q, z], at O(n k),
+and a dense block at O(n^2).
 
 Reference shapes (discs, ellipses, and point clouds such as symbol
 images sampled on the unit circle) share one support-function interface,
@@ -117,7 +128,7 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _linalg(name: str):
-    """The extension module scipy.linalg.<name> (``_flapack``, ``_fblas`` or ``cython_lapack``), loaded on first use.
+    """The extension module scipy.linalg.<name> (``_flapack``, ``cython_lapack`` or ``cython_blas``), loaded on first use.
 
     A module that is already in sys.modules, as after the caller's own
     import of scipy.linalg, is used as it is.  Any other is loaded from the
@@ -130,7 +141,7 @@ def _linalg(name: str):
     import of scipy.linalg.<name> by the caller loads the module through
     the import system, which binds it on the package; the interpreter keeps
     an extension module's first state, so that import exports these same
-    routines, as scipy.linalg.lapack and scipy.linalg.blas do.
+    routines and capsules, as scipy.linalg.lapack does.
     """
     import importlib.machinery
     import importlib.util
@@ -227,31 +238,65 @@ class _Tridiagonal:
         return v
 
 
-# The C prototype of zhbtrd in scipy.linalg.cython_lapack, where the last
-# typedef is double; a capsule of any other signature is refused.
+# The C prototypes of zhbtrd in scipy.linalg.cython_lapack, where the
+# last typedef is double, and of zgemm in scipy.linalg.cython_blas; a
+# capsule of any other signature is refused.
 _ZHBTRD_SIGNATURE = (
     b"void (char *, char *, int *, int *, __pyx_t_double_complex *, int *, "
     b"__pyx_t_5scipy_6linalg_13cython_lapack_d *, __pyx_t_5scipy_6linalg_13cython_lapack_d *, "
     b"__pyx_t_double_complex *, int *, __pyx_t_double_complex *, int *)"
 )
+_ZGEMM_SIGNATURE = (
+    b"void (char *, char *, int *, int *, int *, __pyx_t_double_complex *, __pyx_t_double_complex *, int *, "
+    b"__pyx_t_double_complex *, int *, __pyx_t_double_complex *, __pyx_t_double_complex *, int *)"
+)
+
+
+def _capsule_function(module: str, name: str, signature: bytes):
+    """The routine ``name`` as a ctypes function, taken from the capsule that scipy.linalg.<module> exports.
+
+    The module is loaded through ``_linalg``, and the capsule must carry
+    ``signature``, so that another ABI fails here instead of in LAPACK or
+    BLAS.  Every argument is a pointer, and the call releases the GIL.
+    """
+    import ctypes
+    capsule = _linalg(module).__pyx_capi__[name]
+    found = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    if found != signature:
+        raise ImportError(f"scipy.linalg.{module}.{name} has the signature {found!r}, not {signature!r}")
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * signature.count(b"*"))(get_pointer(capsule, found))
 
 
 @lru_cache(maxsize=1)
 def _zhbtrd():
-    """LAPACK zhbtrd as a ctypes function, taken from the capsule that scipy.linalg.cython_lapack exports.
+    """LAPACK zhbtrd, which scipy.linalg.lapack does not wrap, loaded on first use."""
+    return _capsule_function("cython_lapack", "zhbtrd", _ZHBTRD_SIGNATURE)
 
-    scipy.linalg.lapack does not wrap zhbtrd.  It is loaded on first use,
-    through ``_linalg``, and its capsule must carry
-    ``_ZHBTRD_SIGNATURE``, so that another ABI fails here instead of in
-    LAPACK.  Every argument is a pointer, and the call releases the GIL.
+
+@lru_cache(maxsize=1)
+def _zgemm():
+    """BLAS zgemm from scipy.linalg.cython_blas, loaded on first use; that module adds about 30 KiB to a process, the f2py _fblas about 1 MiB."""
+    return _capsule_function("cython_blas", "zgemm", _ZGEMM_SIGNATURE)
+
+
+def _product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A X by scipy's zgemm, so that a sweep's BLAS calls run in scipy's OpenBLAS alone.
+
+    A C-ordered array is the Fortran transpose of itself, so zgemm forms
+    (A X)^T = X^T A^T with no copy.
     """
     import ctypes
-    capsule = _linalg("cython_lapack").__pyx_capi__["zhbtrd"]
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
-    if name != _ZHBTRD_SIGNATURE:
-        raise ImportError(f"scipy.linalg.cython_lapack.zhbtrd has the signature {name!r}, not {_ZHBTRD_SIGNATURE!r}")
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", ctypes.pythonapi))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 12)(get_pointer(capsule, name))
+    A, X = np.ascontiguousarray(A), np.ascontiguousarray(X)
+    (m, k), n = A.shape, X.shape[1]
+    P = np.empty((m, n), dtype=complex)
+    ints = np.array([n, m, k], dtype=np.intc)  # M, N and K of X^T A^T
+    scalars = np.array([1.0, 0.0], dtype=complex)  # alpha and beta
+    n_, m_, k_ = (ctypes.c_void_p(ints.ctypes.data + i * ints.itemsize) for i in range(3))
+    alpha, beta = (ctypes.c_void_p(scalars.ctypes.data + i * scalars.itemsize) for i in range(2))
+    x, a, p = (ctypes.c_void_p(Y.ctypes.data) for Y in (X, A, P))
+    _zgemm()(ctypes.c_char_p(b"N"), ctypes.c_char_p(b"N"), n_, m_, k_, alpha, x, n_, a, k_, beta, p, n_)
+    return P
 
 
 class _BandReduction:
@@ -298,18 +343,39 @@ def _divided(X: np.ndarray, largest: float) -> np.ndarray:
     return X / largest
 
 
-def _checked_pair(lam: float, v: np.ndarray, Hv: np.ndarray, scale: float) -> np.ndarray:
-    """v, once the residual of H v = lam v is small enough to trust.
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array re + i im, assembled from its parts with no arithmetic, so that no signed zero or rounding moves."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
 
-    ``Hv`` is H v and ``scale`` is max(1, max_ij |H_ij|).  The residual is
-    divided by the scale before its norm is taken, so entries near the
-    overflow threshold cannot overflow it, and must stay within
-    1e-10 sqrt(n) for H of size n.
+
+def _checked_columns(lam: np.ndarray, V: np.ndarray, HV: np.ndarray, scale: np.ndarray) -> None:
+    """Raise ``NumericError`` unless every column v of V, an eigenvector of H for lam, has a small enough residual.
+
+    Column k of ``HV`` is H v, and ``scale[k]`` is max(1, max_ij |H_ij|)
+    for that column's H.  Each residual is divided by its scale before its
+    norm is taken, so entries near the overflow threshold cannot overflow
+    it, and must stay within 1e-10 sqrt(n) for H of size n.
     """
-    residual = float(np.linalg.norm((Hv - lam * v) / scale))
-    if residual > 1e-10 * np.sqrt(v.size):
-        raise NumericError(f"eigenpair residual too large: {residual * scale:.3e}")
-    return v
+    residual = np.linalg.norm((HV - lam * V) / scale, axis=0)
+    failed = np.flatnonzero(residual > 1e-10 * np.sqrt(V.shape[0]))
+    if failed.size:
+        k = failed[0]
+        raise NumericError(f"eigenpair residual too large: {residual[k] * scale[k]:.3e}")
+
+
+def _band_product(ab: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """H X for the Hermitian band matrix H in lower band storage ``ab`` (ab[d, j] = H[j + d, j]), at O(n kd) per column.
+
+    The main diagonal counts by its real part alone, as in BLAS zhbmv.
+    """
+    n = X.shape[0]
+    P = ab[0].real[:, None] * X
+    for d in range(1, ab.shape[0]):
+        P[d:] += ab[d, : n - d, None] * X[: n - d]
+        P[: n - d] += ab[d, : n - d, None].conj() * X[d:]
+    return P
 
 
 def _band_vector(ab: np.ndarray, lam: float, start: np.ndarray) -> np.ndarray:
@@ -342,7 +408,7 @@ def _band_vector(ab: np.ndarray, lam: float, start: np.ndarray) -> np.ndarray:
     x = start
     for _ in range(2):
         x, _ = flapack.zgbtrs(lu, kd, kd, x, piv)
-    return x / np.linalg.norm(x)
+    return x / np.sqrt(np.sum(x.real**2 + x.imag**2))  # the norm in elementwise ops, which call no BLAS
 
 
 # Solver choice, timed per angle through _Block.ends on random complex
@@ -471,6 +537,18 @@ def _grading(M: np.ndarray):
     return np.array(labels)
 
 
+# The entries that each temporary of a block's point stage may hold (64
+# KiB); at 2^14 the stage raised the peak memory of a 192 x 192 reduced
+# sweep by 1 MiB.
+_POINT_CHUNK = 1 << 12
+
+
+def _chunks(columns: int, height: int):
+    """Slices over ``columns`` columns of ``height`` entries each, of at most ``_POINT_CHUNK`` entries, or one column."""
+    width = max(1, _POINT_CHUNK // max(height, 1))
+    return [slice(i, i + width) for i in range(0, columns, width)]
+
+
 class _Block:
     """One residue-class block of a sweep: what its solver and its boundary points read of A_re and A_im.
 
@@ -492,16 +570,17 @@ class _Block:
     off-diagonal entry, both read exactly off its entries.  Then D_t =
     diag(e^{i t f}) gives D_t (A - center I) D_t* = e^{i t} (A - center I)
     for every t, so the range of the block is exactly the disc about the
-    center of radius h(0) - Re center.  A graded block is solved once, at
-    theta = 0 on its own path, and ``origin`` keeps that radius and the
-    checked point p_0 of theta = 0; a block that is not graded pays only
-    the diagonal test, or one count of its entries.
+    center of radius h(0) - Re center; a block that is not graded pays only
+    the diagonal test, or one count of its entries.  A graded block and a
+    kd = 0 band are ``closed``: ``closed_ends`` answers every angle at once.
+    Any other block is solved angle by angle in ``ends``, and ``points``
+    turns the eigenvectors of the ends it won into boundary points.
     """
 
     def __init__(self, M, A_re, A_im, idx, kd):
         whole = idx.size == M.shape[0]
         M, re, im = (X if whole else X[np.ix_(idx, idx)] for X in (M, A_re, A_im))
-        self.band = self.basis = self.labels = self.origin = None
+        self.band = self.basis = self.labels = None
         self.parts = self.scale_entries = self.G = (re, im)
         self.reduce = _Tridiagonal.dense
         if _BAND_RATIO * kd <= idx.size:
@@ -515,57 +594,64 @@ class _Block:
             Q = basis[:, :-1]
             B = Q.conj().T @ M @ Q
             self.parts = ((B + B.conj().T) / 2.0, (B - B.conj().T) / 2j)
-            self.basis, self.G = basis, (re @ basis, im @ basis)
+            self.basis, self.G = np.ascontiguousarray(basis), (re @ basis, im @ basis)
             self.scale_entries = _scale_entries(re, im)
         self.unit = _unit(*self.parts)
-        self.center = complex(M[0, 0])
-        if np.all(np.diagonal(M) == self.center):
+        self.diagonal = np.diagonal(M)
+        self.center = complex(self.diagonal[0])
+        if np.all(self.diagonal == self.center):
             self.labels = _grading(M)
+        self.closed = self.labels is not None or (self.band is not None and kd == 0)
+
+    def closed_ends(self, c: np.ndarray, s: np.ndarray):
+        """Supports of a closed block at every pair (c, s), row 0 at theta and row 1 at theta + pi, and a function that gives the points of both rows.
+
+        A graded block solves theta = 0 once, in ``ends``.  Its support is
+        Re(e^{-i theta} center) + r, with r = h(0) - Re center, and its point
+        center + e^{i theta} (p_0 - center), negated at theta + pi, with the
+        rotation in the real ops of Python's complex product; ``points``
+        checks p_0 when the points are asked for.  A kd = 0 band forms the
+        diagonal of H(theta) at every pair by the ops of ``ends``, so its
+        supports max(d) and -min(d), d = unit H_ii, have the per-angle bits,
+        and its points are the diagonal entries at the first argmax and
+        argmin.
+        """
+        if self.labels is not None:
+            (h0,), vector = self.ends(1.0, 0.0, False)
+            radius, cr, ci = h0 - self.center.real, self.center.real, self.center.imag
+            t = c * cr + s * ci  # Re(e^{-i theta} center)
+
+            def points():
+                (p0,) = self.points([(0, 1.0, 0.0, h0, vector(0))])
+                dr, di = p0.real - cr, p0.imag - ci
+                wr, wi = c * dr - s * di, c * di + s * dr  # e^{i theta} (p_0 - center)
+                return np.array([_complex(cr + wr, ci + wi), _complex(cr - wr, ci - wi)])
+
+            return np.array([t + radius, radius - t]), points
+        H = (c[:, None] * self.band[0, 0] + s[:, None] * self.band[1, 0]).real  # row j: the diagonal of H(theta_j)
+        d = H * self.unit
+        supports = np.array([np.max(d, axis=1) / self.unit, -(np.min(d, axis=1) / self.unit)])
+        return supports, lambda: self.diagonal[np.array([np.argmax(H, axis=1), np.argmin(H, axis=1)])]
 
     def ends(self, c, s, both: bool):
-        """Supports of this block at theta and, with ``both``, at theta + pi, and a function that gives an end's boundary point.
-
-        A graded block answers from ``origin``, which its first call solves:
-        the support Re(e^{-i theta} center) + r, with r = h(0) - Re center,
-        and the point center + e^{i theta} (p_0 - center), with the rotation
-        negated at theta + pi.
-        Any other block solves theta itself, in ``_solve``.
-        """
-        if self.labels is None:
-            return self._solve(c, s, both)
-        if self.origin is None:
-            (h0,), point0 = self._solve(1.0, 0.0, False)
-            self.origin = h0 - self.center.real, lru_cache(maxsize=1)(point0)
-        radius, p0 = self.origin
-        t = c * self.center.real + s * self.center.imag  # Re(e^{-i theta} center)
-
-        def point(end):
-            w = complex(c, s) * (p0(0) - self.center)
-            return self.center - w if end else self.center + w
-
-        return [t + radius, radius - t][: 2 if both else 1], point
-
-    def _solve(self, c, s, both: bool):
-        """``ends`` solved at theta itself.
+        """Supports of this block at theta and, with ``both``, at theta + pi, solved at theta itself, and a function that gives an end's eigenvector.
 
         H(theta + pi) = -H(theta), so end 1 is the top of -H(theta).  A
         block forms H(theta) from its parts and reduces it once for both
         ends, and bisects that one tridiagonal form for each; a reduced
         block's support is max(h_B, 0).  The function takes the end, 0 or
-        1, and that end's eigenvector v, as its coordinates x in [Q, z] on
-        a reduced block; on a band of kd = 0 that vector is e_i at the
-        first largest entry of that end's diagonal, so the point is that
-        diagonal entry.  It forms P = (A_re v, A_im v) once, as G x or with zhbmv
-        on a band, checks v against that end's H v = +-(c P[0] + s P[1]),
-        and returns the point v* A v = Re(v* P[0]) + i Re(v* P[1]).  A
-        sweep calls it only for the block that wins an end.
+        1, and returns that end's eigenvector, as its coordinates x in
+        [Q, z] on a reduced block; on a kd = 0 band (graded, at theta = 0)
+        it is e_i at the first largest entry of that end's diagonal.  It
+        calls no BLAS, and a sweep calls it only for the block that wins an
+        end.
         """
         H = c * self.parts[0] + s * self.parts[1]
         T = self.reduce(H, self.unit)
         tops = [T.eigenvalue(end) for end in range(2 if both else 1)]
         supports = tops if self.basis is None else [float(np.maximum(lam, 0.0)) for lam in tops]  # a NaN stays NaN and wins the sweep's argmax
 
-        def point(end):
+        def vector(end):
             if self.band is not None and H.shape[0] == 1:
                 x = np.zeros(H.shape[1], dtype=complex)
                 x[np.argmax(-H[0].real if end else H[0].real)] = 1.0  # a diagonal's top eigenvector
@@ -579,15 +665,35 @@ class _Block:
                     x[:-1] = T.vector(end)
                 else:
                     x[-1] = 1.0  # where h_B < 0 the support is 0, attained at z, off the basis
-            # A_re v and A_im v, from band storage with zhbmv at O(n kd)
-            P = [X @ x if self.band is None else _linalg("_fblas").zhbmv(X.shape[0] - 1, 1.0, X, x, lower=1) for X in self.G]
-            v = x if self.basis is None else self.basis @ x
-            Hv = (-1.0 if end else 1.0) * (c * P[0] + s * P[1])  # H(theta + pi) = -H(theta)
-            a, b = self.scale_entries
-            _checked_pair(supports[end], v, Hv, max(1.0, float(np.max(np.abs(c * a + s * b)))))
-            return complex(np.vdot(v, P[0]).real, np.vdot(v, P[1]).real)
+            return x
 
-        return supports, point
+        return supports, vector
+
+    def points(self, taken) -> np.ndarray:
+        """The boundary points of the ends in ``taken``, a list of (end, c, s, lam, x) from ``ends``, each checked first.
+
+        Each column's scale is max(1, max |c a + s b|) over
+        ``scale_entries``, by the elementwise ops of one angle.  Each chunk
+        of columns forms P = (A_re V, A_im V) once, as G X or over the band's
+        diagonals, with V = X, or [Q, z] X on a reduced block, checks each v
+        against H v = +-(c P[0] + s P[1]), and returns the points v* A v =
+        Re(v* P[0]) + i Re(v* P[1]).
+        """
+        end, c, s, lam = (np.array(column) for column in list(zip(*taken))[:4])
+        sign = np.where(end == 1, -1.0, 1.0)  # H(theta + pi) = -H(theta)
+        a, b = (entries.ravel() for entries in self.scale_entries)
+        scale = np.empty(len(taken))
+        for k in _chunks(len(taken), a.size):
+            scale[k] = np.max(np.abs(c[k, None] * a + s[k, None] * b), axis=1)
+        scale = np.fmax(1.0, scale)
+        points = np.empty(len(taken), dtype=complex)
+        for k in _chunks(len(taken), self.diagonal.size):
+            X = np.column_stack([x for *_, x in taken[k]])
+            P = [_band_product(G, X) if self.band is not None else _product(G, X) for G in self.G]
+            V = X if self.basis is None else _product(self.basis, X)
+            _checked_columns(lam[k], V, sign[k] * (c[k] * P[0] + s[k] * P[1]), scale[k])
+            points[k] = _complex(*(np.sum(V.real * Pk.real + V.imag * Pk.imag, axis=0) for Pk in P))
+        return points
 
 
 def _angle_pairs(thetas: np.ndarray, real: bool):
@@ -632,6 +738,13 @@ def _sweep(A, thetas: np.ndarray, vectors: bool):
     realness test is exact (no imaginary part of A is nonzero), so it reads
     a matrix read back from CSV as the one built in process.  The support
     comes from the same call in both modes.
+
+    Closed blocks answer every pair at once; the angle loop, which runs
+    only if some block is not closed, solves the others pair by pair and
+    takes the eigenvector of each end such a block wins.  After the loop
+    each block that won an end gives its points in one ``points`` call.
+    Winners come from one argmax over the stacked supports, so a NaN wins
+    and fails later.
     """
     M = _as_matrix(A)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -640,18 +753,45 @@ def _sweep(A, thetas: np.ndarray, vectors: bool):
         raise NumericError("Hermitian parts of the matrix overflow")
     classes, kd = _residue_classes(M)
     blocks = [_Block(M, A_re, A_im, idx, kd) for idx in classes]
-    h = np.empty(thetas.size)
-    points = np.empty(thetas.size, dtype=complex) if vectors else None
     pairs, mirrors = _angle_pairs(thetas, real=not M.imag.any())
-    for first, second in pairs:
-        c, s = np.cos(thetas[first]), np.sin(thetas[first])
-        solved = [block.ends(c, s, second is not None) for block in blocks]
-        for end, k in enumerate((first,) if second is None else (first, second)):
-            j = 0 if len(solved) == 1 else int(np.argmax([supports[end] for supports, _ in solved]))  # a NaN wins and fails the check below
-            h[k] = solved[j][0][end]
-            if vectors:
-                points[k] = solved[j][1](end)
-    for i, j in mirrors:
+    first = np.array([j for j, _ in pairs], dtype=int)
+    second = np.array([-1 if k is None else k for _, k in pairs], dtype=int)
+    paired = second >= 0
+    c, s = np.cos(thetas[first]), np.sin(thetas[first])
+    supports = np.zeros((len(blocks), 2, first.size))  # [block, end, pair]; end 1 of an unpaired angle is never read
+    closed = {}
+    for b, block in enumerate(blocks):
+        if block.closed:
+            supports[b], closed[b] = block.closed_ends(c, s)
+    looped = [b for b in range(len(blocks)) if b not in closed]
+    taken = {b: [] for b in looped}  # (end, c, s, support, x) of each end a looped block won
+    for j in range(first.size if looped else 0):
+        count = 2 if paired[j] else 1
+        vector = {}
+        for b in looped:
+            supports[b, :count, j], vector[b] = blocks[b].ends(c[j], s[j], paired[j])
+        if vectors:
+            for end, b in enumerate(np.argmax(supports[:, :count, j], axis=0)):
+                if b in vector:
+                    taken[b].append((end, c[j], s[j], supports[b, end, j], vector[b](end)))
+    win = np.argmax(supports, axis=0)
+    win[1, ~paired] = -1
+    h = np.empty(thetas.size)
+    h[first] = supports[win[0], 0, np.arange(first.size)]
+    h[second[paired]] = supports[win[1, paired], 1, paired]
+    points = None
+    if vectors:
+        won_points = np.empty((2, first.size), dtype=complex)
+        for b, block in enumerate(blocks):
+            won = win == b
+            if b in closed and won.any():
+                won_points[won] = closed[b]()[won]
+            elif won.any():
+                won_points.T[won.T] = block.points(taken[b])  # taken pair by pair, end 0 before end 1
+        points = np.empty(thetas.size, dtype=complex)
+        points[first], points[second[paired]] = won_points[0], won_points[1, paired]
+    if mirrors:
+        i, j = np.array(mirrors).T
         h[i] = h[j]
         if vectors:
             points[i] = np.conj(points[j])

@@ -184,6 +184,58 @@ def test_remark_certificate_scales(all_reports):
         assert m[f"polygon_distance_N{N}"] >= m[f"distance_lower_bound_N{N}"] * (1 - 1e-6)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 5.0])
+def test_remark_gershgorin_bound_lies_below_the_least_eigenvalue(alpha):
+    # the proven bound never exceeds the eigensolver's least eigenvalue of S
+    # at any N the check runs, and never falls below the closed-form limit
+    # 1 - sqrt(2)/4, which holds for every N
+    report = run_check("remark_counterexample", {"alpha": alpha})
+    limit = 1.0 - math.sqrt(2.0) / 4.0
+    assert report.passed and report.metrics["gershgorin_limit"] == limit
+    for N in (16, 32, 64, 128):
+        S = checks._scaled_hermitian(checks.build_weighted_composition([1.0, 0.25], [0.0, 0.5], alpha, N).matrix)
+        lower = checks._gershgorin_lower(S)
+        assert report.metrics[f"gershgorin_lower_N{N}"] == lower
+        assert limit - 1e-12 <= lower <= np.linalg.eigvalsh(S)[0], (alpha, N)
+
+
+def test_remark_gershgorin_bound_fails_for_a_heavy_weight(monkeypatch):
+    # psi = 1 + 2z scales the off-diagonal of S to sqrt(2) c_n > 1/2, so the
+    # row sums pass the unit diagonal and the certificate must fail; a
+    # certificate that fails fails the check
+    failing = []
+    for N in (16, 32, 64, 128):
+        S = checks._scaled_hermitian(checks.build_weighted_composition([1.0, 2.0], [0.0, 0.5], 0.0, N).matrix)
+        failing.append(checks._gershgorin_lower(S))
+        assert failing[-1] < 0.0, N
+    monkeypatch.setattr(checks, "_gershgorin_lower", lambda S: failing[0])
+    assert not run_check("remark_counterexample").passed
+
+
+def test_circle_check_fails_when_graded_points_leave_the_circle(monkeypatch):
+    # every point of the graded compression moved radially outward by 0.01:
+    # the mean of the points stays at the centre, so center_dev cannot see
+    # it, but point_radius_dev must, and fail the check
+    closed_ends = numrange._Block.closed_ends
+
+    def pushed(block, c, s):
+        supports, points = closed_ends(block, c, s)
+        if block.labels is None:
+            return supports, points
+
+        def moved():
+            p = points()
+            return p + 0.01 * (p - block.center) / np.abs(p - block.center)
+
+        return supports, moved
+
+    monkeypatch.setattr(numrange._Block, "closed_ends", pushed)
+    report = run_check("th_circle_3x3")
+    assert not report.passed
+    assert report.metrics["center_dev"] <= 1e-8
+    assert report.metrics["point_radius_dev"] == pytest.approx(0.01, abs=1e-12)
+
+
 def test_run_all_applies_overrides_only_where_accepted():
     report = run_check("theo3_zero_interior", {"N": 24})
     assert report.params["N"] == 24

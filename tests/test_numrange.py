@@ -122,6 +122,23 @@ def _path(block):
     return "band" if block.band is not None else "reduced" if block.basis is not None else "dense"
 
 
+def _drive(block, thetas):
+    """The points that a sweep takes from ``block`` at both ends of every angle, shape (2, angles).
+
+    A closed block answers from ``closed_ends``; any other solves each angle
+    in ``ends``, takes the vector of both ends, and turns them all into
+    points in one ``points`` call.
+    """
+    c, s = np.cos(thetas), np.sin(thetas)
+    if block.closed:
+        return block.closed_ends(c, s)[1]()
+    taken = []
+    for cj, sj in zip(c, s):
+        supports, vector = block.ends(cj, sj, True)
+        taken += [(end, cj, sj, supports[end], vector(end)) for end in (0, 1)]
+    return block.points(taken).reshape(-1, 2).T
+
+
 def _assert_subnormal_sweeps(A):
     """2^-1030 A and 2^-1060 A, whose largest entries are subnormal, sweep to finite supports and points, the same supports in both sweeps."""
     for p in (-1030, -1060):
@@ -303,9 +320,9 @@ class TestSweepKernel:
     def test_sweeps_share_their_routines_with_scipy_linalg(self):
         # a sweep first, then the package's own import: every routine that the
         # sweep took from numrange._linalg is the object that scipy.linalg.lapack,
-        # scipy.linalg.blas and scipy.linalg.cython_lapack export, and a second
-        # sweep gives the same bits.  The three matrices take the band, dense
-        # and reduced paths, each with boundary points
+        # scipy.linalg.cython_lapack and scipy.linalg.cython_blas export, and a
+        # second sweep gives the same bits.  The three matrices take the band,
+        # dense and reduced paths, each with boundary points
         script = """
 import sys
 import numpy as np
@@ -330,14 +347,14 @@ first = sweeps()
 numrange._linalg = real
 assert "scipy.linalg" not in sys.modules
 flapack = "zhetrd_lwork zhetrd dstebz dstein zunmqr zgbtrf zgbtrs zgeqp3 zungqr".split()
-assert used == {("_flapack", r) for r in flapack} | {("_fblas", "zhbmv"), ("cython_lapack", "__pyx_capi__")}, sorted(used)
-import scipy.linalg.blas
+assert used == {("_flapack", r) for r in flapack} | {("cython_lapack", "__pyx_capi__"), ("cython_blas", "__pyx_capi__")}, sorted(used)
 import scipy.linalg.lapack
-from scipy.linalg import cython_lapack
-exported = {"_flapack": scipy.linalg.lapack, "_fblas": scipy.linalg.blas, "cython_lapack": cython_lapack}
+from scipy.linalg import cython_blas, cython_lapack
+exported = {"_flapack": scipy.linalg.lapack, "cython_lapack": cython_lapack, "cython_blas": cython_blas}
 for name, attr in used:
     assert getattr(real(name), attr) is getattr(exported[name], attr), (name, attr)
 assert real("cython_lapack").__pyx_capi__["zhbtrd"] is cython_lapack.__pyx_capi__["zhbtrd"]
+assert real("cython_blas").__pyx_capi__["zgemm"] is cython_blas.__pyx_capi__["zgemm"]
 assert sweeps() == first
 """
         subprocess.run([sys.executable, "-c", script], check=True, env=_src_env(), timeout=120)
@@ -356,11 +373,11 @@ numrange.boundary_points(band, 64)
 numrange.boundary_points(np.arange(16.0).reshape(4, 4) + 1j, 64)
 assert not [m for m in sys.modules if (m + ".").startswith("scipy.linalg.")]
 import scipy.linalg.cython_lapack
+import scipy.linalg.cython_blas
 import scipy.linalg._flapack
-import scipy.linalg._fblas
 assert scipy.linalg.cython_lapack.__pyx_capi__["zhbtrd"] is numrange._linalg("cython_lapack").__pyx_capi__["zhbtrd"]
+assert scipy.linalg.cython_blas.__pyx_capi__["zgemm"] is numrange._linalg("cython_blas").__pyx_capi__["zgemm"]
 assert scipy.linalg._flapack.dstebz is numrange._linalg("_flapack").dstebz
-assert scipy.linalg._fblas.zhbmv is numrange._linalg("_fblas").zhbmv
 """
         before = """
 import sys
@@ -377,79 +394,114 @@ assert numrange._linalg("cython_lapack") is cython_lapack
 
     def test_block_checks_use_the_exact_scale_and_residual(self, monkeypatch):
         # every vector check a boundary sweep makes, at both ends of each pair
-        # on the 90-angle grid: the banded and reduced blocks never form
-        # H(theta), yet their scale must be max(1, max |H_ij|) bit for bit and
-        # their H v that of the full block of H(theta) at end 0 and of
-        # -H(theta) at end 1, so the residual is the one a dense check would
-        # see; a graded block checks its p_0 alone, once, as the top end at
-        # theta = 0, on each of its paths
+        # on the 90-angle grid, read column by column from the batched check
+        # of the block's one point stage: the banded and reduced blocks never
+        # form H(theta), yet each column's scale must be max(1, max |H_ij|)
+        # bit for bit and its H v that of the full block of H(theta) at end 0
+        # and of -H(theta) at end 1, so the residual is the one a dense check
+        # would see; a graded block checks its p_0 alone, once, as the top end
+        # at theta = 0, on each of its paths, and a kd = 0 block checks none
         checks = []
-        original = numrange._checked_pair
-        monkeypatch.setattr(numrange, "_checked_pair", lambda *args: checks.append(args) or original(*args))
+        original = numrange._checked_columns
+        monkeypatch.setattr(numrange, "_checked_columns", lambda *args: checks.append(args) or original(*args))
         paths, disc_paths = set(), set()
+        thetas = 2.0 * np.pi * np.arange(90) / 90
         cases = list(_structured_matrices()) + [("theo2", _theo2(128))]
         # at 1e3 times the size the scale is not hidden by its floor of 1
         for name, A in cases + [(f"{name} x 1e3", 1e3 * A) for name, A in cases]:
             A_re, A_im = (A + A.conj().T) / 2.0, (A - A.conj().T) / 2j
             for idx, block in zip(_residue_classes(A)[0], _blocks(A)):
                 paths.add(_path(block))
-
-                def assert_exact(check, c, s, sign):
-                    lam, v, Hv, scale = check
-                    H = sign * (c * A_re[np.ix_(idx, idx)] + s * A_im[np.ix_(idx, idx)])
+                checks.clear()
+                _drive(block, thetas)
+                columns = [(lam[k], V[:, k], HV[:, k], scale[k]) for lam, V, HV, scale in checks for k in range(V.shape[1])]
+                if block.labels is not None:
+                    disc_paths.add(_path(block))
+                    want = [(1.0, 0.0, 0)]
+                else:
+                    want = [] if block.closed else [(np.cos(th), np.sin(th), end) for th in thetas for end in (0, 1)]
+                assert len(columns) == len(want), name
+                for (lam, v, Hv, scale), (c, s, end) in zip(columns, want):
+                    H = (-1.0 if end else 1.0) * (c * A_re[np.ix_(idx, idx)] + s * A_im[np.ix_(idx, idx)])
                     assert v.size == idx.size and scale == max(1.0, float(np.max(np.abs(H)))), name
                     assert np.linalg.norm(Hv - H @ v) <= 1e-12 * scale, name
                     full = np.linalg.norm(H @ v - lam * v)
                     assert abs(np.linalg.norm(Hv - lam * v) - full) <= 1e-12 * scale, name
-
-                checks.clear()
-                for th in 2.0 * np.pi * np.arange(90) / 90:
-                    c, s = np.cos(th), np.sin(th)
-                    _, point = block.ends(c, s, both=True)
-                    for end, sign in ((0, 1.0), (1, -1.0)):
-                        if block.labels is None:
-                            checks.clear()
-                            point(end)
-                            assert_exact(checks[-1], c, s, sign)
-                        else:
-                            point(end)
-                if block.labels is not None:
-                    disc_paths.add(_path(block))
-                    (check,) = checks
-                    assert_exact(check, 1.0, 0.0, 1.0)
         assert paths == disc_paths == {"band", "reduced", "dense"}
 
     def test_each_point_is_the_form_of_its_checked_vector(self, monkeypatch):
-        # the point an end returns is v* A v for the very vector v that its
-        # residual check accepted (v = [Q, z] u on a reduced block), on every
-        # path and at both ends of each pair; a graded block's point at t,
-        # theta or theta + pi, is the form of D_t* v_0 for the one vector v_0
-        # it checked, with D_t = diag(e^{i t f}) on its labels f
+        # the point an end returns is v* A v for the very vector v that the
+        # batched check accepted in its column (v = [Q, z] u on a reduced
+        # block), on every path and at both ends of each pair; a graded
+        # block's point at t, theta or theta + pi, is the form of D_t* v_0 for
+        # the one vector v_0 it checked, with D_t = diag(e^{i t f}) on its
+        # labels f; a kd = 0 block's point is the diagonal entry A_ii at the
+        # first largest entry of that end's diagonal, the form of e_i
         checks = []
-        original = numrange._checked_pair
-        monkeypatch.setattr(numrange, "_checked_pair", lambda *args: checks.append(args) or original(*args))
+        original = numrange._checked_columns
+        monkeypatch.setattr(numrange, "_checked_columns", lambda *args: checks.append(args) or original(*args))
         paths, disc_paths = set(), set()
+        thetas = 2.0 * np.pi * np.arange(30) / 30
         for name, A in list(_structured_matrices()) + [("theo2", _theo2(128))]:
             tol = 1e-12 * max(1.0, float(np.max(np.abs(A))))
             for idx, block in zip(_residue_classes(A)[0], _blocks(A)):
                 paths.add(_path(block))
                 A_block = A[np.ix_(idx, idx)]
                 checks.clear()
-                for th in 2.0 * np.pi * np.arange(30) / 30:
-                    _, point = block.ends(np.cos(th), np.sin(th), both=True)
-                    for end in (0, 1):
-                        if block.labels is None:
-                            checks.clear()
-                        p = point(end)
-                        if block.labels is None:
-                            ((_, v, _, _),) = checks
-                        else:
-                            ((_, v_0, _, _),) = checks
-                            v = np.exp(-1j * (th + np.pi * end) * block.labels) * v_0
-                        assert abs(p - np.vdot(v, A_block @ v)) <= tol, (name, th, end)
+                points = _drive(block, thetas)
+                vectors = [V[:, k] for _, V, _, _ in checks for k in range(V.shape[1])]
                 if block.labels is not None:
                     disc_paths.add(_path(block))
+                    (v_0,) = vectors
+                elif block.closed:
+                    assert not vectors, name
+                for j, th in enumerate(thetas):
+                    for end in (0, 1):
+                        if block.labels is not None:
+                            v = np.exp(-1j * (th + np.pi * end) * block.labels) * v_0
+                        elif block.closed:
+                            H = (-1.0 if end else 1.0) * (np.cos(th) * A_block.real.diagonal() + np.sin(th) * A_block.imag.diagonal())
+                            assert points[end, j] == A_block[np.argmax(H), np.argmax(H)], (name, th, end)
+                            continue
+                        else:
+                            v = vectors[2 * j + end]
+                        assert abs(points[end, j] - np.vdot(v, A_block @ v)) <= tol, (name, th, end)
         assert paths == disc_paths == {"band", "reduced", "dense"}
+
+    def test_each_winning_block_takes_its_points_in_one_batch(self, monkeypatch):
+        # a boundary sweep turns vectors into points once per block that won
+        # an end, after its angle loop, over every end that the block won:
+        # the winners are recomputed here from the supports that each block's
+        # ends returned, the first largest at each solved end
+        solved, batches = [], []
+        ends, points = numrange._Block.ends, numrange._Block.points
+
+        def spy_ends(block, c, s, both):
+            supports, vector = ends(block, c, s, both)
+            solved.append((block, list(supports)))
+            return supports, vector
+
+        monkeypatch.setattr(numrange._Block, "ends", spy_ends)
+        monkeypatch.setattr(numrange._Block, "points", lambda block, taken: batches.append((block, len(taken))) or points(block, taken))
+        cases = [(name, A) for name, A in _structured_matrices() if not any(block.closed for block in _blocks(A))]
+        assert {name for name, _ in cases} >= {"t3", "th1", "th2_n3", "dense24", "composition", "psd_rank_one"}
+        for name, A in cases + [("theo2", _theo2(64))]:
+            blocks = len(_residue_classes(A)[0])
+            for K in (90, 91):
+                solved.clear()
+                batches.clear()
+                boundary_points(A, K)
+                pairs = numrange._angle_pairs(_angle_grid(K), not A.imag.any())[0]
+                assert len(solved) == len(pairs) * blocks, (name, K)
+                won = {}
+                for i, (_, second) in enumerate(pairs):
+                    per_pair = solved[i * blocks : (i + 1) * blocks]
+                    for end in range(1 if second is None else 2):
+                        winner = per_pair[int(np.argmax([supports[end] for _, supports in per_pair]))][0]
+                        won[winner] = won.get(winner, 0) + 1
+                assert sum(won.values()) == sum(1 if second is None else 2 for _, second in pairs)
+                assert [block for block, _ in batches] == [block for block in dict.fromkeys(block for block, _ in solved) if block in won], (name, K)
+                assert {block: columns for block, columns in batches} == won, (name, K)
 
     def test_scale_entries_hold_the_largest_entry_at_every_angle(self):
         # random parts of scale 1e-5 and 1e5 drop entries; where lo = 0
@@ -720,6 +772,21 @@ class TestAnglePairs:
                 thetas = np.array([th for th, _, _ in rows])
                 assert np.array_equal(np.array([s for _, _, s in rows]), support_function(A, thetas)), (name, K)
 
+    def test_supports_agree_bit_for_bit_on_every_path(self):
+        # boundary_points and support_function take every support from the
+        # same call, so their bytes agree, signed zeros included, on every
+        # path: band, dense, reduced, kd = 0 and graded, paired, mirrored and
+        # unpaired
+        graded = [A for _, A, _ in TestGradedBlocks._graded()]
+        kinds = set()
+        for A in [A for _, A in _structured_matrices()] + graded + [_theo2(64), np.diag(np.arange(-3.0, 3.0)) + 0j]:
+            kinds |= {"graded" if block.labels is not None else "diagonal" if block.closed else _path(block) for block in _blocks(A)}
+            for K in (360, 359, 90):
+                rows = boundary_points(A, K)
+                h = np.array([s for _, _, s in rows])
+                assert h.tobytes() == support_function(A, _angle_grid(K)).tobytes(), K
+        assert kinds == {"band", "dense", "reduced", "diagonal", "graded"}
+
 
 def _offset(rng, n, d, center, real=False):
     """center I plus random entries at (k + d, k), which the labels f(k) = k // d grade."""
@@ -808,6 +875,53 @@ class TestGradedBlocks:
                     # theta + pi is solved as -H(theta), so a winner may lose at theta + pi by rounding
                     H = np.cos(th) * diagonal.real + np.sin(th) * diagonal.imag
                     assert p in diagonal[H >= np.max(H) - 8.0 * np.finfo(float).eps * np.max(np.abs(diagonal))], (K, th)
+
+
+    def test_closed_blocks_match_their_per_angle_formulas_bit_for_bit(self, monkeypatch):
+        # closed_ends answers every angle in one array pass; each support and
+        # point must have the bits of the per-angle formula: on a kd = 0 band
+        # max(d) / unit and -(min(d) / unit) for d = unit Re H_ii(theta), and
+        # the diagonal entry at the first largest entry of H_ii or -H_ii, with
+        # ties and a NaN entry, which wins wherever it stands; on a graded
+        # block Re(e^{-i theta} c) + r and r - Re(e^{-i theta} c), and
+        # c +- complex(cos, sin) (p_0 - c) in Python's complex arithmetic
+        rng = np.random.default_rng(61)
+        d = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        ties = np.concatenate([d, d[:3], [1 + 1j, 1 - 1j, 0.0, 1 + 1j]])
+        with_nan = ties.copy()
+        with_nan[5] = complex(np.nan, 1.0)
+        diagonals = [np.diag(x) for x in (ties, ties.real.astype(complex), with_nan, 2.0**-1060 * ties, 1e300 * ties)]
+        graded = [A for _, A, _ in self._graded()] + [np.zeros((5, 5), dtype=complex), 0.5j * np.eye(4, dtype=complex)]
+        for A in diagonals + graded:
+            for thetas in self._angle_sets():
+                c, s = np.cos(thetas), np.sin(thetas)
+                for block in _blocks(A):
+                    assert block.closed
+                    p0 = []
+                    if block.labels is not None:
+                        monkeypatch.setattr(block, "points", lambda taken, block=block: p0.append(numrange._Block.points(block, taken)[0]) or np.array(p0[-1:]))
+                    supports, points = block.closed_ends(c, s)
+                    points = points()
+                    want_h, want_p = [], []
+                    if block.labels is not None:
+                        (h0,), _ = numrange._Block.ends(block, 1.0, 0.0, False)
+                        center, r = block.center, h0 - block.center.real
+                    for cj, sj in zip(c, s):
+                        if block.labels is None:
+                            H = (cj * block.parts[0] + sj * block.parts[1])[0].real
+                            d = H * block.unit
+                            want_h.append([float(np.max(d)) / block.unit, -(float(np.min(d)) / block.unit)])
+                            want_p.append([block.diagonal[np.argmax(H)], block.diagonal[np.argmax(-H)]])
+                        else:
+                            t = cj * center.real + sj * center.imag
+                            w = complex(cj, sj) * (complex(p0[0]) - center)
+                            want_h.append([t + r, r - t])
+                            want_p.append([center + w, center - w])
+                    assert np.array(want_h).T.tobytes() == supports.tobytes()
+                    assert np.array(want_p, dtype=complex).T.tobytes() == points.tobytes()
+                    if block.labels is None and np.isnan(A).any():
+                        assert np.isnan(supports).all() and np.isnan(points).all()
+                    assert len(p0) == (block.labels is not None)
 
 
 class TestSmallMatrices:
