@@ -12,10 +12,11 @@ functions equals their Hausdorff distance, and support dominance along
 a grid is exact for nested compressions, so the tests avoid the sag of
 inscribed polygons entirely.  Every comparison of a range with a
 closed-form set (the origin, a disc, a circle, an ellipse, a segment or
-a sampled symbol image) goes through one helper, ``_compare``: it sweeps
-the range once on the check's K-angle grid and returns the smallest
-support margin, which decides containment, and the largest support gap.
-Both are grid values, not certified distances.  Symbol images are
+a sampled symbol image) goes through one of two helpers, each of which
+sweeps the range once on the check's K-angle grid: ``_margin`` returns
+the smallest support margin, which decides containment, from the angle
+pairs that can hold it, and ``_gap`` the largest support gap, from every
+pair.  Both are grid values, not certified distances.  Symbol images are
 sampled on the unit circle alone: Re(e^{-i theta} f) is harmonic for
 every symbol used here, so by the maximum principle the circle holds
 each support.
@@ -65,6 +66,7 @@ from bergrange.numrange import (
     DiscSpec,
     EllipseSpec,
     _angle_grid,
+    _grid_margin,
     _image_samples,
     boundary_points,
     ellipse_from_2x2,
@@ -153,18 +155,25 @@ def _padded_coeff(coeffs: np.ndarray, k: int) -> complex:
     return complex(coeffs[k])
 
 
-def _compare(A, shape, K: int) -> tuple:
-    """(margin, gap) of the range of A against ``shape`` on the K-angle grid.
+def _margin(A, shape, K: int) -> float:
+    """min over the K-angle grid of h_A - h_shape, nonnegative where the convex ``shape`` (a disc, an ellipse or a point cloud) fits inside the range.
 
-    With d = h_A - h_shape over the grid, the margin is min d, which is
-    nonnegative where the convex ``shape`` (a disc, an ellipse or a point
-    cloud) fits inside the range, and the gap is max |d|, their Hausdorff
-    distance for a convex shape.  Both are grid values, not certified
-    distances: the margin only bounds the true one from above.
+    A grid value, not a certified distance: it only bounds the true margin
+    from above.  ``numrange._grid_margin`` solves only the angle pairs that
+    can hold the minimum, and returns the full sweep's value bit for bit.
+    """
+    return _grid_margin(A, support_of(shape, _angle_grid(K)), K)
+
+
+def _gap(A, shape, K: int) -> float:
+    """max over the K-angle grid of |h_A - h_shape|, the Hausdorff distance of the range and a convex ``shape`` on that grid, from a full sweep.
+
+    A grid value, not a certified distance.  The gaps of these checks lie
+    near rounding level or nearly flat over the grid, where the bounds that
+    ``numrange._grid_margin`` prunes by rule out almost no angle.
     """
     theta = _angle_grid(K)
-    d = support_function(A, theta) - support_of(shape, theta)
-    return float(np.min(d)), float(np.max(np.abs(d)))
+    return float(np.max(np.abs(support_function(A, theta) - support_of(shape, theta))))
 
 
 def _root_of_unity(n: int) -> np.complex128:
@@ -257,7 +266,7 @@ def _run_t3_harmonic(alpha, N, K, a, delta):
 )
 def _run_c1_multiplication(alpha, N, K, psi):
     M = build_multiplication(psi, alpha, N)
-    hausdorff = _compare(M, _image_samples(partial(series_eval, psi), 512), K)[1]
+    hausdorff = _gap(M, _image_samples(partial(series_eval, psi), 512), K)
     tol = 0.05
     return (
         hausdorff <= tol,
@@ -390,7 +399,7 @@ def _run_th1_rotation(alpha, n, N, K, psi):
     lam = _root_of_unity(n)
     A = build_weighted_composition(psi, [0.0, lam], alpha, N)
     image = _image_samples(partial(series_eval, psi), 512)
-    hausdorff = _compare(A, np.concatenate([lam**j * image for j in range(n)]), K)[1]
+    hausdorff = _gap(A, np.concatenate([lam**j * image for j in range(n)]), K)
     tol = 0.05
     notes = (
         "the union identity needs a weight of the form g(z^n), which keeps "
@@ -536,14 +545,14 @@ def _run_pro1_rank_one(alpha, N, K):
     # case one: constant weight, target 0 -> segment from 0 to the weight
     c0 = 0.7 + 0.2j
     A1 = build_weighted_composition([c0], [0.0], alpha, N)
-    dev_segment = _compare(A1, np.array([0j, c0]), K)[1]
+    dev_segment = _gap(A1, np.array([0j, c0]), K)
     # case two: weight vanishing at the target point -> centred disc
     w2 = 0.4
     psi2 = np.array([-w2, 1.0], dtype=complex)
     A2 = build_weighted_composition(psi2, [w2], alpha, N)
     norm_psi2 = np.sqrt(monomial_norm_sq(1, alpha) + abs(w2) ** 2)
     radius = float(norm_psi2 / (2.0 * (1.0 - w2**2) ** (alpha / 2.0 + 1.0)))
-    dev_disc = _compare(A2, DiscSpec(0j, radius), K)[1]
+    dev_disc = _gap(A2, DiscSpec(0j, radius), K)
     # case three: generic constant target -> ellipse with foci 0 and psi(w)
     w3 = 0.3
     psi3 = np.array([1.0, 1.0], dtype=complex)
@@ -552,7 +561,7 @@ def _run_pro1_rank_one(alpha, N, K):
     norm_sq = 1.0 + monomial_norm_sq(1, alpha)
     kernel_sq = (1.0 - w3**2) ** (-(alpha + 2.0))
     minor = float(np.sqrt(norm_sq * kernel_sq - abs(fw) ** 2))
-    dev_ellipse = _compare(A3, EllipseSpec(0j, fw, minor), K)[1]
+    dev_ellipse = _gap(A3, EllipseSpec(0j, fw, minor), K)
     metrics = {
         "segment_dev": dev_segment,
         "disc_radius": radius,
@@ -573,7 +582,7 @@ def _run_pro1_rank_one(alpha, N, K):
 )
 def _run_theo2_zero_interior(alpha, schedule, K, margin):
     phi = [0.0, 0.45, 0.45]
-    margins = [_compare(build_weighted_composition([1.0], phi, alpha, N), DiscSpec(0j, 0.0), K)[0] for N in schedule]
+    margins = [_margin(build_weighted_composition([1.0], phi, alpha, N), DiscSpec(0j, 0.0), K) for N in schedule]
     metrics = {f"margin_N{N}": m for N, m in zip(schedule, margins)}
     metrics["max_margin"] = max(margins)
     monotone = all(b >= a - 1e-12 for a, b in zip(margins, margins[1:]))
@@ -593,7 +602,7 @@ def _run_theo2_zero_interior(alpha, schedule, K, margin):
 )
 def _run_theo3_zero_interior(alpha, N, K, margin):
     A = build_weighted_composition([1.0, 1.0], [0.0, -1.0], alpha, N)
-    swept = _compare(A, DiscSpec(0j, 0.0), K)[0]
+    swept = _margin(A, DiscSpec(0j, 0.0), K)
     return (
         swept >= margin,
         {"margin": swept},
@@ -643,6 +652,15 @@ def _run_remark_counterexample(alpha, schedule, K):
     passed = True
     for N in schedule:
         A = build_weighted_composition(psi, phi, alpha, N)
+        # A e_n = 2^(-n) (e_n + (c_n/4) e_(n+1)); past the normal range these
+        # entries round or vanish, and S no longer holds the bound's matrix
+        small = np.abs(np.concatenate([np.diagonal(A.matrix), np.diagonal(A.matrix, -1)])) < np.finfo(float).tiny
+        if small.any():
+            raise UsageError(
+                f"N={N} is too large for remark_counterexample: the diagonal entries 2^-n and the ones "
+                "below them fall under the smallest normal float, so the Gershgorin bound would fail "
+                "a claim that holds for every N"
+            )
         S = _scaled_hermitian(A.matrix)
         lam_s = float(np.linalg.eigvalsh(S)[0])
         lower = _gershgorin_lower(S)
@@ -693,7 +711,7 @@ def _run_th_disc_one(alpha, m, N, K, n_lambda):
         v[m] = np.sqrt(w_m) * scale
         form = complex(v.conj() @ (A.matrix @ v))
         devs.append(abs(form - radius * lam))
-    containment = _compare(A, DiscSpec(0j, radius), K)[0]
+    containment = _margin(A, DiscSpec(0j, radius), K)
     tol = 1e-10
     passed = max(devs) <= tol and containment >= -1e-9
     metrics = {
@@ -729,7 +747,7 @@ def _run_th_disc_two(alpha, m, lam, N, K):
     radius = 0.5 * np.sqrt(norm_ratio(1, alpha) / norm_ratio(m, alpha)) * abs(lam * psi_hat)
     h_b = support_function(B, _angle_grid(K))
     radius_dev = float(np.max(np.abs(h_b - radius)))
-    containment = _compare(A, DiscSpec(0j, radius), K)[0]
+    containment = _margin(A, DiscSpec(0j, radius), K)
     tol = 1e-10
     passed = structure_dev <= 1e-13 and radius_dev <= tol and containment >= -1e-9
     metrics = {
@@ -797,7 +815,7 @@ def _run_th_circle_3x3(alpha, n, m1, m2, N, K, psi):
     # the mean of points on any circle about the centre is the centre; each
     # point must lie on the circle itself
     point_radius_dev = float(np.max(np.abs(np.abs(pts - center) - radius_formula)))
-    containment = _compare(A, DiscSpec(center, radius_formula), K)[0]
+    containment = _margin(A, DiscSpec(center, radius_formula), K)
     tol = 1e-10
     passed = (
         entry_dev <= 1e-12
@@ -878,8 +896,8 @@ def _ellipse_compare(A, indices, f1_exp, f2_exp, minor_exp, K):
     )
     minor_dev = abs(ell.minor_axis - minor_exp)
     expected = EllipseSpec(f1_exp, f2_exp, minor_exp)
-    support_dev = _compare(B, expected, K)[1]
-    containment = _compare(A, expected, K)[0]
+    support_dev = _gap(B, expected, K)
+    containment = _margin(A, expected, K)
     tol = 1e-10
     passed = (
         foci_dev <= tol

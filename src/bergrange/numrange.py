@@ -98,6 +98,28 @@ O(n kd) per point, a reduced block as G x with G = (A_re [Q, z], A_im
 [Q, z]), formed once, and x the coordinates of v in [Q, z], at O(n k),
 and a dense block at O(n^2).
 
+A sweep skips the solves that cannot change what it returns, by two
+bounds on the support function h of a convex set (Johnson, SIAM J.
+Numer. Anal. 15 (1978); Loisel and Maxwell, SIAM J. Matrix Anal. Appl. 39
+(2018)).  Every point p of the range gives h(theta) >= Re(e^{-i theta}
+p).  Between two angles theta' < theta'' less than pi apart, h(theta) <=
+a h(theta') + b h(theta''), with a = sin(theta'' - theta) / sin(theta'' -
+theta') and b = sin(theta - theta') / sin(theta'' - theta').  The second
+serves full sweeps on the uniform grid 2 pi j / K, K >= 5, of two or more
+looped blocks: the even pairs solve every block, and an odd pair reduces
+a block only where its bound from the two neighbouring angles can still
+win an end.  The first serves ``_grid_margin``, the minimum over the grid
+of h minus a target's support that decides the checks' containment
+claims: it solves every 8th pair and the last, with boundary points, then
+each other pair at which that lower bound, and the closed blocks' exact
+supports, leave the minimum within reach.  Both bounds take one slack per
+sweep, 1e-10 sqrt(n) max |A_ij|, the tolerance that the residual check
+grants every eigenpair, floored at the smallest normal float, which stops
+all pruning on a subnormal matrix.  They are taken times 2^-e in the frame
+of ``_frame``, so that nothing overflows.  A skip never changes a support,
+a point or a margin while each computed support lies within the slack of
+the true one.
+
 Reference shapes (discs, ellipses, and point clouds such as symbol
 images sampled on the unit circle) share one support-function interface,
 ``support_of``; a hull polygon answers through its vertices.  Hull
@@ -350,6 +372,11 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return z
 
 
+# The residual tolerance of every checked eigenpair, relative to its scale
+# and to sqrt(n); a sweep's pruning slack is this tolerance on max |A_ij|.
+_TOLERANCE = 1e-10
+
+
 def _checked_columns(lam: np.ndarray, V: np.ndarray, HV: np.ndarray, scale: np.ndarray) -> None:
     """Raise ``NumericError`` unless every column v of V, an eigenvector of H for lam, has a small enough residual.
 
@@ -359,7 +386,7 @@ def _checked_columns(lam: np.ndarray, V: np.ndarray, HV: np.ndarray, scale: np.n
     it, and must stay within 1e-10 sqrt(n) for H of size n.
     """
     residual = np.linalg.norm((HV - lam * V) / scale, axis=0)
-    failed = np.flatnonzero(residual > 1e-10 * np.sqrt(V.shape[0]))
+    failed = np.flatnonzero(residual > _TOLERANCE * np.sqrt(V.shape[0]))
     if failed.size:
         k = failed[0]
         raise NumericError(f"eigenpair residual too large: {residual[k] * scale[k]:.3e}")
@@ -472,7 +499,7 @@ def _range_basis(M: np.ndarray):
         return None
     # rows k.. of R are [0, R_22], scaled first so that a huge M cannot overflow the norm
     tau = d[0] * float(np.linalg.norm(_divided(np.triu(qr[k:], k), d[0])))
-    if tau > 0.5e-10 * np.sqrt(n):
+    if tau > 0.5 * _TOLERANCE * np.sqrt(n):
         return None
     lwork = int(flapack.zungqr(qr[:, :n], scalars, lwork=-1)[1][0].real)
     Q = flapack.zungqr(qr[:, :n], scalars, lwork=lwork, overwrite_a=1)[0]
@@ -727,8 +754,14 @@ def _angle_pairs(thetas: np.ndarray, real: bool):
     return pairs, mirrors
 
 
-def _sweep(A, thetas: np.ndarray, vectors: bool):
-    """Supports at ``thetas`` and, with ``vectors``, the boundary points v* A v (else None).
+def _finite(*arrays) -> None:
+    """Raise ``NumericError`` unless every entry of every array is finite."""
+    if not all(np.all(np.isfinite(x)) for x in arrays):
+        raise NumericError("support sweep produced non-finite values")
+
+
+class _Sweep:
+    """The blocks and angle pairs of one sweep, and the one step that solves a set of pairs.
 
     H(theta) = cos(theta) A_re + sin(theta) A_im is the Hermitian part of
     e^{-i theta} A.  It is nonzero only where A or A* is, so the residue
@@ -736,68 +769,201 @@ def _sweep(A, thetas: np.ndarray, vectors: bool):
     support is the largest block support and the point that of the winning
     block.  The angles are solved in the pairs of ``_angle_pairs``, whose
     realness test is exact (no imaginary part of A is nonzero), so it reads
-    a matrix read back from CSV as the one built in process.  The support
-    comes from the same call in both modes.
+    a matrix read back from CSV as the one built in process.
 
-    Closed blocks answer every pair at once; the angle loop, which runs
-    only if some block is not closed, solves the others pair by pair and
-    takes the eigenvector of each end such a block wins.  After the loop
-    each block that won an end gives its points in one ``points`` call.
-    Winners come from one argmax over the stacked supports, so a NaN wins
-    and fails later.
+    ``supports`` holds [block, end, pair]; end 1 of an unpaired angle is
+    never read.  Closed blocks fill it at every pair at once, and ``solve``
+    fills the looped blocks at the pairs it is given, and takes the
+    eigenvector of each end such a block wins; ``points`` turns those into
+    points, in one call per block.  Winners come from one argmax over the
+    stacked supports, so a NaN wins and fails later.
     """
-    M = _as_matrix(A)
-    with np.errstate(over="ignore", invalid="ignore"):
-        A_re, A_im = (M + M.conj().T) / 2.0, (M - M.conj().T) / 2j
-    if not (np.all(np.isfinite(A_re)) and np.all(np.isfinite(A_im))):
-        raise NumericError("Hermitian parts of the matrix overflow")
-    classes, kd = _residue_classes(M)
-    blocks = [_Block(M, A_re, A_im, idx, kd) for idx in classes]
-    pairs, mirrors = _angle_pairs(thetas, real=not M.imag.any())
-    first = np.array([j for j, _ in pairs], dtype=int)
-    second = np.array([-1 if k is None else k for _, k in pairs], dtype=int)
-    paired = second >= 0
-    c, s = np.cos(thetas[first]), np.sin(thetas[first])
-    supports = np.zeros((len(blocks), 2, first.size))  # [block, end, pair]; end 1 of an unpaired angle is never read
-    closed = {}
-    for b, block in enumerate(blocks):
-        if block.closed:
-            supports[b], closed[b] = block.closed_ends(c, s)
-    looped = [b for b in range(len(blocks)) if b not in closed]
-    taken = {b: [] for b in looped}  # (end, c, s, support, x) of each end a looped block won
-    for j in range(first.size if looped else 0):
-        count = 2 if paired[j] else 1
-        vector = {}
-        for b in looped:
-            supports[b, :count, j], vector[b] = blocks[b].ends(c[j], s[j], paired[j])
-        if vectors:
-            for end, b in enumerate(np.argmax(supports[:, :count, j], axis=0)):
-                if b in vector:
-                    taken[b].append((end, c[j], s[j], supports[b, end, j], vector[b](end)))
-    win = np.argmax(supports, axis=0)
-    win[1, ~paired] = -1
-    h = np.empty(thetas.size)
-    h[first] = supports[win[0], 0, np.arange(first.size)]
-    h[second[paired]] = supports[win[1, paired], 1, paired]
-    points = None
-    if vectors:
-        won_points = np.empty((2, first.size), dtype=complex)
-        for b, block in enumerate(blocks):
+
+    def __init__(self, A, thetas: np.ndarray):
+        self.M = M = _as_matrix(A)
+        with np.errstate(over="ignore", invalid="ignore"):
+            A_re, A_im = (M + M.conj().T) / 2.0, (M - M.conj().T) / 2j
+        if not (np.all(np.isfinite(A_re)) and np.all(np.isfinite(A_im))):
+            raise NumericError("Hermitian parts of the matrix overflow")
+        classes, kd = _residue_classes(M)
+        self.blocks = [_Block(M, A_re, A_im, idx, kd) for idx in classes]
+        self.real = not M.imag.any()
+        pairs, mirrors = _angle_pairs(thetas, self.real)
+        self.thetas = thetas
+        self.first = np.array([j for j, _ in pairs], dtype=int)
+        self.second = np.array([-1 if k is None else k for _, k in pairs], dtype=int)
+        self.paired = self.second >= 0
+        self.mirrors = np.array(mirrors, dtype=int).reshape(-1, 2).T  # rows: the index copied to, and its source
+        self.c, self.s = np.cos(thetas[self.first]), np.sin(thetas[self.first])
+        self.supports = np.zeros((len(self.blocks), 2, self.first.size))
+        self.closed = {}
+        for b, block in enumerate(self.blocks):
+            if block.closed:
+                self.supports[b], self.closed[b] = block.closed_ends(self.c, self.s)
+        self.looped = [b for b in range(len(self.blocks)) if b not in self.closed]
+        self.taken = {b: {} for b in self.looped}  # (pair, end): (end, c, s, support, x) of each end a looped block won
+
+    def slack(self) -> float:
+        """1e-10 sqrt(n) max |A_ij|, floored at the smallest normal float: how far the pruning bounds let a computed support lie from the true one."""
+        with np.errstate(over="ignore"):
+            return max(_TOLERANCE * np.sqrt(self.M.shape[0]) * float(np.max(np.abs(self.M))), np.finfo(float).tiny)
+
+    def solve(self, js, vectors: bool, bounds=None) -> None:
+        """Solve the looped blocks at the pairs ``js``, and with ``vectors`` take the eigenvector of each end that such a block wins.
+
+        With ``bounds`` [block, end, pair], upper bounds on the computed
+        supports, each pair solves its blocks in decreasing order of their
+        bound at end 0, then at end 1, and stops at an end once the best
+        support solved there, closed blocks counted, exceeds every bound
+        left.  The blocks left lose both ends; their supports read -inf, so
+        that no argmax takes them.
+        """
+        for j in js:
+            count = 2 if self.paired[j] else 1
+            vector, left = {}, list(self.looped)
+            for end in range(count):
+                if bounds is not None:
+                    left.sort(key=lambda b: -bounds[b, end, j])
+                for b in list(left):
+                    if bounds is not None and np.max(np.delete(self.supports[:, end, j], left), initial=-np.inf) > bounds[b, end, j]:
+                        break
+                    self.supports[b, :count, j], vector[b] = self.blocks[b].ends(self.c[j], self.s[j], self.paired[j])
+                    left.remove(b)
+            if left:
+                self.supports[left, :, j] = -np.inf
+            if vectors:
+                for end, b in enumerate(np.argmax(self.supports[:, :count, j], axis=0)):
+                    if b in vector:
+                        self.taken[b][j, end] = (end, self.c[j], self.s[j], self.supports[b, end, j], vector[b](end))
+
+    def wedge(self, js) -> np.ndarray:
+        """Upper bounds [block, end, pair] on the computed supports at the pairs ``js`` of a uniform grid, from those of every other pair.
+
+        An angle theta between its neighbours theta' and theta'', with
+        Delta = theta'' - theta' < pi, has e^{i theta} = a e^{i theta'} + b
+        e^{i theta''} for a = sin(theta'' - theta) / sin Delta > 0 and b =
+        sin(theta - theta') / sin Delta > 0.  A support function is
+        sublinear, so h(theta) <= a h(theta') + b h(theta''), and with every
+        computed support within the slack of the true one, that sum plus
+        (a + b + 1) slack bounds the computed support at theta.  A neighbour
+        at a pair of ``js``, or mirrored from one, counts as +inf.  The sums
+        are taken times 2^-e, in the frame of ``_frame`` of the other pairs'
+        supports, so that none overflows.
+        """
+        e = _frame(np.delete(self.supports, js, axis=2).ravel())[0]
+        known = self.supports.copy()
+        known[:, :, js] = np.inf
+        h = np.ldexp(self.spread(known), -e)  # [block, angle]
+        before, after = np.roll(self.thetas, 1), np.roll(self.thetas, -1)
+        before[0] -= 2.0 * np.pi
+        after[-1] += 2.0 * np.pi
+        a, b = np.sin(after - self.thetas) / np.sin(after - before), np.sin(self.thetas - before) / np.sin(after - before)
+        with np.errstate(over="ignore"):
+            bound = np.ldexp(a * np.roll(h, 1, axis=1) + b * np.roll(h, -1, axis=1) + (a + b + 1.0) * np.ldexp(self.slack(), -e), e)
+        bounds = np.full(self.supports.shape, np.inf)
+        bounds[:, 0], bounds[:, 1, self.paired] = bound[:, self.first], bound[:, self.second[self.paired]]
+        return bounds
+
+    def points(self, js) -> np.ndarray:
+        """The points at the pairs ``js``, in increasing order, rows end 0 and end 1, from the ends their winners took.
+
+        Each block that won an end gives its points in one ``points`` call,
+        which must see its ends pair by pair, end 0 before end 1, the order
+        in which the winners are assigned.
+        """
+        win = np.argmax(self.supports[:, :, js], axis=0)
+        win[1, ~self.paired[js]] = -1
+        points = np.empty((2, len(js)), dtype=complex)
+        for b, block in enumerate(self.blocks):
             won = win == b
-            if b in closed and won.any():
-                won_points[won] = closed[b]()[won]
+            if b in self.closed and won.any():
+                points[won] = self.closed[b]()[:, js][won]
             elif won.any():
-                won_points.T[won.T] = block.points(taken[b])  # taken pair by pair, end 0 before end 1
-        points = np.empty(thetas.size, dtype=complex)
-        points[first], points[second[paired]] = won_points[0], won_points[1, paired]
-    if mirrors:
-        i, j = np.array(mirrors).T
-        h[i] = h[j]
-        if vectors:
-            points[i] = np.conj(points[j])
-    if not (np.all(np.isfinite(h)) and (points is None or np.all(np.isfinite(points)))):
-        raise NumericError("support sweep produced non-finite values")
+                taken = self.taken[b]
+                points.T[won.T] = block.points([taken.pop(key) for key in sorted(taken)])
+        return points
+
+    def tops(self) -> np.ndarray:
+        """The winning support at each end of every pair, rows end 0 and end 1."""
+        return np.take_along_axis(self.supports, np.argmax(self.supports, axis=0)[None], axis=0)[0]
+
+    def spread(self, rows: np.ndarray, conj: bool = False) -> np.ndarray:
+        """Values at every angle from ``rows`` [..., end, pair]: each end at its angle, and at each mirror its source's value, conjugated with ``conj``."""
+        out = np.empty(rows.shape[:-2] + self.thetas.shape, dtype=rows.dtype)
+        out[..., self.first], out[..., self.second[self.paired]] = rows[..., 0, :], rows[..., 1, self.paired]
+        copied, source = self.mirrors
+        out[..., copied] = np.conj(out[..., source]) if conj else out[..., source]
+        return out
+
+
+def _sweep(A, thetas: np.ndarray, vectors: bool):
+    """Supports at ``thetas`` and, with ``vectors``, the boundary points v* A v (else None).
+
+    The support comes from the same call in both modes.  Closed blocks
+    answer every pair at once; the angle loop runs only if some block is
+    not closed.  On the uniform grid of ``_angle_grid`` with K >= 5, where
+    the neighbours of an angle lie less than pi apart, a sweep with two or
+    more looped blocks solves each of them at the even pairs, and at each
+    odd pair only the blocks that ``_Sweep.wedge`` does not rule out; any
+    other sweep solves every block at every pair.  After the loop each
+    block that won an end gives its points in one ``points`` call.
+    """
+    sweep = _Sweep(A, thetas)
+    pairs, K = np.arange(sweep.first.size), thetas.size
+    prune = len(sweep.looped) > 1 and K >= 5 and np.array_equal(thetas, _angle_grid(K))
+    if sweep.looped:
+        sweep.solve(pairs[::2] if prune else pairs, vectors)
+    if prune:
+        sweep.solve(pairs[1::2], vectors, sweep.wedge(pairs[1::2]))
+    h = sweep.spread(sweep.tops())
+    points = sweep.spread(sweep.points(pairs), conj=True) if vectors else None
+    _finite(h, *([] if points is None else [points]))
     return h, points
+
+
+def _grid_margin(A, target: np.ndarray, n_angles: int) -> float:
+    """min over the grid ``_angle_grid(n_angles)`` of h_A - target, with the bits of a full sweep's, from the angle pairs that can hold it.
+
+    Each point p of the range gives h_A(theta) >= Re(e^{-i theta} p), and
+    so does conj(p) for a real A; each closed block gives its exact
+    supports.  The larger of the two, less 2 slack, bounds the computed
+    support at theta from below.  The sweep solves every 8th pair and the
+    last, with boundary points, then, in one batch per round, each other
+    pair at one of whose angles (theta, theta + pi and their mirrors) that
+    bound minus the target does not exceed the least h_A - target so far.
+    The pairs left cannot hold the minimum.  A sweep of closed blocks alone
+    reads every angle from ``closed_ends``, with no points.  The bounds are
+    taken times 2^-e, in the frame of ``_frame`` of the points, supports
+    and target, and over at most ``_POINT_CHUNK`` entries at a time.
+    """
+    sweep = _Sweep(A, _angle_grid(n_angles))
+    P = sweep.first.size
+    owner = sweep.spread(np.tile(np.arange(P), (2, 1)))  # the pair that gives each angle
+    solved = np.full(P, not sweep.looped)
+    floor = [sweep.spread(np.max(sweep.supports[list(sweep.closed)], axis=0))] if sweep.closed else []
+    batch = np.unique(np.r_[np.arange(0, P, 8), P - 1]) if sweep.looped else []
+    clouds, slack = [], sweep.slack()
+    while len(batch):
+        sweep.solve(batch, vectors=True)
+        solved[batch] = True
+        points = sweep.points(batch)
+        clouds += [points[0], points[1, sweep.paired[batch]]]
+        h, known = sweep.spread(sweep.tops()), solved[owner]
+        _finite(h[known], *clouds[-2:])
+        cloud = np.concatenate(clouds)
+        e, (p, h_known, t, *f) = _frame(np.concatenate([cloud, cloud.conj()]) if sweep.real else cloud, h[known], target, *floor)
+        unknown = np.flatnonzero(~known)
+        c, s = np.cos(sweep.thetas[unknown]), np.sin(sweep.thetas[unknown])
+        low = np.empty(unknown.size)
+        for k in _chunks(unknown.size, p.size):
+            low[k] = np.max(c[k, None] * p.real + s[k, None] * p.imag, axis=1)
+        if floor:
+            low = np.maximum(low, f[0].real[unknown])
+        reach = low - t.real[unknown] - 2.0 * np.ldexp(slack, -e) <= np.min(h_known.real - t.real[known])
+        batch = np.unique(owner[unknown[reach]])
+    h, known = sweep.spread(sweep.tops()), solved[owner]
+    _finite(h[known])
+    return float(np.min(h[known] - target[known]))
 
 
 def _angles(thetas) -> np.ndarray:

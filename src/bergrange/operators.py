@@ -44,7 +44,7 @@ __all__ = [
     "off_block_max",
 ]
 
-# unit-circle samples per degree when certifying a self-map by sampling;
+# unit-circle samples per degree when testing a self-map by sampling;
 # the Bernstein margin 1 / (1 - pi / _SELF_MAP_SAMPLES) is then about 1.2%
 _SELF_MAP_SAMPLES = 256
 
@@ -151,19 +151,21 @@ def build_toeplitz(symbol, alpha: float, N: int) -> OperatorTruncation:
     return OperatorTruncation(A, alpha, kind="toeplitz")
 
 
-def _certify_self_map(c: np.ndarray):
-    """Prove that phi maps the open disk into itself, or raise DomainError.
+def _check_self_map(c: np.ndarray):
+    """Raise DomainError unless phi passes a floating-point test for mapping the disk into itself.
 
-    A nonconstant polynomial does so exactly when max |phi| <= 1 on the
-    unit circle, which sum |phi_k| <= 1 proves outright.  The moduli are
-    correctly rounded by math.hypot and summed by math.fsum, so no unit
-    rotation e^{it} z reads above 1.  This is still a floating-point test,
-    not an exact one: the float nearest e^{2 pi i/10} has a modulus that
-    exceeds 1 by 2.7e-17 and is accepted.  Otherwise phi
-    of degree d is sampled at M = _SELF_MAP_SAMPLES * d points of the
-    circle; Bernstein's inequality max |phi'| <= d max |phi| bounds the
-    true maximum by the sampled one over 1 - pi d / M.  An undecided case
-    is rejected.  ``c`` holds the coefficients of phi.
+    A nonconstant polynomial maps the open disk into itself exactly when
+    max |phi| <= 1 on the unit circle, and sum |phi_k| <= 1 implies that.
+    The test reads that sum from the moduli as math.hypot rounds them
+    correctly, summed by math.fsum, so no unit rotation e^{it} z reads
+    above 1; it is not exact: the float nearest e^{2 pi i/10} has a modulus
+    that exceeds 1 by 2.7e-17 and passes.  Where the sum exceeds 1, phi of
+    degree d is evaluated at M = _SELF_MAP_SAMPLES * d points of the circle
+    in floating point, and passes where the sampled maximum over 1 - pi d /
+    M, which by Bernstein's inequality max |phi'| <= d max |phi| bounds the
+    exact maximum over the circle from the exact samples, is at most 1.
+    Every other phi is rejected: a non-finite coefficient and a constant of
+    modulus 1 or more as no self-map.  ``c`` holds the coefficients of phi.
     """
     # NaN fails every comparison below, so it must be rejected up front
     if not np.all(np.isfinite(c)):
@@ -181,8 +183,9 @@ def _certify_self_map(c: np.ndarray):
     bound = sampled / (1.0 - np.pi * d / M)
     if bound > 1.0:
         raise DomainError(
-            f"phi is not certified as a self-map of the disk: max |phi| over {M} points of the "
-            f"unit circle is {sampled:.6f}, so the bound is {bound:.6f} > 1"
+            f"phi fails the self-map test of the disk: its coefficient moduli sum above 1, and the "
+            f"largest |phi| over {M} points of the unit circle is {sampled:.6f}, so the sampled "
+            f"bound is {bound:.6f} > 1"
         )
 
 
@@ -192,14 +195,14 @@ def build_weighted_composition(psi, phi, alpha: float, N: int) -> OperatorTrunca
     Column n holds the coefficients of psi * phi^n in the orthonormal
     basis, the z^m one scaled by sqrt(r_n / r_m); an entry too large for
     float64 raises NumericError.  Inputs shorter than the truncation are
-    zero-padded.  phi is rejected unless it is certified to map the disk
-    into itself; the certificate covers every coefficient of phi, also
-    those the truncation cuts away.
+    zero-padded.  phi is rejected unless it passes the self-map test of
+    ``_check_self_map``, which reads every coefficient of phi, also those
+    the truncation cuts away.
     """
     N = _as_int(N, "truncation", 1)
     c = _coeffs(psi, "psi", N)
     phi_c = _coeffs(phi, "phi")
-    _certify_self_map(phi_c)
+    _check_self_map(phi_c)
     log_r = alpha_weight(alpha, N - 1)
     A = np.empty((N, N), dtype=complex)
     # phi cut to N terms and to its degree makes each step O(N deg phi), not O(N^2)
@@ -274,13 +277,13 @@ def kernel_form_closed(psi, phi, w: complex, alpha: float) -> complex:
     The adjoint sends the kernel at w to conj(psi(w)) times the kernel at
     phi(w), which gives the closed form
     psi(w) (1-|w|^2)^(alpha+2) / (1 - conj(w) phi(w))^(alpha+2).
-    A non-finite psi raises NumericError, and a phi not certified as a
-    self-map of the disk DomainError, as in the builder.
+    A non-finite psi raises NumericError, and a phi that fails the self-map
+    test of the disk DomainError, as in the builder.
     """
     psi_c, phi_c = _coeffs(psi, "psi"), _coeffs(phi, "phi")
     if not np.all(np.isfinite(psi_c)):
         raise NumericError("psi has a non-finite coefficient")
-    _certify_self_map(phi_c)
+    _check_self_map(phi_c)
     w = _as_complex(w, "w")
     if abs(w) >= 1.0:
         raise DomainError(f"base point must satisfy |w| < 1, got |w| = {abs(w)}")

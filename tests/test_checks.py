@@ -212,6 +212,17 @@ def test_remark_gershgorin_bound_fails_for_a_heavy_weight(monkeypatch):
     assert not run_check("remark_counterexample").passed
 
 
+def test_remark_refuses_an_N_past_the_normal_range():
+    # from about N = 1020 the entries 2^-n of the truncation, and the ones
+    # below them, are subnormal or zero, and S = D H D would fail a bound
+    # that holds at every N: the check names N and stops instead; at N =
+    # 1000 every entry is still normal and the bound holds
+    with pytest.raises(UsageError, match="N=1100 is too large"):
+        run_check("remark_counterexample", {"schedule": [1100]})
+    report = run_check("remark_counterexample", {"schedule": [1000]})
+    assert report.passed and report.metrics["gershgorin_lower_N1000"] > 0.6
+
+
 def test_circle_check_fails_when_graded_points_leave_the_circle(monkeypatch):
     # every point of the graded compression moved radially outward by 0.01:
     # the mean of the points stays at the centre, so center_dev cannot see
@@ -318,7 +329,7 @@ def test_c2_polygon_keeps_every_vertex_of_odd_and_even_orders():
     ],
 )
 def test_rotations_whose_coefficient_rounds_to_modulus_one_are_built(check_id, params):
-    # the float e^{2 pi i / 10} once read as |lambda| = 1 + 2^-52 and failed the self-map certificate
+    # the float e^{2 pi i / 10} once read as |lambda| = 1 + 2^-52 and failed the self-map test
     assert run_check(check_id, params).passed
 
 
@@ -347,7 +358,8 @@ def test_th1_holds_for_a_weight_of_the_form_g_of_z_to_the_n():
 
 
 # sweeps per check at the defaults; each comparison with a closed form sweeps
-# its range once, and a check not listed here sweeps nothing
+# its range once, by a full sweep or by the margin's, and a check not listed
+# here sweeps nothing
 SWEEPS = {
     "t3_harmonic_range": 1,
     "c1_multiplication": 1,
@@ -368,8 +380,9 @@ SWEEPS = {
 
 def test_each_check_sweeps_each_range_once(monkeypatch):
     calls = []
-    sweep = numrange._sweep
-    monkeypatch.setattr(numrange, "_sweep", lambda *args, **kwargs: calls.append(1) or sweep(*args, **kwargs))
+    for module, name in ((numrange, "_sweep"), (checks, "_grid_margin")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, original=original, **kwargs: calls.append(1) or original(*args, **kwargs))
     counts = {}
     for check_id in EXPECTED_IDS:
         before = len(calls)
@@ -377,3 +390,42 @@ def test_each_check_sweeps_each_range_once(monkeypatch):
         counts[check_id] = len(calls) - before
     assert counts == {check_id: SWEEPS.get(check_id, 0) for check_id in EXPECTED_IDS}
     assert sum(counts.values()) == 28
+
+
+# tridiagonal reductions per check at the defaults, 3261 in all when every
+# sweep solved every block at every angle pair.  A margin solves every 8th
+# pair and the last, then the pairs whose lower bound can still reach the
+# minimum: 15 of the 91 pairs of each theo2 matrix, 14 of 91 for theo3, and
+# 29 of 181 and 53 of 360 for the containment of the two ellipse checks at
+# K = 720, whose 2 x 2 support_dev gaps still take 181 and 360.  A full
+# sweep of two or more looped blocks solves each at the even pairs, and at
+# the odd ones only the blocks whose wedge bound can still win an end:
+# th2_symmetric's order-3 case takes 366 (540 before), its order-2 case
+# still 182, and th1 450 (540)
+REDUCTIONS = {
+    "t3_harmonic_range": 91,
+    "c1_multiplication": 1,
+    "th1_rotation_hull": 450,
+    "th2_symmetric": 182 + 366,
+    "pro1_rank_one": 182,
+    "theo2_zero_interior": 4 * 15,
+    "theo3_zero_interior": 14,
+    "remark_counterexample": 182,
+    "th_disc_TH1": 1,
+    "th_disc_TH2": 2,
+    "th_circle_3x3": 3,
+    "th_ellipse_rotation": 181 + 29,
+    "th_ellipse_irrational": 360 + 53,
+}
+
+
+def test_each_check_makes_its_pinned_reductions(monkeypatch):
+    made, init = [], numrange._Tridiagonal.__init__
+    monkeypatch.setattr(numrange._Tridiagonal, "__init__", lambda T, *args: made.append(1) or init(T, *args))
+    counts = {}
+    for check_id in EXPECTED_IDS:
+        before = len(made)
+        run_check(check_id)
+        counts[check_id] = len(made) - before
+    assert counts == {check_id: REDUCTIONS.get(check_id, 0) for check_id in EXPECTED_IDS}
+    assert sum(counts.values()) == 2157

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergrange import numrange
-from bergrange.checks import _compare
+from bergrange.checks import _gap, _margin
 from bergrange.core import NumericError, UsageError, series_eval
 from bergrange.numrange import (
     DiscSpec,
@@ -470,19 +470,22 @@ assert numrange._linalg("cython_lapack") is cython_lapack
 
     def test_each_winning_block_takes_its_points_in_one_batch(self, monkeypatch):
         # a boundary sweep turns vectors into points once per block that won
-        # an end, after its angle loop, over every end that the block won:
-        # the winners are recomputed here from the supports that each block's
-        # ends returned, the first largest at each solved end
+        # an end, after its angle loop, over every end that the block won,
+        # pair by pair and end 0 before end 1: the winners are recomputed
+        # here from the supports that each block's ends returned, the first
+        # largest in block order at each solved end.  On a uniform grid the
+        # even pairs solve every block; an odd pair may leave a block that
+        # loses both its ends unsolved, and must solve at least one
         solved, batches = [], []
         ends, points = numrange._Block.ends, numrange._Block.points
 
         def spy_ends(block, c, s, both):
             supports, vector = ends(block, c, s, both)
-            solved.append((block, list(supports)))
+            solved.append((block, (c, s), list(supports)))
             return supports, vector
 
         monkeypatch.setattr(numrange._Block, "ends", spy_ends)
-        monkeypatch.setattr(numrange._Block, "points", lambda block, taken: batches.append((block, len(taken))) or points(block, taken))
+        monkeypatch.setattr(numrange._Block, "points", lambda block, taken: batches.append((block, [(c, s, end) for end, c, s, *_ in taken])) or points(block, taken))
         cases = [(name, A) for name, A in _structured_matrices() if not any(block.closed for block in _blocks(A))]
         assert {name for name, _ in cases} >= {"t3", "th1", "th2_n3", "dense24", "composition", "psd_rank_one"}
         for name, A in cases + [("theo2", _theo2(64))]:
@@ -492,16 +495,23 @@ assert numrange._linalg("cython_lapack") is cython_lapack
                 batches.clear()
                 boundary_points(A, K)
                 pairs = numrange._angle_pairs(_angle_grid(K), not A.imag.any())[0]
-                assert len(solved) == len(pairs) * blocks, (name, K)
+                first = _angle_grid(K)[[j for j, _ in pairs]]
+                index = {cs: j for j, cs in enumerate(zip(np.cos(first), np.sin(first)))}
+                order = {block: b for b, block in enumerate(dict.fromkeys(block for block, _, _ in solved))}
+                per_pair = {}
+                for block, cs, supports in solved:
+                    per_pair.setdefault(index[cs], []).append((order[block], supports))
+                assert sorted(per_pair) == list(range(len(pairs))) and len(order) == blocks, (name, K)
+                assert all(len(per_pair[j]) == blocks for j in range(0, len(pairs), 2)), (name, K)
                 won = {}
-                for i, (_, second) in enumerate(pairs):
-                    per_pair = solved[i * blocks : (i + 1) * blocks]
+                for j, (_, second) in enumerate(pairs):
+                    per_block = sorted(per_pair[j])
                     for end in range(1 if second is None else 2):
-                        winner = per_pair[int(np.argmax([supports[end] for _, supports in per_pair]))][0]
-                        won[winner] = won.get(winner, 0) + 1
-                assert sum(won.values()) == sum(1 if second is None else 2 for _, second in pairs)
-                assert [block for block, _ in batches] == [block for block in dict.fromkeys(block for block, _ in solved) if block in won], (name, K)
-                assert {block: columns for block, columns in batches} == won, (name, K)
+                        winner = per_block[int(np.argmax([supports[end] for _, supports in per_block]))][0]
+                        won.setdefault(winner, []).append((j, end))
+                assert sum(map(len, won.values())) == sum(1 if second is None else 2 for _, second in pairs)
+                assert [order[block] for block, _ in batches] == sorted(won), (name, K)
+                assert {order[block]: [(index[c, s], end) for c, s, end in taken] for block, taken in batches} == won, (name, K)
 
     def test_scale_entries_hold_the_largest_entry_at_every_angle(self):
         # random parts of scale 1e-5 and 1e5 drop entries; where lo = 0
@@ -730,10 +740,12 @@ class TestAnglePairs:
         for name, A in cases.items():
             h = support_function(A, even)
             scale = np.max(np.abs(h))
-            # odd K = 45 shares every 8th angle of the even grid
+            # odd K = 45 shares every 8th angle of the even grid; one reduction
+            # per angle and block, except that at each of the 22 odd angles
+            # th1's three blocks solve only the one block that wins
             reductions.clear()
             odd = support_function(A, _angle_grid(45))
-            assert len(reductions) == 45 * len(_blocks(A)), name  # one reduction per angle and block
+            assert len(reductions) == {"th1": 23 * 3 + 22}.get(name, 45 * len(_blocks(A))), name
             assert np.max(np.abs(odd - h[::8])) <= 1e-13 * scale, name
             # an arbitrary array: the even grid shuffled, a reversed grid and a lone angle
             order = rng.permutation(360)
@@ -1126,8 +1138,150 @@ class TestHullGeometry:
                 EllipseSpec(*fields)
 
 
+def _on_classes(blocks, real=False):
+    """The matrix whose residue classes mod len(blocks) hold the given square blocks, all of one size."""
+    g, m = len(blocks), blocks[0].shape[0]
+    A = np.zeros((g * m, g * m), dtype=complex)
+    for r, X in enumerate(blocks):
+        A[r::g, r::g] = X.real if real else X
+    return A
+
+
+def _normal(rng, m, eigenvalues, real=False):
+    """U diag(eigenvalues) U* for a random unitary U (orthogonal for ``real``), padded with small random eigenvalues."""
+    w = np.concatenate([eigenvalues, 0.3 * (rng.standard_normal(m - len(eigenvalues)) + (0.0 if real else 1j * rng.standard_normal(m - len(eigenvalues))))])
+    X = rng.standard_normal((m, m)) + (0.0 if real else 1j * rng.standard_normal((m, m)))
+    U = np.linalg.qr(X)[0]
+    return (U * w) @ U.conj().T
+
+
+def _multi_block_matrices():
+    """(name, matrix, homogeneous): matrices of two or more residue-class blocks, the blocks of a homogeneous one alike in path and realness.
+
+    The "vertex" blocks are normal, with the eigenvalues 1 and -1 in common,
+    so their supports tie up to rounding over wide arcs, where a skip taken
+    without its slack would change the winner.
+    """
+    rng = np.random.default_rng(67)
+    matrices = dict(_structured_matrices())
+    yield "th1", matrices["th1"], True
+    dense = [rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)) for _ in range(3)]
+    yield "dense", _on_classes(dense), True
+    yield "dense_real", _on_classes(dense[:2], real=True), True
+    yield "bands", _on_classes([_random_band(rng, 48, 2) for _ in range(2)]), True
+    low = [np.outer(rng.standard_normal(40) + 1j * rng.standard_normal(40), rng.standard_normal(40)) for _ in range(3)]
+    yield "reduced", _on_classes(low), True
+    yield "vertex", _on_classes([_normal(rng, 12, [1.0, -1.0]) for _ in range(3)]), True
+    yield "vertex_real", _on_classes([_normal(rng, 12, [1.0, -1.0], real=True) for _ in range(3)]), True
+    yield "mixed", _on_classes([dense[0], _forest(rng, 16, 0.2 + 0.1j), _normal(rng, 16, [1.0, 1j])]), False
+
+
+def _reference_sweep(A, K):
+    """(supports, points) of ``boundary_points(A, K)`` from every block at every angle pair: the unpruned sweep, from each block's own steps."""
+    thetas = _angle_grid(K)
+    blocks = _blocks(A)
+    pairs, mirrors = numrange._angle_pairs(thetas, not A.imag.any())
+    first = thetas[[j for j, _ in pairs]]
+    c, s = np.cos(first), np.sin(first)
+    supports = np.zeros((len(blocks), 2, len(pairs)))
+    closed = {}
+    for b, block in enumerate(blocks):
+        if block.closed:
+            supports[b], closed[b] = block.closed_ends(c, s)
+    h, points = np.empty(K), np.empty(K, dtype=complex)
+    taken, angles = [[] for _ in blocks], [[] for _ in blocks]
+    for j, pair in enumerate(pairs):
+        count, vector = (1 if pair[1] is None else 2), {}
+        for b, block in enumerate(blocks):
+            if not block.closed:
+                supports[b, :count, j], vector[b] = block.ends(c[j], s[j], count == 2)
+        for end, b in enumerate(np.argmax(supports[:, :count, j], axis=0)):
+            h[pair[end]] = supports[b, end, j]
+            taken[b].append((end, c[j], s[j], supports[b, end, j], vector[b](end)) if b in vector else (end, j))
+            angles[b].append(pair[end])
+    for b, block in enumerate(blocks):
+        if b in closed and taken[b]:
+            P = closed[b]()
+            points[angles[b]] = [P[end, j] for end, j in taken[b]]
+        elif taken[b]:
+            points[angles[b]] = block.points(taken[b])
+    for i, j in mirrors:
+        h[i], points[i] = h[j], np.conj(points[j])
+    return h, points
+
+
+class TestPruning:
+    """A sweep skips only solves that cannot change an output: blocks that lose both ends of an odd pair, and pairs that cannot hold a margin."""
+
+    def test_multi_block_sweeps_match_the_unpruned_sweep_bit_for_bit(self, reductions):
+        # every support and point of boundary_points, and every support of
+        # support_function, against the reference that solves every block at
+        # every pair; a homogeneous matrix's supports are also the largest of
+        # its blocks' own sweeps.  The rule skips blocks on uniform grids at
+        # scale 1, and the floor of the slack stops it at 2^-1060
+        pruned = full = 0
+        for name, A, homogeneous in _multi_block_matrices():
+            classes = _residue_classes(A)[0]
+            assert len(classes) >= 2 and sum(not block.closed for block in _blocks(A)) >= 2, name
+            for K in (360, 359, 64):
+                for p in (0, -1060, 1000) if K == 64 else (0,):
+                    B = A * 2.0**p
+                    reductions.clear()
+                    h, points = _reference_sweep(B, K)
+                    made = len(reductions)
+                    reductions.clear()
+                    rows = boundary_points(B, K)
+                    assert np.array([s for _, _, s in rows]).tobytes() == h.tobytes(), (name, K, p)
+                    assert np.array([q for _, q, _ in rows]).tobytes() == points.tobytes(), (name, K, p)
+                    assert len(reductions) <= made if p != -1060 else len(reductions) == made, (name, K, p)
+                    pruned, full = pruned + len(reductions), full + made
+                    assert support_function(B, _angle_grid(K)).tobytes() == h.tobytes(), (name, K, p)
+                    if homogeneous:
+                        own = [support_function(B[np.ix_(idx, idx)], _angle_grid(K)) for idx in classes]
+                        assert np.max(own, axis=0).tobytes() == h.tobytes(), (name, K, p)
+        assert pruned < 0.85 * full
+
+    def test_margins_are_the_full_grid_minimum_bit_for_bit(self, reductions):
+        # _margin against the minimum of a full sweep's supports less the
+        # target's, on band, reduced, dense, closed and multi-block matrices,
+        # real and complex, against a disc, an ellipse, a point cloud and the
+        # two boundary points at angles 0 and 2 pi / 3, which the range
+        # touches twice, far apart; at 2^-1060 every pair is solved
+        matrices = dict(_structured_matrices())
+        multi = {name: A for name, A, _ in _multi_block_matrices()}
+        cases = {name: matrices[name] for name in ("t3", "pro1_ellipse", "dense24", "disc_band", "diagonal", "disc_dense")}
+        cases.update(theo2=_theo2(64), th1=matrices["th1"], vertex=multi["vertex"], mixed=multi["mixed"])
+        kinds = set()
+        pruned = full = 0
+        for name, A in cases.items():
+            blocks = _blocks(A)
+            kinds |= {"closed" if block.closed else _path(block) for block in blocks} | {"multi" if len(blocks) > 1 else "single"}
+            kinds.add("real" if not A.imag.any() else "complex")
+            for K in (360, 359, 64):
+                g = _angle_grid(K)
+                for p in (0, -1060, 1000) if K == 64 else (0,):
+                    B = A * 2.0**p
+                    blocks = _blocks(B)  # subnormal entries can round a block to a graded one
+                    h = support_function(B, g)
+                    pairs = len(numrange._angle_pairs(g, not B.imag.any())[0])
+                    everything = pairs * sum(not block.closed for block in blocks) + sum(block.labels is not None for block in blocks)
+                    rows = boundary_points(B, K)
+                    touching = np.array([rows[0][1], rows[K // 3][1]])
+                    shapes = [DiscSpec(2.0**p * 0.1j, 2.0**p * 0.2), 2.0**p * np.array([0j, 0.5 - 0.25j, 0.1 + 0.6j]), touching]
+                    if p < 1000:  # EllipseSpec.support squares its semi-axes
+                        shapes.append(EllipseSpec(-0.3 * 2.0**p, 2.0**p * (0.2 + 0.1j), 2.0**p * 0.25))
+                    for shape in shapes:
+                        reductions.clear()
+                        got = _margin(B, shape, K)
+                        assert got == float(np.min(h - support_of(shape, g))), (name, K, p, shape)
+                        assert len(reductions) == everything if p == -1060 else len(reductions) <= everything, (name, K, p)
+                        pruned, full = pruned + len(reductions), full + everything
+        assert kinds == {"band", "reduced", "dense", "closed", "single", "multi", "real", "complex"}
+        assert pruned < 0.5 * full
+
+
 class TestCheckComparison:
-    """``checks._compare``, which decides every comparison of a range with a closed-form set."""
+    """``checks._margin`` and ``checks._gap``, which decide every comparison of a range with a closed-form set."""
 
     def test_margin_and_gap_are_the_grid_extremes(self):
         # a banded, a reduced and a dense sweep against a disc, an ellipse and a point cloud
@@ -1138,12 +1292,14 @@ class TestCheckComparison:
             h = support_function(matrices[name], g)
             for shape in shapes:
                 d = h - support_of(shape, g)
-                assert _compare(matrices[name], shape, 360) == (float(np.min(d)), float(np.max(np.abs(d)))), (name, shape)
+                assert _margin(matrices[name], shape, 360) == float(np.min(d)), (name, shape)
+                assert _gap(matrices[name], shape, 360) == float(np.max(np.abs(d))), (name, shape)
 
     def test_needs_an_integer_grid(self):
         for bad in (3.5, 2, 720.0, "720"):
-            with pytest.raises(UsageError):
-                _compare(np.eye(2), DiscSpec(0j, 0.5), bad)
+            for compare in (_margin, _gap):
+                with pytest.raises(UsageError):
+                    compare(np.eye(2), DiscSpec(0j, 0.5), bad)
 
 
 class TestEllipseSpec:

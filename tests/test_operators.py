@@ -142,7 +142,7 @@ class TestWeightedComposition:
             build_weighted_composition([1.0], [0.0005, 0.0, 0.0, 0.0, 0.0, 0.9996], 0.0, 8)
         with pytest.raises(DomainError, match="self-map"):
             build_weighted_composition([1.0], [1.0], 0.0, 8)
-        # the certificate covers the coefficients the truncation cuts away
+        # the test covers the coefficients the truncation cuts away
         with pytest.raises(DomainError, match="self-map"):
             build_weighted_composition([1.0], [0, 0, 0, 0, 0, 5.0], 0.0, 4)
         # NaN compares False with every bound, and inf must not reach the FFT
@@ -258,7 +258,7 @@ class TestKernelForms:
     ids=["nan-psi", "inf-psi", "inf-phi", "nan-phi", "phi-leaves-the-disk"],
 )
 def test_kernel_helpers_check_psi_and_phi_at_their_source(helper, psi, phi, error, match):
-    # as in the builder: psi finite, phi certified as a self-map of the disk
+    # as in the builder: psi finite, phi passing the self-map test of the disk
     with pytest.raises(error, match=match):
         helper(psi, phi, 0.3, 0.0)
 
