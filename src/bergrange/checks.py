@@ -465,7 +465,14 @@ def _run_th2_symmetric(alpha, orders, N, K, c):
         equiv_dev = float(np.max(np.abs(conjugated - lam * A.matrix)))
         theta = _angle_grid(K)
         h = support_function(A, theta)
-        sym_dev = float(np.max(np.abs(h - np.roll(h, -(K // order)))))
+        # the grid sweep copies the supports of one 2 pi / n window to the
+        # others, so the symmetry is measured on independent solves: two
+        # off-grid angles and their rotations by 2 pi m / n, at most 12 in
+        # all, an angle array on which the sweep solves every angle alone
+        turns, count = min(order, 12), max(1, min(2, 12 // order))
+        start = 0.3 + 2.0 * np.pi * np.arange(count) / (order * count)
+        rotated = support_function(A, (start[:, None] + 2.0 * np.pi * np.arange(turns) / order).ravel()).reshape(count, turns)
+        sym_dev = float(np.max(np.abs(rotated - rotated[:, :1])))
         image = _image_samples(partial(series_eval, psi), 1024)
         image_haus = float(np.max(np.abs(h - support_of(image, theta))))
         metrics[f"equivariance_dev_n{order}"] = equiv_dev

@@ -69,6 +69,25 @@ arbitrary angles) takes the same reduction for the top end alone.  Each
 end gets the same eigenvalue with and without its eigenvector, so
 supports agree bit for bit between the two sweeps.
 
+A range may also be rotation symmetric, which the zero pattern shows as
+well.  With g the gcd of the offsets, let n = gcd |o / g - 1| over the
+signed offsets o = i - j of the nonzero off-diagonal entries A_ij.  Where
+the diagonal is exactly 0, D = diag(w^{floor(k / g)}), w = e^{2 pi i /
+n}, gives D A D* = w A (the weighted-shift structure of Tsai and Wu
+again), so h(theta + 2 pi / n) = h(theta), and the point there is w
+times the one at theta.  On the uniform grid, with fold = gcd(n, K), the
+sweep solves only the angles of one window [0, 2 pi / fold): in
+antipodal pairs for odd fold, where theta + pi is a rotation of theta +
+pi / fold, and for the top end alone for even fold, where theta + pi is
+a rotation of theta.  Every other angle copies the support of its source
+bit for bit, and its point is the source's, conjugated where the real
+mirror maps it and turned by e^{2 pi i m / fold}; a quarter turn only
+swaps and negates parts, so the copies are exact for fold 2 and 4.
+``_angle_pairs`` lists the copies, real mirrors included, and every
+consumer of a sweep (its supports and points, the wedge bound and the
+grid margin below) reads them through ``_Sweep.spread``.  A sweep of
+closed blocks alone takes no copies: it answers every angle at once.
+
 Boundary points come in two phases.  The angle loop calls scipy's LAPACK
 and numpy's elementwise ops alone, and takes an eigenvector only for the
 block that wins an end: dstein and zunmqr on a dense or reduced block,
@@ -449,20 +468,30 @@ _BAND_RATIO = 16
 
 
 def _residue_classes(M: np.ndarray):
-    """Index sets over which M is a direct sum, and the half-bandwidth inside them.
+    """Index sets over which M is a direct sum, the half-bandwidth inside them, and the order of the rotation symmetry of its range.
 
     With g the gcd of the offsets |m - n| of the nonzero entries, every
     entry links two indices of one residue class mod g, and an offset d
     becomes d / g inside the class.  g < 2 leaves one class; a diagonal or
     zero matrix has half-bandwidth 0.
+
+    The order is n = gcd |o / g - 1| over the signed offsets o = i - j of
+    the nonzero off-diagonal entries M_ij, where the diagonal is exactly 0,
+    and 1 where it is not.  Then D = diag(w^{floor(k / g)}), w = e^{2 pi i
+    / n}, gives D M D* = w M, since every o / g is 1 mod n, so the range is
+    invariant under z -> w z.  n = 0 (every o equal to g, or no entry at
+    all) leaves it invariant under every rotation.
     """
+    size = M.shape[0]
     rows, cols = np.nonzero(M)
-    offsets = np.flatnonzero(np.bincount(np.abs(rows - cols), minlength=1))
-    n, g = M.shape[0], int(np.gcd.reduce(offsets))
+    signed = np.flatnonzero(np.bincount(rows - cols + size - 1, minlength=2 * size - 1)) - (size - 1)
+    offsets = np.flatnonzero(np.bincount(np.abs(signed), minlength=1))
+    g = int(np.gcd.reduce(offsets))
     top = int(offsets[-1]) if offsets.size else 0
+    order = 1 if 0 in signed else int(np.gcd.reduce(np.abs(signed // max(g, 1) - 1)))
     if g < 2:
-        return [np.arange(n)], top
-    return [np.arange(r, n, g) for r in range(g)], top // g
+        return [np.arange(size)], top, order
+    return [np.arange(r, size, g) for r in range(g)], top // g, order
 
 
 def _range_basis(M: np.ndarray):
@@ -723,35 +752,68 @@ class _Block:
         return points
 
 
-def _angle_pairs(thetas: np.ndarray, real: bool):
-    """(pairs, mirrors): the angles one reduction solves together, and those copied from a mirror image.
+def _angle_pairs(thetas: np.ndarray, real: bool, order: int):
+    """(pairs, copies, fold): the angles one reduction solves together, those copied from a solved one, and the fold of the copies.
 
-    Each pair (j, k) names the index j of an angle theta solved for its top
-    end and the index k of theta + pi, taken from the same reduction, or
-    None.  Only the uniform grid 2 pi j / K with K even holds both angles
-    of a pair; any other array solves each angle alone.  A real A has
-    H(-theta) = conj H(theta), so there h(-theta) = h(theta) and the point
-    at -theta is the conjugate of the one at theta: each mirror (i, j)
-    copies index j into index i = K - j (mod K).  Then the pairs need only
-    the angles in [0, pi/2], and at pi/2, where -theta is theta + pi, the
-    mirror gives the other end.
+    ``pairs`` holds two rows: the index j of an angle theta solved for its
+    top end, and the index k of theta + pi, taken from the same reduction,
+    or -1.  Only the uniform grid 2 pi j / K holds the angles that a pair or
+    a copy relates; any other array, and K < 4, solves each angle alone.
+
+    Two exact symmetries of the range give the copies.  A range invariant
+    under the rotation by 2 pi / ``order`` (``_residue_classes``) is
+    invariant under the rotation by 2 pi / fold, fold = gcd(order, K), which
+    maps the grid onto itself: h(theta + 2 pi m / fold) = h(theta), and the
+    point there is e^{2 pi i m / fold} times the one at theta.  So only a
+    window of W = K / fold angles is solved.  With K even and fold odd, the
+    pairs (j, j + K/2), j < W/2, fill it, since theta + pi is a rotation of
+    theta + pi / fold; with fold even, theta + pi is a rotation of theta
+    itself, and the angles j < W are solved for their top end alone.  A
+    real A has H(-theta) = conj H(theta), so for K even h(-theta) =
+    h(theta) and the point at -theta is the conjugate of the one at theta;
+    then the pairs need only the first half of their span, and where -theta
+    is theta + pi the copy gives the other end.
+
+    ``copies`` holds four rows, the index i copied to, its source, the
+    turns m and a flag: i holds the source's support, and its point is
+    e^{2 pi i m / fold} times the source's, conjugated first where the flag
+    is set.  A mirror is taken where one reaches i, so with fold 1, 2 or 4,
+    whose turns are exact, the point at K - j is the conjugate of the one
+    at j for every j; with fold 1 the copies are the real mirrors alone.
     """
     K = thetas.size
-    if K % 2 or K < 4 or not np.array_equal(thetas, _angle_grid(K)):
-        return [(j, None) for j in range(K)], []
-    half = K // 2
-    if not real:
-        return [(j, j + half) for j in range(half)], []
-    pairs, mirrors = [], []
-    for j in range(half // 2 + 1):
-        if 2 * j == half:
-            pairs.append((j, None))
-            mirrors.append((j + half, j))
-        else:
-            pairs.append((j, j + half))
-            if j:
-                mirrors += [(K - j, j), (half - j, j + half)]
-    return pairs, mirrors
+    if K < 4 or not np.array_equal(thetas, _angle_grid(K)):
+        return np.array([np.arange(K), np.full(K, -1)]), np.zeros((4, 0), dtype=int), 1
+    fold = int(np.gcd(order, K))
+    width = K // fold
+    both, mirror = K % 2 == 0 and fold % 2 == 1, real and K % 2 == 0
+    span = width // 2 if both else width
+    first = np.arange(span // 2 + 1 if mirror else span)
+    second = first + K // 2 if both else np.full(first.size, -1)
+    if both and mirror and span % 2 == 0:
+        second[-1] = -1  # 2 j = span: the mirror of j is j + K/2
+    ends = np.concatenate([first, second[second >= 0]])
+    direct, mirrored, copied = np.full(width, -1), np.full(width, -1), np.ones(K, dtype=bool)
+    direct[ends % width] = ends
+    if mirror:
+        mirrored[-ends % width] = ends
+    copied[ends] = False
+    target = np.flatnonzero(copied)
+    source = mirrored[target % width]
+    flip = source >= 0
+    source[~flip] = direct[target[~flip] % width]
+    turns = (target + np.where(flip, source, -source)) // width % fold
+    return np.array([first, second]), np.array([target, source, turns, flip]), fold
+
+
+def _turned(p: np.ndarray, turns: np.ndarray, fold: int) -> np.ndarray:
+    """p e^{2 pi i turns / fold}, elementwise; a whole number of quarter turns only swaps and negates parts, which is exact."""
+    x, y = p.real, p.imag
+    quarter, q = 4 * turns % fold == 0, 4 * turns // fold % 4
+    c, s = np.cos(2.0 * np.pi * turns / fold), np.sin(2.0 * np.pi * turns / fold)
+    re = np.where(quarter, np.choose(q, [x, -y, -x, y]), c * x - s * y)
+    im = np.where(quarter, np.choose(q, [y, x, -y, -x]), c * y + s * x)
+    return _complex(re, im)
 
 
 def _finite(*arrays) -> None:
@@ -767,9 +829,11 @@ class _Sweep:
     e^{-i theta} A.  It is nonzero only where A or A* is, so the residue
     classes and half-bandwidth of A fix the solver of every angle: the
     support is the largest block support and the point that of the winning
-    block.  The angles are solved in the pairs of ``_angle_pairs``, whose
-    realness test is exact (no imaginary part of A is nonzero), so it reads
-    a matrix read back from CSV as the one built in process.
+    block.  The angles are solved in the pairs of ``_angle_pairs``, and the
+    others copied from them, by tests that read A exactly: realness (no
+    imaginary part of A is nonzero) and the order of the rotation symmetry
+    of ``_residue_classes``, so a matrix read back from CSV is swept as the
+    one built in process.
 
     ``supports`` holds [block, end, pair]; end 1 of an unpaired angle is
     never read.  Closed blocks fill it at every pair at once, and ``solve``
@@ -785,15 +849,15 @@ class _Sweep:
             A_re, A_im = (M + M.conj().T) / 2.0, (M - M.conj().T) / 2j
         if not (np.all(np.isfinite(A_re)) and np.all(np.isfinite(A_im))):
             raise NumericError("Hermitian parts of the matrix overflow")
-        classes, kd = _residue_classes(M)
+        classes, kd, order = _residue_classes(M)
         self.blocks = [_Block(M, A_re, A_im, idx, kd) for idx in classes]
         self.real = not M.imag.any()
-        pairs, mirrors = _angle_pairs(thetas, self.real)
+        # closed blocks answer every angle at once: a sweep of them alone takes no copies
+        looped = not all(block.closed for block in self.blocks)
+        pairs, self.copies, self.fold = _angle_pairs(thetas, self.real, order if looped else 1)
         self.thetas = thetas
-        self.first = np.array([j for j, _ in pairs], dtype=int)
-        self.second = np.array([-1 if k is None else k for _, k in pairs], dtype=int)
+        self.first, self.second = pairs
         self.paired = self.second >= 0
-        self.mirrors = np.array(mirrors, dtype=int).reshape(-1, 2).T  # rows: the index copied to, and its source
         self.c, self.s = np.cos(thetas[self.first]), np.sin(thetas[self.first])
         self.supports = np.zeros((len(self.blocks), 2, self.first.size))
         self.closed = {}
@@ -846,7 +910,7 @@ class _Sweep:
         sublinear, so h(theta) <= a h(theta') + b h(theta''), and with every
         computed support within the slack of the true one, that sum plus
         (a + b + 1) slack bounds the computed support at theta.  A neighbour
-        at a pair of ``js``, or mirrored from one, counts as +inf.  The sums
+        at a pair of ``js``, or copied from one, counts as +inf.  The sums
         are taken times 2^-e, in the frame of ``_frame`` of the other pairs'
         supports, so that none overflows.
         """
@@ -887,12 +951,17 @@ class _Sweep:
         """The winning support at each end of every pair, rows end 0 and end 1."""
         return np.take_along_axis(self.supports, np.argmax(self.supports, axis=0)[None], axis=0)[0]
 
-    def spread(self, rows: np.ndarray, conj: bool = False) -> np.ndarray:
-        """Values at every angle from ``rows`` [..., end, pair]: each end at its angle, and at each mirror its source's value, conjugated with ``conj``."""
+    def spread(self, rows: np.ndarray, points: bool = False) -> np.ndarray:
+        """Values at every angle from ``rows`` [..., end, pair]: each end at its angle, and at each copy its source's value, as a point with ``points``.
+
+        A point is conjugated where its copy mirrors and then turned by
+        its copy's rotation; any other value is copied bit for bit.
+        """
         out = np.empty(rows.shape[:-2] + self.thetas.shape, dtype=rows.dtype)
         out[..., self.first], out[..., self.second[self.paired]] = rows[..., 0, :], rows[..., 1, self.paired]
-        copied, source = self.mirrors
-        out[..., copied] = np.conj(out[..., source]) if conj else out[..., source]
+        target, source, turns, flip = self.copies
+        values = out[..., source]
+        out[..., target] = _turned(np.where(flip, np.conj(values), values), turns, self.fold) if points else values
         return out
 
 
@@ -916,7 +985,7 @@ def _sweep(A, thetas: np.ndarray, vectors: bool):
     if prune:
         sweep.solve(pairs[1::2], vectors, sweep.wedge(pairs[1::2]))
     h = sweep.spread(sweep.tops())
-    points = sweep.spread(sweep.points(pairs), conj=True) if vectors else None
+    points = sweep.spread(sweep.points(pairs), points=True) if vectors else None
     _finite(h, *([] if points is None else [points]))
     return h, points
 
@@ -925,33 +994,35 @@ def _grid_margin(A, target: np.ndarray, n_angles: int) -> float:
     """min over the grid ``_angle_grid(n_angles)`` of h_A - target, with the bits of a full sweep's, from the angle pairs that can hold it.
 
     Each point p of the range gives h_A(theta) >= Re(e^{-i theta} p), and
-    so does conj(p) for a real A; each closed block gives its exact
-    supports.  The larger of the two, less 2 slack, bounds the computed
-    support at theta from below.  The sweep solves every 8th pair and the
-    last, with boundary points, then, in one batch per round, each other
-    pair at one of whose angles (theta, theta + pi and their mirrors) that
-    bound minus the target does not exceed the least h_A - target so far.
-    The pairs left cannot hold the minimum.  A sweep of closed blocks alone
-    reads every angle from ``closed_ends``, with no points.  The bounds are
-    taken times 2^-e, in the frame of ``_frame`` of the points, supports
-    and target, and over at most ``_POINT_CHUNK`` entries at a time.
+    so does each copy of a point that ``_Sweep.spread`` makes (conj(p) for
+    a real A, its rotations for a symmetric one); each closed block gives
+    its exact supports.  The larger of the two, less 2 slack, bounds the
+    computed support at theta from below.  The sweep solves every 8th pair
+    and the last, with boundary points, then, in one batch per round, each
+    other pair at one of whose angles (theta, theta + pi and their copies)
+    that bound minus the target does not exceed the least h_A - target so
+    far.  The pairs left cannot hold the minimum.  A sweep of closed blocks
+    alone reads every angle from ``closed_ends``, with no points.  The
+    bounds are taken times 2^-e, in the frame of ``_frame`` of the points,
+    supports and target, and over at most ``_POINT_CHUNK`` entries at a
+    time.
     """
     sweep = _Sweep(A, _angle_grid(n_angles))
     P = sweep.first.size
     owner = sweep.spread(np.tile(np.arange(P), (2, 1)))  # the pair that gives each angle
     solved = np.full(P, not sweep.looped)
     floor = [sweep.spread(np.max(sweep.supports[list(sweep.closed)], axis=0))] if sweep.closed else []
-    batch = np.unique(np.r_[np.arange(0, P, 8), P - 1]) if sweep.looped else []
-    clouds, slack = [], sweep.slack()
+    # sorted pair indices by flatnonzero: np.unique imports numpy.ma, about 10 ms, on its first call
+    batch = np.flatnonzero((np.arange(P) % 8 == 0) | (np.arange(P) == P - 1)) if sweep.looped else []
+    found, slack = np.zeros((2, P), dtype=complex), sweep.slack()
     while len(batch):
         sweep.solve(batch, vectors=True)
         solved[batch] = True
-        points = sweep.points(batch)
-        clouds += [points[0], points[1, sweep.paired[batch]]]
+        found[:, batch] = sweep.points(batch)
         h, known = sweep.spread(sweep.tops()), solved[owner]
-        _finite(h[known], *clouds[-2:])
-        cloud = np.concatenate(clouds)
-        e, (p, h_known, t, *f) = _frame(np.concatenate([cloud, cloud.conj()]) if sweep.real else cloud, h[known], target, *floor)
+        cloud = sweep.spread(found, points=True)[known]
+        _finite(h[known], cloud)
+        e, (p, h_known, t, *f) = _frame(cloud, h[known], target, *floor)
         unknown = np.flatnonzero(~known)
         c, s = np.cos(sweep.thetas[unknown]), np.sin(sweep.thetas[unknown])
         low = np.empty(unknown.size)
@@ -960,7 +1031,7 @@ def _grid_margin(A, target: np.ndarray, n_angles: int) -> float:
         if floor:
             low = np.maximum(low, f[0].real[unknown])
         reach = low - t.real[unknown] - 2.0 * np.ldexp(slack, -e) <= np.min(h_known.real - t.real[known])
-        batch = np.unique(owner[unknown[reach]])
+        batch = np.flatnonzero(np.bincount(owner[unknown[reach]], minlength=P))
     h, known = sweep.spread(sweep.tops()), solved[owner]
     _finite(h[known])
     return float(np.min(h[known] - target[known]))
@@ -1163,12 +1234,20 @@ class EllipseSpec:
         return float(np.hypot(self.minor_axis, abs(self.focus1 - self.focus2)))
 
     def support(self, thetas) -> np.ndarray:
+        """Re(e^{-i theta} center) + sqrt(a^2 cos^2 + b^2 sin^2) of theta - beta, for the semi-axes a, b and the major-axis angle beta.
+
+        The semi-axes are squared times 2^-e, with 2^e above the larger of
+        them, and the root is multiplied by 2^e again; both products are
+        exact, so no semi-axis up to the float limit overflows its square.
+        """
         thetas = _angles(thetas)
         beta = np.angle(self.focus2 - self.focus1) if self.focus2 != self.focus1 else 0.0
         a_s = self.major_axis / 2.0
         b_s = self.minor_axis / 2.0
+        e = int(np.frexp(max(a_s, b_s))[1])
+        a_s, b_s = np.ldexp(a_s, -e), np.ldexp(b_s, -e)
         rel = thetas - beta
-        bulge = np.sqrt(a_s**2 * np.cos(rel) ** 2 + b_s**2 * np.sin(rel) ** 2)
+        bulge = np.ldexp(np.sqrt(a_s**2 * np.cos(rel) ** 2 + b_s**2 * np.sin(rel) ** 2), e)
         return np.real(np.exp(-1j * thetas) * self.center) + bulge
 
 
@@ -1200,9 +1279,13 @@ def support_of(obj, thetas) -> np.ndarray:
     arr = np.asarray(obj)
     if arr.ndim != 1:
         raise UsageError(f"support_of takes a 1-d point cloud, a disc or an ellipse, got {type(obj).__name__} with ndim {arr.ndim}; sweep a matrix with support_function")
-    # max of Re(e^{-i theta} p) one angle at a time: O(points) memory
+    # max of Re(e^{-i theta} p) over slices of angles, at most _POINT_CHUNK entries per temporary
     pts = _point_cloud(arr)
-    return np.array([np.max(d.real * pts.real - d.imag * pts.imag) for d in np.exp(-1j * thetas)])
+    d = np.exp(-1j * thetas)
+    h = np.empty(thetas.size)
+    for k in _chunks(thetas.size, pts.size):
+        h[k] = np.max(d.real[k, None] * pts.real - d.imag[k, None] * pts.imag, axis=1)
+    return h
 
 
 def _image_samples(f, n_angles: int) -> np.ndarray:

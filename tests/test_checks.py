@@ -345,6 +345,27 @@ def test_quarter_turn_rotations_are_exact(monkeypatch):
     assert len(built) == 1 and not built[0].matrix.imag.any()
 
 
+def test_th2_measures_its_symmetry_on_independent_solves(monkeypatch):
+    # the grid sweep of an n-fold symmetric matrix copies one window to the
+    # others, so symmetry_dev_n reads a second sweep per order: at most 12
+    # angles off the grid, rotations by 2 pi m / n of two of them, each
+    # solved alone.  Its value is the spread of those supports, which
+    # rounding makes nonzero at alpha = 0.5
+    calls = []
+    original = checks.support_function
+    monkeypatch.setattr(checks, "support_function", lambda A, thetas: calls.append((np.array(thetas), original(A, thetas))) or calls[-1][1])
+    report = run_check("th2_symmetric", {"alpha": 0.5})
+    assert report.passed and len(calls) == 4
+    for order, (grid, _), (probes, h) in zip((2, 3), calls[::2], calls[1::2]):
+        assert np.array_equal(grid, numrange._angle_grid(360)) and probes.size == 2 * order <= 12
+        assert np.all(probes * 360 / (2 * np.pi) % 1 != 0)
+        rotations = probes.reshape(2, order) - probes.reshape(2, order)[:, :1]
+        assert np.allclose(rotations, 2 * np.pi * np.arange(order) / order, rtol=0, atol=1e-15)
+        spread = h.reshape(2, order) - h.reshape(2, order)[:, :1]
+        assert report.metrics[f"symmetry_dev_n{order}"] == float(np.max(np.abs(spread)))
+    assert 0.0 < max(report.metrics["symmetry_dev_n2"], report.metrics["symmetry_dev_n3"]) <= 1e-8
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_th1_rejects_a_weight_not_of_the_form_g_of_z_to_the_n(n):
     # the default weight 0.5 + 0.5 z^3 once ran at these orders and failed with a Hausdorff gap near 0.3
@@ -359,13 +380,14 @@ def test_th1_holds_for_a_weight_of_the_form_g_of_z_to_the_n():
 
 # sweeps per check at the defaults; each comparison with a closed form sweeps
 # its range once, by a full sweep or by the margin's, and a check not listed
-# here sweeps nothing
+# here sweeps nothing.  th2_symmetric also measures the symmetry of each
+# order on its own sweep of a few arbitrary angles
 SWEEPS = {
     "t3_harmonic_range": 1,
     "c1_multiplication": 1,
     "th1_rotation_hull": 1,
     "c2_polygon": 4,
-    "th2_symmetric": 2,
+    "th2_symmetric": 4,
     "pro1_rank_one": 3,
     "theo2_zero_interior": 4,
     "theo3_zero_interior": 1,
@@ -389,24 +411,28 @@ def test_each_check_sweeps_each_range_once(monkeypatch):
         run_check(check_id)
         counts[check_id] = len(calls) - before
     assert counts == {check_id: SWEEPS.get(check_id, 0) for check_id in EXPECTED_IDS}
-    assert sum(counts.values()) == 28
+    assert sum(counts.values()) == 30
 
 
-# tridiagonal reductions per check at the defaults, 3261 in all when every
-# sweep solved every block at every angle pair.  A margin solves every 8th
+# tridiagonal reductions per check at the defaults, 3261 in all, symmetry
+# probes aside, when every sweep solved every block at every angle pair of
+# the whole grid.  A margin solves every 8th
 # pair and the last, then the pairs whose lower bound can still reach the
 # minimum: 15 of the 91 pairs of each theo2 matrix, 14 of 91 for theo3, and
 # 29 of 181 and 53 of 360 for the containment of the two ellipse checks at
 # K = 720, whose 2 x 2 support_dev gaps still take 181 and 360.  A full
 # sweep of two or more looped blocks solves each at the even pairs, and at
 # the odd ones only the blocks whose wedge bound can still win an end:
-# th2_symmetric's order-3 case takes 366 (540 before), its order-2 case
-# still 182, and th1 450 (540)
+# th1 takes 450 (540).  A matrix whose range is n-fold symmetric solves one
+# 2 pi / n window of the grid: th2_symmetric's order-3 case takes 122 (366
+# on the whole grid, 540 unpruned), its order-2 case 182, each end of
+# [0, pi/2] alone, and their symmetry probes one reduction per angle and
+# block, 4 x 2 and 6 x 3
 REDUCTIONS = {
     "t3_harmonic_range": 91,
     "c1_multiplication": 1,
     "th1_rotation_hull": 450,
-    "th2_symmetric": 182 + 366,
+    "th2_symmetric": 182 + 4 * 2 + 122 + 6 * 3,
     "pro1_rank_one": 182,
     "theo2_zero_interior": 4 * 15,
     "theo3_zero_interior": 14,
@@ -428,4 +454,15 @@ def test_each_check_makes_its_pinned_reductions(monkeypatch):
         run_check(check_id)
         counts[check_id] = len(made) - before
     assert counts == {check_id: REDUCTIONS.get(check_id, 0) for check_id in EXPECTED_IDS}
-    assert sum(counts.values()) == 2157
+    assert sum(counts.values()) == 1939
+
+
+def test_two_fold_ranges_bisect_one_end_per_angle(monkeypatch):
+    # t3's tridiagonal z + a conj(z) has a zero diagonal and offsets +-1, so
+    # its range is symmetric under z -> -z: theta + pi copies theta, and the
+    # real mirror leaves the 91 angles of [0, pi/2], each bisected for its
+    # top end alone (181 bisections when theta + pi was solved too)
+    bisections, eigenvalue = [], numrange._Tridiagonal.eigenvalue
+    monkeypatch.setattr(numrange._Tridiagonal, "eigenvalue", lambda T, end: bisections.append(end) or eigenvalue(T, end))
+    assert run_check("t3_harmonic_range").passed
+    assert bisections == [0] * 91

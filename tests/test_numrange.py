@@ -114,8 +114,18 @@ def _random_band(rng, n, kd):
 def _blocks(A):
     """The residue-class blocks a sweep of A solves, each with its solver."""
     A_re, A_im = (A + A.conj().T) / 2.0, (A - A.conj().T) / 2j
-    classes, kd = _residue_classes(A)
+    classes, kd, _ = _residue_classes(A)
     return [_Block(A, A_re, A_im, idx, kd) for idx in classes]
+
+
+def _pairing(A, thetas):
+    """(pairs, copies, fold) of ``numrange._angle_pairs`` as a sweep of A at ``thetas`` takes them, each pair a tuple (j, k) with k None where j is unpaired.
+
+    A sweep of closed blocks alone takes no copies.
+    """
+    order = 1 if all(block.closed for block in _blocks(A)) else _residue_classes(A)[2]
+    (first, second), copies, fold = numrange._angle_pairs(thetas, not A.imag.any(), order)
+    return [(j, None if k < 0 else k) for j, k in zip(first.tolist(), second.tolist())], copies, fold
 
 
 def _path(block):
@@ -157,12 +167,15 @@ class TestSweepKernel:
     THETAS = 2.0 * np.pi * np.arange(48) / 48
 
     def test_dispatch_reads_the_zero_pattern(self):
-        # (number of residue classes, half-bandwidth inside them)
-        want = {"t3": (1, 1), "th1": (3, 1), "th2_n2": (2, 3), "th2_n3": (3, 4), "diagonal": (1, 0), "zero": (1, 0), "e13": (2, 1)}
-        want.update(disc_band=(1, 1), disc_reduced=(1, 32), disc_dense=(1, 20))
+        # (number of residue classes, half-bandwidth inside them, order of
+        # the rotation symmetry): t3's offsets +-1 and E_13's -2 make them
+        # 2-fold, th2_n's offsets n and n (n + 1) n-fold; a nonzero diagonal
+        # entry leaves 1, and the zero matrix, with no entry, is 0
+        want = {"t3": (1, 1, 2), "th1": (3, 1, 1), "th2_n2": (2, 3, 2), "th2_n3": (3, 4, 3), "diagonal": (1, 0, 1), "zero": (1, 0, 0)}
+        want.update(e13=(2, 1, 2), disc_band=(1, 1, 1), disc_reduced=(1, 32, 1), disc_dense=(1, 20, 1))
         for name, A in _structured_matrices():
-            classes, kd = _residue_classes(A)
-            assert (len(classes), kd) == want.get(name, (1, A.shape[0] - 1)), name
+            classes, kd, order = _residue_classes(A)
+            assert (len(classes), kd, order) == want.get(name, (1, A.shape[0] - 1, 1)), name
             assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(A.shape[0]))
 
     def test_low_rank_blocks_are_solved_on_their_range(self):
@@ -494,7 +507,7 @@ assert numrange._linalg("cython_lapack") is cython_lapack
                 solved.clear()
                 batches.clear()
                 boundary_points(A, K)
-                pairs = numrange._angle_pairs(_angle_grid(K), not A.imag.any())[0]
+                pairs = _pairing(A, _angle_grid(K))[0]
                 first = _angle_grid(K)[[j for j, _ in pairs]]
                 index = {cs: j for j, cs in enumerate(zip(np.cos(first), np.sin(first)))}
                 order = {block: b for b, block in enumerate(dict.fromkeys(block for block, _, _ in solved))}
@@ -864,7 +877,7 @@ class TestGradedBlocks:
                 blocks = _blocks(near)
                 assert [block.labels is None for block in blocks] == [True] + [False] * (len(blocks) - 1), name
                 for thetas in self._angle_sets():
-                    pairs = len(numrange._angle_pairs(thetas, not near.imag.any())[0])
+                    pairs = len(_pairing(near, thetas)[0])
                     reductions.clear()
                     h = support_function(near, thetas)
                     assert len(reductions) == pairs + len(blocks) - 1, name
@@ -934,6 +947,119 @@ class TestGradedBlocks:
                     if block.labels is None and np.isnan(A).any():
                         assert np.isnan(supports).all() and np.isnan(points).all()
                     assert len(p0) == (block.labels is not None)
+
+
+@st.composite
+def _rotation_symmetric(draw):
+    """(A, order, K, scale): a zero diagonal and, within g residue classes, offsets q = 1 mod n, so that A is n-fold rotation symmetric.
+
+    n, g, the class sizes and the offsets besides q = 1, which keeps the
+    classes those of g, are drawn, real or complex entries from a drawn
+    seed, K a multiple of n or not, and the scale 1, 2^-1060 or 2^1000.
+    """
+    n, g, m = draw(st.integers(2, 6)), draw(st.integers(1, 3)), draw(st.integers(3, 12))
+    size = g * m + draw(st.integers(0, g - 1))
+    others = [q for q in range(1 - m, m) if q != 1 and (q - 1) % n == 0]
+    offsets = [1] + (draw(st.lists(st.sampled_from(others), min_size=1, max_size=2, unique=True)) if others else [])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = draw(st.booleans())
+    A = np.zeros((size, size), dtype=complex)
+    for q in offsets:
+        w = rng.standard_normal(size - abs(q) * g) + (0.0 if real else 1j * rng.standard_normal(size - abs(q) * g))
+        A += np.diag(w, -q * g)
+    K = draw(st.one_of(st.integers(2, 12).map(lambda k: n * k), st.integers(4, 40)))
+    scale = 2.0 ** draw(st.sampled_from([0, -1060, 1000]))
+    return A * scale, n, K, scale
+
+
+class TestRotationSymmetry:
+    """A zero diagonal and offsets q = 1 mod n within the residue classes make the range n-fold symmetric: the sweep solves one window and copies it."""
+
+    def test_turns_are_exact_on_quarter_turns(self):
+        # p e^{2 pi i m / fold}: a quarter turn swaps and negates parts, signed
+        # zeros included; any other turn is the complex product up to rounding
+        parts = np.array([0.0, -0.0, 1.5, -2.25, 1e-310, 1e300])
+        p = (parts[:, None] + 1j * parts[None, :]).ravel()
+        x, y = p.real, p.imag
+        for fold in (1, 2, 4, 8, 3, 5, 6):
+            for m in range(fold):
+                got = numrange._turned(p, np.full(p.size, m), fold)
+                if 4 * m % fold == 0:
+                    want = [(x, y), (-y, x), (-x, -y), (y, -x)][4 * m // fold]
+                    assert got.real.tobytes() == want[0].tobytes() and got.imag.tobytes() == want[1].tobytes(), (fold, m)
+                else:
+                    assert np.allclose(got, p * np.exp(2j * np.pi * m / fold), rtol=1e-15, atol=0.0), (fold, m)
+
+    def test_windows_solve_one_orbit_per_angle(self, reductions):
+        # th2_n3 is 3-fold and complex: K = 360 solves the 60 pairs (j, j +
+        # 180) of a 120-angle window, at most 180 reductions on its three
+        # blocks; th2_n2 and t3 are 2-fold and real: the 91 angles of [0,
+        # pi/2], top end alone.  Every other angle is a copy, its support bit
+        # for bit and its point turned; at the prime K = 359 and 361 nothing
+        # is copied or paired
+        matrices = dict(_structured_matrices())
+        for name, fold, pairs, paired in (("th2_n3", 3, 60, 60), ("th2_n2", 2, 91, 0), ("t3", 2, 91, 0)):
+            A = matrices[name]
+            solved, copies, got = _pairing(A, _angle_grid(360))
+            assert (got, len(solved), sum(k is not None for _, k in solved)) == (fold, pairs, paired), name
+            reductions.clear()
+            rows = boundary_points(A, 360)
+            assert len(reductions) <= pairs * len(_blocks(A)), name
+            h, points = np.array([s for _, _, s in rows]), np.array([p for _, p, _ in rows])
+            target, source, turns, flip = copies
+            assert h[target].tobytes() == h[source].tobytes(), name
+            moved = numrange._turned(np.where(flip, np.conj(points[source]), points[source]), turns, fold)
+            assert points[target].tobytes() == moved.tobytes(), name
+            assert np.max(np.abs(h - _top_eigvals(A, _angle_grid(360)))) <= 1e-13 * np.max(np.abs(h)), name
+            for K in (359, 361):
+                reductions.clear()
+                support_function(A, _angle_grid(K))
+                assert len(reductions) >= K, (name, K)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(_rotation_symmetric())
+    def test_symmetric_sweeps_match_the_full_sweep(self, case):
+        # against the reversed grid, which takes no shortcut: supports within
+        # rounding, copies bit for bit, every point on its support line
+        # within the residual check's bound, and a pattern one entry away
+        # (a diagonal entry an ulp from 0, or an entry at the offset q = 2,
+        # which is 1 mod no n > 1) swept exactly as with no symmetry
+        A, n, K, scale = case
+        size, largest, g = A.shape[0], float(np.max(np.abs(A))), len(_residue_classes(A)[0])
+        assert _residue_classes(A)[2] % n == 0
+        grid = _angle_grid(K)
+        moved, off = A.copy(), A.copy()
+        moved[0, 0] = np.nextafter(0.0, 1.0)
+        off[2 * g, 0] = scale
+        made, init, eigenvalue = [], numrange._Tridiagonal.__init__, numrange._Tridiagonal.eigenvalue
+
+        def counted(B, fold=None):
+            """(reductions, bisections) of a sweep of B on the grid; with ``fold`` 1, as if the zero pattern showed no symmetry."""
+            made.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(numrange._Tridiagonal, "__init__", lambda T, *args: made.append("reduction") or init(T, *args))
+                patch.setattr(numrange._Tridiagonal, "eigenvalue", lambda T, end: made.append("bisection") or eigenvalue(T, end))
+                if fold == 1:
+                    patch.setattr(numrange, "_residue_classes", lambda M, classes=numrange._residue_classes: classes(M)[:2] + (1,))
+                support_function(B, grid)
+            return made.count("reduction"), made.count("bisection")
+
+        h = support_function(A, grid)
+        full = support_function(A, grid[::-1])[::-1]
+        tol = max(16.0 * size * np.finfo(float).eps * largest, 16.0 * np.finfo(float).smallest_subnormal)
+        assert np.max(np.abs(h - full)) <= tol
+        _, copies, fold = _pairing(A, grid)
+        target, source = copies[:2]
+        assert h[target].tobytes() == h[source].tobytes()
+        rows = boundary_points(A, K)
+        assert np.array([s for _, _, s in rows]).tobytes() == h.tobytes()
+        bound = 1e-10 * np.sqrt(size) * max(1.0, largest)
+        assert all(abs((np.exp(-1j * th) * p).real - s) <= bound for th, p, s in rows)
+        for B in (moved, off):
+            assert _residue_classes(B)[2] == 1 and counted(B) == counted(B, fold=1)
+        if fold > 1:
+            (reduced, bisected), (reduced_full, bisected_full) = counted(A), counted(A, fold=1)
+            assert reduced <= reduced_full and bisected < bisected_full
 
 
 class TestSmallMatrices:
@@ -1111,6 +1237,21 @@ class TestHullGeometry:
             if all(x == 0.0 or abs(x) >= tiny for x in (d, d_scaled)):
                 assert d_scaled == math.ldexp(d, p), (q, p)
 
+    def test_point_cloud_supports_match_the_per_angle_maximum_bit_for_bit(self):
+        # support_of takes slices of angles at once, with the elementwise ops
+        # of one angle: the bits of max(c x + s y) angle by angle, over ties
+        # and signed zeros, at scale 1 and near both ends of the float range
+        rng = np.random.default_rng(73)
+        thetas = np.concatenate([_angle_grid(360), [0.0, -0.0, np.pi / 2.0, np.pi, -np.pi / 2.0], rng.uniform(-10.0, 10.0, 30)])
+        ties = np.array([1.0, -1.0, 0.0, -0.0, 0.5])
+        for size in (1, 3, 64, 5000):
+            cloud = rng.choice(ties, size) + 1j * rng.choice(ties, size)
+            cloud[::3] += rng.standard_normal(cloud[::3].size)
+            for p in (0, -1060, 1000):
+                pts = cloud * 2.0**p
+                want = np.array([np.max(d.real * pts.real - d.imag * pts.imag) for d in np.exp(-1j * thetas)])
+                assert support_of(pts, thetas).tobytes() == want.tobytes(), (size, p)
+
     def test_support_of_dispatch(self):
         hull = HullPolygon(convex_hull([0j, 1 + 0j, 1j]))
         disc = DiscSpec(0.5, 0.5)
@@ -1165,6 +1306,9 @@ def _multi_block_matrices():
     rng = np.random.default_rng(67)
     matrices = dict(_structured_matrices())
     yield "th1", matrices["th1"], True
+    # n-fold symmetric: each sweep solves one window and copies the rest
+    yield "th2_n2", matrices["th2_n2"], True
+    yield "th2_n3", matrices["th2_n3"], True
     dense = [rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)) for _ in range(3)]
     yield "dense", _on_classes(dense), True
     yield "dense_real", _on_classes(dense[:2], real=True), True
@@ -1177,10 +1321,10 @@ def _multi_block_matrices():
 
 
 def _reference_sweep(A, K):
-    """(supports, points) of ``boundary_points(A, K)`` from every block at every angle pair: the unpruned sweep, from each block's own steps."""
+    """(supports, points) of ``boundary_points(A, K)`` from every block at every angle pair: the unpruned sweep, from each block's own steps, with the sweep's copies."""
     thetas = _angle_grid(K)
     blocks = _blocks(A)
-    pairs, mirrors = numrange._angle_pairs(thetas, not A.imag.any())
+    pairs, copies, fold = _pairing(A, thetas)
     first = thetas[[j for j, _ in pairs]]
     c, s = np.cos(first), np.sin(first)
     supports = np.zeros((len(blocks), 2, len(pairs)))
@@ -1205,8 +1349,8 @@ def _reference_sweep(A, K):
             points[angles[b]] = [P[end, j] for end, j in taken[b]]
         elif taken[b]:
             points[angles[b]] = block.points(taken[b])
-    for i, j in mirrors:
-        h[i], points[i] = h[j], np.conj(points[j])
+    for i, j, m, flip in copies.T:
+        h[i], points[i] = h[j], numrange._turned(np.conj(points[j:j + 1]) if flip else points[j:j + 1], m, fold)[0]
     return h, points
 
 
@@ -1263,13 +1407,12 @@ class TestPruning:
                     B = A * 2.0**p
                     blocks = _blocks(B)  # subnormal entries can round a block to a graded one
                     h = support_function(B, g)
-                    pairs = len(numrange._angle_pairs(g, not B.imag.any())[0])
+                    pairs = len(_pairing(B, g)[0])
                     everything = pairs * sum(not block.closed for block in blocks) + sum(block.labels is not None for block in blocks)
                     rows = boundary_points(B, K)
                     touching = np.array([rows[0][1], rows[K // 3][1]])
                     shapes = [DiscSpec(2.0**p * 0.1j, 2.0**p * 0.2), 2.0**p * np.array([0j, 0.5 - 0.25j, 0.1 + 0.6j]), touching]
-                    if p < 1000:  # EllipseSpec.support squares its semi-axes
-                        shapes.append(EllipseSpec(-0.3 * 2.0**p, 2.0**p * (0.2 + 0.1j), 2.0**p * 0.25))
+                    shapes.append(EllipseSpec(-0.3 * 2.0**p, 2.0**p * (0.2 + 0.1j), 2.0**p * 0.25))
                     for shape in shapes:
                         reductions.clear()
                         got = _margin(B, shape, K)
@@ -1303,6 +1446,23 @@ class TestCheckComparison:
 
 
 class TestEllipseSpec:
+    def test_supports_keep_their_bits_and_scale_to_the_float_limit(self):
+        # the semi-axes are squared in a power-of-two frame: at scale 1 each
+        # support has the bits of the unscaled formula, and 2^p times an
+        # ellipse, semi-axes above 1e154 included, has 2^p times its supports
+        rng = np.random.default_rng(71)
+        thetas = np.concatenate([_angle_grid(360), rng.uniform(-10.0, 10.0, 40)])
+        for _ in range(20):
+            f1, f2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            ell = EllipseSpec(f1, f2, float(rng.uniform(0.0, 2.0)))
+            rel = thetas - np.angle(ell.focus2 - ell.focus1)
+            bulge = np.sqrt((ell.major_axis / 2.0) ** 2 * np.cos(rel) ** 2 + (ell.minor_axis / 2.0) ** 2 * np.sin(rel) ** 2)
+            h = ell.support(thetas)
+            assert h.tobytes() == (np.real(np.exp(-1j * thetas) * ell.center) + bulge).tobytes()
+            for p in (600, 1000, -1000):
+                big = EllipseSpec(ell.focus1 * 2.0**p, ell.focus2 * 2.0**p, ell.minor_axis * 2.0**p)
+                assert big.support(thetas).tobytes() == (h * 2.0**p).tobytes(), p
+
     def test_degenerate_segment_support(self):
         seg = EllipseSpec(0j, 2 + 0j, 0.0)
         th = np.array([0.0, np.pi, np.pi / 2.0])
