@@ -39,6 +39,7 @@ between parameters, such as ``m2 > m1``, are checked in the bodies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -99,6 +100,12 @@ class CheckReport:
     metrics: dict
     tolerance: float
     notes: str = ""
+
+    def __post_init__(self):
+        # a NaN or infinite metric has no strict-JSON spelling and decides nothing
+        for name, value in self.metrics.items():
+            if not math.isfinite(value):
+                raise NumericError(f"check {self.id} has a non-finite metric {name}: {value!r}")
 
     def to_dict(self) -> dict:
         return {

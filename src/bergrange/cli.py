@@ -26,17 +26,30 @@ two numbers, and ``true``/``false`` count as none of these.  Every such
 error is a UsageError naming the field, a top-level one bare:
 ``truncation must be an integer, got True``.
 Exit codes: 0 success, 1 check failures, 2 usage or config errors.
+
+``matrix_to_csv`` and ``matrix_from_csv`` spread a large matrix over the
+available CPUs: this process takes one share of the rows and a child per
+extra CPU another, each child a fresh interpreter running the stdlib-only
+``_csvrows.py``, which never loads numpy.  The bytes, the parsed bits and
+every error, with its line number, are those of the serial code, which
+takes any matrix below a floor of work, any call on one CPU and any call
+whose children fail; nothing needs setting.  A non-finite entry is a
+UsageError naming its line, as is any other entry ``float`` rejects.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from bergrange import _csvrows
 from bergrange.checks import list_checks, run_all, run_check
 from bergrange.core import (
     DomainError,
@@ -129,12 +142,17 @@ def _fmt(x: float) -> str:
 
 
 def matrix_to_csv(op: OperatorTruncation) -> str:
-    lines = [f"# bergrange matrix truncation={op.truncation} alpha={_fmt(op.alpha)}"]
     # a complex row viewed as floats is re, im, re, im, ...
-    lines.extend(",".join(map(repr, row.tolist())) for row in op.matrix.view(float))
+    rows = op.matrix.view(float)
+    lines = [f"# bergrange matrix truncation={op.truncation} alpha={_fmt(op.alpha)}"]
+    lines.extend(_format_in_parallel(rows) or _csv_lines(rows))
     # the empty last line ends the text with a newline without copying the joined text again
     lines.append("")
     return "\n".join(lines)
+
+
+def _csv_lines(rows):
+    return (",".join(map(repr, row.tolist())) for row in rows)
 
 
 def _data_lines(text: str):
@@ -146,20 +164,172 @@ def _data_lines(text: str):
 
 
 def matrix_from_csv(text: str) -> np.ndarray:
+    matrix = _parse_in_parallel(text)
+    return _parse_serially(text) if matrix is None else matrix
+
+
+def _parse_serially(text: str) -> np.ndarray:
     rows = []
     for lineno, fields in _data_lines(text):
         if len(fields) % 2 != 0:
             raise UsageError(f"matrix line {lineno} has an odd number of fields")
         try:
-            rows.append(np.fromiter(map(float, fields), float, len(fields)))
+            row = np.fromiter(map(float, fields), float, len(fields))
         except ValueError as exc:
             raise UsageError(f"matrix line {lineno} is not numeric: {exc}") from exc
+        finite = np.isfinite(row)
+        if not finite.all():
+            raise UsageError(f"matrix line {lineno} is not finite: {fields[int(np.argmin(finite))].strip()}")
+        rows.append(row)
     if not rows:
         raise UsageError("matrix file holds no data rows")
     n = len(rows)
     if any(r.size != 2 * n for r in rows):
         raise UsageError(f"matrix file is not square: {n} rows, widths {sorted({r.size // 2 for r in rows})}")
     return np.vstack(rows).view(complex)
+
+
+# ---------------------------------------------------------------------------
+# the same serialization spread over the CPUs
+#
+# A large matrix CSV is formatted or parsed by this process and up to one
+# child per extra CPU, each running _csvrows.py on a share of the rows with
+# the same repr and float() as the serial code above, which stays the
+# reference.  Work is counted in entries plus 4 per nonzero entry when
+# formatting (repr of a nonzero double costs about five times repr(0.0)),
+# and in characters when parsing.  Every process gets at least a floor of
+# it.  On a 2-CPU Xeon, where a child takes about 17 ms to start, two
+# processes first beat one at about 300k units of formatting and 2M
+# characters of parsing, and the floors put that split at 400k and 2.5M.
+# A child that cannot start, fails, or returns short output sends the whole
+# call to the serial code, so the bytes and every UsageError are the serial
+# ones.
+
+_FORMAT_FLOOR = 200_000
+_PARSE_FLOOR = 1_250_000
+_CSVROWS = str(Path(__file__).with_name("_csvrows.py"))
+
+
+class _ShareFailed(Exception):
+    """A child or this process could not do its share; the serial code takes over."""
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _processes(work: int, floor: int) -> int:
+    """How many processes share ``work``: one per CPU, each with at least ``floor`` of it."""
+    return max(1, min(_cpu_count(), work // floor))
+
+
+@contextmanager
+def _children(mode: str, ncols: int, shares):
+    """Start one _csvrows.py child per share and yield their stdout streams; reap every child on the way out.
+
+    Each share goes in through an unlinked temporary file rather than a pipe,
+    so this process need not wait for a child to start and read it before
+    doing its own share.  A child still running when the caller raises is
+    killed.
+    """
+    # imported here, so that a process that never starts a child never loads it
+    import subprocess
+
+    procs = []
+    try:
+        for share in shares:
+            with tempfile.TemporaryFile() as stdin:
+                stdin.write(share)
+                stdin.seek(0)
+                procs.append(
+                    subprocess.Popen(
+                        [sys.executable, "-I", "-S", _CSVROWS, mode, str(ncols)],
+                        stdin=stdin,
+                        stdout=subprocess.PIPE,
+                        stderr=subprocess.DEVNULL,
+                        bufsize=0,
+                    )
+                )
+        yield [proc.stdout for proc in procs]
+        if any(proc.wait() != 0 for proc in procs):
+            raise _ShareFailed
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+            proc.stdout.close()
+            proc.wait()
+
+
+def _format_in_parallel(rows: np.ndarray) -> list | None:
+    """The CSV lines of ``rows``, a child's share as one newline-joined piece; None to format serially."""
+    weight = rows.shape[1] + 4 * np.count_nonzero(rows, axis=1)
+    cum = np.cumsum(weight)
+    count = _processes(int(cum[-1]), _FORMAT_FLOOR)
+    if count < 2:
+        return None
+    cuts = [0, *np.searchsorted(cum, cum[-1] * np.arange(1, count) / count).tolist(), len(rows)]
+    rows = np.ascontiguousarray(rows)
+    data = memoryview(rows).cast("B")
+    row_bytes = rows.shape[1] * rows.itemsize
+    spans = [(a, b) for a, b in zip(cuts[1:], cuts[2:]) if b > a]
+    try:
+        with _children("format", rows.shape[1], [data[a * row_bytes : b * row_bytes] for a, b in spans]) as outs:
+            lines = list(_csv_lines(rows[: cuts[1]]))
+            for out, (a, b) in zip(outs, spans):
+                piece = out.readall().decode("ascii")
+                if piece.count("\n") != b - a - 1:
+                    raise _ShareFailed
+                lines.append(piece)
+        return lines
+    except (OSError, UnicodeDecodeError, _ShareFailed):
+        return None
+
+
+def _parse_in_parallel(text: str) -> np.ndarray | None:
+    """The matrix of a CSV ``text`` parsed in shares of lines; None to parse serially."""
+    count = _processes(len(text), _PARSE_FLOOR)
+    if count < 2 or not text.isascii():
+        return None
+    # the width of the first data line sets the size; a file that breaks it fails a share
+    start = 0
+    while True:
+        end = text.find("\n", start)
+        line = text[start : len(text) if end < 0 else end].strip()
+        if line and not line.startswith("#"):
+            break
+        if end < 0:
+            return None
+        start = end + 1
+    ncols = line.count(",") + 1
+    # n rows of 2n values take at least (2n)^2 characters
+    if ncols % 2 or ncols * ncols > len(text):
+        return None
+    # cut after a newline, which every splitting of the text into lines also splits at
+    inner = {text.find("\n", len(text) * k // count) + 1 for k in range(1, count)} - {0, len(text)}
+    cuts = [0, *sorted(inner), len(text)]
+    data = memoryview(text.encode("ascii"))
+    out = np.empty((ncols // 2, ncols))
+    flat = memoryview(out).cast("B")
+    try:
+        with _children("parse", ncols, [data[a:b] for a, b in zip(cuts[1:], cuts[2:])]) as outs:
+            own = _csvrows.parse_rows(text[: cuts[1]], ncols)
+            if len(own) > out.size:
+                raise _ShareFailed
+            out.reshape(-1)[: len(own)] = own
+            done = len(own) * out.itemsize
+            for stream in outs:
+                while done < len(flat) and (got := stream.readinto(flat[done:])):
+                    done += got
+            if done != len(flat) or any(stream.read(1) for stream in outs):
+                raise _ShareFailed
+    except (OSError, ValueError, _ShareFailed):
+        return None
+    return out.view(complex) if np.isfinite(out).all() else None
 
 
 def rows_to_csv(rows) -> str:
@@ -179,7 +349,7 @@ def rows_to_json(rows, seed=None) -> str:
     }
     if seed is not None:
         payload["seed"] = seed
-    return json.dumps(payload, sort_keys=True) + "\n"
+    return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
 
 
 # side of the square SVG canvas, in pixels
@@ -291,7 +461,7 @@ def _cmd_check(args) -> int:
     overrides = {k: v for k, v in (("alpha", args.alpha), ("N", args.truncation), ("seed", args.seed)) if v is not None}
     # each check of "all" takes the overrides it accepts; a single check rejects any other
     reports = run_all(overrides) if args.id == "all" else [run_check(args.id, overrides)]
-    text = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports)
+    text = "".join(json.dumps(r.to_dict(), sort_keys=True, allow_nan=False) + "\n" for r in reports)
     _emit(text, args.out)
     return 0 if all(r.passed for r in reports) else 1
 

@@ -16,7 +16,7 @@ import pytest
 from scipy.special import gammaln
 
 from bergrange import checks, numrange
-from bergrange.checks import accepted_overrides, list_checks, run_all, run_check
+from bergrange.checks import CheckReport, accepted_overrides, list_checks, run_all, run_check
 from bergrange.core import NumericError, UsageError
 
 EXPECTED_IDS = [
@@ -127,6 +127,22 @@ def test_zsq_quadrature_oracle_is_finite_or_fails_where_r_k_overflows():
         return
     assert all(math.isfinite(v) for v in report.metrics.values())
     json.dumps(report.to_dict(), allow_nan=False)
+
+
+def test_a_report_refuses_a_non_finite_metric():
+    with pytest.raises(NumericError, match=r"check c2_polygon has a non-finite metric gap: nan"):
+        CheckReport("c2_polygon", {}, True, {"ok": 0.0, "gap": math.nan}, 1e-9)
+
+
+# kernel_form_closed overflows at this alpha; pyproject.toml makes its RuntimeWarning an error
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_metric_is_a_numeric_error_on_the_command_line(capsys):
+    from bergrange import cli
+
+    assert cli.main(["check", "theo1_kernel_sum", "--alpha", "10000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: check theo1_kernel_sum has a non-finite metric cross_check_dev: nan\n"
 
 
 def test_disc_radius_is_one_third(all_reports):

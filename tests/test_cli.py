@@ -5,6 +5,7 @@ asserted directly; one subprocess test covers the module entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ import pytest
 from bergrange import cli
 from bergrange.checks import list_checks
 from bergrange.numrange import boundary_points
+from bergrange.operators import OperatorTruncation
 
 CONFIG = {
     "alpha": 0.0,
@@ -113,23 +115,129 @@ def test_matrix_csv_round_trip(config_path):
     assert np.array_equal(parsed, op.matrix)
 
 
-def test_matrix_csv_makes_no_third_copy_of_its_text():
+COMPOSITION = {"weighted_composition": {"psi": [[1.0, 0.0], [0.5, -0.25]], "phi": [[0.2, 0.1], [0.3, 0.0], [0.0, 0.2]]}}
+# five diagonals of a bi-polynomial symbol: most entries are 0.0
+TOEPLITZ = {"toeplitz": {"terms": [[1, 0, 0.5, 0.1], [0, 1, 0.25, 0.0], [2, 0, 0.1, 0.0], [0, 2, 0.0, 0.2], [1, 1, 0.3, 0.0]]}}
+# a signed zero, the least subnormal, the least normal, the largest double and a few that repr spells differently
+EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-05, 1e16, 0.1]
+
+
+def _build(operator, n):
+    return cli.build_operator({"alpha": 0.5, "truncation": n, "operator": operator})
+
+
+def _edge_matrix(n):
+    """An n x n truncation whose entries cycle through EDGE_VALUES, each with both signs."""
+    values = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES])
+    parts = values[np.arange(2 * n * n) % values.size].reshape(n, 2 * n)
+    return OperatorTruncation(parts.view(complex), 0.0)
+
+
+# each is above the floors of three processes, when formatting and when parsing
+LARGE = {
+    "composition": lambda: _build(COMPOSITION, 360),
+    "toeplitz": lambda: _build(TOEPLITZ, 720),
+    "edge values": lambda: _edge_matrix(420),
+}
+
+
+@pytest.fixture
+def cpus(request, monkeypatch):
+    """The CPU count that cli sees: 1 takes the serial path, more start CPUs - 1 children."""
+    monkeypatch.setattr(cli, "_cpu_count", lambda: request.param)
+    return request.param
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("name", LARGE)
+def test_large_matrix_csv_keeps_its_bytes_and_bits_on_every_path(monkeypatch, cpus, name):
+    op = LARGE[name]()
+    started = []
+    children = cli._children
+
+    def spy(mode, ncols, shares):
+        started.append((mode, len(shares)))
+        return children(mode, ncols, shares)
+
+    monkeypatch.setattr(cli, "_children", spy)
+    text = cli.matrix_to_csv(op)
+    rows = [",".join(map(repr, row.tolist())) for row in op.matrix.view(float)]
+    assert text == "\n".join([f"# bergrange matrix truncation={op.truncation} alpha={op.alpha!r}", *rows, ""])
+    parsed = cli.matrix_from_csv(text)
+    assert parsed.dtype == complex and np.array_equal(parsed.view(np.uint64), op.matrix.view(np.uint64))
+    # the parallel path ran, with one child per extra CPU, rather than falling back
+    assert started == ([] if cpus == 1 else [("format", cpus - 1), ("parse", cpus - 1)])
+    if cpus > 1:
+        assert cli._format_in_parallel(op.matrix.view(float)) is not None
+        assert cli._parse_in_parallel(text) is not None
+    _no_child_left()
+
+
+def test_matrix_csv_makes_no_third_copy_of_its_text(monkeypatch):
     # the line list and the joined text are each about len(text); a text
-    # that gained its final newline after the join would be a third copy
-    config = {
-        "alpha": 0.5,
-        "truncation": 300,
-        "operator": {"weighted_composition": {"psi": [[1.0, 0.0], [0.5, -0.25]], "phi": [[0.2, 0.1], [0.3, 0.0], [0.0, 0.2]]}},
-    }
-    # phi(0) != 0 fills every column, so each of the 300 lines is long
-    op = cli.build_operator(config)
-    tracemalloc.start()
-    try:
-        text = cli.matrix_to_csv(op)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert text.endswith("\n") and peak <= 2.3 * len(text)
+    # that gained its final newline after the join would be a third copy.
+    # phi(0) != 0 fills every column, so each line is long; each size is
+    # formatted serially (one CPU) and by this process and one child
+    for n in (300, 360):
+        op = _build(COMPOSITION, n)
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_cpu_count", lambda count=cpus: count)
+            tracemalloc.start()
+            try:
+                text = cli.matrix_to_csv(op)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert text.endswith("\n") and peak <= 2.3 * len(text)
+
+
+def _large_csv_lines():
+    return cli.matrix_to_csv(_build(COMPOSITION, 360)).split("\n")
+
+
+def _usage_error(text):
+    with pytest.raises(cli.UsageError) as exc:
+        cli.matrix_from_csv(text)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda lines: lines[-2].replace(",", ",x,0,", 1), "matrix line 361 is not numeric: could not convert string to float: 'x'"),
+        (lambda lines: lines[-2].rsplit(",", 1)[0], "matrix line 361 has an odd number of fields"),
+        (lambda lines: lines[-2].replace(",", ",1e400,0,", 1), "matrix line 361 is not finite: 1e400"),
+        (lambda lines: None, "matrix file is not square: 359 rows, widths [360]"),
+    ],
+    ids=["non-numeric", "odd", "non-finite", "non-square"],
+)
+def test_a_fault_in_a_childs_share_raises_the_serial_error(monkeypatch, fault, message):
+    # the second of two processes parses the last rows
+    lines = _large_csv_lines()
+    lines[-2] = fault(lines)
+    text = "\n".join(line for line in lines if line is not None)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    assert _usage_error(text) == message
+    _no_child_left()
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    assert _usage_error(text) == message
+
+
+def test_comments_and_blank_lines_in_a_childs_share_still_parse(monkeypatch):
+    lines = _large_csv_lines()
+    lines[300:300] = ["", "# a comment", "   ", "\t# indented"]
+    text = "\r\n".join(lines)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    parsed = cli._parse_in_parallel(text)
+    _no_child_left()
+    assert parsed is not None
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    assert np.array_equal(parsed.view(np.uint64), cli.matrix_from_csv(text).view(np.uint64))
 
 
 def test_range_json_records_seed(tmp_path, config_path, capsys):
@@ -288,6 +396,20 @@ def test_operator_spec_error_text(tmp_path, capsys, operator, message):
     path.write_text(json.dumps({**CONFIG, "operator": operator}))
     assert cli.main(["build", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_range_rejects_a_non_finite_matrix_entry_at_its_line(tmp_path, capsys, value):
+    matrix_path = tmp_path / "matrix.csv"
+    matrix_path.write_text(f"# bergrange matrix truncation=2 alpha=0.0\n1,0,0,0\n0,0,{value},-1\n")
+    assert cli.main(["range", "--matrix", str(matrix_path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == f"error: matrix line 3 is not finite: {value}\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_json_output_refuses_nan():
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.rows_to_json([(0.0, float("nan"), 0.0, 0.0)])
 
 
 def test_large_alpha_build_round_trips(tmp_path):
