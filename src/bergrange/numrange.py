@@ -12,38 +12,38 @@ A, so a matrix read back from CSV is solved exactly as the one built in
 process.  With g the gcd of the offsets |m - n| of the nonzero entries,
 g > 1 makes A a direct sum over the residue classes mod g: the support is
 the largest block support, and the boundary point that of the winning
-block.  A block whose half-bandwidth kd is small against its size (a
-Toeplitz truncation, a weighted composition over a rotation; kd = 0 for a
-diagonal or zero matrix) is reduced on its band by LAPACK zhbtrd, which
-scipy.linalg.lapack does not wrap: it is called through the pointer that
-scipy.linalg.cython_lapack exports, on a workspace each block keeps, and
-a kd = 0 band is its own tridiagonal form.  Every LAPACK and BLAS routine
-comes from one of scipy's extension modules _flapack, cython_lapack and
-cython_blas, which ``_linalg`` loads on the first sweep without
-importing the package scipy.linalg.  A kd = 0 band needs no solver: it forms the diagonal of
-H(theta) at every angle in one array, by the elementwise ops of one
-angle, and its point is the diagonal entry A_ii at the first largest
-entry of the diagonal of H(theta) (of -H(theta) at theta + pi).  Any
-other block is dense, and
-one column-pivoted QR of [A, A*] gives its numerical rank k, the count of
-|R_ii| above n eps |R_00|.  If k < n, the block is solved on the k
-dimensional space Q of the leading columns: the support is max(h_B, 0)
-for B = Q* A Q, exact up to 2 tau with tau = ||R_22||_F, the scale of a
-dense eigensolve's own backward error.  A block whose bound could fail
-the residual check where H(theta) nearly vanishes (a large matrix near a
-phase times a Hermitian one) stays dense, as does a zero block and every
+block.  A diagonal or zero matrix (half-bandwidth kd = 0) needs no
+solver: its block keeps the diagonals of A_re and A_im alone, forms the
+diagonal of H(theta) at every angle in one array, by the elementwise ops
+of one angle, and its point is the diagonal entry A_ii at the first
+largest entry of the diagonal of H(theta) (of -H(theta) at theta + pi).
+A block whose kd >= 1 is small against its size (a Toeplitz truncation,
+a weighted composition over a rotation) is reduced on its band by LAPACK
+zhbtrd, which scipy.linalg.lapack does not wrap: it is called through the
+pointer that scipy.linalg.cython_lapack exports, on a workspace each
+block keeps.  Every LAPACK and BLAS routine comes from one of scipy's
+extension modules _flapack, cython_lapack and cython_blas, which
+``_linalg`` loads on the first sweep without importing the package
+scipy.linalg.  Any other block is dense, and one column-pivoted QR of
+[A, A*] gives its numerical rank k, the count of |R_ii| above n eps
+|R_00|.  If k < n, the block is solved on the k dimensional space Q of
+the leading columns: the support is max(h_B, 0) for B = Q* A Q, exact up
+to 2 tau with tau = ||R_22||_F, the scale of a dense eigensolve's own
+backward error.  A block whose bound could fail the residual check where
+H(theta) nearly vanishes (a large matrix near a phase times a Hermitian
+one) stays dense, as does a zero class of a banded matrix and every
 block with k = n.  A dense or reduced block reduces its matrix to
 tridiagonal form with zhetrd.  Every block then bisects its tridiagonal
-form for one index with dstebz, except where that form is diagonal (a
-kd = 0 band, a 1 x 1 block) and its ends are max(d) and min(d), the bits
-dstebz would return; the matrix or band is first multiplied
-by a power of two that takes its entries below 1, which is exact, so
-2^p A has exactly 2^p times the supports of A, and which keeps huge
-entries from overflowing.
+form for one index with dstebz, except a 1 x 1 form (a one-index class
+or a rank-one reduced block), which dstebz cannot take and whose one
+entry is both its ends; the matrix or band is first multiplied by a
+power of two that takes its entries below 1, which is exact, so 2^p A has
+exactly 2^p times the supports of A, and which keeps huge entries from
+overflowing.
 
-A block is graded when its diagonal is one constant c and its indices
-carry integer labels f with f(i) - f(j) = 1 at every nonzero off-diagonal
-entry A_ij (a weighted shift, as in Tsai and Wu, Numerical ranges of
+A block of kd >= 1 is graded when its diagonal is one constant c and its
+indices carry integer labels f with f(i) - f(j) = 1 at every nonzero
+off-diagonal entry A_ij (a weighted shift, as in Tsai and Wu, Numerical ranges of
 weighted shift matrices, Linear Algebra Appl. 435 (2011)).  Then D_t =
 diag(e^{i t f}) gives D_t (A - cI) D_t* = e^{i t} (A - cI), so the range of
 the block is exactly the disc about c of radius r = h(0) - Re c.  Both
@@ -105,9 +105,9 @@ H(theta), or of -H(theta) at theta + pi, before it gives the point
 v* A v: ||(H v - lam v) / scale|| <= 1e-10 sqrt(n), with n the block
 size.  Every block takes its scale by one rule, max(1, max |c a + s b|)
 over a set of entry pairs (a, b) that it picks once: the band storage of
-A_re and A_im for a banded block, all of A_re and A_im for a dense one,
-and for a reduced one the few entries that can hold the maximum at some
-angle, from ``_scale_entries``.  Each set holds the largest entry of
+A_re and A_im for a banded block, and for a dense or reduced one the few
+entries of A_re and A_im that can hold the maximum at some angle, from
+``_scale_entries``.  Each set holds the largest entry of
 H(theta) at every angle, so the scale is max(1, max_ij |H_ij(theta)|)
 on every path.  Every path forms the product pair P = (A_re v, A_im v)
 once and takes the rest from it: H v = c P[0] + s P[1], negated at
@@ -130,12 +130,12 @@ a block only where its bound from the two neighbouring angles can still
 win an end.  The first serves ``_grid_margin``, the minimum over the grid
 of h minus a target's support that decides the checks' containment
 claims: it solves every 8th pair and the last, with boundary points, then
-each other pair at which that lower bound, and the closed blocks' exact
-supports, leave the minimum within reach.  Both bounds take one slack per
-sweep, 1e-10 sqrt(n) max |A_ij|, the tolerance that the residual check
-grants every eigenpair, floored at the smallest normal float, which stops
-all pruning on a subnormal matrix.  They are taken times 2^-e in the frame
-of ``_frame``, so that nothing overflows.  A skip never changes a support,
+each other pair at which that lower bound leaves the minimum within
+reach.  Both bounds take one slack per sweep, 1e-10 sqrt(n) max |A_ij|,
+the tolerance that the residual check grants every eigenpair, floored
+at the smallest normal float, which stops all pruning on a subnormal
+matrix.  They are taken times 2^-e in the frame of ``_frame``, so that
+nothing overflows.  A skip never changes a support,
 a point or a margin while each computed support lies within the slack of
 the true one.
 
@@ -221,14 +221,14 @@ class _Tridiagonal:
     End 0 is the top eigenvalue of H and end 1 that of -H, which is
     -lambda_min(H); for H = H(theta), end 1 is the support at theta + pi.
     T comes from ``dense`` (zhetrd on a full H) or from a block's
-    ``_BandReduction`` (zhbtrd on a band), and every block kind ends here:
-    dstebz bisects T for index n or index 1, so an end gets the same
+    ``_BandReduction`` (zhbtrd on a band), and every block of kd >= 1 ends
+    here: dstebz bisects T for index n or index 1, so an end gets the same
     eigenvalue with or without its vector.  H is reduced as H * unit, with
     ``unit`` a power of two from ``_unit``, so that no entry can overflow
     the reduction or the bisection; that product is exact, and the
-    eigenvalues are divided by it again.  A T that has no reflectors and
-    no nonzero off-diagonal entry (1 x 1, which dstebz cannot take, or a
-    kd = 0 band) is its own spectrum: its ends are max(d) and min(d).
+    eigenvalues are divided by it again.  A 1 x 1 T, which dstebz cannot
+    take, is its own spectrum.  A band T whose e vanishes at some angle is
+    bisected too: on a diagonal T dstebz returns exactly max(d) and min(d).
 
     Only a dense T holds ``reflectors``, and only it gives vectors, on
     request: dstein gives the eigenvector of T, and for lower = 1 the Q of
@@ -251,8 +251,8 @@ class _Tridiagonal:
 
     def eigenvalue(self, end: int) -> float:
         """The top eigenvalue of H for end 0, of -H for end 1."""
-        if self.reflectors is None and not self.e.any():
-            w = [np.min(self.d) if end else np.max(self.d)]  # T is diagonal, its own spectrum: the bits dstebz returns
+        if self.d.size == 1:
+            w = self.d  # a 1 x 1 T, which dstebz cannot take, is its own spectrum
         else:
             index = 1 if end else self.d.size
             m, w, iblock, isplit, info = _linalg("_flapack").dstebz(self.d, self.e, 2, 0.0, 0.0, index, index, 0.0, b"B")
@@ -341,7 +341,7 @@ def _product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 class _BandReduction:
-    """zhbtrd for one band block, with its workspace made once.
+    """zhbtrd for one band block of half-bandwidth kd >= 1, with its workspace made once.
 
     The workspace is a Fortran-ordered band buffer in LAPACK lower band
     storage, d, e, work and the int arguments N, KD, LDAB, LDQ and INFO;
@@ -362,13 +362,10 @@ class _BandReduction:
 
     def __call__(self, ab: np.ndarray, unit: float) -> _Tridiagonal:
         """T of the Hermitian band ``ab`` (lower band storage), reduced as ab * unit."""
-        if ab.shape[0] == 1:
-            np.multiply(ab[0].real, unit, out=self.d)  # a diagonal band is its own T, which is what zhbtrd returns for kd = 0
-        else:
-            np.multiply(ab, unit, out=self.ab)
-            _zhbtrd()(*self.args)
-            if self.ints[4] != 0:
-                raise NumericError(f"Hermitian band tridiagonal reduction failed (LAPACK info {self.ints[4]})")
+        np.multiply(ab, unit, out=self.ab)
+        _zhbtrd()(*self.args)
+        if self.ints[4] != 0:
+            raise NumericError(f"Hermitian band tridiagonal reduction failed (LAPACK info {self.ints[4]})")
         return _Tridiagonal(self.d, self.e, unit)
 
 
@@ -546,11 +543,12 @@ def _scale_entries(A_re: np.ndarray, A_im: np.ndarray):
     entries are divided by the largest of them first, so nothing overflows,
     and an entry is dropped only if its hi falls short by more than 1e-12,
     far above the rounding of hi, lo and c a + s b.  A Hermitian block has
-    lo = 0 everywhere and keeps every entry.  The entries go in slices of
+    lo = 0 everywhere and keeps every entry, and so does an all-zero block,
+    whose entries are divided by 1.  The entries go in slices of
     4096, so that the temporaries stay small next to the block.
     """
     a, b = A_re.ravel(), A_im.ravel()
-    largest = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    largest = max(float(np.max(np.abs(a))), float(np.max(np.abs(b)))) or 1.0
     hi, lo_max = np.empty(a.size), 0.0
     for i in range(0, a.size, 1 << 12):
         part = slice(i, i + (1 << 12))
@@ -559,7 +557,7 @@ def _scale_entries(A_re: np.ndarray, A_im: np.ndarray):
         hi[part] = h = np.sqrt((sa + sb) / 2.0 + np.hypot((sa - sb) / 2.0, ab.real))
         lo_max = max(lo_max, float(np.max(np.abs(ab.imag) / np.where(h > 0.0, h, 1.0))))
     keep = hi >= lo_max - 1e-12
-    return a[keep], b[keep]
+    return (a, b) if keep.all() else (a[keep], b[keep])
 
 
 def _grading(M: np.ndarray):
@@ -609,26 +607,28 @@ class _Block:
     """One residue-class block of a sweep: what its solver and its boundary points read of A_re and A_im.
 
     Every block keeps one pair ``parts``, with H(theta) = c parts[0] + s
-    parts[1], and one ``reduce``, which takes H(theta) to tridiagonal form
-    at the power of two ``unit`` of its parts.  A block with a narrow band
-    keeps its band storage and its own ``_BandReduction``.  Any other block
-    keeps the Hermitian parts of B = Q* A Q, on the basis [Q, z] of
-    ``_range_basis`` where that is smaller than the block, or else A_re and
-    A_im, and is reduced by zhetrd.  ``G`` is the pair whose products with
-    an end's vector give P = (A_re v, A_im v): the band storage, A_re and
-    A_im, or on a reduced block A_re [Q, z] and A_im [Q, z].
-    ``scale_entries`` holds the entry pairs (a, b) over which the residual
-    check takes its scale max(1, max |c a + s b|): the band storage, all of
-    A_re and A_im, or on a reduced block those of ``_scale_entries``.
+    parts[1], the power of two ``unit`` of its parts, and its
+    ``diagonal``.  A kd = 0 block keeps as its parts the diagonals of A_re
+    and A_im, and nothing more: it is closed.  Any other block keeps one
+    ``reduce``, which takes H(theta) to tridiagonal form at ``unit``.  A
+    block with a narrow band keeps its band storage and its own
+    ``_BandReduction``.  Any other block keeps the Hermitian parts of B =
+    Q* A Q, on the basis [Q, z] of ``_range_basis`` where that is smaller
+    than the block, or else A_re and A_im, and is reduced by zhetrd.  ``G``
+    is the pair whose products with an end's vector give P = (A_re v, A_im
+    v): the band storage, A_re and A_im, or on a reduced block A_re [Q, z]
+    and A_im [Q, z].  ``scale_entries`` holds the entry pairs (a, b) over
+    which the residual check takes its scale max(1, max |c a + s b|): band
+    storage for a band, ``_scale_entries`` of A_re and A_im otherwise.
 
-    A block is graded when its diagonal is one constant ``center`` and
-    ``_grading`` finds ``labels`` f, with f(i) - f(j) = 1 at every nonzero
-    off-diagonal entry, both read exactly off its entries.  Then D_t =
+    A block of kd >= 1 is graded when its diagonal is one constant
+    ``center`` and ``_grading`` finds ``labels`` f, with f(i) - f(j) = 1 at
+    every nonzero off-diagonal entry, both read exactly off its entries.  Then D_t =
     diag(e^{i t f}) gives D_t (A - center I) D_t* = e^{i t} (A - center I)
     for every t, so the range of the block is exactly the disc about the
     center of radius h(0) - Re center; a block that is not graded pays only
     the diagonal test, or one count of its entries.  A graded block and a
-    kd = 0 band are ``closed``: ``closed_ends`` answers every angle at once.
+    kd = 0 block are ``closed``: ``closed_ends`` answers every angle at once.
     Any other block is solved angle by angle in ``ends``, and ``points``
     turns the eigenvectors of the ends it won into boundary points.
     """
@@ -637,27 +637,29 @@ class _Block:
         whole = idx.size == M.shape[0]
         M, re, im = (X if whole else X[np.ix_(idx, idx)] for X in (M, A_re, A_im))
         self.band = self.basis = self.labels = None
-        self.parts = self.scale_entries = self.G = (re, im)
-        self.reduce = _Tridiagonal.dense
-        if _BAND_RATIO * kd <= idx.size:
+        self.diagonal = np.diagonal(M)
+        if kd == 0:
+            self.parts = (np.diagonal(re).copy(), np.diagonal(im).copy())
+        elif _BAND_RATIO * kd <= idx.size:
             # LAPACK lower band storage: band[d, j] = X[j + d, j]
             self.band = self.parts = self.scale_entries = self.G = np.zeros((2, kd + 1, idx.size), dtype=complex)
             for d in range(kd + 1):
                 self.band[:, d, : idx.size - d] = [np.diagonal(re, -d), np.diagonal(im, -d)]
             self.start = np.random.default_rng(0).standard_normal(idx.size).astype(complex)
             self.reduce = _BandReduction(kd, idx.size)
-        elif (basis := _range_basis(M)) is not None:
-            Q = basis[:, :-1]
-            B = Q.conj().T @ M @ Q
-            self.parts = ((B + B.conj().T) / 2.0, (B - B.conj().T) / 2j)
-            self.basis, self.G = np.ascontiguousarray(basis), (re @ basis, im @ basis)
-            self.scale_entries = _scale_entries(re, im)
+        else:
+            self.parts = self.G = (re, im)
+            self.scale_entries, self.reduce = _scale_entries(re, im), _Tridiagonal.dense
+            if (basis := _range_basis(M)) is not None:
+                Q = basis[:, :-1]
+                B = Q.conj().T @ M @ Q
+                self.parts = ((B + B.conj().T) / 2.0, (B - B.conj().T) / 2j)
+                self.basis, self.G = np.ascontiguousarray(basis), (re @ basis, im @ basis)
         self.unit = _unit(*self.parts)
-        self.diagonal = np.diagonal(M)
         self.center = complex(self.diagonal[0])
-        if np.all(self.diagonal == self.center):
+        if kd > 0 and np.all(self.diagonal == self.center):
             self.labels = _grading(M)
-        self.closed = self.labels is not None or (self.band is not None and kd == 0)
+        self.closed = kd == 0 or self.labels is not None
 
     def closed_ends(self, c: np.ndarray, s: np.ndarray):
         """Supports of a closed block at every pair (c, s), row 0 at theta and row 1 at theta + pi, and a function that gives the points of both rows.
@@ -666,11 +668,11 @@ class _Block:
         Re(e^{-i theta} center) + r, with r = h(0) - Re center, and its point
         center + e^{i theta} (p_0 - center), negated at theta + pi, with the
         rotation in the real ops of Python's complex product; ``points``
-        checks p_0 when the points are asked for.  A kd = 0 band forms the
-        diagonal of H(theta) at every pair by the ops of ``ends``, so its
-        supports max(d) and -min(d), d = unit H_ii, have the per-angle bits,
-        and its points are the diagonal entries at the first argmax and
-        argmin.
+        checks p_0 when the points are asked for.  A kd = 0 block forms the
+        diagonal of H(theta) at every pair from its parts, by the complex ops
+        of one angle, so its supports max(d) and -min(d), d = unit H_ii, have
+        the per-angle bits, and its points are the diagonal entries at the
+        first argmax and argmin.
         """
         if self.labels is not None:
             (h0,), vector = self.ends(1.0, 0.0, False)
@@ -684,7 +686,7 @@ class _Block:
                 return np.array([_complex(cr + wr, ci + wi), _complex(cr - wr, ci - wi)])
 
             return np.array([t + radius, radius - t]), points
-        H = (c[:, None] * self.band[0, 0] + s[:, None] * self.band[1, 0]).real  # row j: the diagonal of H(theta_j)
+        H = (c[:, None] * self.parts[0] + s[:, None] * self.parts[1]).real  # row j: the diagonal of H(theta_j)
         d = H * self.unit
         supports = np.array([np.max(d, axis=1) / self.unit, -(np.min(d, axis=1) / self.unit)])
         return supports, lambda: self.diagonal[np.array([np.argmax(H, axis=1), np.argmin(H, axis=1)])]
@@ -697,10 +699,9 @@ class _Block:
         ends, and bisects that one tridiagonal form for each; a reduced
         block's support is max(h_B, 0).  The function takes the end, 0 or
         1, and returns that end's eigenvector, as its coordinates x in
-        [Q, z] on a reduced block; on a kd = 0 band (graded, at theta = 0)
-        it is e_i at the first largest entry of that end's diagonal.  It
-        calls no BLAS, and a sweep calls it only for the block that wins an
-        end.
+        [Q, z] on a reduced block.  It calls no BLAS, and a sweep calls it
+        only for the block that wins an end.  A kd = 0 block has no ends:
+        ``closed_ends`` answers it.
         """
         H = c * self.parts[0] + s * self.parts[1]
         T = self.reduce(H, self.unit)
@@ -708,10 +709,7 @@ class _Block:
         supports = tops if self.basis is None else [float(np.maximum(lam, 0.0)) for lam in tops]  # a NaN stays NaN and wins the sweep's argmax
 
         def vector(end):
-            if self.band is not None and H.shape[0] == 1:
-                x = np.zeros(H.shape[1], dtype=complex)
-                x[np.argmax(-H[0].real if end else H[0].real)] = 1.0  # a diagonal's top eigenvector
-            elif self.band is not None:
+            if self.band is not None:
                 x = _band_vector(-H if end else H, tops[end], self.start)  # this end's H in band storage
             elif self.basis is None:
                 x = T.vector(end)
@@ -995,8 +993,8 @@ def _grid_margin(A, target: np.ndarray, n_angles: int) -> float:
 
     Each point p of the range gives h_A(theta) >= Re(e^{-i theta} p), and
     so does each copy of a point that ``_Sweep.spread`` makes (conj(p) for
-    a real A, its rotations for a symmetric one); each closed block gives
-    its exact supports.  The larger of the two, less 2 slack, bounds the
+    a real A, its rotations for a symmetric one).  The largest of them,
+    ``support_of`` the points found so far, less 2 slack, bounds the
     computed support at theta from below.  The sweep solves every 8th pair
     and the last, with boundary points, then, in one batch per round, each
     other pair at one of whose angles (theta, theta + pi and their copies)
@@ -1004,14 +1002,12 @@ def _grid_margin(A, target: np.ndarray, n_angles: int) -> float:
     far.  The pairs left cannot hold the minimum.  A sweep of closed blocks
     alone reads every angle from ``closed_ends``, with no points.  The
     bounds are taken times 2^-e, in the frame of ``_frame`` of the points,
-    supports and target, and over at most ``_POINT_CHUNK`` entries at a
-    time.
+    supports and target.
     """
     sweep = _Sweep(A, _angle_grid(n_angles))
     P = sweep.first.size
     owner = sweep.spread(np.tile(np.arange(P), (2, 1)))  # the pair that gives each angle
     solved = np.full(P, not sweep.looped)
-    floor = [sweep.spread(np.max(sweep.supports[list(sweep.closed)], axis=0))] if sweep.closed else []
     # sorted pair indices by flatnonzero: np.unique imports numpy.ma, about 10 ms, on its first call
     batch = np.flatnonzero((np.arange(P) % 8 == 0) | (np.arange(P) == P - 1)) if sweep.looped else []
     found, slack = np.zeros((2, P), dtype=complex), sweep.slack()
@@ -1022,14 +1018,9 @@ def _grid_margin(A, target: np.ndarray, n_angles: int) -> float:
         h, known = sweep.spread(sweep.tops()), solved[owner]
         cloud = sweep.spread(found, points=True)[known]
         _finite(h[known], cloud)
-        e, (p, h_known, t, *f) = _frame(cloud, h[known], target, *floor)
+        e, (p, h_known, t) = _frame(cloud, h[known], target)
         unknown = np.flatnonzero(~known)
-        c, s = np.cos(sweep.thetas[unknown]), np.sin(sweep.thetas[unknown])
-        low = np.empty(unknown.size)
-        for k in _chunks(unknown.size, p.size):
-            low[k] = np.max(c[k, None] * p.real + s[k, None] * p.imag, axis=1)
-        if floor:
-            low = np.maximum(low, f[0].real[unknown])
+        low = support_of(p, sweep.thetas[unknown])
         reach = low - t.real[unknown] - 2.0 * np.ldexp(slack, -e) <= np.min(h_known.real - t.real[known])
         batch = np.flatnonzero(np.bincount(owner[unknown[reach]], minlength=P))
     h, known = sweep.spread(sweep.tops()), solved[owner]

@@ -382,6 +382,14 @@ def test_th2_measures_its_symmetry_on_independent_solves(monkeypatch):
     assert 0.0 < max(report.metrics["symmetry_dev_n2"], report.metrics["symmetry_dev_n3"]) <= 1e-8
 
 
+def test_th2_runs_on_a_grid_that_no_order_divides():
+    # the symmetry is measured off the grid and the image gap on it, so a
+    # prime K, which copies no angle, needs no divisibility by the orders
+    report = run_check("th2_symmetric", {"K": 359})
+    assert report.passed and report.params["K"] == 359
+    assert set(report.metrics) == {f"{name}_n{order}" for name in ("equivariance_dev", "symmetry_dev", "image_hausdorff") for order in (2, 3)}
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_th1_rejects_a_weight_not_of_the_form_g_of_z_to_the_n(n):
     # the default weight 0.5 + 0.5 z^3 once ran at these orders and failed with a Hausdorff gap near 0.3

@@ -129,6 +129,9 @@ def _pairing(A, thetas):
 
 
 def _path(block):
+    """The solver of a block: "diagonal" for a kd = 0 block, answered in closed form, else the form its ends are reduced from."""
+    if block.closed and block.labels is None:
+        return "diagonal"
     return "band" if block.band is not None else "reduced" if block.basis is not None else "dense"
 
 
@@ -243,14 +246,15 @@ class TestSweepKernel:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_bands_sweep(self):
         # a band of entries near 1e200 is reduced at a power of two that takes
-        # them below 1, in the block's own buffer; the vector step, on a
-        # diagonal (kd = 0) as on a tridiagonal band, must still see H itself
+        # them below 1, in the block's own buffer, and its vector step must
+        # still see H itself; a diagonal (kd = 0) of such entries is answered
+        # in closed form at the same power of two
         rng = np.random.default_rng(19)
         diagonal = np.diag(1e200 * (rng.standard_normal(6) + 1j * rng.standard_normal(6)))
         tridiagonal = 1e200 * (np.diag(rng.standard_normal(39), 1) + np.diag(rng.standard_normal(39), -1)).astype(complex)
-        for A in (diagonal, tridiagonal):
+        for A, path in ((diagonal, "diagonal"), (tridiagonal, "band")):
             (block,) = _blocks(A)
-            assert _path(block) == "band"
+            assert _path(block) == path
             rows = boundary_points(A, 64)
             want = _top_eigvals(A, _angle_grid(64))
             assert np.max(np.abs(np.array([s for _, _, s in rows]) - want)) <= 1e-13 * np.max(np.abs(want))
@@ -440,7 +444,7 @@ assert numrange._linalg("cython_lapack") is cython_lapack
                     assert np.linalg.norm(Hv - H @ v) <= 1e-12 * scale, name
                     full = np.linalg.norm(H @ v - lam * v)
                     assert abs(np.linalg.norm(Hv - lam * v) - full) <= 1e-12 * scale, name
-        assert paths == disc_paths == {"band", "reduced", "dense"}
+        assert paths == {"band", "reduced", "dense", "diagonal"} and disc_paths == {"band", "reduced", "dense"}
 
     def test_each_point_is_the_form_of_its_checked_vector(self, monkeypatch):
         # the point an end returns is v* A v for the very vector v that the
@@ -479,7 +483,7 @@ assert numrange._linalg("cython_lapack") is cython_lapack
                         else:
                             v = vectors[2 * j + end]
                         assert abs(points[end, j] - np.vdot(v, A_block @ v)) <= tol, (name, th, end)
-        assert paths == disc_paths == {"band", "reduced", "dense"}
+        assert paths == {"band", "reduced", "dense", "diagonal"} and disc_paths == {"band", "reduced", "dense"}
 
     def test_each_winning_block_takes_its_points_in_one_batch(self, monkeypatch):
         # a boundary sweep turns vectors into points once per block that won
@@ -529,7 +533,9 @@ assert numrange._linalg("cython_lapack") is cython_lapack
     def test_scale_entries_hold_the_largest_entry_at_every_angle(self):
         # random parts of scale 1e-5 and 1e5 drop entries; where lo = 0
         # everywhere (Hermitian, skew-Hermitian, a phase times Hermitian)
-        # every entry is kept
+        # every entry is kept.  A dense block keeps the entries of its parts,
+        # and so does the zero class of a banded matrix, dense and graded,
+        # which keeps all of them
         rng = np.random.default_rng(23)
         pairs = []
         for k in range(50):
@@ -538,9 +544,15 @@ assert numrange._linalg("cython_lapack") is cython_lapack
         X = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
         Y = X + X.conj().T
         pairs += [(Y, 0.0 * Y, False), (0.0 * Y, Y, False), (np.cos(0.3) * Y, np.sin(0.3) * Y, False)]
+        pairs = [(A_re, A_im, drops, _scale_entries(A_re, A_im)) for A_re, A_im, drops in pairs]
+        zero_class = np.zeros((8, 8), dtype=complex)
+        zero_class[2, 0] = 1.0
+        for A, b, drops in ((dict(_structured_matrices())["dense24"], 0, True), (zero_class, 1, False)):
+            block = _blocks(A)[b]
+            assert _path(block) == "dense" and (block.labels is not None) == (not drops)
+            pairs.append((*block.parts, drops, block.scale_entries))
         thetas = 2.0 * np.pi * np.arange(360) / 360
-        for A_re, A_im, drops in pairs:
-            a, b = _scale_entries(A_re, A_im)
+        for A_re, A_im, drops, (a, b) in pairs:
             assert (a.size < A_re.size) == drops
             for c, s in zip(np.cos(thetas), np.sin(thetas)):
                 assert np.max(np.abs(c * a + s * b)) == np.max(np.abs(c * A_re + s * A_im))
@@ -703,9 +715,9 @@ class TestAnglePairs:
                     assert info == 0 and m == 1 and h[k] == w[0], (kd, k)
 
     def test_diagonal_ends_are_read_without_bisection(self, monkeypatch):
-        # a complex diagonal is a kd = 0 band, a tridiagonal form with no
-        # off-diagonal entry: its ends are the largest and smallest of
-        # c Re d_j + s Im d_j, read with no dstebz call, bit for bit
+        # a complex diagonal is a kd = 0 block, answered in closed form: its
+        # ends are the largest and smallest of c Re d_j + s Im d_j, read with
+        # no dstebz call, bit for bit
         calls = []
         flapack = numrange._linalg("_flapack")  # the module that the sweep calls
         original = flapack.dstebz
@@ -720,6 +732,25 @@ class TestAnglePairs:
             H = np.cos(thetas[j]) * d.real + np.sin(thetas[j]) * d.imag
             assert h[j] == np.max(H) and h[j + 180] == -np.min(H), j
         assert np.array_equal(np.array([s for _, _, s in rows]), h)
+
+    def test_a_band_whose_hermitian_part_is_diagonal_is_bisected_exactly(self, monkeypatch):
+        # A = D + S with S skew-Hermitian on a band of kd = 2: H(0) = Re D, so
+        # zhbtrd gives a tridiagonal form with e = 0 at theta = 0, which
+        # dstebz bisects to max(Re d) and min(Re d), bit for bit
+        calls = []
+        flapack = numrange._linalg("_flapack")
+        original = flapack.dstebz
+        monkeypatch.setattr(flapack, "dstebz", lambda d, e, *args: calls.append(np.array(e)) or original(d, e, *args))
+        rng = np.random.default_rng(67)
+        d = rng.standard_normal(48) + 1j * rng.standard_normal(48)
+        B = np.tril(_random_band(rng, 48, 2), -1)
+        A = np.diag(d) + B - B.conj().T
+        (block,) = _blocks(A)
+        assert _path(block) == "band" and block.band.shape[1] == 3 and block.labels is None
+        h = support_function(A, _angle_grid(64))
+        assert not calls[0].any() and not calls[1].any()  # both ends of theta = 0 bisect a diagonal T
+        assert h[0] == np.max(d.real) and h[32] == -np.min(d.real)
+        assert support_function(A, [0.0])[0] == np.max(d.real)
 
     def test_real_matrices_mirror_exactly(self, reductions):
         for path, A in self._real_matrices().items():
@@ -805,7 +836,7 @@ class TestAnglePairs:
         graded = [A for _, A, _ in TestGradedBlocks._graded()]
         kinds = set()
         for A in [A for _, A in _structured_matrices()] + graded + [_theo2(64), np.diag(np.arange(-3.0, 3.0)) + 0j]:
-            kinds |= {"graded" if block.labels is not None else "diagonal" if block.closed else _path(block) for block in _blocks(A)}
+            kinds |= {"graded" if block.labels is not None else _path(block) for block in _blocks(A)}
             for K in (360, 359, 90):
                 rows = boundary_points(A, K)
                 h = np.array([s for _, _, s in rows])
@@ -884,17 +915,17 @@ class TestGradedBlocks:
                     assert np.max(np.abs(h - _top_eigvals(near, thetas))) <= 1e-13 * np.max(np.abs(h)), name
 
     def test_diagonal_points_are_winning_diagonal_entries(self, monkeypatch):
-        # a kd = 0 block takes e_i at the first largest entry of this end's
-        # diagonal, never inverse iteration: each point is a diagonal entry
-        # whose support wins its angle, where repeated entries and the pair
-        # 1 +- i tie; only a constant diagonal, graded, is a disc
+        # a kd = 0 block takes the diagonal entry at the first largest entry
+        # of this end's diagonal, never inverse iteration: each point is a
+        # diagonal entry whose support wins its angle, where repeated entries
+        # and the pair 1 +- i tie
         monkeypatch.setattr(numrange, "_band_vector", lambda *args: pytest.fail("a diagonal block called _band_vector"))
         rng = np.random.default_rng(59)
         d = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         ties = np.concatenate([d, d[:4], [1 + 1j, 1 - 1j, 1 + 1j]])
         for diagonal in (ties, ties.real, rng.permutation(ties)):
             A = np.diag(diagonal)
-            assert [(_path(block), block.labels) for block in _blocks(A)] == [("band", None)]
+            assert [(_path(block), block.labels) for block in _blocks(A)] == [("diagonal", None)]
             for K in (360, 359):
                 for th, p, _ in boundary_points(A, K):
                     # theta + pi is solved as -H(theta), so a winner may lose at theta + pi by rounding
@@ -904,9 +935,10 @@ class TestGradedBlocks:
 
     def test_closed_blocks_match_their_per_angle_formulas_bit_for_bit(self, monkeypatch):
         # closed_ends answers every angle in one array pass; each support and
-        # point must have the bits of the per-angle formula: on a kd = 0 band
-        # max(d) / unit and -(min(d) / unit) for d = unit Re H_ii(theta), and
-        # the diagonal entry at the first largest entry of H_ii or -H_ii, with
+        # point must have the bits of the per-angle formula: on a kd = 0
+        # block, a constant diagonal or the zero matrix included, max(d) /
+        # unit and -(min(d) / unit) for d = unit Re H_ii(theta), and the
+        # diagonal entry at the first largest entry of H_ii or -H_ii, with
         # ties and a NaN entry, which wins wherever it stands; on a graded
         # block Re(e^{-i theta} c) + r and r - Re(e^{-i theta} c), and
         # c +- complex(cos, sin) (p_0 - c) in Python's complex arithmetic
@@ -916,7 +948,8 @@ class TestGradedBlocks:
         with_nan = ties.copy()
         with_nan[5] = complex(np.nan, 1.0)
         diagonals = [np.diag(x) for x in (ties, ties.real.astype(complex), with_nan, 2.0**-1060 * ties, 1e300 * ties)]
-        graded = [A for _, A, _ in self._graded()] + [np.zeros((5, 5), dtype=complex), 0.5j * np.eye(4, dtype=complex)]
+        diagonals += [np.zeros((5, 5), dtype=complex), 0.5j * np.eye(4, dtype=complex)]
+        graded = [A for _, A, _ in self._graded()]
         for A in diagonals + graded:
             for thetas in self._angle_sets():
                 c, s = np.cos(thetas), np.sin(thetas)
@@ -933,7 +966,7 @@ class TestGradedBlocks:
                         center, r = block.center, h0 - block.center.real
                     for cj, sj in zip(c, s):
                         if block.labels is None:
-                            H = (cj * block.parts[0] + sj * block.parts[1])[0].real
+                            H = (cj * block.parts[0] + sj * block.parts[1]).real
                             d = H * block.unit
                             want_h.append([float(np.max(d)) / block.unit, -(float(np.min(d)) / block.unit)])
                             want_p.append([block.diagonal[np.argmax(H)], block.diagonal[np.argmax(-H)]])
@@ -947,6 +980,30 @@ class TestGradedBlocks:
                     if block.labels is None and np.isnan(A).any():
                         assert np.isnan(supports).all() and np.isnan(points).all()
                     assert len(p0) == (block.labels is not None)
+
+    def test_diagonal_blocks_call_no_solver(self, monkeypatch):
+        # every kd = 0 matrix, a constant diagonal and the zero matrix
+        # included, is answered in closed form: no band reduction, no
+        # tridiagonal form and no bisection, in a sweep of supports, of
+        # boundary points or of a margin, which equals the full grid minimum
+        def refuse(name):
+            return lambda *args: pytest.fail(f"a diagonal matrix constructed a {name}")
+
+        monkeypatch.setattr(numrange._BandReduction, "__init__", refuse("_BandReduction"))
+        monkeypatch.setattr(numrange._Tridiagonal, "__init__", refuse("_Tridiagonal"))
+        monkeypatch.setattr(numrange._linalg("_flapack"), "dstebz", refuse("dstebz call"))
+        rng = np.random.default_rng(71)
+        d = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        matrices = [np.zeros((5, 5), dtype=complex), (0.5 + 0.25j) * np.eye(6, dtype=complex), 0.5j * np.eye(4, dtype=complex)]
+        matrices += [np.diag(d) * 2.0**p for p in (0, -1060, 1000)]
+        for A in matrices:
+            assert [_path(block) for block in _blocks(A)] == ["diagonal"]
+            for K in (360, 359):
+                g = _angle_grid(K)
+                h = support_function(A, g)
+                assert np.array([s for _, _, s in boundary_points(A, K)]).tobytes() == h.tobytes()
+                target = support_of(DiscSpec(0.125j * np.max(np.abs(A)), 0.25 * np.max(np.abs(A))), g)
+                assert numrange._grid_margin(A, target, K) == float(np.min(h - target))
 
 
 @st.composite
