@@ -87,7 +87,7 @@ from bergrange.operators import (
     operator_sum,
 )
 
-__all__ = ["CheckReport", "accepted_overrides", "list_checks", "run_check", "run_all"]
+__all__ = ["CheckReport", "accepted_overrides", "list_checks", "run_check"]
 
 
 @dataclass(frozen=True)
@@ -544,6 +544,13 @@ def _run_theo1_kernel_sum(alpha, N, w0, ts):
     return passed, metrics, tol, notes
 
 
+def _in_float_range(value, what: str, alpha: float) -> float:
+    """``value`` as a float; NumericError naming ``what`` and alpha where it is not finite."""
+    if not np.isfinite(value):
+        raise NumericError(f"the {what} leaves the float range at alpha={alpha}")
+    return float(value)
+
+
 @_check(
     "pro1_rank_one",
     "constant-target compositions have rank one with segment, disc, or ellipse ranges as predicted",
@@ -560,7 +567,14 @@ def _run_pro1_rank_one(alpha, N, K):
     psi2 = np.array([-w2, 1.0], dtype=complex)
     A2 = build_weighted_composition(psi2, [w2], alpha, N)
     norm_psi2 = np.sqrt(monomial_norm_sq(1, alpha) + abs(w2) ** 2)
-    radius = float(norm_psi2 / (2.0 * (1.0 - w2**2) ** (alpha / 2.0 + 1.0)))
+    # (1 - w2^2)^(alpha/2 + 1) underflows at large alpha, so the radius is then taken in log space
+    shrink = (1.0 - w2**2) ** (alpha / 2.0 + 1.0)
+    if shrink >= np.finfo(float).tiny:
+        radius = norm_psi2 / (2.0 * shrink)
+    else:
+        with np.errstate(over="ignore"):
+            radius = norm_psi2 / 2.0 * np.exp(-(alpha / 2.0 + 1.0) * np.log1p(-(w2**2)))
+    radius = _in_float_range(radius, "disc radius", alpha)
     dev_disc = _gap(A2, DiscSpec(0j, radius), K)
     # case three: generic constant target -> ellipse with foci 0 and psi(w)
     w3 = 0.3
@@ -568,7 +582,12 @@ def _run_pro1_rank_one(alpha, N, K):
     A3 = build_weighted_composition(psi3, [w3], alpha, N)
     fw = complex(series_eval(psi3, w3))
     norm_sq = 1.0 + monomial_norm_sq(1, alpha)
-    kernel_sq = (1.0 - w3**2) ** (-(alpha + 2.0))
+    try:
+        kernel_sq = (1.0 - w3**2) ** (-(alpha + 2.0))
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            kernel_sq = np.exp(-(alpha + 2.0) * np.log1p(-(w3**2)))
+    kernel_sq = _in_float_range(kernel_sq, "ellipse kernel_sq", alpha)
     minor = float(np.sqrt(norm_sq * kernel_sq - abs(fw) ** 2))
     dev_ellipse = _gap(A3, EllipseSpec(0j, fw, minor), K)
     metrics = {
@@ -1034,9 +1053,3 @@ def accepted_overrides(check_id: str, overrides: dict) -> dict:
     """
     defaults = _REGISTRY[check_id].defaults if check_id in _REGISTRY else {}
     return {k: v for k, v in overrides.items() if k in defaults or k == "seed"}
-
-
-def run_all(overrides: dict | None = None) -> list:
-    """Run every registered check in order, each with the overrides it accepts."""
-    overrides = dict(overrides or {})
-    return [run_check(check_id, accepted_overrides(check_id, overrides)) for check_id in _REGISTRY]

@@ -19,7 +19,9 @@ so a typo cannot silently fall back to a default.  ``--alpha``,
 ``--truncation`` and ``--angles`` are read by the reader of the config
 field they replace; a ``--matrix`` range takes ``--angles`` alone.
 ``check <id>`` passes its overrides to that check, which rejects one it
-does not take; ``check all`` gives each check the ones it takes.  The
+does not take; ``check all`` gives each check the ones it takes, writes
+the report of each check that completes, and names each check that
+raises on stderr as ``error: check <id>: <message>``, exiting 2.  The
 readers are the validators of ``bergrange.core``: an integer is a JSON
 integer, a number an integer or a float, a pair a list ``[re, im]`` of
 two numbers, and ``true``/``false`` count as none of these.  Every such
@@ -50,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from bergrange import _csvrows
-from bergrange.checks import list_checks, run_all, run_check
+from bergrange.checks import accepted_overrides, list_checks, run_check
 from bergrange.core import (
     DomainError,
     NumericError,
@@ -459,10 +461,24 @@ def _cmd_range(args) -> int:
 
 def _cmd_check(args) -> int:
     overrides = {k: v for k, v in (("alpha", args.alpha), ("N", args.truncation), ("seed", args.seed)) if v is not None}
-    # each check of "all" takes the overrides it accepts; a single check rejects any other
-    reports = run_all(overrides) if args.id == "all" else [run_check(args.id, overrides)]
+    raised = False
+    if args.id != "all":
+        # a single check rejects an override it does not take
+        reports = [run_check(args.id, overrides)]
+    else:
+        # each check takes the overrides it accepts, and one that raises is
+        # named on stderr while the others still report
+        reports = []
+        for check_id, _, _ in list_checks():
+            try:
+                reports.append(run_check(check_id, accepted_overrides(check_id, overrides)))
+            except (UsageError, DomainError, NumericError) as exc:
+                print(f"error: check {check_id}: {exc}", file=sys.stderr)
+                raised = True
     text = "".join(json.dumps(r.to_dict(), sort_keys=True, allow_nan=False) + "\n" for r in reports)
     _emit(text, args.out)
+    if raised:
+        return 2
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -147,6 +147,7 @@ geometry is taken in one exact power-of-two frame, from ``_frame``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -686,7 +687,8 @@ class _Block:
                 return np.array([_complex(cr + wr, ci + wi), _complex(cr - wr, ci - wi)])
 
             return np.array([t + radius, radius - t]), points
-        H = (c[:, None] * self.parts[0] + s[:, None] * self.parts[1]).real  # row j: the diagonal of H(theta_j)
+        with np.errstate(over="ignore"):  # a diagonal of H past the float range gives supports that the sweep refuses
+            H = (c[:, None] * self.parts[0] + s[:, None] * self.parts[1]).real  # row j: the diagonal of H(theta_j)
         d = H * self.unit
         supports = np.array([np.max(d, axis=1) / self.unit, -(np.min(d, axis=1) / self.unit)])
         return supports, lambda: self.diagonal[np.array([np.argmax(H, axis=1), np.argmin(H, axis=1)])]
@@ -845,8 +847,13 @@ class _Sweep:
         self.M = M = _as_matrix(A)
         with np.errstate(over="ignore", invalid="ignore"):
             A_re, A_im = (M + M.conj().T) / 2.0, (M - M.conj().T) / 2j
-        if not (np.all(np.isfinite(A_re)) and np.all(np.isfinite(A_im))):
-            raise NumericError("Hermitian parts of the matrix overflow")
+            if not (np.all(np.isfinite(A_re)) and np.all(np.isfinite(A_im))):
+                # halving first gives the same bits wherever M's entries are
+                # normal, and sums past the float range only where a part does
+                H = M / 2.0
+                A_re, A_im = H + H.conj().T, (H - H.conj().T) / 1j
+                if not (np.all(np.isfinite(A_re)) and np.all(np.isfinite(A_im))):
+                    raise NumericError("Hermitian parts of the matrix overflow")
         classes, kd, order = _residue_classes(M)
         self.blocks = [_Block(M, A_re, A_im, idx, kd) for idx in classes]
         self.real = not M.imag.any()
@@ -896,6 +903,8 @@ class _Sweep:
             if vectors:
                 for end, b in enumerate(np.argmax(self.supports[:, :count, j], axis=0)):
                     if b in vector:
+                        if not math.isfinite(self.supports[b, end, j]):
+                            raise NumericError("support sweep produced non-finite values")  # before its vector is formed
                         self.taken[b][j, end] = (end, self.c[j], self.s[j], self.supports[b, end, j], vector[b](end))
 
     def wedge(self, js) -> np.ndarray:
@@ -983,8 +992,11 @@ def _sweep(A, thetas: np.ndarray, vectors: bool):
     if prune:
         sweep.solve(pairs[1::2], vectors, sweep.wedge(pairs[1::2]))
     h = sweep.spread(sweep.tops())
-    points = sweep.spread(sweep.points(pairs), points=True) if vectors else None
-    _finite(h, *([] if points is None else [points]))
+    _finite(h)  # before any point is formed from a support past the float range
+    if not vectors:
+        return h, None
+    points = sweep.spread(sweep.points(pairs), points=True)
+    _finite(points)
     return h, points
 
 
@@ -1014,10 +1026,11 @@ def _grid_margin(A, target: np.ndarray, n_angles: int) -> float:
     while len(batch):
         sweep.solve(batch, vectors=True)
         solved[batch] = True
-        found[:, batch] = sweep.points(batch)
         h, known = sweep.spread(sweep.tops()), solved[owner]
+        _finite(h[known])
+        found[:, batch] = sweep.points(batch)
         cloud = sweep.spread(found, points=True)[known]
-        _finite(h[known], cloud)
+        _finite(cloud)
         e, (p, h_known, t) = _frame(cloud, h[known], target)
         unknown = np.flatnonzero(~known)
         low = support_of(p, sweep.thetas[unknown])

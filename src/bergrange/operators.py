@@ -211,9 +211,21 @@ def build_weighted_composition(psi, phi, alpha: float, N: int) -> OperatorTrunca
     # other overflow leaves inf or nan, which OperatorTruncation rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N):
-            A[:, n] = np.where(c != 0, c * np.exp(0.5 * (log_r[n] - log_r)), 0)
+            A[:, n] = c
             if n + 1 < N:
                 c = np.convolve(c, phi_c)[:N]
+        # one pass scales entry (m, n) by exp(0.5 (log r_n - log r_m)), with
+        # the per-entry ops of scaling one column at a time, and resets to +0
+        # each entry whose coefficient is exactly zero
+        zero = A == 0
+        scale = log_r - log_r[:, None]
+        scale *= 0.5
+        np.exp(scale, out=scale)
+        A *= scale
+        # freed before OperatorTruncation copies A, so a build holds at most A and its copy
+        del scale
+        A[zero] = 0
+        del zero
     return OperatorTruncation(A, alpha, kind="weighted_composition")
 
 
@@ -277,6 +289,10 @@ def kernel_form_closed(psi, phi, w: complex, alpha: float) -> complex:
     The adjoint sends the kernel at w to conj(psi(w)) times the kernel at
     phi(w), which gives the closed form
     psi(w) (1-|w|^2)^(alpha+2) / (1 - conj(w) phi(w))^(alpha+2).
+    Where either power is subnormal or out of range, or the quotient is
+    not finite, it is taken in log space as
+    psi(w) exp((alpha+2) (log1p(-|w|^2) - log(1 - conj(w) phi(w)))),
+    and NumericError names w and alpha where that is not finite either.
     A non-finite psi raises NumericError, and a phi that fails the self-map
     test of the disk DomainError, as in the builder.
     """
@@ -290,7 +306,16 @@ def kernel_form_closed(psi, phi, w: complex, alpha: float) -> complex:
     alpha = _check_alpha(alpha)
     pw = series_eval(psi_c, w)
     fw = series_eval(phi_c, w)
-    return pw * (1.0 - abs(w) ** 2) ** (alpha + 2.0) / (1.0 - np.conj(w) * fw) ** (alpha + 2.0)
+    tiny = np.finfo(float).tiny
+    with np.errstate(all="ignore"):
+        num = (1.0 - abs(w) ** 2) ** (alpha + 2.0)
+        den = (1.0 - np.conj(w) * fw) ** (alpha + 2.0)
+        form = pw * num / den
+        if not (num >= tiny and tiny <= abs(den) < np.inf and np.isfinite(form)):
+            form = pw * np.exp((alpha + 2.0) * (np.log1p(-abs(w) ** 2) - np.log(1.0 - np.conj(w) * fw)))
+    if not np.isfinite(form):
+        raise NumericError(f"the kernel form at w={w} leaves the float range at alpha={alpha}")
+    return form
 
 
 def kernel_form_matrix(op: OperatorTruncation, w: complex) -> complex:

@@ -6,6 +6,7 @@ asserted here are re-derived inline (norm recurrences, Gamma ratios)
 rather than read back from the library.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -16,7 +17,7 @@ import pytest
 from scipy.special import gammaln
 
 from bergrange import checks, numrange
-from bergrange.checks import CheckReport, accepted_overrides, list_checks, run_all, run_check
+from bergrange.checks import CheckReport, accepted_overrides, list_checks, run_check
 from bergrange.core import NumericError, UsageError
 
 EXPECTED_IDS = [
@@ -46,8 +47,8 @@ EXPECTED_IDS = [
 
 @pytest.fixture(scope="module")
 def all_reports():
-    reports = run_all()
-    return {r.id: r for r in reports}
+    # every registered check at its defaults, in registry order
+    return {check_id: run_check(check_id) for check_id, _, _ in list_checks()}
 
 
 def test_registry_shape():
@@ -134,15 +135,59 @@ def test_a_report_refuses_a_non_finite_metric():
         CheckReport("c2_polygon", {}, True, {"ok": 0.0, "gap": math.nan}, 1e-9)
 
 
-# kernel_form_closed overflows at this alpha; pyproject.toml makes its RuntimeWarning an error
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_non_finite_metric_is_a_numeric_error_on_the_command_line(capsys):
+def _returning(check_id, metrics):
+    """The registry entry of ``check_id`` with a body that returns ``metrics``."""
+    return dataclasses.replace(checks._REGISTRY[check_id], fn=lambda **params: (True, metrics, 1e-9, ""))
+
+
+def test_a_non_finite_metric_is_a_numeric_error_on_the_command_line(capsys, monkeypatch):
     from bergrange import cli
 
-    assert cli.main(["check", "theo1_kernel_sum", "--alpha", "10000"]) == 2
+    monkeypatch.setitem(checks._REGISTRY, "c2_polygon", _returning("c2_polygon", {"ok": 0.0, "gap": math.nan}))
+    assert cli.main(["check", "c2_polygon"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: check theo1_kernel_sum has a non-finite metric cross_check_dev: nan\n"
+    assert captured.err == "error: check c2_polygon has a non-finite metric gap: nan\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [1e3, 1e4])
+def test_theo1_reports_finite_metrics_at_a_large_alpha(alpha):
+    # (1 - |w|^2)^(alpha+2) and (1 - conj(w) phi(w))^(alpha+2) underflow
+    # together here; the closed form is then taken in log space
+    report = run_check("theo1_kernel_sum", {"alpha": alpha})
+    assert not report.passed
+    assert all(math.isfinite(v) for v in report.metrics.values())
+    json.dumps(report.to_dict(), allow_nan=False)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pro1_names_alpha_where_its_radius_leaves_the_float_range():
+    # the disc radius is about e^872 and the ellipse's kernel_sq about e^943
+    with pytest.raises(NumericError, match=r"^the disc radius leaves the float range at alpha=10000\.0$"):
+        run_check("pro1_rank_one", {"alpha": 1e4})
+    # from alpha = 7525 or so kernel_sq alone does
+    with pytest.raises(NumericError, match=r"^the ellipse kernel_sq leaves the float range at alpha=8000\.0$"):
+        run_check("pro1_rank_one", {"alpha": 8000.0})
+    report = run_check("pro1_rank_one", {"alpha": 1e3})
+    assert report.metrics["disc_radius"] == pytest.approx(1.7316412918597303e37, rel=1e-12)
+
+
+def test_check_all_reports_every_check_that_completes(capsys, monkeypatch):
+    from bergrange import cli
+
+    assert cli.main(["check", "all", "--alpha", "10000"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 20 and "pro1_rank_one" not in [json.loads(line)["id"] for line in lines]
+    assert captured.err == "error: check pro1_rank_one: the disc radius leaves the float range at alpha=10000.0\n"
+    # so does the first check of the order, and the others all pass
+    monkeypatch.setitem(checks._REGISTRY, "t1_spectrum", _returning("t1_spectrum", {"gap": math.inf}))
+    assert cli.main(["check", "all"]) == 2
+    captured = capsys.readouterr()
+    reports = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["id"] for r in reports] == EXPECTED_IDS[1:] and all(r["pass"] for r in reports)
+    assert captured.err == "error: check t1_spectrum: check t1_spectrum has a non-finite metric gap: inf\n"
 
 
 def test_disc_radius_is_one_third(all_reports):

@@ -650,15 +650,51 @@ assert numrange._linalg("cython_lapack") is cython_lapack
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_hermitian_part_raises(self):
-        # finite entries whose Hermitian part overflows to infinity, on a
-        # dense, a tridiagonal and a diagonal zero pattern
+        # finite entries whose Hermitian part, formed as (M + M*)/2, overflows
+        # to infinity: on a dense, a tridiagonal and an upper bidiagonal zero
+        # pattern, on a complex diagonal, and on a graded class beside a
+        # looped one, the supports lie past the float range, so the sweeps and
+        # the margin raise before any point is formed
         tridiagonal = np.diag(np.full(31, 1e308), 1) + np.diag(np.full(31, 1e308), -1)
-        for A in (np.full((2, 2), 1e308), tridiagonal, np.diag(np.full(4, 1e308))):
+        upper = np.diag([1.7e308, -1.7e308]) + np.diag([1.7e308], 1)
+        diagonal = np.diag([1.7e308 + 1.7e308j, -1.7e308 - 1.7e308j, 1e308j])
+        classes = np.zeros((24, 24))
+        classes[::2, ::2] = 1e308 * (np.eye(12) + np.eye(12, k=-1))  # graded, closed
+        classes[1::2, 1::2] = np.diag(np.arange(1.0, 24.0, 2.0)) + np.eye(12, k=-1)  # a band, looped
+        for A in (np.full((2, 2), 1e308), tridiagonal, upper, diagonal, classes):
             A = A.astype(complex)
             with pytest.raises(NumericError):
                 support_function(A, GRID)
             with pytest.raises(NumericError):
                 boundary_points(A, 8)
+            with pytest.raises(NumericError):
+                _margin(A, DiscSpec(0j, 0.0), 8)
+        # formed from M/2, the parts of a diagonal of 1e308 are finite, and
+        # its supports are 1e308 cos(theta) to rounding, as the diagonal formula gives
+        A = np.diag(np.full(4, 1e308)).astype(complex)
+        thetas = _angle_grid(8)
+        assert np.allclose(support_function(A, thetas), 1e308 * np.cos(thetas), rtol=0.0, atol=4 * 2.0**-52 * 1e308)
+        assert [p for _, p, _ in boundary_points(A, 8)] == [1e308] * 8
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_matrices_near_the_float_limit_sweep_at_their_scale(self):
+        # (M + M*)/2 overflows here while the supports do not; the parts are
+        # then formed from M/2, which is exact for normal entries, so 2^1023 A
+        # has 2^1023 times the supports of A bit for bit, and its points to
+        # rounding, on the band, dense, diagonal and graded paths
+        assert support_function(np.array([[2.0**1023]]), [0.0])[0] == 2.0**1023
+        two = support_function(np.array([[1e308, 1e308], [0.0, -1e308]]), [0.0])[0]
+        assert two == pytest.approx(math.sqrt(1.25) * 1e308, rel=1e-15)
+        matrices = dict(_structured_matrices())
+        for name in ("t3", "th1", "dense5", "diagonal", "disc_band", "disc_dense"):
+            A = matrices[name]
+            A = A * 2.0 ** -int(np.frexp(np.max(np.abs(A)))[1])  # largest modulus in [1/2, 1)
+            h = support_function(A, self.THETAS)
+            points = np.array([p for _, p, _ in boundary_points(A, self.THETAS.size)])
+            assert np.max(np.abs(h)) < 2.0, name
+            assert np.array_equal(support_function(A * 2.0**1023, self.THETAS), h * 2.0**1023), name
+            big = np.array([p for _, p, _ in boundary_points(A * 2.0**1023, self.THETAS.size)])
+            assert np.max(np.abs(big * 2.0**-1023 - points)) <= 4 * 2.0**-52 * np.max(np.abs(points)), name
 
 
 @pytest.fixture

@@ -6,6 +6,9 @@ products.  The builders must agree with both, and with each other on the
 overlaps (analytic Toeplitz vs multiplication vs composition at phi = z).
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from bergrange.core import (
     DomainError,
     NumericError,
     UsageError,
+    alpha_weight,
     disk_quadrature,
     kernel_coeffs,
     series_eval,
@@ -29,8 +33,48 @@ from bergrange.operators import (
     off_block_max,
     operator_sum,
 )
+from bergrange.operators import _check_self_map, _coeffs
 
 ALPHAS = [-0.5, 0.0, 1.0, 2.5]
+
+
+def _composition_by_columns(psi, phi, alpha, N):
+    """The builder scaling one column at a time, kept as the bit-for-bit reference of the one-pass scaling."""
+    c = _coeffs(psi, "psi", N)
+    phi_c = _coeffs(phi, "phi")
+    _check_self_map(phi_c)
+    log_r = alpha_weight(alpha, N - 1)
+    A = np.empty((N, N), dtype=complex)
+    phi_c = phi_c[: np.flatnonzero(phi_c[:N]).max(initial=0) + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(N):
+            A[:, n] = np.where(c != 0, c * np.exp(0.5 * (log_r[n] - log_r)), 0)
+            if n + 1 < N:
+                c = np.convolve(c, phi_c)[:N]
+    return OperatorTruncation(A, alpha, kind="weighted_composition")
+
+
+def _outcome(build, *args):
+    """The matrix bits of a build, or the type and message of its error."""
+    try:
+        return build(*args).matrix.view(np.int64).tobytes()
+    except (NumericError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def _seeded_compositions(count):
+    """psi of degree 0-5 scaled by 10^-3..10^3, some coefficients zero; phi of degree 0-3 inside the disk."""
+    rng = np.random.default_rng(2502)
+    alphas = [-0.99, -0.5, 0.0, 0.5, 2.0, 40.0, 400.0, 2e4]
+    for k in range(count):
+        psi = rng.standard_normal(rng.integers(1, 7)) * (1 + 1j * rng.integers(0, 2))
+        psi[rng.random(psi.size) < 0.25] = 0
+        psi *= 10.0 ** rng.uniform(-3, 3)
+        phi = rng.standard_normal(rng.integers(1, 5)) + 1j * rng.standard_normal()
+        if rng.random() < 0.5:
+            phi[0] = 0
+        phi /= max(np.sum(np.abs(phi)), 1e-300) * rng.uniform(1.0, 3.0)
+        yield psi, phi, alphas[k % len(alphas)], int(rng.choice([1, 2, 3, 8, 33, 100, 259]))
 
 
 class TestSymbol:
@@ -104,6 +148,46 @@ class TestWeightedComposition:
         Z = build_weighted_composition([1.0, 1.0], [0.0], 0.0, 12)
         assert np.linalg.matrix_rank(Z.matrix) == 1
         assert np.max(np.abs(Z.matrix[:, 1:])) == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_pass_scaling_keeps_the_bits_of_the_column_loop(self):
+        cases = [
+            ([0.7 + 0.2j], [0.0], 0.0, 1),
+            ([1.0, 1.0], [0.3], 0.5, 2),
+            ([1.0, 0.25], [0.0, -0.5], 0.0, 128),
+            # constant phi: rank one, as in pro1_rank_one
+            ([-0.4, 1.0], [0.4], 2.0, 64),
+            ([1.0, 1.0], [0.3 + 0.2j], -0.5, 65),
+            # phi(0) = 0, so every entry above the diagonal is a zero coefficient,
+            # where the scale overflows at alpha = 2e4: they stay +0.0
+            ([1.0, 0.5], [0.0, 0.5], 2e4, 300),
+            ([0.0, 0.0, 1.0], [0.0, 0.45, 0.45], 2e4, 280),
+            # phi(0) != 0: a nonzero coefficient meets an overflowing scale
+            ([1.0, 0.5], [0.5, 0.3], 2e4, 300),
+        ]
+        cases += list(_seeded_compositions(420))
+        for psi, phi, alpha, N in cases:
+            got = _outcome(build_weighted_composition, psi, phi, alpha, N)
+            assert got == _outcome(_composition_by_columns, psi, phi, alpha, N), (psi, phi, alpha, N)
+        A = build_weighted_composition([1.0, 0.5], [0.0, 0.5], 2e4, 300).matrix
+        assert np.all(np.triu(A, 1).view(np.int64) == 0)
+        with pytest.raises(NumericError, match="non-finite entries"):
+            build_weighted_composition([1.0, 0.5], [0.5, 0.3], 2e4, 300)
+
+    def test_build_holds_no_more_than_the_matrix_and_its_copy(self):
+        # the scale (8 N^2 bytes) and the zero mask (N^2) are freed before
+        # OperatorTruncation copies the matrix, so the peak is that of the
+        # matrix and its copy, 32 N^2 bytes
+        N = 400
+        args = ([1.0, 0.5 - 0.25j], [0.2 + 0.1j, 0.3, 0.2j], 0.5, N)
+        build_weighted_composition(*args)
+        tracemalloc.start()
+        try:
+            build_weighted_composition(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * 32 * N * N
 
     def test_matches_multiplication_at_identity_phi(self):
         psi = [1.0, 0.5, 0.25j]
@@ -217,6 +301,26 @@ class TestKernelForms:
         # psi = 1, phi = z/2, w = 1/2, alpha = 0: (0.75 / 0.875)^2 = 36/49
         got = kernel_form_closed([1.0], [0.0, 0.5], 0.5, 0.0)
         assert got == pytest.approx(36.0 / 49.0, rel=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_closed_form_takes_log_space_only_where_its_powers_leave_the_normal_range(self):
+        # psi(w) q^(alpha+2) with q = (1 - w^2) / (1 - w phi) for real w and a
+        # constant phi: the direct expression, bit for bit, while both powers
+        # are normal, and within rounding of exp((alpha+2) log q) elsewhere
+        psi, phi, w = [1.0, 0.25], [0.29], 0.3
+        pw, q = 1.0 + 0.25 * w, (1.0 - w**2) / (1.0 - 0.29 * w)
+        z, p_z, f_z = complex(w), series_eval(np.array(psi, dtype=complex), w), series_eval(np.array(phi, dtype=complex), w)
+        for alpha in (0.0, 2.5, 1e3):
+            want = p_z * (1.0 - abs(z) ** 2) ** (alpha + 2.0) / (1.0 - np.conj(z) * f_z) ** (alpha + 2.0)
+            assert kernel_form_closed(psi, phi, w, alpha) == want
+        for alpha in (1e4, 1e5):
+            got = kernel_form_closed(psi, phi, w, alpha)
+            assert (1.0 - abs(w) ** 2) ** (alpha + 2.0) < np.finfo(float).tiny
+            assert np.log(got.real) == pytest.approx(math.log(pw) + (alpha + 2.0) * math.log(q), rel=1e-13)
+            assert got.imag == 0.0
+        # q is about 1.49 at w = 0.5, phi = 0.99: the form exceeds the float range
+        with pytest.raises(NumericError, match=r"kernel form at w=\(0\.5\+0j\) .* alpha=10000\.0"):
+            kernel_form_closed([1.0], [0.99], 0.5, 1e4)
 
     def test_identity_operator_form_is_one(self):
         from bergrange.operators import OperatorTruncation
