@@ -47,6 +47,7 @@ from typing import Callable
 import numpy as np
 
 from bergrange.core import (
+    DomainError,
     NumericError,
     UsageError,
     _as_complex,
@@ -87,7 +88,7 @@ from bergrange.operators import (
     operator_sum,
 )
 
-__all__ = ["CheckReport", "accepted_overrides", "list_checks", "run_check"]
+__all__ = ["CheckReport", "accepted_overrides", "list_checks", "run_check", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -567,13 +568,9 @@ def _run_pro1_rank_one(alpha, N, K):
     psi2 = np.array([-w2, 1.0], dtype=complex)
     A2 = build_weighted_composition(psi2, [w2], alpha, N)
     norm_psi2 = np.sqrt(monomial_norm_sq(1, alpha) + abs(w2) ** 2)
-    # (1 - w2^2)^(alpha/2 + 1) underflows at large alpha, so the radius is then taken in log space
-    shrink = (1.0 - w2**2) ** (alpha / 2.0 + 1.0)
-    if shrink >= np.finfo(float).tiny:
-        radius = norm_psi2 / (2.0 * shrink)
-    else:
-        with np.errstate(over="ignore"):
-            radius = norm_psi2 / 2.0 * np.exp(-(alpha / 2.0 + 1.0) * np.log1p(-(w2**2)))
+    # (1 - w2^2)^(alpha/2 + 1) underflows at large alpha, and the radius is then refused
+    with np.errstate(divide="ignore", over="ignore"):
+        radius = norm_psi2 / (2.0 * (1.0 - w2**2) ** (alpha / 2.0 + 1.0))
     radius = _in_float_range(radius, "disc radius", alpha)
     dev_disc = _gap(A2, DiscSpec(0j, radius), K)
     # case three: generic constant target -> ellipse with foci 0 and psi(w)
@@ -585,8 +582,7 @@ def _run_pro1_rank_one(alpha, N, K):
     try:
         kernel_sq = (1.0 - w3**2) ** (-(alpha + 2.0))
     except OverflowError:
-        with np.errstate(over="ignore"):
-            kernel_sq = np.exp(-(alpha + 2.0) * np.log1p(-(w3**2)))
+        kernel_sq = math.inf
     kernel_sq = _in_float_range(kernel_sq, "ellipse kernel_sq", alpha)
     minor = float(np.sqrt(norm_sq * kernel_sq - abs(fw) ** 2))
     dev_ellipse = _gap(A3, EllipseSpec(0j, fw, minor), K)
@@ -1053,3 +1049,22 @@ def accepted_overrides(check_id: str, overrides: dict) -> dict:
     """
     defaults = _REGISTRY[check_id].defaults if check_id in _REGISTRY else {}
     return {k: v for k, v in overrides.items() if k in defaults or k == "seed"}
+
+
+def run_all(overrides: dict | None = None, on_error: Callable | None = None) -> list:
+    """Run every registered check in order, each with the overrides it accepts.
+
+    A check that raises UsageError, DomainError or NumericError ends the
+    run, unless ``on_error`` is given: it is then called with the check's
+    id and the error, and the run goes on without that check's report.
+    """
+    overrides = dict(overrides or {})
+    reports = []
+    for check_id in _REGISTRY:
+        try:
+            reports.append(run_check(check_id, accepted_overrides(check_id, overrides)))
+        except (UsageError, DomainError, NumericError) as exc:
+            if on_error is None:
+                raise
+            on_error(check_id, exc)
+    return reports

@@ -21,7 +21,8 @@ field they replace; a ``--matrix`` range takes ``--angles`` alone.
 ``check <id>`` passes its overrides to that check, which rejects one it
 does not take; ``check all`` gives each check the ones it takes, writes
 the report of each check that completes, and names each check that
-raises on stderr as ``error: check <id>: <message>``, exiting 2.  The
+raises on stderr as ``error: check <id>: <message>`` (the message alone
+where it names the check already), exiting 2.  The
 readers are the validators of ``bergrange.core``: an integer is a JSON
 integer, a number an integer or a float, a pair a list ``[re, im]`` of
 two numbers, and ``true``/``false`` count as none of these.  Every such
@@ -52,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from bergrange import _csvrows
-from bergrange.checks import accepted_overrides, list_checks, run_check
+from bergrange.checks import list_checks, run_all, run_check
 from bergrange.core import (
     DomainError,
     NumericError,
@@ -461,20 +462,23 @@ def _cmd_range(args) -> int:
 
 def _cmd_check(args) -> int:
     overrides = {k: v for k, v in (("alpha", args.alpha), ("N", args.truncation), ("seed", args.seed)) if v is not None}
-    raised = False
+    raised = []
     if args.id != "all":
         # a single check rejects an override it does not take
         reports = [run_check(args.id, overrides)]
     else:
+
+        def name_error(check_id, exc):
+            # an error that already names its check, as a report's refusal does, is not named twice
+            message = str(exc)
+            if not message.startswith(f"check {check_id} "):
+                message = f"check {check_id}: {message}"
+            print(f"error: {message}", file=sys.stderr)
+            raised.append(check_id)
+
         # each check takes the overrides it accepts, and one that raises is
         # named on stderr while the others still report
-        reports = []
-        for check_id, _, _ in list_checks():
-            try:
-                reports.append(run_check(check_id, accepted_overrides(check_id, overrides)))
-            except (UsageError, DomainError, NumericError) as exc:
-                print(f"error: check {check_id}: {exc}", file=sys.stderr)
-                raised = True
+        reports = run_all(overrides, on_error=name_error)
     text = "".join(json.dumps(r.to_dict(), sort_keys=True, allow_nan=False) + "\n" for r in reports)
     _emit(text, args.out)
     if raised:

@@ -17,7 +17,7 @@ import pytest
 from scipy.special import gammaln
 
 from bergrange import checks, numrange
-from bergrange.checks import CheckReport, accepted_overrides, list_checks, run_check
+from bergrange.checks import CheckReport, accepted_overrides, list_checks, run_all, run_check
 from bergrange.core import NumericError, UsageError
 
 EXPECTED_IDS = [
@@ -47,8 +47,8 @@ EXPECTED_IDS = [
 
 @pytest.fixture(scope="module")
 def all_reports():
-    # every registered check at its defaults, in registry order
-    return {check_id: run_check(check_id) for check_id, _, _ in list_checks()}
+    reports = run_all()
+    return {r.id: r for r in reports}
 
 
 def test_registry_shape():
@@ -187,7 +187,8 @@ def test_check_all_reports_every_check_that_completes(capsys, monkeypatch):
     captured = capsys.readouterr()
     reports = [json.loads(line) for line in captured.out.splitlines()]
     assert [r["id"] for r in reports] == EXPECTED_IDS[1:] and all(r["pass"] for r in reports)
-    assert captured.err == "error: check t1_spectrum: check t1_spectrum has a non-finite metric gap: inf\n"
+    # the report's refusal names the check already, and is not prefixed with it again
+    assert captured.err == "error: check t1_spectrum has a non-finite metric gap: inf\n"
 
 
 def test_disc_radius_is_one_third(all_reports):
@@ -309,9 +310,24 @@ def test_circle_check_fails_when_graded_points_leave_the_circle(monkeypatch):
 
 
 def test_run_all_applies_overrides_only_where_accepted():
-    report = run_check("theo3_zero_interior", {"N": 24})
-    assert report.params["N"] == 24
-    assert report.passed
+    reports = {r.id: r for r in run_all({"N": 24})}
+    assert list(reports) == EXPECTED_IDS
+    assert reports["theo3_zero_interior"].params["N"] == 24
+    assert reports["theo3_zero_interior"].passed
+    assert "N" not in reports["l11_bounded"].params
+
+
+def test_run_all_ends_at_the_first_error_unless_given_somewhere_to_send_it(monkeypatch):
+    ids = EXPECTED_IDS[:3]
+    registry = {check_id: _returning(check_id, {"gap": 0.0}) for check_id in ids}
+    registry[ids[1]] = _returning(ids[1], {"gap": math.nan})
+    monkeypatch.setattr(checks, "_REGISTRY", registry)
+    with pytest.raises(NumericError, match=f"^check {ids[1]} has a non-finite metric gap: nan$"):
+        run_all()
+    errors = []
+    reports = run_all(on_error=lambda check_id, exc: errors.append((check_id, type(exc))))
+    assert [r.id for r in reports] == [ids[0], ids[2]]
+    assert errors == [(ids[1], NumericError)]
 
 
 @pytest.mark.parametrize(
