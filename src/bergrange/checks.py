@@ -56,6 +56,7 @@ from bergrange.core import (
     _as_pairs,
     _int,
     _list_of,
+    _norm,
     _read_fields,
     alpha_weight,
     disk_quadrature,
@@ -998,7 +999,7 @@ def _run_adjoint_kernel(alpha, N):
             fw = complex(series_eval(phi, w))
             kfw = kernel_coeffs(fw, alpha, N - 1)
             pw = complex(series_eval(psi, w))
-            residual = float(np.linalg.norm(A.matrix.conj().T @ kw - np.conj(pw) * kfw))
+            residual = _norm(A.matrix.conj().T @ kw - np.conj(pw) * kfw)
             worst = max(worst, residual)
     tol = 1e-5
     return (

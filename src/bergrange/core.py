@@ -166,6 +166,17 @@ def _as_matrix(A, where: str = "matrix") -> np.ndarray:
     return M
 
 
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of x, taken on x 2^-e with every |x_i| < 2^e and scaled back, so that no square overflows.
+
+    Both scalings are exact, so the result has the bits of
+    ``np.linalg.norm(x)`` wherever that neither overflows nor underflows.
+    e is at least -1000, so that 2^-e is a float.
+    """
+    e = max(int(np.frexp(np.max(np.abs(x), initial=0.0))[1]), -1000)
+    return float(np.ldexp(np.linalg.norm(x * 2.0**-e), e))
+
+
 def _check_alpha(alpha: float) -> float:
     alpha = _as_number(alpha, "alpha")
     if not np.isfinite(alpha) or alpha <= -1.0:

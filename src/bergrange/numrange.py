@@ -9,52 +9,69 @@ and boundary_points, hence every range here, call it.
 
 The kernel picks its solver once per sweep from the exact zero pattern of
 A, so a matrix read back from CSV is solved exactly as the one built in
-process.  With g the gcd of the offsets |m - n| of the nonzero entries,
-g > 1 makes A a direct sum over the residue classes mod g: the support is
-the largest block support, and the boundary point that of the winning
-block.  A diagonal or zero matrix (half-bandwidth kd = 0) needs no
-solver: its block keeps the diagonals of A_re and A_im alone, forms the
-diagonal of H(theta) at every angle in one array, by the elementwise ops
-of one angle, and its point is the diagonal entry A_ii at the first
-largest entry of the diagonal of H(theta) (of -H(theta) at theta + pi).
-A block whose kd >= 1 is small against its size (a Toeplitz truncation,
-a weighted composition over a rotation) is reduced on its band by LAPACK
-zhbtrd, which scipy.linalg.lapack does not wrap: it is called through the
-pointer that scipy.linalg.cython_lapack exports, on a workspace each
-block keeps.  Every LAPACK and BLAS routine comes from one of scipy's
-extension modules _flapack, cython_lapack and cython_blas, which
-``_linalg`` loads on the first sweep without importing the package
-scipy.linalg.  Any other block is dense, and one column-pivoted QR of
-[A, A*] gives its numerical rank k, the count of |R_ii| above n eps
-|R_00|.  If k < n, the block is solved on the k dimensional space Q of
-the leading columns: the support is max(h_B, 0) for B = Q* A Q, exact up
-to 2 tau with tau = ||R_22||_F, the scale of a dense eigensolve's own
-backward error.  A block whose bound could fail the residual check where
-H(theta) nearly vanishes (a large matrix near a phase times a Hermitian
-one) stays dense, as does a zero class of a banded matrix and every
-block with k = n.  A dense or reduced block reduces its matrix to
-tridiagonal form with zhetrd.  Every block then bisects its tridiagonal
-form for one index with dstebz, except a 1 x 1 form (a one-index class
-or a rank-one reduced block), which dstebz cannot take and whose one
-entry is both its ends; the matrix or band is first multiplied by a
-power of two that takes its entries below 1, which is exact, so 2^p A has
-exactly 2^p times the supports of A, and which keeps huge entries from
-overflowing.
+process.  ``_residue_classes`` reads that pattern from one ``np.nonzero``
+of A.  With g the gcd of the offsets |m - n| of the nonzero entries, g > 1
+makes A a direct sum over the residue classes mod g: the support is the
+largest block support, and the boundary point that of the winning block.
+``_solver`` gives each class one small class of its own path.  Each forms
+the Hermitian parts A_re and A_im at its own size, every entry (m_ij +
+conj m_ji) / 2 as at full size, and keeps only what its own solver reads;
+no N x N A_re or A_im is formed.
+
+- ``_Diagonal``: a diagonal or zero matrix (half-bandwidth kd = 0) needs
+  no solver.  It keeps the diagonals of A_re and A_im alone, forms the
+  diagonal of H(theta) at every angle in one array, by the elementwise
+  ops of one angle, and its point is the diagonal entry A_ii at the first
+  largest entry of the diagonal of H(theta) (of -H(theta) at theta + pi).
+- ``_Band``: a class whose kd >= 1 is small against its size (a Toeplitz
+  truncation, a weighted composition over a rotation) reads its band
+  straight from A's diagonals, so a band sweep holds no N x N array
+  besides A.  It is reduced on its band by LAPACK zhbtrd, which
+  scipy.linalg.lapack does not wrap: it is called through the pointer
+  that scipy.linalg.cython_lapack exports, on a workspace each band keeps.
+- ``_Reduced`` and ``_Dense``: any other class is a dense block, and one
+  column-pivoted QR of [A, A*] gives its numerical rank k, the count of
+  |R_ii| above n eps |R_00|.  If k < n, the block is a ``_Reduced``,
+  solved on the k dimensional space Q of the leading columns: the support
+  is max(h_B, 0) for B = Q* A Q, exact up to 2 tau with tau = ||R_22||_F,
+  the scale of a dense eigensolve's own backward error.  A block whose
+  bound could fail the residual check where H(theta) nearly vanishes (a
+  large matrix near a phase times a Hermitian one) is a ``_Dense``, as is
+  a zero class of a banded matrix and every block with k = n.  Both reduce
+  their matrix to tridiagonal form with zhetrd.
+
+Every LAPACK and BLAS routine comes from one of scipy's extension modules
+_flapack, cython_lapack and cython_blas, which ``_linalg`` loads on the
+first sweep without importing the package scipy.linalg.  Every looped
+block bisects its tridiagonal form for one index with dstebz, except a 1 x
+1 form (a one-index class or a rank-one reduced block), which dstebz
+cannot take and whose one entry is both its ends.  The matrix or band is
+first multiplied by a power of two that takes its entries below 1, which
+is exact and keeps huge entries from overflowing.  So 2^p A has exactly
+2^p times the supports of A on a band and a kd = 0 block, and on a dense
+block wherever no product c a or s b of H(theta) = c A_re + s A_im falls
+below the normal range; a Hermitian 2^-1000 A does at theta = 3 pi / 2,
+where c is about -1.8e-16.  A graded block is as exact as the block it
+holds.  A reduced block is not exact: whether a block is reduced depends
+on tau against a fixed tolerance, so 2^20 A of a numerically low-rank A
+may be solved dense, and its supports then differ from 2^20 times those
+of A by rounding.
 
 A block of kd >= 1 is graded when its diagonal is one constant c and its
 indices carry integer labels f with f(i) - f(j) = 1 at every nonzero
-off-diagonal entry A_ij (a weighted shift, as in Tsai and Wu, Numerical ranges of
-weighted shift matrices, Linear Algebra Appl. 435 (2011)).  Then D_t =
-diag(e^{i t f}) gives D_t (A - cI) D_t* = e^{i t} (A - cI), so the range of
-the block is exactly the disc about c of radius r = h(0) - Re c.  Both
-tests read the exact entries, as the residue classes do, and the labels
-are searched only on a block of at most 4 n nonzero off-diagonal
-entries.  A graded block is solved once, at theta = 0 on its own path,
-where its point p_0 passes the residual check below; at every angle its
-support is Re(e^{-i theta} c) + r and its point c + e^{i theta} (p_0 -
-c), the rotation negated at theta + pi, in one array expression.  Graded
-and kd = 0 blocks are closed: they answer every angle at once, and a
-sweep of closed blocks alone runs no angle loop.
+off-diagonal entry A_ij (a weighted shift, as in Tsai and Wu, Numerical
+ranges of weighted shift matrices, Linear Algebra Appl. 435 (2011)).
+Then D_t = diag(e^{i t f}) gives D_t (A - cI) D_t* = e^{i t} (A - cI), so
+the range of the block is exactly the disc about c of radius r = h(0) - Re
+c.  Both tests read the exact entries that ``_residue_classes`` found,
+and the labels are searched only on a block of at most 4 n nonzero
+off-diagonal entries.  A ``_Graded`` holds the band, dense or reduced
+block of such a class, which solves it once, at theta = 0 on its own
+path, where its point p_0 passes the residual check below; at every angle
+its support is Re(e^{-i theta} c) + r and its point c + e^{i theta} (p_0
+- c), the rotation negated at theta + pi, in one array expression.
+Graded and kd = 0 blocks are closed: they answer every angle at once in
+``closed_ends``, and a sweep of closed blocks alone runs no angle loop.
 
 H(theta + pi) = -H(theta), so one reduction gives two supports: index n
 for theta and, as -lambda_min, index 1 for theta + pi.  On the uniform
@@ -92,7 +109,7 @@ Boundary points come in two phases.  The angle loop calls scipy's LAPACK
 and numpy's elementwise ops alone, and takes an eigenvector only for the
 block that wins an end: dstein and zunmqr on a dense or reduced block,
 inverse iteration on a band.  After the loop each block turns the
-eigenvectors it won into points in one batch, ``_Block.points``, in
+eigenvectors it won into points in one batch, its ``points``, in
 chunks of ``_POINT_CHUNK`` entries per temporary, with scipy's zgemm
 from cython_blas for its products.  numpy and scipy each load their own
 OpenBLAS, whose threads keep spinning for a while after each call.  At
@@ -110,7 +127,8 @@ entries of A_re and A_im that can hold the maximum at some angle, from
 ``_scale_entries``.  Each set holds the largest entry of
 H(theta) at every angle, so the scale is max(1, max_ij |H_ij(theta)|)
 on every path.  Every path forms the product pair P = (A_re v, A_im v)
-once and takes the rest from it: H v = c P[0] + s P[1], negated at
+once and hands it to the one point stage, ``_checked_points``, which
+takes the rest from it: H v = c P[0] + s P[1], negated at
 theta + pi, for the check, and the point Re(v* P[0]) + i Re(v* P[1]).
 A banded block forms P from band storage, summed over its diagonals, at
 O(n kd) per point, a reduced block as G x with G = (A_re [Q, z], A_im
@@ -221,8 +239,8 @@ class _Tridiagonal:
 
     End 0 is the top eigenvalue of H and end 1 that of -H, which is
     -lambda_min(H); for H = H(theta), end 1 is the support at theta + pi.
-    T comes from ``dense`` (zhetrd on a full H) or from a block's
-    ``_BandReduction`` (zhbtrd on a band), and every block of kd >= 1 ends
+    T comes from ``dense`` (zhetrd on a full H) or from a ``_Band``'s
+    workspace (zhbtrd on a band), and every block of kd >= 1 ends
     here: dstebz bisects T for index n or index 1, so an end gets the same
     eigenvalue with or without its vector.  H is reduced as H * unit, with
     ``unit`` a power of two from ``_unit``, so that no entry can overflow
@@ -341,35 +359,6 @@ def _product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return P
 
 
-class _BandReduction:
-    """zhbtrd for one band block of half-bandwidth kd >= 1, with its workspace made once.
-
-    The workspace is a Fortran-ordered band buffer in LAPACK lower band
-    storage, d, e, work and the int arguments N, KD, LDAB, LDQ and INFO;
-    their pointers are taken once here, so a reduction costs one copy into
-    the buffer and the bare call.  The T it returns holds d and e of this
-    workspace, so it is read before the next reduction.
-    """
-
-    def __init__(self, kd: int, n: int):
-        import ctypes
-        self.ab = np.zeros((kd + 1, n), dtype=complex, order="F")
-        self.d, self.e, self.work = np.zeros(n), np.zeros(max(n - 1, 0)), np.zeros(n, dtype=complex)
-        self.ints = np.array([n, kd, kd + 1, 1, 0], dtype=np.intc)  # N, KD, LDAB, LDQ and INFO
-        n_, kd_, ldab, ldq, info = (ctypes.c_void_p(self.ints.ctypes.data + i * self.ints.itemsize) for i in range(5))
-        self.q = np.zeros(1, dtype=complex)  # VECT = 'N' forms no Q
-        ab, d, e, q, work = (ctypes.c_void_p(X.ctypes.data) for X in (self.ab, self.d, self.e, self.q, self.work))
-        self.args = (ctypes.c_char_p(b"N"), ctypes.c_char_p(b"L"), n_, kd_, ab, ldab, d, e, q, ldq, work, info)
-
-    def __call__(self, ab: np.ndarray, unit: float) -> _Tridiagonal:
-        """T of the Hermitian band ``ab`` (lower band storage), reduced as ab * unit."""
-        np.multiply(ab, unit, out=self.ab)
-        _zhbtrd()(*self.args)
-        if self.ints[4] != 0:
-            raise NumericError(f"Hermitian band tridiagonal reduction failed (LAPACK info {self.ints[4]})")
-        return _Tridiagonal(self.d, self.e, unit)
-
-
 def _divided(X: np.ndarray, largest: float) -> np.ndarray:
     """X / largest for a complex X and a real largest >= max |X| > 0.
 
@@ -455,7 +444,7 @@ def _band_vector(ab: np.ndarray, lam: float, start: np.ndarray) -> np.ndarray:
     return x / np.sqrt(np.sum(x.real**2 + x.imag**2))  # the norm in elementwise ops, which call no BLAS
 
 
-# Solver choice, timed per angle through _Block.ends on random complex
+# Solver choice, timed per angle through a block's ends on random complex
 # Hermitian bands (n = 48..400 with kd = n/32..n/8, one BLAS thread, 2-core
 # Xeon, scipy's OpenBLAS 0.3.30): at 16 kd = n the band's zhbtrd and
 # bisection cost 0.7-0.9 times the dense zhetrd and bisection, on paired
@@ -466,7 +455,7 @@ _BAND_RATIO = 16
 
 
 def _residue_classes(M: np.ndarray):
-    """Index sets over which M is a direct sum, the half-bandwidth inside them, and the order of the rotation symmetry of its range.
+    """Index sets over which M is a direct sum, the half-bandwidth inside them, the order of the rotation symmetry of its range, and each set's nonzero entries.
 
     With g the gcd of the offsets |m - n| of the nonzero entries, every
     entry links two indices of one residue class mod g, and an offset d
@@ -479,17 +468,19 @@ def _residue_classes(M: np.ndarray):
     / n}, gives D M D* = w M, since every o / g is 1 mod n, so the range is
     invariant under z -> w z.  n = 0 (every o equal to g, or no entry at
     all) leaves it invariant under every rotation.
+
+    The entries are those of the one ``np.nonzero`` of M, as a pair (rows,
+    cols) per class in the class's own indices, in row-major order.
     """
     size = M.shape[0]
     rows, cols = np.nonzero(M)
     signed = np.flatnonzero(np.bincount(rows - cols + size - 1, minlength=2 * size - 1)) - (size - 1)
     offsets = np.flatnonzero(np.bincount(np.abs(signed), minlength=1))
-    g = int(np.gcd.reduce(offsets))
+    g = max(int(np.gcd.reduce(offsets)), 1)
     top = int(offsets[-1]) if offsets.size else 0
-    order = 1 if 0 in signed else int(np.gcd.reduce(np.abs(signed // max(g, 1) - 1)))
-    if g < 2:
-        return [np.arange(size)], top, order
-    return [np.arange(r, size, g) for r in range(g)], top // g, order
+    order = 1 if 0 in signed else int(np.gcd.reduce(np.abs(signed // g - 1)))
+    entries = [(rows, cols)] if g == 1 else [(rows[rows % g == r] // g, cols[rows % g == r] // g) for r in range(g)]
+    return [np.arange(r, size, g) for r in range(g)], top // g, order, entries
 
 
 def _range_basis(M: np.ndarray):
@@ -551,8 +542,7 @@ def _scale_entries(A_re: np.ndarray, A_im: np.ndarray):
     a, b = A_re.ravel(), A_im.ravel()
     largest = max(float(np.max(np.abs(a))), float(np.max(np.abs(b)))) or 1.0
     hi, lo_max = np.empty(a.size), 0.0
-    for i in range(0, a.size, 1 << 12):
-        part = slice(i, i + (1 << 12))
+    for part in _chunks(a.size, 1):
         an, bn = _divided(a[part], largest), _divided(b[part], largest)
         sa, sb, ab = np.abs(an) ** 2, np.abs(bn) ** 2, an * bn.conj()
         hi[part] = h = np.sqrt((sa + sb) / 2.0 + np.hypot((sa - sb) / 2.0, ab.real))
@@ -561,21 +551,20 @@ def _scale_entries(A_re: np.ndarray, A_im: np.ndarray):
     return (a, b) if keep.all() else (a[keep], b[keep])
 
 
-def _grading(M: np.ndarray):
-    """Integer labels f with f(i) - f(j) = 1 at every nonzero off-diagonal entry M_ij, or None.
+def _grading(n: int, rows: np.ndarray, cols: np.ndarray):
+    """Integer labels f with f(i) - f(j) = 1 at every nonzero off-diagonal entry A_ij of an n x n block, or None.
 
-    A depth-first search over the entries labels each connected set of
-    indices from one root and checks every entry against the labels.  It
-    runs only where M has at most 4 n nonzero off-diagonal entries, so a
-    denser M pays one count.
+    (rows, cols) index the block's nonzero entries, as ``_residue_classes``
+    found them.  A depth-first search over the entries labels each
+    connected set of indices from one root and checks every entry against
+    the labels.  It runs only where the block has at most 4 n nonzero
+    off-diagonal entries, so a denser block pays one count.
     """
-    n = M.shape[0]
-    entries = M != 0
-    np.fill_diagonal(entries, False)
-    if np.count_nonzero(entries) > 4 * n:
+    off = rows != cols
+    if np.count_nonzero(off) > 4 * n:
         return None
     links = [[] for _ in range(n)]
-    for i, j in zip(*(index.tolist() for index in np.nonzero(entries))):
+    for i, j in zip(rows[off].tolist(), cols[off].tolist()):
         links[j].append((i, 1))
         links[i].append((j, -1))
     labels = [None] * n
@@ -604,152 +593,232 @@ def _chunks(columns: int, height: int):
     return [slice(i, i + width) for i in range(0, columns, width)]
 
 
-class _Block:
-    """One residue-class block of a sweep: what its solver and its boundary points read of A_re and A_im.
+def _hermitian_parts(X: np.ndarray, Y: np.ndarray):
+    """(X + conj Y) / 2 and (X - conj Y) / 2i, for Y the entries that mirror those of X: the Hermitian parts A_re and A_im at X's entries.
 
-    Every block keeps one pair ``parts``, with H(theta) = c parts[0] + s
-    parts[1], the power of two ``unit`` of its parts, and its
-    ``diagonal``.  A kd = 0 block keeps as its parts the diagonals of A_re
-    and A_im, and nothing more: it is closed.  Any other block keeps one
-    ``reduce``, which takes H(theta) to tridiagonal form at ``unit``.  A
-    block with a narrow band keeps its band storage and its own
-    ``_BandReduction``.  Any other block keeps the Hermitian parts of B =
-    Q* A Q, on the basis [Q, z] of ``_range_basis`` where that is smaller
-    than the block, or else A_re and A_im, and is reduced by zhetrd.  ``G``
-    is the pair whose products with an end's vector give P = (A_re v, A_im
-    v): the band storage, A_re and A_im, or on a reduced block A_re [Q, z]
-    and A_im [Q, z].  ``scale_entries`` holds the entry pairs (a, b) over
-    which the residual check takes its scale max(1, max |c a + s b|): band
-    storage for a band, ``_scale_entries`` of A_re and A_im otherwise.
+    For a block X, Y is X.T; for a band, X and Y hold its lower and upper
+    diagonals.  Each entry is (m_ij + conj m_ji) / 2, as in (M + M*) / 2
+    at full size.  Where a part leaves the float range, X and Y are halved
+    first, which gives the same bits wherever their entries are normal;
+    parts that still overflow raise ``NumericError``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = (X + Y.conj()) / 2.0, (X - Y.conj()) / 2j
+        if not all(np.all(np.isfinite(part)) for part in parts):
+            X, Y = X / 2.0, Y / 2.0
+            parts = X + Y.conj(), (X - Y.conj()) / 1j
+            if not all(np.all(np.isfinite(part)) for part in parts):
+                raise NumericError("Hermitian parts of the matrix overflow")
+    return parts
 
-    A block of kd >= 1 is graded when its diagonal is one constant
-    ``center`` and ``_grading`` finds ``labels`` f, with f(i) - f(j) = 1 at
-    every nonzero off-diagonal entry, both read exactly off its entries.  Then D_t =
-    diag(e^{i t f}) gives D_t (A - center I) D_t* = e^{i t} (A - center I)
-    for every t, so the range of the block is exactly the disc about the
-    center of radius h(0) - Re center; a block that is not graded pays only
-    the diagonal test, or one count of its entries.  A graded block and a
-    kd = 0 block are ``closed``: ``closed_ends`` answers every angle at once.
-    Any other block is solved angle by angle in ``ends``, and ``points``
-    turns the eigenvectors of the ends it won into boundary points.
+
+def _checked_points(taken, scale_entries, size: int, products) -> np.ndarray:
+    """The boundary points of the ends in ``taken``, a list of (end, c, s, lam, x) from a block's ``ends``, each checked first.
+
+    This is the point stage of every looped block.  Each column's scale is
+    max(1, max |c a + s b|) over the block's entry pairs ``scale_entries``,
+    by the elementwise ops of one angle.  Each chunk of columns X, with
+    ``size`` the block size, gives ``products(X)`` = (V, P): the vectors V
+    and the product pair P = (A_re V, A_im V).  Each v is checked against
+    H v = +-(c P[0] + s P[1]), and its point is v* A v = Re(v* P[0]) + i
+    Re(v* P[1]).
+    """
+    end, c, s, lam = (np.array(column) for column in list(zip(*taken))[:4])
+    sign = np.where(end == 1, -1.0, 1.0)  # H(theta + pi) = -H(theta)
+    a, b = (entries.ravel() for entries in scale_entries)
+    scale = np.fmax(1.0, np.concatenate([np.max(np.abs(c[k, None] * a + s[k, None] * b), axis=1) for k in _chunks(len(taken), a.size)]))
+    points = np.empty(len(taken), dtype=complex)
+    for k in _chunks(len(taken), size):
+        V, P = products(np.column_stack([x for *_, x in taken[k]]))
+        _checked_columns(lam[k], V, sign[k] * (c[k] * P[0] + s[k] * P[1]), scale[k])
+        points[k] = _complex(*(np.sum(V.real * Pk.real + V.imag * Pk.imag, axis=0) for Pk in P))
+    return points
+
+
+class _Diagonal:
+    """A kd = 0 block, closed: its ``diagonal``, the diagonals ``parts`` of A_re and A_im, and their power of two ``unit``.
+
+    It needs no solver: the diagonal of H(theta) = c parts[0] + s parts[1]
+    is formed at every angle in one array, and its largest entry is the
+    support, at the diagonal entry A_ii where it stands.
     """
 
-    def __init__(self, M, A_re, A_im, idx, kd):
-        whole = idx.size == M.shape[0]
-        M, re, im = (X if whole else X[np.ix_(idx, idx)] for X in (M, A_re, A_im))
-        self.band = self.basis = self.labels = None
-        self.diagonal = np.diagonal(M)
-        if kd == 0:
-            self.parts = (np.diagonal(re).copy(), np.diagonal(im).copy())
-        elif _BAND_RATIO * kd <= idx.size:
-            # LAPACK lower band storage: band[d, j] = X[j + d, j]
-            self.band = self.parts = self.scale_entries = self.G = np.zeros((2, kd + 1, idx.size), dtype=complex)
-            for d in range(kd + 1):
-                self.band[:, d, : idx.size - d] = [np.diagonal(re, -d), np.diagonal(im, -d)]
-            self.start = np.random.default_rng(0).standard_normal(idx.size).astype(complex)
-            self.reduce = _BandReduction(kd, idx.size)
-        else:
-            self.parts = self.G = (re, im)
-            self.scale_entries, self.reduce = _scale_entries(re, im), _Tridiagonal.dense
-            if (basis := _range_basis(M)) is not None:
-                Q = basis[:, :-1]
-                B = Q.conj().T @ M @ Q
-                self.parts = ((B + B.conj().T) / 2.0, (B - B.conj().T) / 2j)
-                self.basis, self.G = np.ascontiguousarray(basis), (re @ basis, im @ basis)
+
+    def __init__(self, diagonal: np.ndarray):
+        self.diagonal, self.parts = diagonal, _hermitian_parts(diagonal, diagonal)
         self.unit = _unit(*self.parts)
-        self.center = complex(self.diagonal[0])
-        if kd > 0 and np.all(self.diagonal == self.center):
-            self.labels = _grading(M)
-        self.closed = kd == 0 or self.labels is not None
 
     def closed_ends(self, c: np.ndarray, s: np.ndarray):
-        """Supports of a closed block at every pair (c, s), row 0 at theta and row 1 at theta + pi, and a function that gives the points of both rows.
+        """Supports at every pair (c, s), row 0 at theta and row 1 at theta + pi, and a function that gives the points of both rows.
 
-        A graded block solves theta = 0 once, in ``ends``.  Its support is
-        Re(e^{-i theta} center) + r, with r = h(0) - Re center, and its point
-        center + e^{i theta} (p_0 - center), negated at theta + pi, with the
-        rotation in the real ops of Python's complex product; ``points``
-        checks p_0 when the points are asked for.  A kd = 0 block forms the
-        diagonal of H(theta) at every pair from its parts, by the complex ops
-        of one angle, so its supports max(d) and -min(d), d = unit H_ii, have
-        the per-angle bits, and its points are the diagonal entries at the
-        first argmax and argmin.
+        The diagonal of H(theta) at every pair is formed by the complex ops
+        of one angle, so the supports max(d) and -min(d), d = unit H_ii,
+        have the per-angle bits, and the points are the diagonal entries at
+        the first argmax and argmin.
         """
-        if self.labels is not None:
-            (h0,), vector = self.ends(1.0, 0.0, False)
-            radius, cr, ci = h0 - self.center.real, self.center.real, self.center.imag
-            t = c * cr + s * ci  # Re(e^{-i theta} center)
-
-            def points():
-                (p0,) = self.points([(0, 1.0, 0.0, h0, vector(0))])
-                dr, di = p0.real - cr, p0.imag - ci
-                wr, wi = c * dr - s * di, c * di + s * dr  # e^{i theta} (p_0 - center)
-                return np.array([_complex(cr + wr, ci + wi), _complex(cr - wr, ci - wi)])
-
-            return np.array([t + radius, radius - t]), points
         with np.errstate(over="ignore"):  # a diagonal of H past the float range gives supports that the sweep refuses
             H = (c[:, None] * self.parts[0] + s[:, None] * self.parts[1]).real  # row j: the diagonal of H(theta_j)
         d = H * self.unit
         supports = np.array([np.max(d, axis=1) / self.unit, -(np.min(d, axis=1) / self.unit)])
         return supports, lambda: self.diagonal[np.array([np.argmax(H, axis=1), np.argmin(H, axis=1)])]
 
+
+class _Band:
+    """A block of half-bandwidth kd >= 1 that ``_BAND_RATIO`` kd does not exceed, reduced on its band by zhbtrd, on a workspace made once.
+
+    ``band`` holds A_re and A_im of the block in LAPACK lower band
+    storage, band[k][d, j] at the block's entry (j + d, j), read straight
+    from M's diagonals, so no block of A, A_re or A_im is formed.  An end's
+    vector comes from inverse iteration from ``start``, and its product
+    pair is summed over the band's diagonals, at O(n kd) per point; the
+    band storage is also the set of entry pairs of the residual check's
+    scale.
+
+    The workspace of zhbtrd is a Fortran-ordered band buffer ``ab``, d, e,
+    work and the int arguments N, KD, LDAB, LDQ and INFO; their pointers
+    are taken once here, so a reduction costs one copy into the buffer and
+    the bare call.  The T it gives holds d and e of this workspace, so it
+    is read before the next reduction.
+    """
+
+
+    def __init__(self, M: np.ndarray, idx: np.ndarray, kd: int):
+        import ctypes
+        n, step = idx.size, int(idx[1] - idx[0])
+        lower, upper = np.zeros((2, kd + 1, n), dtype=complex)
+        for k in range(kd + 1):  # the block's entries (j + k, j) and (j, j + k)
+            lower[k, : n - k], upper[k, : n - k] = (np.diagonal(M, offset)[idx[0] :: step] for offset in (-k * step, k * step))
+        self.band = _hermitian_parts(lower, upper)
+        self.unit = _unit(*self.band)
+        self.start = np.random.default_rng(0).standard_normal(n).astype(complex)
+        self.ab = np.zeros((kd + 1, n), dtype=complex, order="F")
+        self.d, self.e, self.work = np.zeros(n), np.zeros(max(n - 1, 0)), np.zeros(n, dtype=complex)
+        self.ints = np.array([n, kd, kd + 1, 1, 0], dtype=np.intc)  # N, KD, LDAB, LDQ and INFO
+        n_, kd_, ldab, ldq, info = (ctypes.c_void_p(self.ints.ctypes.data + i * self.ints.itemsize) for i in range(5))
+        self.q = np.zeros(1, dtype=complex)  # VECT = 'N' forms no Q
+        ab, d, e, q, work = (ctypes.c_void_p(X.ctypes.data) for X in (self.ab, self.d, self.e, self.q, self.work))
+        self.args = (ctypes.c_char_p(b"N"), ctypes.c_char_p(b"L"), n_, kd_, ab, ldab, d, e, q, ldq, work, info)
+
     def ends(self, c, s, both: bool):
-        """Supports of this block at theta and, with ``both``, at theta + pi, solved at theta itself, and a function that gives an end's eigenvector.
-
-        H(theta + pi) = -H(theta), so end 1 is the top of -H(theta).  A
-        block forms H(theta) from its parts and reduces it once for both
-        ends, and bisects that one tridiagonal form for each; a reduced
-        block's support is max(h_B, 0).  The function takes the end, 0 or
-        1, and returns that end's eigenvector, as its coordinates x in
-        [Q, z] on a reduced block.  It calls no BLAS, and a sweep calls it
-        only for the block that wins an end.  A kd = 0 block has no ends:
-        ``closed_ends`` answers it.
-        """
-        H = c * self.parts[0] + s * self.parts[1]
-        T = self.reduce(H, self.unit)
+        """Supports at theta and, with ``both``, at theta + pi, from one reduction of the band of H(theta) at ``unit``, and a function that gives an end's eigenvector."""
+        H = c * self.band[0] + s * self.band[1]
+        np.multiply(H, self.unit, out=self.ab)
+        _zhbtrd()(*self.args)
+        if self.ints[4] != 0:
+            raise NumericError(f"Hermitian band tridiagonal reduction failed (LAPACK info {self.ints[4]})")
+        T = _Tridiagonal(self.d, self.e, self.unit)
         tops = [T.eigenvalue(end) for end in range(2 if both else 1)]
-        supports = tops if self.basis is None else [float(np.maximum(lam, 0.0)) for lam in tops]  # a NaN stays NaN and wins the sweep's argmax
-
-        def vector(end):
-            if self.band is not None:
-                x = _band_vector(-H if end else H, tops[end], self.start)  # this end's H in band storage
-            elif self.basis is None:
-                x = T.vector(end)
-            else:
-                x = np.zeros(self.basis.shape[1], dtype=complex)  # the coordinates of v in [Q, z]
-                if tops[end] >= 0.0:
-                    x[:-1] = T.vector(end)
-                else:
-                    x[-1] = 1.0  # where h_B < 0 the support is 0, attained at z, off the basis
-            return x
-
-        return supports, vector
+        return tops, lambda end: _band_vector(-H if end else H, tops[end], self.start)  # this end's H in band storage
 
     def points(self, taken) -> np.ndarray:
-        """The boundary points of the ends in ``taken``, a list of (end, c, s, lam, x) from ``ends``, each checked first.
+        return _checked_points(taken, self.band, self.start.size, lambda X: (X, [_band_product(G, X) for G in self.band]))
 
-        Each column's scale is max(1, max |c a + s b|) over
-        ``scale_entries``, by the elementwise ops of one angle.  Each chunk
-        of columns forms P = (A_re V, A_im V) once, as G X or over the band's
-        diagonals, with V = X, or [Q, z] X on a reduced block, checks each v
-        against H v = +-(c P[0] + s P[1]), and returns the points v* A v =
-        Re(v* P[0]) + i Re(v* P[1]).
+
+class _Dense:
+    """A dense block, reduced by zhetrd: A_re and A_im of the block as ``parts``, and the few entries of them that can hold max |H_ij(theta)|."""
+
+
+    def __init__(self, A: np.ndarray):
+        self.parts = _hermitian_parts(A, A.T)
+        self.unit, self.scale_entries = _unit(*self.parts), _scale_entries(*self.parts)
+
+    def ends(self, c, s, both: bool):
+        """Supports at theta and, with ``both``, at theta + pi, from one reduction of H(theta), and a function that gives an end's eigenvector."""
+        T = _Tridiagonal.dense(c * self.parts[0] + s * self.parts[1], self.unit)
+        return [T.eigenvalue(end) for end in range(2 if both else 1)], T.vector
+
+    def points(self, taken) -> np.ndarray:
+        return _checked_points(taken, self.scale_entries, self.parts[0].shape[0], lambda X: (X, [_product(G, X) for G in self.parts]))
+
+
+class _Reduced:
+    """A dense block solved on the basis [Q, z] of ``_range_basis``: its support is max(h_B, 0) for B = Q* A Q, with ``parts`` the Hermitian parts of B.
+
+    An end's vector is its coordinates x in [Q, z], and ``G`` = (A_re [Q,
+    z], A_im [Q, z]), formed once, gives its product pair G x at O(n k).
+    The scale of the residual check is read from the few entries of the
+    block's A_re and A_im that can hold max |H_ij(theta)|.
+    """
+
+
+    def __init__(self, A: np.ndarray, basis: np.ndarray):
+        re, im = _hermitian_parts(A, A.T)
+        B = basis[:, :-1].conj().T @ A @ basis[:, :-1]
+        self.parts = _hermitian_parts(B, B.T)
+        self.unit, self.scale_entries = _unit(*self.parts), _scale_entries(re, im)
+        self.basis, self.G = np.ascontiguousarray(basis), (re @ basis, im @ basis)
+
+    def ends(self, c, s, both: bool):
+        """Supports max(h_B, 0) at theta and, with ``both``, at theta + pi, from one reduction of B's H(theta), and a function that gives an end's coordinates in [Q, z]."""
+        T = _Tridiagonal.dense(c * self.parts[0] + s * self.parts[1], self.unit)
+        tops = [T.eigenvalue(end) for end in range(2 if both else 1)]
+        supports = [float(np.maximum(lam, 0.0)) for lam in tops]  # a NaN stays NaN and wins the sweep's argmax
+        # where h_B < 0 the support is 0, attained at z, off the basis
+        return supports, lambda end: np.append(T.vector(end), 0.0) if tops[end] >= 0.0 else np.eye(self.basis.shape[1], dtype=complex)[-1]
+
+    def points(self, taken) -> np.ndarray:
+        return _checked_points(taken, self.scale_entries, self.basis.shape[0], lambda X: (_product(self.basis, X), [_product(G, X) for G in self.G]))
+
+
+class _Graded:
+    """A graded block, closed: an exact disc about ``center``, solved once at theta = 0 on the band, dense or reduced ``block`` it holds.
+
+    Its diagonal is the one constant ``center``, and ``_grading`` labels
+    its indices f with f(i) - f(j) = 1 at every nonzero off-diagonal entry.
+    Then D_t = diag(e^{i t f}) gives D_t (A - center I) D_t* = e^{i t} (A -
+    center I) for every t, so the range is the disc of radius h(0) - Re
+    center.
+    """
+
+
+    def __init__(self, block, center: complex):
+        self.block, self.center = block, center
+
+    def closed_ends(self, c: np.ndarray, s: np.ndarray):
+        """Supports at every pair (c, s), row 0 at theta and row 1 at theta + pi, and a function that gives the points of both rows.
+
+        The support is Re(e^{-i theta} center) + r, with r = h(0) - Re
+        center, and the point center + e^{i theta} (p_0 - center), negated
+        at theta + pi, with the rotation in the real ops of Python's complex
+        product; the held block's point stage checks p_0 when the points are
+        asked for.
         """
-        end, c, s, lam = (np.array(column) for column in list(zip(*taken))[:4])
-        sign = np.where(end == 1, -1.0, 1.0)  # H(theta + pi) = -H(theta)
-        a, b = (entries.ravel() for entries in self.scale_entries)
-        scale = np.empty(len(taken))
-        for k in _chunks(len(taken), a.size):
-            scale[k] = np.max(np.abs(c[k, None] * a + s[k, None] * b), axis=1)
-        scale = np.fmax(1.0, scale)
-        points = np.empty(len(taken), dtype=complex)
-        for k in _chunks(len(taken), self.diagonal.size):
-            X = np.column_stack([x for *_, x in taken[k]])
-            P = [_band_product(G, X) if self.band is not None else _product(G, X) for G in self.G]
-            V = X if self.basis is None else _product(self.basis, X)
-            _checked_columns(lam[k], V, sign[k] * (c[k] * P[0] + s[k] * P[1]), scale[k])
-            points[k] = _complex(*(np.sum(V.real * Pk.real + V.imag * Pk.imag, axis=0) for Pk in P))
-        return points
+        (h0,), vector = self.block.ends(1.0, 0.0, False)
+        radius, cr, ci = h0 - self.center.real, self.center.real, self.center.imag
+        t = c * cr + s * ci  # Re(e^{-i theta} center)
+
+        def points():
+            (p0,) = self.block.points([(0, 1.0, 0.0, h0, vector(0))])
+            dr, di = p0.real - cr, p0.imag - ci
+            wr, wi = c * dr - s * di, c * di + s * dr  # e^{i theta} (p_0 - center)
+            return np.array([_complex(cr + wr, ci + wi), _complex(cr - wr, ci - wi)])
+
+        return np.array([t + radius, radius - t]), points
+
+
+def _solver(M: np.ndarray, idx: np.ndarray, kd: int, rows: np.ndarray, cols: np.ndarray):
+    """The block that solves the residue class ``idx`` of M, whose nonzero entries (rows, cols) ``_residue_classes`` gives in the class's own indices.
+
+    kd = 0 gives a ``_Diagonal``, and a class of ``_BAND_RATIO`` kd <= n a
+    ``_Band``.  Any other class is a dense block of M, a ``_Reduced`` where
+    ``_range_basis`` finds a basis smaller than the block and a ``_Dense``
+    where it does not.  A class of kd >= 1 whose diagonal is one constant
+    and whose entries ``_grading`` labels is held by a ``_Graded``; a class
+    that is not graded pays only the diagonal test, or one count of its
+    entries.
+    """
+    if kd == 0:
+        return _Diagonal(np.diagonal(M))
+    if _BAND_RATIO * kd <= idx.size:
+        block = _Band(M, idx, kd)
+    else:
+        A = M if idx.size == M.shape[0] else M[np.ix_(idx, idx)]
+        basis = _range_basis(A)
+        block = _Dense(A) if basis is None else _Reduced(A, basis)
+    diagonal = M[idx, idx]
+    if np.all(diagonal == diagonal[0]) and _grading(idx.size, rows, cols) is not None:
+        return _Graded(block, complex(diagonal[0]))
+    return block
 
 
 def _angle_pairs(thetas: np.ndarray, real: bool, order: int):
@@ -845,31 +914,20 @@ class _Sweep:
 
     def __init__(self, A, thetas: np.ndarray):
         self.M = M = _as_matrix(A)
-        with np.errstate(over="ignore", invalid="ignore"):
-            A_re, A_im = (M + M.conj().T) / 2.0, (M - M.conj().T) / 2j
-            if not (np.all(np.isfinite(A_re)) and np.all(np.isfinite(A_im))):
-                # halving first gives the same bits wherever M's entries are
-                # normal, and sums past the float range only where a part does
-                H = M / 2.0
-                A_re, A_im = H + H.conj().T, (H - H.conj().T) / 1j
-                if not (np.all(np.isfinite(A_re)) and np.all(np.isfinite(A_im))):
-                    raise NumericError("Hermitian parts of the matrix overflow")
-        classes, kd, order = _residue_classes(M)
-        self.blocks = [_Block(M, A_re, A_im, idx, kd) for idx in classes]
+        classes, kd, order, entries = _residue_classes(M)
+        self.blocks = [_solver(M, idx, kd, *pair) for idx, pair in zip(classes, entries)]
         self.real = not M.imag.any()
-        # closed blocks answer every angle at once: a sweep of them alone takes no copies
-        looped = not all(block.closed for block in self.blocks)
-        pairs, self.copies, self.fold = _angle_pairs(thetas, self.real, order if looped else 1)
+        # a closed block answers every angle at once, in closed_ends: a sweep of them alone takes no copies
+        self.looped = [b for b, block in enumerate(self.blocks) if not hasattr(block, "closed_ends")]
+        pairs, self.copies, self.fold = _angle_pairs(thetas, self.real, order if self.looped else 1)
         self.thetas = thetas
         self.first, self.second = pairs
         self.paired = self.second >= 0
         self.c, self.s = np.cos(thetas[self.first]), np.sin(thetas[self.first])
         self.supports = np.zeros((len(self.blocks), 2, self.first.size))
-        self.closed = {}
-        for b, block in enumerate(self.blocks):
-            if block.closed:
-                self.supports[b], self.closed[b] = block.closed_ends(self.c, self.s)
-        self.looped = [b for b in range(len(self.blocks)) if b not in self.closed]
+        self.closed = {b: block.closed_ends(self.c, self.s) for b, block in enumerate(self.blocks) if b not in self.looped}  # (supports, points)
+        for b, (supports, _) in self.closed.items():
+            self.supports[b] = supports
         self.taken = {b: {} for b in self.looped}  # (pair, end): (end, c, s, support, x) of each end a looped block won
 
     def slack(self) -> float:
@@ -948,10 +1006,9 @@ class _Sweep:
         for b, block in enumerate(self.blocks):
             won = win == b
             if b in self.closed and won.any():
-                points[won] = self.closed[b]()[:, js][won]
+                points[won] = self.closed[b][1]()[:, js][won]
             elif won.any():
-                taken = self.taken[b]
-                points.T[won.T] = block.points([taken.pop(key) for key in sorted(taken)])
+                points.T[won.T] = block.points([self.taken[b].pop(key) for key in sorted(self.taken[b])])
         return points
 
     def tops(self) -> np.ndarray:

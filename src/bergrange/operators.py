@@ -26,6 +26,7 @@ from bergrange.core import (
     _as_int,
     _as_matrix,
     _check_alpha,
+    _norm,
     alpha_weight,
     kernel_coeffs,
     series_eval,
@@ -326,7 +327,7 @@ def kernel_form_matrix(op: OperatorTruncation, w: complex) -> complex:
     matrix and lands inside the numerical range of the truncation.
     """
     v = kernel_coeffs(w, op.alpha, op.truncation - 1)
-    v = v / np.linalg.norm(v)
+    v = v / _norm(v)
     return complex(v.conj() @ (op.matrix @ v))
 
 

@@ -285,16 +285,28 @@ def test_remark_refuses_an_N_past_the_normal_range():
     assert report.passed and report.metrics["gershgorin_lower_N1000"] > 0.6
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("check_id", ["theo1_kernel_sum", "adjoint_kernel"])
+def test_kernel_checks_decide_or_name_alpha_where_the_kernels_are_huge(check_id):
+    # at alpha = 1e5 the truncated kernels reach about 1e205, whose squares
+    # leave the float range: each check must decide with finite metrics, or
+    # refuse that alpha by name, and never stop on an overflow warning
+    try:
+        report = run_check(check_id, {"alpha": 1e5})
+    except (UsageError, NumericError) as error:
+        assert "alpha=100000" in str(error)
+    else:
+        assert report.metrics and all(math.isfinite(value) for value in report.metrics.values())
+
+
 def test_circle_check_fails_when_graded_points_leave_the_circle(monkeypatch):
     # every point of the graded compression moved radially outward by 0.01:
     # the mean of the points stays at the centre, so center_dev cannot see
     # it, but point_radius_dev must, and fail the check
-    closed_ends = numrange._Block.closed_ends
+    closed_ends = numrange._Graded.closed_ends
 
     def pushed(block, c, s):
         supports, points = closed_ends(block, c, s)
-        if block.labels is None:
-            return supports, points
 
         def moved():
             p = points()
@@ -302,7 +314,7 @@ def test_circle_check_fails_when_graded_points_leave_the_circle(monkeypatch):
 
         return supports, moved
 
-    monkeypatch.setattr(numrange._Block, "closed_ends", pushed)
+    monkeypatch.setattr(numrange._Graded, "closed_ends", pushed)
     report = run_check("th_circle_3x3")
     assert not report.passed
     assert report.metrics["center_dev"] <= 1e-8

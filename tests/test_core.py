@@ -22,6 +22,7 @@ from bergrange.core import (
     norm_ratio,
     series_eval,
     _jacobi_rule,
+    _norm,
 )
 
 ALPHAS = [-0.5, 0.0, 1.0, 2.5]
@@ -241,3 +242,17 @@ class TestQuadrature:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NumericError):
                 disk_quadrature(lambda z: 1.0 / (z - z), 0.0, 4, 4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_norm_keeps_the_plain_bits_and_reaches_past_the_float_range():
+    # a vector of normal entries has the bits of np.linalg.norm at every
+    # scale where that norm is finite; at 2^600 its squares overflow and at
+    # 2^-1040 its entries are subnormal, and the scaled norm still holds
+    x = np.random.default_rng(5).standard_normal(50) + 1j * np.random.default_rng(6).standard_normal(50)
+    plain = np.linalg.norm(x)
+    for p in (-300, 0, 300):
+        assert _norm(x * 2.0**p) == np.linalg.norm(x * 2.0**p)
+    assert _norm(x * 2.0**600) == np.ldexp(plain, 600)
+    assert _norm(x * 2.0**-1040) == pytest.approx(np.ldexp(plain, -1040), rel=1e-9)
+    assert _norm(np.zeros(3, dtype=complex)) == 0.0

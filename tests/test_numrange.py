@@ -12,7 +12,8 @@ import math
 import os
 import subprocess
 import sys
-from functools import partial
+import tracemalloc
+from functools import partial, partialmethod
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from bergrange.numrange import (
     numerical_range_hull,
     support_function,
     support_of,
-    _Block,
     _angle_grid,
     _image_samples,
     _range_basis,
@@ -112,10 +112,19 @@ def _random_band(rng, n, kd):
 
 
 def _blocks(A):
-    """The residue-class blocks a sweep of A solves, each with its solver."""
-    A_re, A_im = (A + A.conj().T) / 2.0, (A - A.conj().T) / 2j
-    classes, kd, _ = _residue_classes(A)
-    return [_Block(A, A_re, A_im, idx, kd) for idx in classes]
+    """The residue-class blocks a sweep of A solves, each from the sweep's own dispatch."""
+    classes, kd, _, entries = _residue_classes(A)
+    return [numrange._solver(A, idx, kd, *pair) for idx, pair in zip(classes, entries)]
+
+
+def _closed(block):
+    """Whether a block answers every angle at once, in ``closed_ends``: a kd = 0 block or a graded one."""
+    return hasattr(block, "closed_ends")
+
+
+def _graded(block):
+    """Whether a block is an exact disc, solved once on the block it holds."""
+    return isinstance(block, numrange._Graded)
 
 
 def _pairing(A, thetas):
@@ -123,16 +132,17 @@ def _pairing(A, thetas):
 
     A sweep of closed blocks alone takes no copies.
     """
-    order = 1 if all(block.closed for block in _blocks(A)) else _residue_classes(A)[2]
+    order = 1 if all(_closed(block) for block in _blocks(A)) else _residue_classes(A)[2]
     (first, second), copies, fold = numrange._angle_pairs(thetas, not A.imag.any(), order)
     return [(j, None if k < 0 else k) for j, k in zip(first.tolist(), second.tolist())], copies, fold
 
 
+_PATHS = {numrange._Diagonal: "diagonal", numrange._Band: "band", numrange._Dense: "dense", numrange._Reduced: "reduced"}
+
+
 def _path(block):
-    """The solver of a block: "diagonal" for a kd = 0 block, answered in closed form, else the form its ends are reduced from."""
-    if block.closed and block.labels is None:
-        return "diagonal"
-    return "band" if block.band is not None else "reduced" if block.basis is not None else "dense"
+    """The solver of a block: "diagonal" for a kd = 0 block, answered in closed form, else the form its ends are reduced from, for a graded block that of the block it holds."""
+    return _PATHS[type(block.block if _graded(block) else block)]
 
 
 def _drive(block, thetas):
@@ -143,7 +153,7 @@ def _drive(block, thetas):
     points in one ``points`` call.
     """
     c, s = np.cos(thetas), np.sin(thetas)
-    if block.closed:
+    if _closed(block):
         return block.closed_ends(c, s)[1]()
     taken = []
     for cj, sj in zip(c, s):
@@ -177,7 +187,7 @@ class TestSweepKernel:
         want = {"t3": (1, 1, 2), "th1": (3, 1, 1), "th2_n2": (2, 3, 2), "th2_n3": (3, 4, 3), "diagonal": (1, 0, 1), "zero": (1, 0, 0)}
         want.update(e13=(2, 1, 2), disc_band=(1, 1, 1), disc_reduced=(1, 32, 1), disc_dense=(1, 20, 1))
         for name, A in _structured_matrices():
-            classes, kd, order = _residue_classes(A)
+            classes, kd, order, _ = _residue_classes(A)
             assert (len(classes), kd, order) == want.get(name, (1, A.shape[0] - 1, 1)), name
             assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(A.shape[0]))
 
@@ -288,14 +298,47 @@ class TestSweepKernel:
     def test_band_supports_scale_exactly_by_powers_of_two(self):
         # a complex band with kd = 3 is reduced at the power of two of the
         # dense path, so 2^p A has the supports of A times 2^p, bit for bit;
-        # at a subnormal scale the vector step must not overflow either
+        # at a subnormal scale the vector step must not overflow either.  So
+        # do a kd = 0 diagonal, read at its own power of two, and the graded
+        # discs, each solved once on its band, its range or densely
         A = _random_band(np.random.default_rng(29), 96, 3)
         (block,) = _blocks(A)
-        assert _path(block) == "band" and block.band.shape[1] == 4
+        assert _path(block) == "band" and block.band[0].shape[0] == 4
         h = support_function(A, self.THETAS)
         for p in (-500, -20, 20, 1000):
             assert np.array_equal(support_function(A * 2.0**p, self.THETAS), h * 2.0**p), p
         _assert_subnormal_sweeps(A)
+        matrices = dict(_structured_matrices())
+        for name, path in (("diagonal", "diagonal"), ("disc_band", "band"), ("disc_reduced", "reduced"), ("disc_dense", "dense")):
+            A = matrices[name]
+            h = support_function(A, self.THETAS)
+            for p in (-500, -20, 20, 1000):
+                (block,) = _blocks(A * 2.0**p)
+                assert _path(block) == path and _graded(block) == (name != "diagonal"), (name, p)
+                assert np.array_equal(support_function(A * 2.0**p, self.THETAS), h * 2.0**p), (name, p)
+
+    def test_band_sweeps_hold_no_square_array(self):
+        # a band class reads its Hermitian parts straight from A's diagonals,
+        # so a sweep of the tridiagonal z + 0.5 conj(z) at N = 1000 allocates
+        # far less than one copy of A: its peak under tracemalloc is about
+        # 0.06 A.nbytes, the finiteness test of A, where forming A_re and A_im
+        # at N x N first peaked at 3 A.nbytes
+        A = build_toeplitz(BiPolySymbol(((1, 0, 1.0), (0, 1, 0.5))), 0.0, 1000).matrix
+        (block,) = _blocks(A)
+        assert _path(block) == "band"
+        support_function(A, _angle_grid(32))  # the first sweep loads LAPACK
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            for sweep in (partial(support_function, A, _angle_grid(32)), partial(boundary_points, A, 32)):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                sweep()
+                assert tracemalloc.get_traced_memory()[1] - before <= 0.1 * A.nbytes, sweep.func.__name__
+        finally:
+            if not tracing:
+                tracemalloc.stop()
 
     def test_band_reduction_refuses_another_signature(self, monkeypatch):
         # zhbtrd is called through a bare pointer, so a capsule whose C
@@ -432,11 +475,11 @@ assert numrange._linalg("cython_lapack") is cython_lapack
                 checks.clear()
                 _drive(block, thetas)
                 columns = [(lam[k], V[:, k], HV[:, k], scale[k]) for lam, V, HV, scale in checks for k in range(V.shape[1])]
-                if block.labels is not None:
+                if _graded(block):
                     disc_paths.add(_path(block))
                     want = [(1.0, 0.0, 0)]
                 else:
-                    want = [] if block.closed else [(np.cos(th), np.sin(th), end) for th in thetas for end in (0, 1)]
+                    want = [] if _closed(block) else [(np.cos(th), np.sin(th), end) for th in thetas for end in (0, 1)]
                 assert len(columns) == len(want), name
                 for (lam, v, Hv, scale), (c, s, end) in zip(columns, want):
                     H = (-1.0 if end else 1.0) * (c * A_re[np.ix_(idx, idx)] + s * A_im[np.ix_(idx, idx)])
@@ -467,16 +510,17 @@ assert numrange._linalg("cython_lapack") is cython_lapack
                 checks.clear()
                 points = _drive(block, thetas)
                 vectors = [V[:, k] for _, V, _, _ in checks for k in range(V.shape[1])]
-                if block.labels is not None:
+                if _graded(block):
                     disc_paths.add(_path(block))
                     (v_0,) = vectors
-                elif block.closed:
+                    labels = numrange._grading(idx.size, *np.nonzero(A_block))
+                elif _closed(block):
                     assert not vectors, name
                 for j, th in enumerate(thetas):
                     for end in (0, 1):
-                        if block.labels is not None:
-                            v = np.exp(-1j * (th + np.pi * end) * block.labels) * v_0
-                        elif block.closed:
+                        if _graded(block):
+                            v = np.exp(-1j * (th + np.pi * end) * labels) * v_0
+                        elif _closed(block):
                             H = (-1.0 if end else 1.0) * (np.cos(th) * A_block.real.diagonal() + np.sin(th) * A_block.imag.diagonal())
                             assert points[end, j] == A_block[np.argmax(H), np.argmax(H)], (name, th, end)
                             continue
@@ -494,16 +538,15 @@ assert numrange._linalg("cython_lapack") is cython_lapack
         # even pairs solve every block; an odd pair may leave a block that
         # loses both its ends unsolved, and must solve at least one
         solved, batches = [], []
-        ends, points = numrange._Block.ends, numrange._Block.points
-
-        def spy_ends(block, c, s, both):
+        def spy_ends(block, c, s, both, ends):
             supports, vector = ends(block, c, s, both)
             solved.append((block, (c, s), list(supports)))
             return supports, vector
 
-        monkeypatch.setattr(numrange._Block, "ends", spy_ends)
-        monkeypatch.setattr(numrange._Block, "points", lambda block, taken: batches.append((block, [(c, s, end) for end, c, s, *_ in taken])) or points(block, taken))
-        cases = [(name, A) for name, A in _structured_matrices() if not any(block.closed for block in _blocks(A))]
+        for looped in (numrange._Band, numrange._Dense, numrange._Reduced):
+            monkeypatch.setattr(looped, "ends", partialmethod(spy_ends, ends=looped.ends))
+            monkeypatch.setattr(looped, "points", lambda block, taken, points=looped.points: batches.append((block, [(c, s, end) for end, c, s, *_ in taken])) or points(block, taken))
+        cases = [(name, A) for name, A in _structured_matrices() if not any(_closed(block) for block in _blocks(A))]
         assert {name for name, _ in cases} >= {"t3", "th1", "th2_n3", "dense24", "composition", "psd_rank_one"}
         for name, A in cases + [("theo2", _theo2(64))]:
             blocks = len(_residue_classes(A)[0])
@@ -549,8 +592,9 @@ assert numrange._linalg("cython_lapack") is cython_lapack
         zero_class[2, 0] = 1.0
         for A, b, drops in ((dict(_structured_matrices())["dense24"], 0, True), (zero_class, 1, False)):
             block = _blocks(A)[b]
-            assert _path(block) == "dense" and (block.labels is not None) == (not drops)
-            pairs.append((*block.parts, drops, block.scale_entries))
+            assert _path(block) == "dense" and _graded(block) == (not drops)
+            dense = block.block if _graded(block) else block
+            pairs.append((*dense.parts, drops, dense.scale_entries))
         thetas = 2.0 * np.pi * np.arange(360) / 360
         for A_re, A_im, drops, (a, b) in pairs:
             assert (a.size < A_re.size) == drops
@@ -740,7 +784,7 @@ class TestAnglePairs:
         for kd in (1, 3, 4):
             A = _random_band(np.random.default_rng(kd), 80, kd)
             (block,) = _blocks(A)
-            assert _path(block) == "band" and block.band.shape[1] == kd + 1 and A.imag.any()
+            assert _path(block) == "band" and block.band[0].shape[0] == kd + 1 and A.imag.any()
             reductions.clear()
             h = support_function(A, thetas)
             assert len(reductions) == 32, kd
@@ -782,7 +826,7 @@ class TestAnglePairs:
         B = np.tril(_random_band(rng, 48, 2), -1)
         A = np.diag(d) + B - B.conj().T
         (block,) = _blocks(A)
-        assert _path(block) == "band" and block.band.shape[1] == 3 and block.labels is None
+        assert _path(block) == "band" and block.band[0].shape[0] == 3 and not _graded(block)
         h = support_function(A, _angle_grid(64))
         assert not calls[0].any() and not calls[1].any()  # both ends of theta = 0 bisect a diagonal T
         assert h[0] == np.max(d.real) and h[32] == -np.min(d.real)
@@ -872,7 +916,7 @@ class TestAnglePairs:
         graded = [A for _, A, _ in TestGradedBlocks._graded()]
         kinds = set()
         for A in [A for _, A in _structured_matrices()] + graded + [_theo2(64), np.diag(np.arange(-3.0, 3.0)) + 0j]:
-            kinds |= {"graded" if block.labels is not None else _path(block) for block in _blocks(A)}
+            kinds |= {"graded" if _graded(block) else _path(block) for block in _blocks(A)}
             for K in (360, 359, 90):
                 rows = boundary_points(A, K)
                 h = np.array([s for _, _, s in rows])
@@ -913,7 +957,7 @@ class TestGradedBlocks:
         # one reduction per block and sweep, on every path and angle array
         for name, A, path in self._graded():
             blocks = _blocks(A)
-            assert {_path(block) for block in blocks} == {path} and all(block.labels is not None for block in blocks), name
+            assert {_path(block) for block in blocks} == {path} and all(_graded(block) for block in blocks), name
             n, center = A.shape[0], A[0, 0]
             tol = 8.0 * n * np.finfo(float).eps * np.max(np.abs(A))
             B = A - center * np.eye(n)
@@ -942,7 +986,7 @@ class TestGradedBlocks:
             moved[0, 0] += 0.125
             for near in (mirrored, moved):
                 blocks = _blocks(near)
-                assert [block.labels is None for block in blocks] == [True] + [False] * (len(blocks) - 1), name
+                assert [not _graded(block) for block in blocks] == [True] + [False] * (len(blocks) - 1), name
                 for thetas in self._angle_sets():
                     pairs = len(_pairing(near, thetas)[0])
                     reductions.clear()
@@ -961,7 +1005,7 @@ class TestGradedBlocks:
         ties = np.concatenate([d, d[:4], [1 + 1j, 1 - 1j, 1 + 1j]])
         for diagonal in (ties, ties.real, rng.permutation(ties)):
             A = np.diag(diagonal)
-            assert [(_path(block), block.labels) for block in _blocks(A)] == [("diagonal", None)]
+            assert [(_path(block), _graded(block)) for block in _blocks(A)] == [("diagonal", False)]
             for K in (360, 359):
                 for th, p, _ in boundary_points(A, K):
                     # theta + pi is solved as -H(theta), so a winner may lose at theta + pi by rounding
@@ -977,7 +1021,10 @@ class TestGradedBlocks:
         # diagonal entry at the first largest entry of H_ii or -H_ii, with
         # ties and a NaN entry, which wins wherever it stands; on a graded
         # block Re(e^{-i theta} c) + r and r - Re(e^{-i theta} c), and
-        # c +- complex(cos, sin) (p_0 - c) in Python's complex arithmetic
+        # c +- complex(cos, sin) (p_0 - c) in Python's complex arithmetic.  A
+        # sweep refuses a NaN entry before its Hermitian parts are formed, so
+        # that diagonal's block takes them from the plain (M + M*) / 2 and
+        # (M - M*) / 2i formulas, which give every other block's bits
         rng = np.random.default_rng(61)
         d = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         ties = np.concatenate([d, d[:3], [1 + 1j, 1 - 1j, 0.0, 1 + 1j]])
@@ -989,19 +1036,24 @@ class TestGradedBlocks:
         for A in diagonals + graded:
             for thetas in self._angle_sets():
                 c, s = np.cos(thetas), np.sin(thetas)
-                for block in _blocks(A):
-                    assert block.closed
+                with monkeypatch.context() as patch:
+                    if np.isnan(A).any():
+                        patch.setattr(numrange, "_hermitian_parts", lambda X, Y: ((X + Y.conj()) / 2.0, (X - Y.conj()) / 2j))
+                    blocks = _blocks(A)
+                for block in blocks:
+                    assert _closed(block)
                     p0 = []
-                    if block.labels is not None:
-                        monkeypatch.setattr(block, "points", lambda taken, block=block: p0.append(numrange._Block.points(block, taken)[0]) or np.array(p0[-1:]))
+                    if _graded(block):
+                        held = block.block
+                        monkeypatch.setattr(held, "points", lambda taken, held=held: p0.append(type(held).points(held, taken)[0]) or np.array(p0[-1:]))
                     supports, points = block.closed_ends(c, s)
                     points = points()
                     want_h, want_p = [], []
-                    if block.labels is not None:
-                        (h0,), _ = numrange._Block.ends(block, 1.0, 0.0, False)
+                    if _graded(block):
+                        (h0,), _ = type(held).ends(held, 1.0, 0.0, False)
                         center, r = block.center, h0 - block.center.real
                     for cj, sj in zip(c, s):
-                        if block.labels is None:
+                        if not _graded(block):
                             H = (cj * block.parts[0] + sj * block.parts[1]).real
                             d = H * block.unit
                             want_h.append([float(np.max(d)) / block.unit, -(float(np.min(d)) / block.unit)])
@@ -1013,9 +1065,9 @@ class TestGradedBlocks:
                             want_p.append([center + w, center - w])
                     assert np.array(want_h).T.tobytes() == supports.tobytes()
                     assert np.array(want_p, dtype=complex).T.tobytes() == points.tobytes()
-                    if block.labels is None and np.isnan(A).any():
+                    if not _graded(block) and np.isnan(A).any():
                         assert np.isnan(supports).all() and np.isnan(points).all()
-                    assert len(p0) == (block.labels is not None)
+                    assert len(p0) == _graded(block)
 
     def test_diagonal_blocks_call_no_solver(self, monkeypatch):
         # every kd = 0 matrix, a constant diagonal and the zero matrix
@@ -1025,7 +1077,7 @@ class TestGradedBlocks:
         def refuse(name):
             return lambda *args: pytest.fail(f"a diagonal matrix constructed a {name}")
 
-        monkeypatch.setattr(numrange._BandReduction, "__init__", refuse("_BandReduction"))
+        monkeypatch.setattr(numrange._Band, "__init__", refuse("_Band"))
         monkeypatch.setattr(numrange._Tridiagonal, "__init__", refuse("_Tridiagonal"))
         monkeypatch.setattr(numrange._linalg("_flapack"), "dstebz", refuse("dstebz call"))
         rng = np.random.default_rng(71)
@@ -1133,7 +1185,7 @@ class TestRotationSymmetry:
                 patch.setattr(numrange._Tridiagonal, "__init__", lambda T, *args: made.append("reduction") or init(T, *args))
                 patch.setattr(numrange._Tridiagonal, "eigenvalue", lambda T, end: made.append("bisection") or eigenvalue(T, end))
                 if fold == 1:
-                    patch.setattr(numrange, "_residue_classes", lambda M, classes=numrange._residue_classes: classes(M)[:2] + (1,))
+                    patch.setattr(numrange, "_residue_classes", lambda M, classes=numrange._residue_classes: classes(M)[:2] + (1,) + classes(M)[3:])
                 support_function(B, grid)
             return made.count("reduction"), made.count("bisection")
 
@@ -1423,14 +1475,14 @@ def _reference_sweep(A, K):
     supports = np.zeros((len(blocks), 2, len(pairs)))
     closed = {}
     for b, block in enumerate(blocks):
-        if block.closed:
+        if _closed(block):
             supports[b], closed[b] = block.closed_ends(c, s)
     h, points = np.empty(K), np.empty(K, dtype=complex)
     taken, angles = [[] for _ in blocks], [[] for _ in blocks]
     for j, pair in enumerate(pairs):
         count, vector = (1 if pair[1] is None else 2), {}
         for b, block in enumerate(blocks):
-            if not block.closed:
+            if not _closed(block):
                 supports[b, :count, j], vector[b] = block.ends(c[j], s[j], count == 2)
         for end, b in enumerate(np.argmax(supports[:, :count, j], axis=0)):
             h[pair[end]] = supports[b, end, j]
@@ -1459,7 +1511,7 @@ class TestPruning:
         pruned = full = 0
         for name, A, homogeneous in _multi_block_matrices():
             classes = _residue_classes(A)[0]
-            assert len(classes) >= 2 and sum(not block.closed for block in _blocks(A)) >= 2, name
+            assert len(classes) >= 2 and sum(not _closed(block) for block in _blocks(A)) >= 2, name
             for K in (360, 359, 64):
                 for p in (0, -1060, 1000) if K == 64 else (0,):
                     B = A * 2.0**p
@@ -1492,7 +1544,7 @@ class TestPruning:
         pruned = full = 0
         for name, A in cases.items():
             blocks = _blocks(A)
-            kinds |= {"closed" if block.closed else _path(block) for block in blocks} | {"multi" if len(blocks) > 1 else "single"}
+            kinds |= {"closed" if _closed(block) else _path(block) for block in blocks} | {"multi" if len(blocks) > 1 else "single"}
             kinds.add("real" if not A.imag.any() else "complex")
             for K in (360, 359, 64):
                 g = _angle_grid(K)
@@ -1501,7 +1553,7 @@ class TestPruning:
                     blocks = _blocks(B)  # subnormal entries can round a block to a graded one
                     h = support_function(B, g)
                     pairs = len(_pairing(B, g)[0])
-                    everything = pairs * sum(not block.closed for block in blocks) + sum(block.labels is not None for block in blocks)
+                    everything = pairs * sum(not _closed(block) for block in blocks) + sum(_graded(block) for block in blocks)
                     rows = boundary_points(B, K)
                     touching = np.array([rows[0][1], rows[K // 3][1]])
                     shapes = [DiscSpec(2.0**p * 0.1j, 2.0**p * 0.2), 2.0**p * np.array([0j, 0.5 - 0.25j, 0.1 + 0.6j]), touching]
