@@ -177,9 +177,10 @@ def _margin(A, shape, K: int) -> float:
 def _gap(A, shape, K: int) -> float:
     """max over the K-angle grid of |h_A - h_shape|, the Hausdorff distance of the range and a convex ``shape`` on that grid, from a full sweep.
 
-    A grid value, not a certified distance.  The gaps of these checks lie
-    near rounding level or nearly flat over the grid, where the bounds that
-    ``numrange._grid_margin`` prunes by rule out almost no angle.
+    A grid value, not a certified distance.  The sweep solves every angle
+    pair: the gaps of these checks lie near rounding level or nearly flat
+    over the grid, where the lower bound that ``numrange._grid_margin``
+    prunes by would rule out almost no angle.
     """
     theta = _angle_grid(K)
     return float(np.max(np.abs(support_function(A, theta) - support_of(shape, theta))))
@@ -406,7 +407,11 @@ def _run_th1_rotation(alpha, n, N, K, psi):
             f"and n={n} does not divide {off[0]}"
         )
     lam = _root_of_unity(n)
-    A = build_weighted_composition(psi, [0.0, lam], alpha, N)
+    # C_{lam z} e_k = lam^k e_k and lam^n = 1, so the composition is M_psi
+    # diag(lam^(k mod n)): the same operator, with each power taken once, not
+    # by repeated products that drift, so each residue class keeps a constant
+    # diagonal and its range is answered in closed form as a disc
+    A = build_multiplication(psi, alpha, N).matrix * lam ** (np.arange(N) % n)
     image = _image_samples(partial(series_eval, psi), 512)
     hausdorff = _gap(A, np.concatenate([lam**j * image for j in range(n)]), K)
     tol = 0.05
@@ -1000,7 +1005,7 @@ def _run_adjoint_kernel(alpha, N):
             kfw = kernel_coeffs(fw, alpha, N - 1)
             pw = complex(series_eval(psi, w))
             residual = _norm(A.matrix.conj().T @ kw - np.conj(pw) * kfw)
-            worst = max(worst, residual)
+            worst = np.maximum(worst, residual)  # a NaN residual stays, and its report is refused
     tol = 1e-5
     return (
         worst <= tol,

@@ -236,7 +236,9 @@ def kernel_coeffs(w: complex, alpha: float, N: int) -> np.ndarray:
     """Read-only coefficients of the kernel vector at w in the orthonormal basis, indices 0..N.
 
     Entry n is sqrt(r_n) conj(w)^n.  Moduli are summed as logs before one
-    exp, so an entry stays finite where sqrt(r_n) alone would overflow.
+    exp, so an entry stays finite where sqrt(r_n) alone would overflow; an
+    entry whose modulus still leaves the float range raises NumericError
+    naming w and alpha.
     """
     alpha = _check_alpha(alpha)
     w = _as_complex(w, "w")
@@ -247,7 +249,11 @@ def kernel_coeffs(w: complex, alpha: float, N: int) -> np.ndarray:
     log_c = 0.5 * alpha_weight(alpha, N)
     # plus n log|w|, where 0 log 0 = 0: at w = 0 only entry 0 is nonzero
     log_c = log_c + n * math.log(abs(w)) if w else np.where(n == 0, log_c, -np.inf)
-    c = np.exp(log_c) * np.exp(-1j * np.angle(w) * n)
+    with np.errstate(over="ignore"):
+        modulus = np.exp(log_c)
+    if not np.all(np.isfinite(modulus)):
+        raise NumericError(f"the kernel coefficients at w={w} leave the float range at alpha={alpha}")
+    c = modulus * np.exp(-1j * np.angle(w) * n)
     c.flags.writeable = False
     return c
 

@@ -101,8 +101,8 @@ bit for bit, and its point is the source's, conjugated where the real
 mirror maps it and turned by e^{2 pi i m / fold}; a quarter turn only
 swaps and negates parts, so the copies are exact for fold 2 and 4.
 ``_angle_pairs`` lists the copies, real mirrors included, and every
-consumer of a sweep (its supports and points, the wedge bound and the
-grid margin below) reads them through ``_Sweep.spread``.  A sweep of
+consumer of a sweep (its supports and points and the grid margin
+below) reads them through ``_Sweep.spread``.  A sweep of
 closed blocks alone takes no copies: it answers every angle at once.
 
 Boundary points come in two phases.  The angle loop calls scipy's LAPACK
@@ -135,27 +135,19 @@ O(n kd) per point, a reduced block as G x with G = (A_re [Q, z], A_im
 [Q, z]), formed once, and x the coordinates of v in [Q, z], at O(n k),
 and a dense block at O(n^2).
 
-A sweep skips the solves that cannot change what it returns, by two
-bounds on the support function h of a convex set (Johnson, SIAM J.
-Numer. Anal. 15 (1978); Loisel and Maxwell, SIAM J. Matrix Anal. Appl. 39
-(2018)).  Every point p of the range gives h(theta) >= Re(e^{-i theta}
-p).  Between two angles theta' < theta'' less than pi apart, h(theta) <=
-a h(theta') + b h(theta''), with a = sin(theta'' - theta) / sin(theta'' -
-theta') and b = sin(theta - theta') / sin(theta'' - theta').  The second
-serves full sweeps on the uniform grid 2 pi j / K, K >= 5, of two or more
-looped blocks: the even pairs solve every block, and an odd pair reduces
-a block only where its bound from the two neighbouring angles can still
-win an end.  The first serves ``_grid_margin``, the minimum over the grid
-of h minus a target's support that decides the checks' containment
-claims: it solves every 8th pair and the last, with boundary points, then
-each other pair at which that lower bound leaves the minimum within
-reach.  Both bounds take one slack per sweep, 1e-10 sqrt(n) max |A_ij|,
-the tolerance that the residual check grants every eigenpair, floored
-at the smallest normal float, which stops all pruning on a subnormal
-matrix.  They are taken times 2^-e in the frame of ``_frame``, so that
-nothing overflows.  A skip never changes a support,
-a point or a margin while each computed support lies within the slack of
-the true one.
+A full sweep solves every looped block at every angle pair.  Only
+``_grid_margin``, the minimum over the grid of h minus a target's
+support that decides the checks' containment claims, skips solves, by a
+lower bound on the support function h of a convex set (Johnson, SIAM J.
+Numer. Anal. 15 (1978)): every point p of the range gives h(theta) >=
+Re(e^{-i theta} p).  It solves every 8th pair and the last, with
+boundary points, then each other pair at which that bound leaves the
+minimum within reach.  The bound takes one slack per sweep, 1e-10
+sqrt(n) max |A_ij|, the tolerance that the residual check grants every
+eigenpair, floored at the smallest normal float, which stops all
+pruning on a subnormal matrix.  It is taken times 2^-e in the frame of
+``_frame``, so that nothing overflows.  A skip never changes a margin
+while each computed support lies within the slack of the true one.
 
 Reference shapes (discs, ellipses, and point clouds such as symbol
 images sampled on the unit circle) share one support-function interface,
@@ -379,7 +371,7 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 # The residual tolerance of every checked eigenpair, relative to its scale
-# and to sqrt(n); a sweep's pruning slack is this tolerance on max |A_ij|.
+# and to sqrt(n); a margin's pruning slack is this tolerance on max |A_ij|.
 _TOLERANCE = 1e-10
 
 
@@ -931,67 +923,22 @@ class _Sweep:
         self.taken = {b: {} for b in self.looped}  # (pair, end): (end, c, s, support, x) of each end a looped block won
 
     def slack(self) -> float:
-        """1e-10 sqrt(n) max |A_ij|, floored at the smallest normal float: how far the pruning bounds let a computed support lie from the true one."""
+        """1e-10 sqrt(n) max |A_ij|, floored at the smallest normal float: how far the margin's pruning bound lets a computed support lie from the true one."""
         with np.errstate(over="ignore"):
             return max(_TOLERANCE * np.sqrt(self.M.shape[0]) * float(np.max(np.abs(self.M))), np.finfo(float).tiny)
 
-    def solve(self, js, vectors: bool, bounds=None) -> None:
-        """Solve the looped blocks at the pairs ``js``, and with ``vectors`` take the eigenvector of each end that such a block wins.
-
-        With ``bounds`` [block, end, pair], upper bounds on the computed
-        supports, each pair solves its blocks in decreasing order of their
-        bound at end 0, then at end 1, and stops at an end once the best
-        support solved there, closed blocks counted, exceeds every bound
-        left.  The blocks left lose both ends; their supports read -inf, so
-        that no argmax takes them.
-        """
+    def solve(self, js, vectors: bool) -> None:
+        """Solve every looped block at the pairs ``js``, and with ``vectors`` take the eigenvector of each end that such a block wins."""
         for j in js:
-            count = 2 if self.paired[j] else 1
-            vector, left = {}, list(self.looped)
-            for end in range(count):
-                if bounds is not None:
-                    left.sort(key=lambda b: -bounds[b, end, j])
-                for b in list(left):
-                    if bounds is not None and np.max(np.delete(self.supports[:, end, j], left), initial=-np.inf) > bounds[b, end, j]:
-                        break
-                    self.supports[b, :count, j], vector[b] = self.blocks[b].ends(self.c[j], self.s[j], self.paired[j])
-                    left.remove(b)
-            if left:
-                self.supports[left, :, j] = -np.inf
+            count, vector = 2 if self.paired[j] else 1, {}
+            for b in self.looped:
+                self.supports[b, :count, j], vector[b] = self.blocks[b].ends(self.c[j], self.s[j], self.paired[j])
             if vectors:
                 for end, b in enumerate(np.argmax(self.supports[:, :count, j], axis=0)):
                     if b in vector:
                         if not math.isfinite(self.supports[b, end, j]):
                             raise NumericError("support sweep produced non-finite values")  # before its vector is formed
                         self.taken[b][j, end] = (end, self.c[j], self.s[j], self.supports[b, end, j], vector[b](end))
-
-    def wedge(self, js) -> np.ndarray:
-        """Upper bounds [block, end, pair] on the computed supports at the pairs ``js`` of a uniform grid, from those of every other pair.
-
-        An angle theta between its neighbours theta' and theta'', with
-        Delta = theta'' - theta' < pi, has e^{i theta} = a e^{i theta'} + b
-        e^{i theta''} for a = sin(theta'' - theta) / sin Delta > 0 and b =
-        sin(theta - theta') / sin Delta > 0.  A support function is
-        sublinear, so h(theta) <= a h(theta') + b h(theta''), and with every
-        computed support within the slack of the true one, that sum plus
-        (a + b + 1) slack bounds the computed support at theta.  A neighbour
-        at a pair of ``js``, or copied from one, counts as +inf.  The sums
-        are taken times 2^-e, in the frame of ``_frame`` of the other pairs'
-        supports, so that none overflows.
-        """
-        e = _frame(np.delete(self.supports, js, axis=2).ravel())[0]
-        known = self.supports.copy()
-        known[:, :, js] = np.inf
-        h = np.ldexp(self.spread(known), -e)  # [block, angle]
-        before, after = np.roll(self.thetas, 1), np.roll(self.thetas, -1)
-        before[0] -= 2.0 * np.pi
-        after[-1] += 2.0 * np.pi
-        a, b = np.sin(after - self.thetas) / np.sin(after - before), np.sin(self.thetas - before) / np.sin(after - before)
-        with np.errstate(over="ignore"):
-            bound = np.ldexp(a * np.roll(h, 1, axis=1) + b * np.roll(h, -1, axis=1) + (a + b + 1.0) * np.ldexp(self.slack(), -e), e)
-        bounds = np.full(self.supports.shape, np.inf)
-        bounds[:, 0], bounds[:, 1, self.paired] = bound[:, self.first], bound[:, self.second[self.paired]]
-        return bounds
 
     def points(self, js) -> np.ndarray:
         """The points at the pairs ``js``, in increasing order, rows end 0 and end 1, from the ends their winners took.
@@ -1034,20 +981,14 @@ def _sweep(A, thetas: np.ndarray, vectors: bool):
 
     The support comes from the same call in both modes.  Closed blocks
     answer every pair at once; the angle loop runs only if some block is
-    not closed.  On the uniform grid of ``_angle_grid`` with K >= 5, where
-    the neighbours of an angle lie less than pi apart, a sweep with two or
-    more looped blocks solves each of them at the even pairs, and at each
-    odd pair only the blocks that ``_Sweep.wedge`` does not rule out; any
-    other sweep solves every block at every pair.  After the loop each
-    block that won an end gives its points in one ``points`` call.
+    not closed, and then solves every looped block at every pair.  After
+    the loop each block that won an end gives its points in one ``points``
+    call.
     """
     sweep = _Sweep(A, thetas)
-    pairs, K = np.arange(sweep.first.size), thetas.size
-    prune = len(sweep.looped) > 1 and K >= 5 and np.array_equal(thetas, _angle_grid(K))
+    pairs = np.arange(sweep.first.size)
     if sweep.looped:
-        sweep.solve(pairs[::2] if prune else pairs, vectors)
-    if prune:
-        sweep.solve(pairs[1::2], vectors, sweep.wedge(pairs[1::2]))
+        sweep.solve(pairs, vectors)
     h = sweep.spread(sweep.tops())
     _finite(h)  # before any point is formed from a support past the float range
     if not vectors:

@@ -299,6 +299,16 @@ def test_kernel_checks_decide_or_name_alpha_where_the_kernels_are_huge(check_id)
         assert report.metrics and all(math.isfinite(value) for value in report.metrics.values())
 
 
+@pytest.mark.parametrize("alpha", [3e7, 1e8])
+@pytest.mark.parametrize("check_id", ["theo1_kernel_sum", "adjoint_kernel"])
+def test_kernel_checks_refuse_an_alpha_whose_kernels_leave_the_float_range(check_id, alpha):
+    # from about alpha = 3e7 a kernel coefficient's modulus passes the
+    # largest float: the check must name alpha, and never pass on the NaN
+    # residuals that the overflow would leave
+    with pytest.raises(NumericError, match=re.escape(f"alpha={alpha}")):
+        run_check(check_id, {"alpha": alpha})
+
+
 def test_circle_check_fails_when_graded_points_leave_the_circle(monkeypatch):
     # every point of the graded compression moved radially outward by 0.01:
     # the mean of the points stays at the centre, so center_dev cannot see
@@ -475,6 +485,39 @@ def test_th1_holds_for_a_weight_of_the_form_g_of_z_to_the_n():
     assert report.passed, report.metrics
 
 
+def _th1_operator(monkeypatch, params=None):
+    """(the matrix that th1_rotation_hull compares with the rotated images, its report)."""
+    caught, gap = [], checks._gap
+    monkeypatch.setattr(checks, "_gap", lambda A, shape, K: caught.append(A) or gap(A, shape, K))
+    report = run_check("th1_rotation_hull", params)
+    (A,) = caught
+    return np.asarray(getattr(A, "matrix", A)), report
+
+
+@pytest.mark.parametrize("alpha, N", [(0.0, 192), (0.5, 192), (2.0, 48), (-0.5, 192)])
+def test_th1_sweeps_the_exact_rotation_of_the_built_composition(monkeypatch, alpha, N):
+    # th1 sweeps M_psi diag(lam^(k mod 3)), the composition with the
+    # rotation weighted by psi: it matches the builder, whose lam^k comes
+    # from k repeated products, entrywise to c N eps with c = 1 (entries of
+    # modulus at most 1/2 here, the largest gap 0.47 N eps), and each
+    # residue class mod 3 keeps the exact constant diagonal psi_0 lam^r
+    A, _ = _th1_operator(monkeypatch, {"alpha": alpha, "N": N})
+    lam = checks._root_of_unity(3)
+    W = checks.build_weighted_composition([0.5, 0.0, 0.0, 0.5], [0.0, lam], alpha, N).matrix
+    assert np.max(np.abs(A - W)) <= 1.0 * N * np.finfo(float).eps
+    diagonal = np.diagonal(A)
+    for r in range(3):
+        assert np.all(diagonal[r::3] == diagonal[r]), r
+
+
+def test_th1_answers_its_three_classes_as_discs_in_three_reductions(monkeypatch):
+    made, init = [], numrange._Tridiagonal.__init__
+    monkeypatch.setattr(numrange._Tridiagonal, "__init__", lambda T, *args: made.append(1) or init(T, *args))
+    A, report = _th1_operator(monkeypatch)
+    assert report.passed and len(made) == 3
+    assert [type(block) for block in numrange._Sweep(A, numrange._angle_grid(360)).blocks] == [numrange._Graded] * 3
+
+
 # sweeps per check at the defaults; each comparison with a closed form sweeps
 # its range once, by a full sweep or by the margin's, and a check not listed
 # here sweeps nothing.  th2_symmetric also measures the symmetry of each
@@ -511,25 +554,22 @@ def test_each_check_sweeps_each_range_once(monkeypatch):
     assert sum(counts.values()) == 30
 
 
-# tridiagonal reductions per check at the defaults, 3261 in all, symmetry
-# probes aside, when every sweep solved every block at every angle pair of
-# the whole grid.  A margin solves every 8th
-# pair and the last, then the pairs whose lower bound can still reach the
-# minimum: 15 of the 91 pairs of each theo2 matrix, 14 of 91 for theo3, and
-# 29 of 181 and 53 of 360 for the containment of the two ellipse checks at
-# K = 720, whose 2 x 2 support_dev gaps still take 181 and 360.  A full
-# sweep of two or more looped blocks solves each at the even pairs, and at
-# the odd ones only the blocks whose wedge bound can still win an end:
-# th1 takes 450 (540).  A matrix whose range is n-fold symmetric solves one
-# 2 pi / n window of the grid: th2_symmetric's order-3 case takes 122 (366
-# on the whole grid, 540 unpruned), its order-2 case 182, each end of
-# [0, pi/2] alone, and their symmetry probes one reduction per angle and
-# block, 4 x 2 and 6 x 3
+# tridiagonal reductions per check at the defaults, 1550 in all.  A margin
+# solves every 8th pair and the last, then the pairs whose lower bound can
+# still reach the minimum: 15 of the 91 pairs of each theo2 matrix, 14 of
+# 91 for theo3, and 29 of 181 and 53 of 360 for the containment of the two
+# ellipse checks at K = 720, whose 2 x 2 support_dev gaps still take 181
+# and 360.  A full sweep solves every looped block at every pair.  th1's
+# rotation has three graded classes, each a disc solved once.  A matrix
+# whose range is n-fold symmetric solves one 2 pi / n window of the grid:
+# th2_symmetric's order-3 case takes 180 (540 on the whole grid), its
+# order-2 case 182, each end of [0, pi/2] alone, and their symmetry probes
+# one reduction per angle and block, 4 x 2 and 6 x 3
 REDUCTIONS = {
     "t3_harmonic_range": 91,
     "c1_multiplication": 1,
-    "th1_rotation_hull": 450,
-    "th2_symmetric": 182 + 4 * 2 + 122 + 6 * 3,
+    "th1_rotation_hull": 3,
+    "th2_symmetric": 182 + 4 * 2 + 180 + 6 * 3,
     "pro1_rank_one": 182,
     "theo2_zero_interior": 4 * 15,
     "theo3_zero_interior": 14,
@@ -551,7 +591,7 @@ def test_each_check_makes_its_pinned_reductions(monkeypatch):
         run_check(check_id)
         counts[check_id] = len(made) - before
     assert counts == {check_id: REDUCTIONS.get(check_id, 0) for check_id in EXPECTED_IDS}
-    assert sum(counts.values()) == 1939
+    assert sum(counts.values()) == 1550
 
 
 def test_two_fold_ranges_bisect_one_end_per_angle(monkeypatch):

@@ -14,6 +14,7 @@ from scipy.special import gammaln, xlogy
 
 from bergrange.core import (
     DomainError,
+    NumericError,
     UsageError,
     alpha_weight,
     disk_quadrature,
@@ -155,6 +156,12 @@ class TestKernel:
             log_c = 0.5 * alpha_weight(alpha, 64) + xlogy(n, abs(w))
             want = np.exp(log_c) * np.exp(-1j * np.angle(w) * n)
             assert kernel_coeffs(w, alpha, 64).tobytes() == want.tobytes(), w
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entries_past_the_float_range_raise_naming_w_and_alpha(self):
+        # at alpha = 1e8 the modulus of entry 127 at w = 0.5 is about e^1043
+        with pytest.raises(NumericError, match=r"w=\(0\.5\+0j\) .* alpha=100000000\.0"):
+            kernel_coeffs(0.5, 1e8, 127)
 
     def test_origin(self):
         c = kernel_coeffs(0.0, 1.0, 4)
