@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -63,6 +62,7 @@ from bergrange.core import (
     _as_number,
     _as_object,
     _as_pairs,
+    _cpu_count,
     _int,
     _list_of,
     _read_fields,
@@ -215,14 +215,6 @@ _CSVROWS = str(Path(__file__).with_name("_csvrows.py"))
 
 class _ShareFailed(Exception):
     """A child or this process could not do its share; the serial code takes over."""
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _processes(work: int, floor: int) -> int:

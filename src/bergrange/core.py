@@ -32,6 +32,7 @@ scipy.linalg.
 from __future__ import annotations
 
 import math
+import os
 from functools import lru_cache
 from typing import Callable
 
@@ -164,6 +165,14 @@ def _as_matrix(A, where: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise NumericError(f"{where} has non-finite entries")
     return M
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: the CSV shares of the command line and the threaded band sweeps take one each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _norm(x: np.ndarray) -> float:

@@ -149,6 +149,21 @@ pruning on a subnormal matrix.  It is taken times 2^-e in the frame of
 ``_frame``, so that nothing overflows.  A skip never changes a margin
 while each computed support lies within the slack of the true one.
 
+A sweep whose looped blocks are all ``_Band``s of kd >= 2 solves its pairs
+on threads: ``_Sweep.solve`` splits them into contiguous chunks, one per
+CPU that the process may run on, and runs each chunk on a ``fork`` of
+every band, which shares the band storage but reduces on a workspace of
+its own.  zhbtrd, called through its capsule, releases the GIL, so the
+reductions of two chunks overlap, while the bisection, the eigenvector
+and the rest of a pair hold it.  So a band below ``_THREAD_BAND`` entries
+n (kd + 1), a chunk below ``_THREAD_FLOOR`` entries over its pairs, and a
+kd = 1 band, whose reduction LAPACK skips, stay on one thread, as do dense
+and reduced blocks: their zhetrd is an f2py call, which holds the GIL, and
+even through its capsule two threads were measured slower on them.
+Each pair writes only its own supports and ends, and the point stage
+stays after the loop, so a threaded sweep has the bits of the serial
+one; a process pinned to one CPU (``taskset -c 0``) runs the serial loop.
+
 Reference shapes (discs, ellipses, and point clouds such as symbol
 images sampled on the unit circle) share one support-function interface,
 ``support_of``; a hull polygon answers through its vertices.  Hull
@@ -157,13 +172,16 @@ geometry is taken in one exact power-of-two frame, from ``_frame``.
 
 from __future__ import annotations
 
+import contextvars
+import copy
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from bergrange.core import NumericError, UsageError, _as_complex, _as_int, _as_matrix, _as_number
+from bergrange.core import NumericError, UsageError, _as_complex, _as_int, _as_matrix, _as_number, _cpu_count
 
 __all__ = [
     "support_function",
@@ -193,7 +211,9 @@ def _linalg(name: str):
     import of scipy.linalg.<name> by the caller loads the module through
     the import system, which binds it on the package; the interpreter keeps
     an extension module's first state, so that import exports these same
-    routines and capsules, as scipy.linalg.lapack does.
+    routines and capsules, as scipy.linalg.lapack does.  The cache takes no
+    lock, so a first call must not run on two threads at once: a threaded
+    sweep makes every first call of its loaders before it starts a thread.
     """
     import importlib.machinery
     import importlib.util
@@ -445,6 +465,23 @@ def _band_vector(ab: np.ndarray, lam: float, start: np.ndarray) -> np.ndarray:
 # _BAND_RATIO * kd <= n, which keeps a margin over that crossover.
 _BAND_RATIO = 16
 
+# Threaded band sweeps, timed serial against two threads on random complex
+# bands (one BLAS thread, 2-core Xeon): zhbtrd releases the GIL, while the
+# bisection, the eigenvector and the rest of a pair hold it.  Counting n (kd
+# + 1) band entries per block, support sweeps at K = 360 broke even at 120
+# entries and took 0.63 times the serial time at 256 (kd = 3, n = 64) and
+# 0.53 at 480; boundary sweeps, whose eigenvectors hold the GIL, broke even
+# at about 200 and took 0.72 times at 384.  At kd = 1 zhbtrd does no
+# reduction, and threads took 1.05 times at n = 200.  So a sweep is split
+# only where every looped block is a band of kd >= 2 and at least
+# _THREAD_BAND entries.  A thread takes about 0.05 ms to start and join,
+# and each hand-off of the GIL costs more, so each chunk holds at least
+# _THREAD_FLOOR entries summed over its pairs and blocks, counted at half
+# where it takes eigenvectors: at that floor a support chunk of 4 pairs of
+# kd = 3, n = 64 took 0.92 times and a boundary chunk of 8 pairs 0.99 times.
+_THREAD_BAND = 256
+_THREAD_FLOOR = 1024
+
 
 def _residue_classes(M: np.ndarray):
     """Index sets over which M is a direct sum, the half-bandwidth inside them, the order of the rotation symmetry of its range, and each set's nonzero entries.
@@ -668,14 +705,14 @@ class _Band:
 
     The workspace of zhbtrd is a Fortran-ordered band buffer ``ab``, d, e,
     work and the int arguments N, KD, LDAB, LDQ and INFO; their pointers
-    are taken once here, so a reduction costs one copy into the buffer and
-    the bare call.  The T it gives holds d and e of this workspace, so it
-    is read before the next reduction.
+    are taken once, in ``_workspace``, so a reduction costs one copy into
+    the buffer and the bare call.  The T it gives holds d and e of this
+    workspace, so it is read before the next reduction; a ``fork`` has a
+    workspace of its own, so it can reduce on another thread.
     """
 
 
     def __init__(self, M: np.ndarray, idx: np.ndarray, kd: int):
-        import ctypes
         n, step = idx.size, int(idx[1] - idx[0])
         lower, upper = np.zeros((2, kd + 1, n), dtype=complex)
         for k in range(kd + 1):  # the block's entries (j + k, j) and (j, j + k)
@@ -683,6 +720,12 @@ class _Band:
         self.band = _hermitian_parts(lower, upper)
         self.unit = _unit(*self.band)
         self.start = np.random.default_rng(0).standard_normal(n).astype(complex)
+        self._workspace()
+
+    def _workspace(self) -> None:
+        """Make the zhbtrd workspace and take its pointers."""
+        import ctypes
+        kd, n = self.band[0].shape[0] - 1, self.band[0].shape[1]
         self.ab = np.zeros((kd + 1, n), dtype=complex, order="F")
         self.d, self.e, self.work = np.zeros(n), np.zeros(max(n - 1, 0)), np.zeros(n, dtype=complex)
         self.ints = np.array([n, kd, kd + 1, 1, 0], dtype=np.intc)  # N, KD, LDAB, LDQ and INFO
@@ -690,6 +733,12 @@ class _Band:
         self.q = np.zeros(1, dtype=complex)  # VECT = 'N' forms no Q
         ab, d, e, q, work = (ctypes.c_void_p(X.ctypes.data) for X in (self.ab, self.d, self.e, self.q, self.work))
         self.args = (ctypes.c_char_p(b"N"), ctypes.c_char_p(b"L"), n_, kd_, ab, ldab, d, e, q, ldq, work, info)
+
+    def fork(self) -> "_Band":
+        """A copy that shares the band storage and ``start`` but reduces on a workspace of its own, for another thread."""
+        twin = copy.copy(self)
+        twin._workspace()
+        return twin
 
     def ends(self, c, s, both: bool):
         """Supports at theta and, with ``both``, at theta + pi, from one reduction of the band of H(theta) at ``unit``, and a function that gives an end's eigenvector."""
@@ -906,8 +955,8 @@ class _Sweep:
 
     def __init__(self, A, thetas: np.ndarray):
         self.M = M = _as_matrix(A)
-        classes, kd, order, entries = _residue_classes(M)
-        self.blocks = [_solver(M, idx, kd, *pair) for idx, pair in zip(classes, entries)]
+        classes, kd, order, self.entries = _residue_classes(M)
+        self.blocks = [_solver(M, idx, kd, *pair) for idx, pair in zip(classes, self.entries)]
         self.real = not M.imag.any()
         # a closed block answers every angle at once, in closed_ends: a sweep of them alone takes no copies
         self.looped = [b for b, block in enumerate(self.blocks) if not hasattr(block, "closed_ends")]
@@ -923,16 +972,79 @@ class _Sweep:
         self.taken = {b: {} for b in self.looped}  # (pair, end): (end, c, s, support, x) of each end a looped block won
 
     def slack(self) -> float:
-        """1e-10 sqrt(n) max |A_ij|, floored at the smallest normal float: how far the margin's pruning bound lets a computed support lie from the true one."""
+        """1e-10 sqrt(n) max |A_ij|, floored at the smallest normal float: how far the margin's pruning bound lets a computed support lie from the true one.
+
+        max |A_ij| is taken class by class, on the class's strided view of
+        A: over the nonzero entries that ``_residue_classes`` found where they
+        are fewer than a third of its n^2 entries (a gather costs about three
+        times a contiguous read), else over its rows.  Either way it goes in
+        slices of ``_POINT_CHUNK`` entries, so no N x N temporary is made.
+        """
+        g, largest = len(self.entries), [0.0]
         with np.errstate(over="ignore"):
-            return max(_TOLERANCE * np.sqrt(self.M.shape[0]) * float(np.max(np.abs(self.M))), np.finfo(float).tiny)
+            for r, (rows, cols) in enumerate(self.entries):
+                block = self.M[r::g, r::g]
+                n = block.shape[0]
+                parts = (block[rows[k], cols[k]] for k in _chunks(rows.size, 1)) if 3 * rows.size < n * n else (block[k] for k in _chunks(n, n))
+                largest += [np.max(np.abs(part)) for part in parts]
+        return max(_TOLERANCE * np.sqrt(self.M.shape[0]) * float(np.max(largest)), np.finfo(float).tiny)
+
+    def _split(self, js, vectors: bool) -> list:
+        """The pairs ``js`` in contiguous chunks, one per thread: one chunk unless every looped block is a band of kd >= 2 and at least ``_THREAD_BAND`` entries.
+
+        Such a sweep takes one chunk per CPU that ``_cpu_count`` gives, as
+        far as each chunk keeps a pair and ``_THREAD_FLOOR`` band entries,
+        counted at half with ``vectors``.
+        """
+        sizes = [block.ab.size if isinstance(block, _Band) and block.ab.shape[0] > 2 else 0 for block in (self.blocks[b] for b in self.looped)]
+        if min(sizes) < _THREAD_BAND:
+            return [js]
+        work = len(js) * sum(sizes) // (2 if vectors else 1)
+        return np.array_split(js, max(1, min(_cpu_count(), len(js), work // _THREAD_FLOOR)))
 
     def solve(self, js, vectors: bool) -> None:
-        """Solve every looped block at the pairs ``js``, and with ``vectors`` take the eigenvector of each end that such a block wins."""
+        """Solve every looped block at the pairs ``js``, and with ``vectors`` take the eigenvector of each end that such a block wins.
+
+        The pairs go in the contiguous chunks of ``_split``.  The first runs
+        on this thread and each other on a thread of its own, in a copy of
+        this thread's context (numpy's errstate is a context variable), on
+        its own ``fork`` of every band: zhbtrd releases the GIL.  Every
+        routine that a chunk calls is loaded here first, every thread is
+        joined before this returns or raises, and the error of the earliest
+        chunk that failed is raised, the one the serial loop would raise.
+        """
+        chunks = self._split(js, vectors)
+        if len(chunks) == 1:
+            return self._solve(self.blocks, js, vectors)
+        _linalg("_flapack"), _zhbtrd()  # two threads in one lazy loader at once could each load its module
+        errors, threads = [None] * len(chunks), []
+
+        def run(k, blocks):
+            try:
+                self._solve(blocks, chunks[k], vectors)
+            except BaseException as error:
+                errors[k] = error
+
+        try:
+            for k in range(1, len(chunks)):
+                blocks = [block.fork() if b in self.looped else block for b, block in enumerate(self.blocks)]
+                thread = threading.Thread(target=contextvars.copy_context().run, args=(run, k, blocks))
+                thread.start()
+                threads.append(thread)
+            run(0, self.blocks)
+        finally:
+            for thread in threads:
+                thread.join()
+        for error in errors:
+            if error is not None:
+                raise error
+
+    def _solve(self, blocks, js, vectors: bool) -> None:
+        """The serial loop of ``solve`` over the pairs ``js``, on ``blocks``: the sweep's own or their forks."""
         for j in js:
             count, vector = 2 if self.paired[j] else 1, {}
             for b in self.looped:
-                self.supports[b, :count, j], vector[b] = self.blocks[b].ends(self.c[j], self.s[j], self.paired[j])
+                self.supports[b, :count, j], vector[b] = blocks[b].ends(self.c[j], self.s[j], self.paired[j])
             if vectors:
                 for end, b in enumerate(np.argmax(self.supports[:, :count, j], axis=0)):
                     if b in vector:

@@ -12,6 +12,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from functools import partial, partialmethod
 
@@ -135,6 +137,11 @@ def _pairing(A, thetas):
     order = 1 if all(_closed(block) for block in _blocks(A)) else _residue_classes(A)[2]
     (first, second), copies, fold = numrange._angle_pairs(thetas, not A.imag.any(), order)
     return [(j, None if k < 0 else k) for j, k in zip(first.tolist(), second.tolist())], copies, fold
+
+
+def _identity(block):
+    """The key of a looped block, which the forks that a threaded sweep solves it on share: its band storage, or the block itself."""
+    return id(block.band) if isinstance(block, numrange._Band) else id(block)
 
 
 _PATHS = {numrange._Diagonal: "diagonal", numrange._Band: "band", numrange._Dense: "dense", numrange._Reduced: "reduced"}
@@ -322,7 +329,8 @@ class TestSweepKernel:
         # so a sweep of the tridiagonal z + 0.5 conj(z) at N = 1000 allocates
         # far less than one copy of A: its peak under tracemalloc is about
         # 0.06 A.nbytes, the finiteness test of A, where forming A_re and A_im
-        # at N x N first peaked at 3 A.nbytes
+        # at N x N first peaked at 3 A.nbytes.  A margin reads max |A_ij| from
+        # the nonzero entries, where |A| took 0.5 A.nbytes
         A = build_toeplitz(BiPolySymbol(((1, 0, 1.0), (0, 1, 0.5))), 0.0, 1000).matrix
         (block,) = _blocks(A)
         assert _path(block) == "band"
@@ -331,7 +339,7 @@ class TestSweepKernel:
         if not tracing:
             tracemalloc.start()
         try:
-            for sweep in (partial(support_function, A, _angle_grid(32)), partial(boundary_points, A, 32)):
+            for sweep in (partial(support_function, A, _angle_grid(32)), partial(boundary_points, A, 32), partial(_margin, A, DiscSpec(0j, 0.5), 32)):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
                 sweep()
@@ -535,16 +543,19 @@ assert numrange._linalg("cython_lapack") is cython_lapack
         # pair by pair and end 0 before end 1: the winners are recomputed
         # here from the supports that each block's ends returned, the first
         # largest in block order at each solved end.  Every pair solves
-        # every block
+        # every block.  Two CPUs thread the bands above the floor on any
+        # host, each chunk on forks of the bands, so a block is keyed by
+        # what it shares with its forks
+        monkeypatch.setattr(numrange, "_cpu_count", lambda: 2)
         solved, batches = [], []
         def spy_ends(block, c, s, both, ends):
             supports, vector = ends(block, c, s, both)
-            solved.append((block, (c, s), list(supports)))
+            solved.append((_identity(block), (c, s), list(supports)))
             return supports, vector
 
         for looped in (numrange._Band, numrange._Dense, numrange._Reduced):
             monkeypatch.setattr(looped, "ends", partialmethod(spy_ends, ends=looped.ends))
-            monkeypatch.setattr(looped, "points", lambda block, taken, points=looped.points: batches.append((block, [(c, s, end) for end, c, s, *_ in taken])) or points(block, taken))
+            monkeypatch.setattr(looped, "points", lambda block, taken, points=looped.points: batches.append((_identity(block), [(c, s, end) for end, c, s, *_ in taken])) or points(block, taken))
         cases = [(name, A) for name, A in _structured_matrices() if not any(_closed(block) for block in _blocks(A))]
         assert {name for name, _ in cases} >= {"t3", "th1", "th2_n3", "dense24", "composition", "psd_rank_one"}
         for name, A in cases + [("theo2", _theo2(64))]:
@@ -815,11 +826,16 @@ class TestAnglePairs:
     def test_a_band_whose_hermitian_part_is_diagonal_is_bisected_exactly(self, monkeypatch):
         # A = D + S with S skew-Hermitian on a band of kd = 2: H(0) = Re D, so
         # zhbtrd gives a tridiagonal form with e = 0 at theta = 0, which
-        # dstebz bisects to max(Re d) and min(Re d), bit for bit
-        calls = []
+        # dstebz bisects to max(Re d) and min(Re d), bit for bit.  The sweep
+        # runs on two threads, below the floor, and each bisection is keyed
+        # by the pair that its thread is solving
+        monkeypatch.setattr(numrange, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(numrange, "_THREAD_BAND", 0)
+        solving, calls = {}, {}
         flapack = numrange._linalg("_flapack")
-        original = flapack.dstebz
-        monkeypatch.setattr(flapack, "dstebz", lambda d, e, *args: calls.append(np.array(e)) or original(d, e, *args))
+        original, ends = flapack.dstebz, numrange._Band.ends
+        monkeypatch.setattr(numrange._Band, "ends", lambda block, c, s, both: solving.update({threading.get_ident(): (c, s)}) or ends(block, c, s, both))
+        monkeypatch.setattr(flapack, "dstebz", lambda d, e, *args: calls.setdefault(solving[threading.get_ident()], []).append(np.array(e)) or original(d, e, *args))
         rng = np.random.default_rng(67)
         d = rng.standard_normal(48) + 1j * rng.standard_normal(48)
         B = np.tril(_random_band(rng, 48, 2), -1)
@@ -827,7 +843,8 @@ class TestAnglePairs:
         (block,) = _blocks(A)
         assert _path(block) == "band" and block.band[0].shape[0] == 3 and not _graded(block)
         h = support_function(A, _angle_grid(64))
-        assert not calls[0].any() and not calls[1].any()  # both ends of theta = 0 bisect a diagonal T
+        assert len(solving) == 2 and len(calls) == 32 and len(calls[1.0, 0.0]) == 2  # two threads, one call per end of each pair
+        assert not any(e.any() for e in calls[1.0, 0.0])  # both ends of theta = 0 bisect a diagonal T
         assert h[0] == np.max(d.real) and h[32] == -np.min(d.real)
         assert support_function(A, [0.0])[0] == np.max(d.real)
 
@@ -1560,6 +1577,176 @@ class TestPruning:
                         pruned, full = pruned + len(reductions), full + everything
         assert kinds == {"band", "reduced", "dense", "closed", "single", "multi", "real", "complex"}
         assert pruned < 0.5 * full
+
+
+def _threaded_bands():
+    """(name, matrix) pairs whose sweeps clear the thread floor: complex, real and zero-diagonal bands, and th2's three classes of kd = 4."""
+    rng = np.random.default_rng(71)
+    yield "complex", _random_band(rng, 96, 3)
+    yield "real", _random_band(rng, 128, 2).real + 0j
+    B = _random_band(rng, 80, 4)
+    yield "zero_diagonal", B - np.diag(np.diag(B))
+    yield "th2_n3", dict(_structured_matrices())["th2_n3"]
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """Two CPUs on any host, and a dict that maps each thread that solved a band to the (c, s) of every pair it solved."""
+    monkeypatch.setattr(numrange, "_cpu_count", lambda: 2)
+    seen, ends = {}, numrange._Band.ends
+    monkeypatch.setattr(numrange._Band, "ends", lambda block, c, s, both: seen.setdefault(threading.get_ident(), []).append((c, s)) or ends(block, c, s, both))
+    return seen
+
+
+class TestThreadedSweeps:
+    """A sweep whose looped blocks are all bands of kd >= 2 above the floor solves its pairs on one thread per CPU, with the bits of the serial loop."""
+
+    def test_threaded_sweeps_match_the_serial_loop_bit_for_bit(self, threads, monkeypatch):
+        # every support and point of boundary_points, every support of
+        # support_function and every margin against the reference that
+        # solves every block at every pair on one thread; each full sweep
+        # runs on both threads, and each margin also on one CPU
+        for name, A in _threaded_bands():
+            for K in (360, 359, 64):
+                g = _angle_grid(K)
+                for p in (0, -1060, 1000) if K == 64 else (0,):
+                    B = A * 2.0**p
+                    h, points = _reference_sweep(B, K)
+                    threads.clear()
+                    rows = boundary_points(B, K)
+                    assert len(threads) == 2, (name, K, p)
+                    assert np.array([s for _, _, s in rows]).tobytes() == h.tobytes(), (name, K, p)
+                    assert np.array([q for _, q, _ in rows]).tobytes() == points.tobytes(), (name, K, p)
+                    threads.clear()
+                    assert support_function(B, g).tobytes() == h.tobytes(), (name, K, p)
+                    assert len(threads) == 2, (name, K, p)
+                    for shape in (DiscSpec(2.0**p * 0.1j, 2.0**p * 0.2), 2.0**p * np.array([0j, 0.5 - 0.25j, 0.1 + 0.6j])):
+                        got = _margin(B, shape, K)
+                        assert got == float(np.min(h - support_of(shape, g))), (name, K, p)
+                        with monkeypatch.context() as serial:
+                            serial.setattr(numrange, "_cpu_count", lambda: 1)
+                            assert _margin(B, shape, K) == got, (name, K, p)
+
+    def test_only_bands_of_kd_2_above_the_floor_run_on_threads(self, threads, monkeypatch):
+        # chunks per solve: a kd = 1 band, a band below the floor and a dense
+        # block stay on one thread, and so does every sweep on one CPU, as
+        # under taskset -c 0; a threaded sweep takes one chunk per CPU, each
+        # a contiguous run of pairs on a thread of its own
+        splits, split = [], numrange._Sweep._split
+        monkeypatch.setattr(numrange._Sweep, "_split", lambda sweep, js, vectors: splits.append([len(chunk) for chunk in split(sweep, js, vectors)]) or split(sweep, js, vectors))
+        g = _angle_grid(64)
+        pair = {(c, s): j for j, (c, s) in enumerate(zip(np.cos(g[:32]), np.sin(g[:32])))}
+        rng = np.random.default_rng(73)
+        band = _random_band(rng, 96, 3)
+        cases = [(band, [16, 16], 2), (_random_band(rng, 200, 1), [32], 1), (_random_band(rng, 32, 2), [32], 1), (dict(_structured_matrices())["dense24"], [32], 0)]
+        for A, want, count in cases:
+            splits.clear()
+            threads.clear()
+            support_function(A, g)
+            assert splits == [want] and len(threads) == count, want
+            if count == 2:
+                assert sorted([pair[cs] for cs in solved] for solved in threads.values()) == [list(range(16)), list(range(16, 32))]
+        monkeypatch.setattr(numrange, "_cpu_count", lambda: 1)
+        splits.clear()
+        support_function(band, g)
+        assert splits == [[32]]
+
+    def test_no_thread_outlives_its_sweep(self, threads, monkeypatch):
+        # every thread is joined before the sweep returns, and before it
+        # raises the error of a worker, which here fails late
+        before = set(threading.enumerate())
+        A = _random_band(np.random.default_rng(79), 96, 3)
+        boundary_points(A, 64)
+        assert len(threads) == 2 and set(threading.enumerate()) == before
+        caller, ends = threading.get_ident(), numrange._Band.ends
+
+        def failing(block, c, s, both):
+            if threading.get_ident() != caller:
+                time.sleep(0.05)
+                raise NumericError("a worker failed")
+            return ends(block, c, s, both)
+
+        monkeypatch.setattr(numrange._Band, "ends", failing)
+        for sweep in (partial(support_function, A, _angle_grid(64)), partial(boundary_points, A, 64)):
+            with pytest.raises(NumericError, match="a worker failed"):
+                sweep()
+            assert set(threading.enumerate()) == before
+
+    def test_the_error_of_the_earliest_pair_is_raised(self, threads, monkeypatch):
+        # pairs 0..15 and 16..31 go to two threads; pair 15 fails after pair
+        # 16 has failed, and the sweep raises pair 15's error, as the serial
+        # loop would
+        g = _angle_grid(64)
+        pair = {(c, s): j for j, (c, s) in enumerate(zip(np.cos(g[:32]), np.sin(g[:32])))}
+        ends, failed = numrange._Band.ends, {}
+
+        def failing(block, c, s, both):
+            if pair[c, s] == 15:
+                time.sleep(0.05)
+            if pair[c, s] in (15, 16):
+                failed[pair[c, s]] = threading.get_ident()
+                raise NumericError(f"pair {pair[c, s]}")
+            return ends(block, c, s, both)
+
+        monkeypatch.setattr(numrange._Band, "ends", failing)
+        with pytest.raises(NumericError, match="pair 15"):
+            support_function(_random_band(np.random.default_rng(83), 96, 3), g)
+        assert len(failed) == 2 and failed[15] != failed[16]
+
+    def test_the_callers_errstate_holds_on_every_thread(self, threads, monkeypatch):
+        # numpy's errstate is a context variable, which a bare thread would
+        # not see: each worker runs in a copy of the caller's context
+        seen, ends = {}, numrange._Band.ends
+        monkeypatch.setattr(numrange._Band, "ends", lambda block, c, s, both: seen.setdefault(threading.get_ident(), set()).add(np.geterr()["over"]) or ends(block, c, s, both))
+        A = _random_band(np.random.default_rng(89), 96, 3)
+        with np.errstate(over="raise"):
+            support_function(A, _angle_grid(64))
+        assert len(seen) == 2 and all(modes == {"raise"} for modes in seen.values())
+        seen.clear()
+        with np.errstate(over="ignore"):
+            boundary_points(A, 64)
+        assert len(seen) == 2 and all(modes == {"ignore"} for modes in seen.values())
+
+    def test_more_threads_than_cores_with_a_short_switch_interval_keep_every_bit(self, threads, monkeypatch):
+        # eight chunks on two cores, switching threads every microsecond:
+        # every pair writes its own supports and ends, so no update is lost
+        # and the sweeps keep the bits of one CPU
+        matrices = dict(_threaded_bands())
+        serial = {}
+        with monkeypatch.context() as one:
+            one.setattr(numrange, "_cpu_count", lambda: 1)
+            for name in ("complex", "th2_n3"):
+                serial[name] = boundary_points(matrices[name], 360), support_function(matrices[name], _angle_grid(359))
+        monkeypatch.setattr(numrange, "_cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for name, (rows, h) in serial.items():
+                threads.clear()
+                assert boundary_points(matrices[name], 360) == rows and len(threads) > 1, name
+                assert support_function(matrices[name], _angle_grid(359)).tobytes() == h.tobytes(), name
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_fresh_process_threads_its_first_sweep(self):
+        # the first sweep of a process loads LAPACK; on threads, each lazy
+        # loader must run on the caller first, or two threads load one module
+        script = """
+import threading
+import numpy as np
+from bergrange import numrange
+numrange._cpu_count = lambda: 2
+seen, ends = set(), numrange._Band.ends
+numrange._Band.ends = lambda block, c, s, both: seen.add(threading.get_ident()) or ends(block, c, s, both)
+rng = np.random.default_rng(97)
+A = sum(np.diag(rng.standard_normal(96 - abs(d)) + 1j * rng.standard_normal(96 - abs(d)), d) for d in range(-3, 4))
+threaded = numrange.boundary_points(A, 360)
+assert len(seen) == 2, seen
+numrange._cpu_count = lambda: 1
+assert numrange.boundary_points(A, 360) == threaded
+"""
+        for _ in range(3):
+            subprocess.run([sys.executable, "-c", script], check=True, env=_src_env(), timeout=120)
 
 
 class TestCheckComparison:
