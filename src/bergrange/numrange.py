@@ -151,18 +151,20 @@ while each computed support lies within the slack of the true one.
 
 A sweep whose looped blocks are all ``_Band``s of kd >= 2 solves its pairs
 on threads: ``_Sweep.solve`` splits them into contiguous chunks, one per
-CPU that the process may run on, and runs each chunk on a ``fork`` of
-every band, which shares the band storage but reduces on a workspace of
-its own.  zhbtrd, called through its capsule, releases the GIL, so the
-reductions of two chunks overlap, while the bisection, the eigenvector
-and the rest of a pair hold it.  So a band below ``_THREAD_BAND`` entries
-n (kd + 1), a chunk below ``_THREAD_FLOOR`` entries over its pairs, and a
-kd = 1 band, whose reduction LAPACK skips, stay on one thread, as do dense
-and reduced blocks: their zhetrd is an f2py call, which holds the GIL, and
-even through its capsule two threads were measured slower on them.
-Each pair writes only its own supports and ends, and the point stage
-stays after the loop, so a threaded sweep has the bits of the serial
-one; a process pinned to one CPU (``taskset -c 0``) runs the serial loop.
+CPU that the process may run on, up to the two measured (``_THREADS``),
+and runs each chunk on a ``fork`` of every band, which shares the band
+storage but reduces on a workspace of its own.  zhbtrd, called through
+its capsule, releases the GIL, so the reductions of two chunks overlap,
+while the bisection, the eigenvector and the rest of a pair hold it.  So
+a band below ``_THREAD_BAND`` entries n (kd + 1), a chunk below
+``_THREAD_FLOOR`` entries over its pairs, and a kd = 1 band, whose
+reduction LAPACK skips, stay on one thread, as do dense and reduced
+blocks: their zhetrd is an f2py call, which holds the GIL, and even
+through its capsule two threads were measured slower on them.  Each pair
+writes only its own supports and ends, and the point stage stays after
+the loop, so a threaded sweep has the bits of the serial one; a process
+pinned to one CPU (``taskset -c 0``), or one that cannot start a thread,
+runs the serial loop.
 
 Reference shapes (discs, ellipses, and point clouds such as symbol
 images sampled on the unit circle) share one support-function interface,
@@ -479,8 +481,12 @@ _BAND_RATIO = 16
 # _THREAD_FLOOR entries summed over its pairs and blocks, counted at half
 # where it takes eigenvectors: at that floor a support chunk of 4 pairs of
 # kd = 3, n = 64 took 0.92 times and a boundary chunk of 8 pairs 0.99 times.
+# About half of each pair holds the GIL, so more threads gain at most a
+# little more, and each adds a start, a join and more GIL hand-offs; until
+# sweeps are timed on more CPUs, a sweep takes at most the _THREADS measured.
 _THREAD_BAND = 256
 _THREAD_FLOOR = 1024
+_THREADS = 2
 
 
 def _residue_classes(M: np.ndarray):
@@ -955,8 +961,8 @@ class _Sweep:
 
     def __init__(self, A, thetas: np.ndarray):
         self.M = M = _as_matrix(A)
-        classes, kd, order, self.entries = _residue_classes(M)
-        self.blocks = [_solver(M, idx, kd, *pair) for idx, pair in zip(classes, self.entries)]
+        classes, kd, order, entries = _residue_classes(M)
+        self.blocks = [_solver(M, idx, kd, *pair) for idx, pair in zip(classes, entries)]
         self.real = not M.imag.any()
         # a closed block answers every angle at once, in closed_ends: a sweep of them alone takes no copies
         self.looped = [b for b, block in enumerate(self.blocks) if not hasattr(block, "closed_ends")]
@@ -974,33 +980,26 @@ class _Sweep:
     def slack(self) -> float:
         """1e-10 sqrt(n) max |A_ij|, floored at the smallest normal float: how far the margin's pruning bound lets a computed support lie from the true one.
 
-        max |A_ij| is taken class by class, on the class's strided view of
-        A: over the nonzero entries that ``_residue_classes`` found where they
-        are fewer than a third of its n^2 entries (a gather costs about three
-        times a contiguous read), else over its rows.  Either way it goes in
-        slices of ``_POINT_CHUNK`` entries, so no N x N temporary is made.
+        max |A_ij| is taken over the rows of A in slices of ``_POINT_CHUNK``
+        entries, so no N x N temporary is made.
         """
-        g, largest = len(self.entries), [0.0]
+        n = self.M.shape[0]
         with np.errstate(over="ignore"):
-            for r, (rows, cols) in enumerate(self.entries):
-                block = self.M[r::g, r::g]
-                n = block.shape[0]
-                parts = (block[rows[k], cols[k]] for k in _chunks(rows.size, 1)) if 3 * rows.size < n * n else (block[k] for k in _chunks(n, n))
-                largest += [np.max(np.abs(part)) for part in parts]
-        return max(_TOLERANCE * np.sqrt(self.M.shape[0]) * float(np.max(largest)), np.finfo(float).tiny)
+            largest = np.max([np.max(np.abs(self.M[k])) for k in _chunks(n, n)])
+            return max(_TOLERANCE * np.sqrt(n) * float(largest), np.finfo(float).tiny)
 
     def _split(self, js, vectors: bool) -> list:
         """The pairs ``js`` in contiguous chunks, one per thread: one chunk unless every looped block is a band of kd >= 2 and at least ``_THREAD_BAND`` entries.
 
-        Such a sweep takes one chunk per CPU that ``_cpu_count`` gives, as
-        far as each chunk keeps a pair and ``_THREAD_FLOOR`` band entries,
-        counted at half with ``vectors``.
+        Such a sweep takes one chunk per CPU that ``_cpu_count`` gives, up
+        to ``_THREADS``, as far as each chunk keeps a pair and
+        ``_THREAD_FLOOR`` band entries, counted at half with ``vectors``.
         """
         sizes = [block.ab.size if isinstance(block, _Band) and block.ab.shape[0] > 2 else 0 for block in (self.blocks[b] for b in self.looped)]
         if min(sizes) < _THREAD_BAND:
             return [js]
         work = len(js) * sum(sizes) // (2 if vectors else 1)
-        return np.array_split(js, max(1, min(_cpu_count(), len(js), work // _THREAD_FLOOR)))
+        return np.array_split(js, max(1, min(_cpu_count(), _THREADS, len(js), work // _THREAD_FLOOR)))
 
     def solve(self, js, vectors: bool) -> None:
         """Solve every looped block at the pairs ``js``, and with ``vectors`` take the eigenvector of each end that such a block wins.
@@ -1008,10 +1007,12 @@ class _Sweep:
         The pairs go in the contiguous chunks of ``_split``.  The first runs
         on this thread and each other on a thread of its own, in a copy of
         this thread's context (numpy's errstate is a context variable), on
-        its own ``fork`` of every band: zhbtrd releases the GIL.  Every
-        routine that a chunk calls is loaded here first, every thread is
-        joined before this returns or raises, and the error of the earliest
-        chunk that failed is raised, the one the serial loop would raise.
+        its own ``fork`` of every band: zhbtrd releases the GIL; a chunk
+        whose thread cannot start runs here, after the first.  Every routine
+        that a chunk calls is loaded here first, a chunk stops at its next
+        pair once an earlier chunk has failed, every thread is joined before
+        this returns or raises, and the error of the earliest chunk that
+        failed is raised, the one the serial loop would raise.
         """
         chunks = self._split(js, vectors)
         if len(chunks) == 1:
@@ -1021,7 +1022,10 @@ class _Sweep:
 
         def run(k, blocks):
             try:
-                self._solve(blocks, chunks[k], vectors)
+                for j in chunks[k]:
+                    if any(error is not None for error in errors[:k]):
+                        return  # the serial loop stops at that error, before this chunk
+                    self._solve(blocks, [j], vectors)
             except BaseException as error:
                 errors[k] = error
 
@@ -1029,9 +1033,14 @@ class _Sweep:
             for k in range(1, len(chunks)):
                 blocks = [block.fork() if b in self.looped else block for b, block in enumerate(self.blocks)]
                 thread = threading.Thread(target=contextvars.copy_context().run, args=(run, k, blocks))
-                thread.start()
+                try:
+                    thread.start()
+                except RuntimeError:  # no thread to be had, under a limit on processes say
+                    break
                 threads.append(thread)
             run(0, self.blocks)
+            for k in range(len(threads) + 1, len(chunks)):
+                run(k, self.blocks)
         finally:
             for thread in threads:
                 thread.join()

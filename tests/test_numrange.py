@@ -1631,7 +1631,8 @@ class TestThreadedSweeps:
         # chunks per solve: a kd = 1 band, a band below the floor and a dense
         # block stay on one thread, and so does every sweep on one CPU, as
         # under taskset -c 0; a threaded sweep takes one chunk per CPU, each
-        # a contiguous run of pairs on a thread of its own
+        # a contiguous run of pairs on a thread of its own, and no more than
+        # the two threads measured on more CPUs
         splits, split = [], numrange._Sweep._split
         monkeypatch.setattr(numrange._Sweep, "_split", lambda sweep, js, vectors: splits.append([len(chunk) for chunk in split(sweep, js, vectors)]) or split(sweep, js, vectors))
         g = _angle_grid(64)
@@ -1650,6 +1651,11 @@ class TestThreadedSweeps:
         splits.clear()
         support_function(band, g)
         assert splits == [[32]]
+        monkeypatch.setattr(numrange, "_cpu_count", lambda: 8)
+        splits.clear()
+        threads.clear()
+        support_function(band, g)
+        assert splits == [[16, 16]] and len(threads) == 2
 
     def test_no_thread_outlives_its_sweep(self, threads, monkeypatch):
         # every thread is joined before the sweep returns, and before it
@@ -1693,6 +1699,59 @@ class TestThreadedSweeps:
             support_function(_random_band(np.random.default_rng(83), 96, 3), g)
         assert len(failed) == 2 and failed[15] != failed[16]
 
+    def test_a_chunk_stops_once_an_earlier_chunk_has_failed(self, threads, monkeypatch):
+        # the caller's chunk fails at its first pair, while the worker is
+        # held in its first pair until the caller joins it; the worker then
+        # solves no further pair, since the serial loop would not reach it
+        caller, ends, joining, solved = threading.get_ident(), numrange._Band.ends, threading.Event(), []
+
+        def failing(block, c, s, both):
+            if threading.get_ident() == caller:
+                raise NumericError("the caller failed")
+            joining.wait(10)
+            solved.append((c, s))
+            return ends(block, c, s, both)
+
+        join = threading.Thread.join
+        monkeypatch.setattr(threading.Thread, "join", lambda thread, *args: joining.set() or join(thread, *args))
+        monkeypatch.setattr(numrange._Band, "ends", failing)
+        A = _random_band(np.random.default_rng(101), 96, 3)
+        for sweep in (partial(support_function, A, _angle_grid(64)), partial(boundary_points, A, 64)):
+            joining.clear()
+            solved.clear()
+            with pytest.raises(NumericError, match="the caller failed"):
+                sweep()
+            assert len(solved) == 1
+
+    def test_a_chunk_whose_thread_cannot_start_runs_on_the_caller(self, threads, monkeypatch):
+        # room for one thread and up to eight chunks: the worker takes the
+        # second chunk, and the caller the first and every chunk left without
+        # a thread, with the bits of one CPU and no thread left behind
+        A = _random_band(np.random.default_rng(103), 96, 3)
+        g = _angle_grid(64)
+        with monkeypatch.context() as one:
+            one.setattr(numrange, "_cpu_count", lambda: 1)
+            serial = boundary_points(A, 64), support_function(A, g)
+        monkeypatch.setattr(numrange, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(numrange, "_THREADS", 8)
+        start, started = threading.Thread.start, []
+
+        def limited(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", limited)
+        before = set(threading.enumerate())
+        threads.clear()
+        assert boundary_points(A, 64) == serial[0]
+        assert sorted(map(len, threads.values())) == [6, 26] and set(threading.enumerate()) == before
+        started.clear()
+        threads.clear()
+        assert support_function(A, g).tobytes() == serial[1].tobytes()
+        assert sorted(map(len, threads.values())) == [4, 28] and set(threading.enumerate()) == before
+
     def test_the_callers_errstate_holds_on_every_thread(self, threads, monkeypatch):
         # numpy's errstate is a context variable, which a bare thread would
         # not see: each worker runs in a copy of the caller's context
@@ -1718,6 +1777,7 @@ class TestThreadedSweeps:
             for name in ("complex", "th2_n3"):
                 serial[name] = boundary_points(matrices[name], 360), support_function(matrices[name], _angle_grid(359))
         monkeypatch.setattr(numrange, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(numrange, "_THREADS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
